@@ -83,7 +83,6 @@ class ReplicatedService:
         pid: str,
         state_machine: StateMachine,
         secure: bool = False,
-        offload_pool: Any = None,
         **channel_kwargs: Any,
     ):
         self.party = party
@@ -95,14 +94,6 @@ class ReplicatedService:
         #: (command, result) pairs in application order
         self.log: List[Tuple[bytes, bytes]] = []
         self._digest_cache: Tuple[int, bytes] = (-1, b"")
-        self._own_pool = None
-        if offload_pool is not None:
-            from repro.crypto import fastexp
-
-            if isinstance(offload_pool, int):
-                offload_pool = fastexp.OffloadPool(offload_pool)
-                self._own_pool = offload_pool  # close it with the service
-            party.ctx.crypto.accel.attach_pool(offload_pool)
         if self._auto_open_channel:
             self._open_channel()
 
@@ -166,10 +157,6 @@ class ReplicatedService:
         return 0 if self.channel is None else self.channel.pending()
 
     def close(self) -> None:
-        if self._own_pool is not None:
-            self._own_pool.close()
-            self._own_pool = None
-            self.party.ctx.crypto.accel.attach_pool(None)
         if self.channel is None:
             raise ServiceNotOpen(
                 f"service {self.pid!r} has no open channel yet: "

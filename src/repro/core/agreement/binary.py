@@ -269,29 +269,15 @@ class BinaryAgreement(Agreement):
         name = coin_name(self.pid, r)
         if not isinstance(coin_shares, (list, tuple)):
             return False
-        accel = self.ctx.crypto.accel
         valid: Dict[int, bytes] = {}
-        if accel.batch:
-            # A justification's whole share list verifies in one
-            # random-linear-combination batch.
-            candidates: Dict[int, bytes] = {}
-            for cs in coin_shares:
-                if not isinstance(cs, bytes):
-                    continue
+        for cs in coin_shares:
+            if isinstance(cs, bytes) and self._coin_share_ok(r, name, cs):
                 try:
-                    candidates.setdefault(_coin_share_index(cs), cs)
+                    valid[_coin_share_index(cs)] = cs
                 except (CryptoError, InvalidShare):
                     continue
-            valid, _bad = accel.coin_quorum(coin, name, candidates)
-        else:
-            for cs in coin_shares:
-                if isinstance(cs, bytes) and self._coin_share_ok(r, name, cs):
-                    try:
-                        valid[_coin_share_index(cs)] = cs
-                    except (CryptoError, InvalidShare):
-                        continue
-                if len(valid) >= coin.k:
-                    break
+            if len(valid) >= coin.k:
+                break
         if len(valid) < coin.k:
             return False
         return coin.assemble_bit(name, valid) == b
@@ -450,22 +436,6 @@ class BinaryAgreement(Agreement):
             return
         coin = self.ctx.crypto.coin
         name = coin_name(self.pid, r)
-        accel = self.ctx.crypto.accel
-        if accel.defer_shares or accel.batch:
-            # Defer verification until a candidate quorum is in hand, then
-            # check the whole set at once (batched when enabled); invalid
-            # shares are discarded and the quorum wait continues.
-            state.coin_shares[sender + 1] = share
-            if state.coin_value is None and len(state.coin_shares) >= coin.k:
-                valid, bad = accel.coin_quorum(coin, name, state.coin_shares)
-                if bad:
-                    for index in bad:
-                        state.coin_shares.pop(index, None)
-                if len(valid) >= coin.k:
-                    state.coin_value = coin.assemble_bit(name, valid)
-                    if r == self.round:
-                        self._try_advance()
-            return
         if not self._coin_share_ok(r, name, share):
             return
         state.coin_shares[sender + 1] = share

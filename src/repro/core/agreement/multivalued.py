@@ -255,23 +255,11 @@ class ArrayAgreement(Agreement):
             return
         coin = self.ctx.crypto.coin
         name = self._order_coin_name()
-        accel = self.ctx.crypto.accel
-        if accel.defer_shares or accel.batch:
-            self._order_coin_shares[sender + 1] = share
-            if len(self._order_coin_shares) < coin.k:
-                return
-            valid, bad = accel.coin_quorum(coin, name, self._order_coin_shares)
-            for index in bad:
-                self._order_coin_shares.pop(index, None)
-            if len(valid) < coin.k:
-                return
-        else:
-            if not accel.coin_share_ok(coin, name, share):
-                return
-            self._order_coin_shares[sender + 1] = share
-            valid = self._order_coin_shares
-        if len(valid) >= coin.k:
-            seed = coin.assemble_bytes(name, valid, 32)
+        if not self.ctx.crypto.accel.coin_share_ok(coin, name, share):
+            return
+        self._order_coin_shares[sender + 1] = share
+        if len(self._order_coin_shares) >= coin.k:
+            seed = coin.assemble_bytes(name, self._order_coin_shares, 32)
             self.order = permutation_from_seed(seed, self.ctx.n)
             early, self._early_votes = self._early_votes, []
             for early_sender, early_payload in early:

@@ -163,9 +163,12 @@ class SecureAtomicChannel(AtomicChannel):
             return
         scheme = self.ctx.crypto.enc
         shares = self._dec_shares.get(index, {})
-        # Invalid shares stay buffered (the verified-result cache makes
-        # re-checking them free), preserving the unaccelerated semantics.
-        valid, _bad = self.ctx.crypto.accel.enc_quorum(scheme, ctxt, shares)
+        accel = self.ctx.crypto.accel
+        valid = {
+            index: share
+            for index, share in sorted(shares.items())
+            if accel.enc_share_ok(scheme, ctxt, share)
+        }
         if len(valid) < scheme.k:
             return
         self._plain[index] = scheme.combine(

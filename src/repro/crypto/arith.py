@@ -51,10 +51,10 @@ def egcd(a: int, b: int) -> Tuple[int, int, int]:
 
 def invmod(a: int, m: int) -> int:
     """Multiplicative inverse of ``a`` modulo ``m``."""
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise CryptoError(f"{a} is not invertible modulo {m}")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise CryptoError(f"{a} is not invertible modulo {m}") from None
 
 
 def crt_pair(r_p: int, p: int, r_q: int, q: int) -> int:

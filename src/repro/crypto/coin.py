@@ -93,50 +93,22 @@ class ThresholdCoin:
     # -- share verification ---------------------------------------------------
 
     def _decode_share(self, share: bytes) -> Optional[tuple]:
-        """Decode either share encoding into ``(index, sigma, a, b, c, z)``.
-
-        The legacy (default) encoding is ``(index, sigma, c, z)`` with the
-        commitments recomputed by the verifier; under ``batch_verify``
-        holders emit ``(index, sigma, a, b, z)`` carrying the commitments,
-        which is what makes random-linear-combination batching possible
-        (``a``/``b`` are ``None`` in the legacy form, ``c`` in the new).
-        Returns ``None`` for malformed shares.
-        """
+        """Decode a share into ``(index, sigma, c, z)``; ``None`` if malformed."""
         try:
             decoded = decode(share)
         except EncodingError:
             return None
-        if not isinstance(decoded, tuple) or len(decoded) not in (4, 5):
+        if not isinstance(decoded, tuple) or len(decoded) != 4:
             return None
         if not all(isinstance(v, int) for v in decoded):
             return None
+        index, sigma, c, z = decoded
         grp = self.public.group
-        if len(decoded) == 4:
-            index, sigma, c, z = decoded
-            a = b = None
-            if not (0 <= c < grp.q):
-                return None
-        else:
-            index, sigma, a, b, z = decoded
-            c = None
-            if not (0 < a < grp.p and 0 < b < grp.p):
-                return None
         if not 1 <= index <= self.n:
             return None
-        if not 0 < sigma < grp.p or not 0 <= z < grp.q:
+        if not 0 < sigma < grp.p or not 0 <= c < grp.q or not 0 <= z < grp.q:
             return None
-        return index, sigma, a, b, c, z
-
-    def _challenge(
-        self, index: int, g_tilde: int, sigma: int, a: int, b: int
-    ) -> int:
-        grp = self.public.group
-        return hashing.challenge(
-            _PROOF_DOMAIN,
-            (self.domain, index, grp.g, g_tilde,
-             self.public.verification_keys[index - 1], sigma, a, b),
-            grp.q,
-        )
+        return index, sigma, c, z
 
     def verify_share(
         self, name: bytes, share: bytes, *, gtilde: Optional[int] = None
@@ -144,115 +116,30 @@ class ThresholdCoin:
         """Check a coin share (with its dlog-equality proof) for coin ``name``.
 
         ``gtilde`` optionally passes in a precomputed ``H'(name)`` (the
-        per-party verifier caches it); when absent it is derived here,
-        exactly as in the unaccelerated implementation.
+        per-party verifier caches it); when absent it is derived here.
         """
         fields = self._decode_share(share)
         if fields is None:
             return False
-        index, sigma, a, b, c, z = fields
+        index, sigma, c, z = fields
         grp = self.public.group
         g_tilde = gtilde if gtilde is not None else self._name_to_group(name)
         vk = self.public.verification_keys[index - 1]
-        if c is not None:
-            # Legacy encoding: recompute the commitments
-            # a = g^z * vk^{-c}, b = g~^z * sigma^{-c}.
-            a = (
-                fastexp.fb_pow(grp.g, z, grp.p)
-                * fastexp.fb_pow_neg(vk, c, grp.p, grp.q)
-            ) % grp.p
-            b = (
-                arith.mexp(g_tilde, z, grp.p)
-                * arith.mexp(arith.invmod(sigma, grp.p), c, grp.p)
-            ) % grp.p
-            return c == self._challenge(index, g_tilde, sigma, a, b)
-        # Commitment-carrying encoding: derive the challenge and check the
-        # two group equations g^z == a * vk^c and g~^z == b * sigma^c.
-        c = self._challenge(index, g_tilde, sigma, a, b)
-        if fastexp.fb_pow(grp.g, z, grp.p) != (a * fastexp.fb_pow(vk, c, grp.p)) % grp.p:
-            return False
-        rhs = (b * arith.mexp(sigma, c, grp.p)) % grp.p
-        return arith.mexp(g_tilde, z, grp.p) == rhs
-
-    def verify_shares_batch(
-        self,
-        name: bytes,
-        shares: Dict[int, bytes],
-        *,
-        gtilde: Optional[int] = None,
-    ) -> Dict[int, bool]:
-        """Verify many coin shares with one random-linear-combination check.
-
-        Commitment-carrying shares are aggregated: with deterministic
-        64-bit weights ``r_i`` the two checks ``g^{sum r_i z_i} ==
-        prod a_i^{r_i} vk_i^{r_i c_i}`` and ``g~^{sum r_i z_i} ==
-        prod b_i^{r_i} sigma_i^{r_i c_i}`` replace ``4k`` exponentiations
-        by four multi-exponentiations.  If the aggregate check fails, each
-        share is re-verified individually to localize the bad one(s);
-        legacy-encoded or malformed shares always take the individual
-        path.  Returns a verdict per input key.
-        """
-        grp = self.public.group
-        g_tilde = gtilde if gtilde is not None else self._name_to_group(name)
-        verdicts: Dict[int, bool] = {}
-        batch: List[Tuple[int, tuple]] = []
-        for key in sorted(shares):
-            fields = self._decode_share(shares[key])
-            if fields is None:
-                verdicts[key] = False
-            elif fields[4] is None and fields[0] == key:
-                batch.append((key, fields))
-            else:
-                verdicts[key] = self.verify_share(
-                    name, shares[key], gtilde=g_tilde
-                )
-        if len(batch) == 1:
-            key = batch[0][0]
-            verdicts[key] = self.verify_share(name, shares[key], gtilde=g_tilde)
-            return verdicts
-        if not batch:
-            return verdicts
-        weights = fastexp.batch_weights(
-            "coin.batch", encode((self.domain, name)),
-            [shares[key] for key, _ in batch],
+        # Recompute the commitments a = g^z * vk^{-c}, b = g~^z * sigma^{-c}.
+        a = (
+            fastexp.fb_pow(grp.g, z, grp.p)
+            * fastexp.fb_pow_neg(vk, c, grp.p, grp.q)
+        ) % grp.p
+        b = (
+            arith.mexp(g_tilde, z, grp.p)
+            * arith.mexp(arith.invmod(sigma, grp.p), c, grp.p)
+        ) % grp.p
+        expected = hashing.challenge(
+            _PROOF_DOMAIN,
+            (self.domain, index, grp.g, g_tilde, vk, sigma, a, b),
+            grp.q,
         )
-        z_bits: List[int] = []
-        c_bits: List[int] = []
-        zsum = 0
-        lhs_pairs: List[Tuple[int, int]] = []  # (a_i, r_i) then (vk_i, r_i*c_i)
-        rhs_pairs: List[Tuple[int, int]] = []  # (b_i, r_i) then (sigma_i, r_i*c_i)
-        vk_pairs: List[Tuple[int, int]] = []
-        sig_pairs: List[Tuple[int, int]] = []
-        for (key, fields), r in zip(batch, weights):
-            index, sigma, a, b, _, z = fields
-            c = self._challenge(index, g_tilde, sigma, a, b)
-            zsum += r * z
-            z_bits.append(z.bit_length())
-            c_bits.append(c.bit_length())
-            lhs_pairs.append((a, r))
-            vk_pairs.append((self.public.verification_keys[index - 1], r * c))
-            rhs_pairs.append((b, r))
-            sig_pairs.append((sigma, r * c))
-        # The naive equivalent of the whole batch is, per share, four
-        # q-sized exponentiations: g^z, vk^{-c}, g~^z, sigma^{-c}.  Each
-        # aggregate operation below carries one quarter of that mix.
-        ok = (
-            fastexp.fb_pow(grp.g, zsum % grp.q, grp.p, equiv=z_bits)
-            == fastexp.mexp_multi(lhs_pairs + vk_pairs, grp.p, equiv=c_bits)
-        ) and (
-            fastexp.mexp_multi([(g_tilde, zsum % grp.q)], grp.p, equiv=z_bits)
-            == fastexp.mexp_multi(rhs_pairs + sig_pairs, grp.p, equiv=c_bits)
-        )
-        if ok:
-            for key, _ in batch:
-                verdicts[key] = True
-        else:
-            # Aggregate check failed: localize by individual verification.
-            for key, _ in batch:
-                verdicts[key] = self.verify_share(
-                    name, shares[key], gtilde=g_tilde
-                )
-        return verdicts
+        return c == expected
 
     # -- assembly -------------------------------------------------------------
 
@@ -316,7 +203,4 @@ class CoinShareHolder:
             grp.q,
         )
         z = (r + self._share * c) % grp.q
-        if fastexp.config().batch_verify:
-            # Commitment-carrying encoding, batch-verifiable by receivers.
-            return encode((self.index, sigma, a, b, z))
         return encode((self.index, sigma, c, z))

@@ -70,9 +70,9 @@ class PartyCrypto:
     coin_holder: CoinShareHolder
     enc: TDH2Scheme
     enc_holder: TDH2ShareHolder
-    #: per-party verification strategy (caches, batch verify, offload) —
-    #: one per party, because scheme objects are shared across parties and
-    #: each simulated node must pay for its own verification work.
+    #: this party's verification front-end and verdict cache — one per
+    #: party and key epoch, because scheme objects are shared across
+    #: parties and each simulated node must pay for its own verification.
     accel: ShareVerifier = field(default_factory=ShareVerifier)
 
     def sign(self, domain: str, message: bytes) -> int:

@@ -1,170 +1,72 @@
-"""Accelerated modular exponentiation for the threshold-crypto hot path.
+"""Crypto acceleration: one switch, two techniques.
 
 The paper's own breakdown (Table 1 / Fig. 6) and our counters agree that
 share generation and verification — long chains of ``g^x mod p`` with a
-handful of *fixed* bases — dominate end-to-end cost.  This module attacks
-that directly with four independent, individually-switchable techniques:
+handful of *fixed* bases — dominate end-to-end cost.  With the switch
+**off** (the default) every call here degrades to
+:func:`repro.crypto.arith.mexp`: the paper's naive operation mix, which is
+what :class:`repro.net.costmodel.CostModel` is calibrated against.  With it
+**on**, two things change (docs/PERFORMANCE.md records why only these two):
 
 * **Fixed-base windowed precomputation** (:class:`FixedBaseTable`): for a
   base that recurs (the group generators ``g``/``g~``/``h``, per-party
   verification keys, Shoup's verifier base ``v``), a one-time table of
   ``base^(d * 2^(w*i))`` turns every later exponentiation into at most
   ``ceil(expbits / w)`` modular multiplications with **no squarings**.
-  Tables live in a process-wide LRU keyed ``(base, modulus, window)``.
+  Tables live in a process-wide LRU keyed ``(base, modulus)`` — simulated
+  parties share them, so a table's construction is billed once, to
+  whichever handler touches the base first.
 
-* **Interleaved multi-exponentiation** (:func:`mexp_multi`, Shamir's
-  trick): ``prod b_i^{e_i}`` in one shared-squaring pass — the engine of
-  random-linear-combination batch verification and of Lagrange
-  interpolation in the exponent.
+* **Verdict caching** (:mod:`repro.crypto.verifier`): a share, signature
+  or ciphertext proof that a party has verified once is never verified by
+  that party again.  These caches are per party.
 
-* **Verified-result caching** (see :mod:`repro.crypto.verifier`): shares,
-  signatures and ciphertext proofs that verify once never pay again.
-
-* **Process-pool offload** (:class:`OffloadPool`): bulk ``pow`` batches
-  run on worker processes so the event loop stays responsive on real
-  hardware.  Cost accounting stays in the parent process, so simulated
-  counters are unaffected by offload.
-
-Every accelerated operation records both the multiplications actually
-performed (``units_batched``) and the naive work it replaced (``equiv_*``)
-via :mod:`repro.crypto.opcount`; the cost model bills the cheaper mix by
-default or the naive mix under :attr:`AccelConfig.bill_naive`, which
-preserves the exact schedule of an unaccelerated simulation run.
-
-All knobs default **off**: with the default configuration every call
-degrades to :func:`repro.crypto.arith.mexp` and runs are bit-for-bit (and
-counter-for-counter) identical to the unaccelerated implementation.
+Table exponentiations record the multiplications actually performed via
+:mod:`repro.crypto.opcount`; a cache hit performs and records nothing.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.crypto import arith, opcount
 
+#: bits per table digit (rows of ``2**WINDOW`` entries)
+WINDOW = 4
+#: process-wide bound on live fixed-base tables
+TABLE_CACHE = 64
+#: per-party bound on cached verification verdicts
+SHARE_CACHE = 4096
 
-@dataclass
-class AccelConfig:
-    """The acceleration knobs (all off by default; see docs/PERFORMANCE.md).
-
-    ``fixed_base`` enables windowed precomputation tables; ``batch_verify``
-    enables commitment-carrying share encodings, random-linear-combination
-    quorum verification and multi-exponentiation combining;
-    ``verify_on_quorum`` defers per-share proof checks until a candidate
-    quorum has assembled (falling back to individual verification to
-    localize a bad share); ``share_cache`` bounds the per-party cache of
-    verified shares/signatures/ciphertexts (0 disables it).
-
-    ``bill_naive`` switches the cost model to charging the *naive
-    equivalent* of every accelerated or cache-skipped operation, which
-    keeps the simulated schedule identical to an unaccelerated run while
-    the counters still report the accelerated operation mix ("metered"
-    mode — used for apples-to-apples benchmark comparisons).
-
-    ``offload`` optionally carries an :class:`OffloadPool` used by the
-    verification layer for bulk exponentiations.
-    """
-
-    fixed_base: bool = False
-    window: int = 4
-    table_cache: int = 64
-    batch_verify: bool = False
-    verify_on_quorum: bool = False
-    share_cache: int = 0
-    bill_naive: bool = False
-    offload: Optional["OffloadPool"] = field(default=None, repr=False)
-
-    @property
-    def enabled(self) -> bool:
-        """Does any knob change behaviour relative to the naive paths?"""
-        return bool(
-            self.fixed_base
-            or self.batch_verify
-            or self.verify_on_quorum
-            or self.share_cache
-        )
-
-    @classmethod
-    def full(cls, **overrides: object) -> "AccelConfig":
-        """Everything on (the honest cheaper-mix cost accounting)."""
-        cfg = cls(
-            fixed_base=True,
-            batch_verify=True,
-            verify_on_quorum=True,
-            share_cache=4096,
-        )
-        return replace(cfg, **overrides)  # type: ignore[arg-type]
-
-    @classmethod
-    def metered(cls, **overrides: object) -> "AccelConfig":
-        """Schedule-preserving acceleration: fixed-base + caches only,
-        with every saving billed at its naive equivalent.  A metered run
-        reproduces an unaccelerated run's delivery ordering byte for byte
-        while its counters show the accelerated operation mix."""
-        cfg = cls(fixed_base=True, share_cache=4096, bill_naive=True)
-        return replace(cfg, **overrides)  # type: ignore[arg-type]
+_enabled = False
 
 
-_DEFAULT = AccelConfig()
-_config: AccelConfig = _DEFAULT
-
-
-def config() -> AccelConfig:
-    """The active acceleration configuration."""
-    return _config
-
-
-def configure(cfg: Optional[AccelConfig] = None, **knobs: object) -> AccelConfig:
-    """Install ``cfg`` (or the default with ``knobs`` applied) globally."""
-    global _config
-    base = cfg if cfg is not None else AccelConfig()
-    _config = replace(base, **knobs) if knobs else base  # type: ignore[arg-type]
-    return _config
+def enabled() -> bool:
+    """Is acceleration on?"""
+    return _enabled
 
 
 class accelerated:
-    """Context manager scoping an :class:`AccelConfig` to a block.
+    """Context manager scoping the acceleration switch to a block.
 
-    ``with fastexp.accelerated(AccelConfig.full()): ...`` — restores the
-    previous configuration on exit.  Without arguments, enables the full
-    configuration.
+    ``with fastexp.accelerated(): ...`` turns it on (``accelerated(False)``
+    forces it off) and restores the previous setting on exit.
     """
 
-    def __init__(self, cfg: Optional[AccelConfig] = None, **knobs: object):
-        base = cfg if cfg is not None else AccelConfig.full()
-        self.cfg = replace(base, **knobs) if knobs else base  # type: ignore[arg-type]
-        self._prev: Optional[AccelConfig] = None
+    def __init__(self, on: bool = True):
+        self.on = on
+        self._prev = False
 
-    def __enter__(self) -> AccelConfig:
-        global _config
-        self._prev = _config
-        _config = self.cfg
-        return self.cfg
+    def __enter__(self) -> bool:
+        global _enabled
+        self._prev = _enabled
+        _enabled = self.on
+        return self.on
 
     def __exit__(self, *exc: object) -> None:
-        global _config
-        _config = self._prev if self._prev is not None else _DEFAULT
-        self._prev = None
-
-
-def resolve(spec: object) -> Optional[AccelConfig]:
-    """Map a user-facing accel spec to a configuration (``None`` = off).
-
-    Accepts ``None``/``False`` (off), ``True``/``"full"`` (everything on),
-    ``"metered"`` (schedule-preserving) or an :class:`AccelConfig`.
-    """
-    if spec is None or spec is False:
-        return None
-    if spec is True or spec == "full":
-        return AccelConfig.full()
-    if spec == "metered":
-        return AccelConfig.metered()
-    if isinstance(spec, AccelConfig):
-        return spec
-    raise ValueError(f"unknown acceleration spec {spec!r}")
+        global _enabled
+        _enabled = self._prev
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +84,17 @@ class FixedBaseTable:
     to the active counter as precomputation work.
     """
 
-    __slots__ = ("base", "modulus", "window", "_rows", "_next_base")
+    __slots__ = ("base", "modulus", "_rows", "_next_base")
 
-    def __init__(self, base: int, modulus: int, window: int = 4):
-        if window < 1:
-            raise ValueError("window must be positive")
+    def __init__(self, base: int, modulus: int):
         self.base = base % modulus
         self.modulus = modulus
-        self.window = window
         self._rows: List[List[int]] = []
         self._next_base = self.base
 
     def _extend_to(self, blocks: int) -> None:
         m = self.modulus
-        size = 1 << self.window
+        size = 1 << WINDOW
         mults = 0
         while len(self._rows) < blocks:
             row = [1] * size
@@ -214,7 +113,7 @@ class FixedBaseTable:
         """``base**exponent mod modulus`` and the multiplication count."""
         if exponent < 0:
             raise ValueError("fixed-base exponent must be non-negative")
-        w, m = self.window, self.modulus
+        w, m = WINDOW, self.modulus
         blocks = max(1, (exponent.bit_length() + w - 1) // w)
         self._extend_to(blocks)
         mask = (1 << w) - 1
@@ -232,21 +131,20 @@ class FixedBaseTable:
         return acc, mults
 
 
-_tables: "OrderedDict[Tuple[int, int, int], FixedBaseTable]" = OrderedDict()
+_tables: "OrderedDict[Tuple[int, int], FixedBaseTable]" = OrderedDict()
 
 
 def table_for(base: int, modulus: int) -> FixedBaseTable:
     """The LRU-cached fixed-base table for ``(base, modulus)``."""
-    cfg = _config
-    key = (base, modulus, cfg.window)
+    key = (base, modulus)
     table = _tables.get(key)
     if table is None:
-        table = FixedBaseTable(base, modulus, cfg.window)
+        table = FixedBaseTable(base, modulus)
         _tables[key] = table
+        while len(_tables) > TABLE_CACHE:
+            _tables.popitem(last=False)
     else:
         _tables.move_to_end(key)
-    while len(_tables) > max(cfg.table_cache, 1):
-        _tables.popitem(last=False)
     return table
 
 
@@ -255,29 +153,17 @@ def clear_tables() -> None:
     _tables.clear()
 
 
-def fb_pow(
-    base: int,
-    exponent: int,
-    modulus: int,
-    equiv: Optional[Sequence[int]] = None,
-) -> int:
+def fb_pow(base: int, exponent: int, modulus: int) -> int:
     """Exponentiation with a repeated base.
 
-    With ``fixed_base`` enabled this goes through the windowed table and
-    records the multiplications performed (plus the naive equivalent);
-    otherwise it is exactly :func:`repro.crypto.arith.mexp`.  ``equiv``
-    overrides the recorded naive equivalent with an explicit list of
-    replaced exponent sizes (used when one call stands in for several
-    naive operations, e.g. the left side of a batch-verification check).
+    With acceleration on this goes through the windowed table and records
+    the multiplications performed; otherwise it is exactly
+    :func:`repro.crypto.arith.mexp`.
     """
-    if not _config.fixed_base:
+    if not _enabled:
         return arith.mexp(base, exponent, modulus)
-    table = table_for(base, modulus)
-    result, mults = table.pow(exponent)
-    if equiv is None:
-        opcount.record_fast(modulus.bit_length(), exponent.bit_length(), mults)
-    else:
-        opcount.record_batched(modulus.bit_length(), equiv, mults)
+    result, mults = table_for(base, modulus).pow(exponent)
+    opcount.record_fast(modulus.bit_length(), exponent.bit_length(), mults)
     return result
 
 
@@ -288,143 +174,18 @@ def fb_pow_neg(base: int, exponent: int, modulus: int, order: int) -> int:
     reuse the base's fixed table — valid only when ``base`` lies in the
     order-``order`` subgroup, i.e. for dealt verification keys and
     generators, never for attacker-supplied elements.  The fallback is the
-    naive ``invmod`` route (which is also what keeps the recorded exponent
-    size identical to the unaccelerated implementation).
+    naive ``invmod`` route.
     """
-    if not _config.fixed_base:
+    if not _enabled:
         return arith.mexp(arith.invmod(base, modulus), exponent, modulus)
-    table = table_for(base, modulus)
-    result, mults = table.pow((order - exponent) % order)
+    result, mults = table_for(base, modulus).pow((order - exponent) % order)
     opcount.record_fast(modulus.bit_length(), exponent.bit_length(), mults)
     return result
 
 
 # ---------------------------------------------------------------------------
-# Interleaved multi-exponentiation (Shamir's trick)
+# Bounded mapping for the per-party verdict caches
 # ---------------------------------------------------------------------------
-
-
-def mexp_multi(
-    pairs: Sequence[Tuple[int, int]],
-    modulus: int,
-    equiv: Optional[Sequence[int]] = None,
-) -> int:
-    """``prod base_i^{exp_i} mod modulus`` with shared squarings.
-
-    One left-to-right pass squares a single accumulator and multiplies in
-    each base at its set bits: ``max(expbits)`` squarings plus one
-    multiplication per set bit, against ``~1.5 * sum(expbits)``
-    multiplications for independent exponentiations.  Exponents must be
-    non-negative.  Records one batched operation whose naive equivalent is
-    the list of individual exponentiations it replaced (by default the
-    pairs' own exponent sizes; pass ``equiv`` when the call replaces a
-    different naive mix).
-    """
-    cleaned = [(b % modulus, e) for b, e in pairs if e > 0]
-    if equiv is None:
-        equiv = [e.bit_length() for _, e in pairs]
-    if not cleaned:
-        opcount.record_batched(modulus.bit_length(), equiv, 1)
-        return 1 % modulus
-    top = max(e.bit_length() for _, e in cleaned)
-    acc = 1
-    mults = 0
-    for bit in range(top - 1, -1, -1):
-        if acc != 1:
-            acc = (acc * acc) % modulus
-            mults += 1
-        for b, e in cleaned:
-            if (e >> bit) & 1:
-                acc = (acc * b) % modulus
-                mults += 1
-    opcount.record_batched(modulus.bit_length(), equiv, mults)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Process-pool offload
-# ---------------------------------------------------------------------------
-
-
-def _pow_chunk(triples: List[Tuple[int, int, int]]) -> List[int]:
-    """Worker-side bulk ``pow`` (module-level so it pickles)."""
-    return [pow(b, e, m) for b, e, m in triples]
-
-
-class OffloadPool:
-    """A :class:`ProcessPoolExecutor` wrapper for bulk modexp batches.
-
-    Workers are spawned lazily on first use.  Cost accounting happens in
-    the calling process — the recorded operation mix of a run is identical
-    with and without offload; only wall-clock parallelism changes.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def _ensure(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def pow_many(self, triples: Sequence[Tuple[int, int, int]]) -> List[int]:
-        """Compute ``[pow(b, e, m) for b, e, m in triples]`` on the pool.
-
-        Each operation is recorded with the active counter exactly as
-        :func:`repro.crypto.arith.mexp` would record it locally.
-        """
-        items = list(triples)
-        for b, e, m in items:
-            opcount.record(m.bit_length(), abs(e).bit_length())
-        if not items:
-            return []
-        executor = self._ensure()
-        workers = executor._max_workers  # stdlib-stable attribute
-        chunk = max(1, (len(items) + workers - 1) // workers)
-        chunks = [items[i:i + chunk] for i in range(0, len(items), chunk)]
-        out: List[int] = []
-        for part in executor.map(_pow_chunk, chunks):
-            out.extend(part)
-        return out
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __enter__(self) -> "OffloadPool":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# Capture helpers (verified-result caching)
-# ---------------------------------------------------------------------------
-
-
-class capture:
-    """Run crypto work under a sub-counter *and* the enclosing counter.
-
-    ``with capture() as c: ...`` records the block's operations both on
-    ``c`` (for caching its cost) and on whatever counter was active before
-    (so the enclosing handler is still charged for the work it performed).
-    """
-
-    def __init__(self) -> None:
-        self.counter = opcount.OpCounter()
-
-    def __enter__(self) -> opcount.OpCounter:
-        opcount.push(self.counter)
-        return self.counter
-
-    def __exit__(self, *exc: object) -> None:
-        opcount.pop()
-        outer = opcount.active()
-        if outer is not None:
-            outer.merge(self.counter)
 
 
 class LRU:
@@ -454,46 +215,17 @@ class LRU:
     def __contains__(self, key: object) -> bool:
         return key in self._data
 
-    def __iter__(self) -> Iterator[object]:
-        return iter(self._data)
-
-
-def batch_weights(
-    domain: str, context: bytes, shares: Sequence[bytes], bits: int = 64
-) -> List[int]:
-    """Deterministic small exponents for random-linear-combination checks.
-
-    Derived Fiat-Shamir style from the shares themselves, so verification
-    stays reproducible across runs and parties.  ``bits``-bit weights give
-    a ``2^-bits`` soundness error against a batch that hides one invalid
-    share (an adversary grinding the deterministic weights is outside this
-    reproduction's threat model; on batch failure the caller falls back to
-    individual verification anyway, which is sound unconditionally).
-    """
-    from repro.common.encoding import encode
-    from repro.crypto import hashing
-
-    out: List[int] = []
-    for i, share in enumerate(shares):
-        data = encode((context, i, bytes(share)))
-        out.append(1 + hashing.hash_to_int(domain, data, (1 << bits) - 1))
-    return out
-
 
 __all__ = [
-    "AccelConfig",
     "FixedBaseTable",
     "LRU",
-    "OffloadPool",
+    "SHARE_CACHE",
+    "TABLE_CACHE",
+    "WINDOW",
     "accelerated",
-    "batch_weights",
-    "capture",
     "clear_tables",
-    "config",
-    "configure",
+    "enabled",
     "fb_pow",
     "fb_pow_neg",
-    "mexp_multi",
-    "resolve",
     "table_for",
 ]

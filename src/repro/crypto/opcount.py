@@ -13,20 +13,15 @@ multiply is linear in the exponent size, which matches the paper's remark
 that public-key operations are quadratic (modular multiplication) to cubic
 (full-size exponentiation) in the key size.
 
-Accelerated operations (``repro.crypto.fastexp``: fixed-base windowed
-tables, interleaved multi-exponentiation, cached verification results) are
-accounted separately: they charge the *multiplications actually performed*
-(``modbits**2 * mults``) into batched buckets, while the naive-equivalent
-work they replaced accumulates in ``equiv_*`` buckets.  The cost model
-bills the batched mix by default — so figure reproductions reflect the
-optimization — or the naive-equivalent mix under the ``bill_naive``
-accounting mode (which preserves the exact schedule of an unaccelerated
-run for apples-to-apples counter comparisons).
+Fixed-base table exponentiations (``repro.crypto.fastexp``) are accounted
+separately: they charge the *multiplications actually performed*
+(``modbits**2 * mults``) into the batched buckets.  A verification answered
+from a party's verdict cache performs no work and records nothing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 
 class OpCounter:
@@ -43,12 +38,11 @@ class OpCounter:
         ops: number of naive exponentiations performed.
         units_full: work of full-exponent ops (``modbits**2 * expbits``).
         units_short: work of short-exponent ops.
-        ops_fast: accelerated operations (fixed-base / multi-exp) performed.
-        batched_full: multiplication work of accelerated ops whose naive
-            equivalent was a full-size exponentiation (scales cubically).
-        batched_short: ditto for short-exponent equivalents (quadratic).
-        equiv_full: naive-equivalent work of accelerated/skipped full ops.
-        equiv_short: naive-equivalent work of accelerated/skipped short ops.
+        ops_fast: fixed-base table exponentiations performed.
+        batched_full: multiplication work of table exponentiations whose
+            exponent was full-size (scales cubically).
+        batched_short: ditto for short exponents, plus table construction
+            (quadratic).
     """
 
     __slots__ = (
@@ -58,8 +52,6 @@ class OpCounter:
         "ops_fast",
         "batched_full",
         "batched_short",
-        "equiv_full",
-        "equiv_short",
     )
 
     def __init__(self) -> None:
@@ -72,8 +64,6 @@ class OpCounter:
         self.ops_fast = 0
         self.batched_full = 0
         self.batched_short = 0
-        self.equiv_full = 0
-        self.equiv_short = 0
         return self
 
     def add(self, modbits: int, expbits: int) -> None:
@@ -84,64 +74,19 @@ class OpCounter:
         else:
             self.units_short += work
 
-    def add_equiv(self, modbits: int, expbits: int) -> None:
-        """Record the naive-equivalent of one accelerated/skipped op."""
-        work = modbits * modbits * max(expbits, 1)
+    def add_fast(self, modbits: int, expbits: int, mults: int) -> None:
+        """One table exponentiation: ``mults`` modular multiplications
+        standing in for a naive ``(modbits, expbits)`` exponentiation."""
+        self.ops_fast += 1
+        work = modbits * modbits * max(mults, 1)
         if 2 * expbits >= modbits:
-            self.equiv_full += work
-        else:
-            self.equiv_short += work
-
-    def add_fast(self, modbits: int, equiv_expbits: int, mults: int) -> None:
-        """One accelerated exponentiation: ``mults`` modular multiplications
-        replacing a naive ``(modbits, equiv_expbits)`` exponentiation."""
-        self.ops_fast += 1
-        work = modbits * modbits * max(mults, 1)
-        if 2 * equiv_expbits >= modbits:
             self.batched_full += work
         else:
             self.batched_short += work
-        self.add_equiv(modbits, equiv_expbits)
-
-    def add_batched(
-        self, modbits: int, equiv_expbits: Iterable[int], mults: int
-    ) -> None:
-        """One batched multi-exponentiation replacing several naive ops.
-
-        ``equiv_expbits`` is the per-replaced-op exponent-size list; the
-        batched bucket (full vs short) follows the largest equivalent.
-        """
-        self.ops_fast += 1
-        equiv_list = list(equiv_expbits)
-        work = modbits * modbits * max(mults, 1)
-        if equiv_list and 2 * max(equiv_list) >= modbits:
-            self.batched_full += work
-        else:
-            self.batched_short += work
-        for e in equiv_list:
-            self.add_equiv(modbits, e)
 
     def add_precompute(self, modbits: int, mults: int) -> None:
-        """Table-build cost: pure accelerator overhead, no naive equivalent."""
+        """Table-build cost: pure accelerator overhead."""
         self.batched_short += modbits * modbits * max(mults, 1)
-
-    def add_saved(self, other: "OpCounter") -> None:
-        """Fold a cached (previously performed) verification's work into the
-        naive-equivalent buckets: the work was *skipped* this time, so only
-        its equivalent is charged and no op is counted as performed."""
-        self.equiv_full += other.units_full + other.equiv_full
-        self.equiv_short += other.units_short + other.equiv_short
-
-    def merge(self, other: "OpCounter") -> None:
-        """Accumulate another counter's performed work into this one."""
-        self.ops += other.ops
-        self.units_full += other.units_full
-        self.units_short += other.units_short
-        self.ops_fast += other.ops_fast
-        self.batched_full += other.batched_full
-        self.batched_short += other.batched_short
-        self.equiv_full += other.equiv_full
-        self.equiv_short += other.equiv_short
 
     @property
     def units(self) -> int:
@@ -153,26 +98,10 @@ class OpCounter:
         """Work of the accelerated operations (multiplications performed)."""
         return self.batched_full + self.batched_short
 
-    @property
-    def units_naive(self) -> int:
-        """What the same run would have cost without acceleration."""
-        return (
-            self.units_full
-            + self.units_short
-            + self.equiv_full
-            + self.equiv_short
-        )
-
     def scaled_units(self, ratio: float) -> float:
         """Work rescaled to a key size ``ratio`` times the actual one."""
         return ratio ** 3 * (self.units_full + self.batched_full) + ratio ** 2 * (
             self.units_short + self.batched_short
-        )
-
-    def scaled_units_naive(self, ratio: float) -> float:
-        """Naive-equivalent work, rescaled (the ``bill_naive`` mix)."""
-        return ratio ** 3 * (self.units_full + self.equiv_full) + ratio ** 2 * (
-            self.units_short + self.equiv_short
         )
 
     def as_dict(self) -> dict:
@@ -182,11 +111,9 @@ class OpCounter:
             "units_full": self.units_full,
             "units_short": self.units_short,
         }
-        if self.ops_fast or self.units_batched or self.equiv_full or self.equiv_short:
+        if self.ops_fast or self.units_batched:
             out["ops_fast"] = self.ops_fast
             out["units_batched"] = self.units_batched
-            out["equiv_full"] = self.equiv_full
-            out["equiv_short"] = self.equiv_short
         return out
 
 
@@ -211,28 +138,16 @@ def record(modbits: int, expbits: int) -> None:
         _stack[-1].add(modbits, expbits)
 
 
-def record_fast(modbits: int, equiv_expbits: int, mults: int) -> None:
-    """Record one accelerated exponentiation on the active counter."""
+def record_fast(modbits: int, expbits: int, mults: int) -> None:
+    """Record one table exponentiation on the active counter."""
     if _stack:
-        _stack[-1].add_fast(modbits, equiv_expbits, mults)
-
-
-def record_batched(modbits: int, equiv_expbits: Iterable[int], mults: int) -> None:
-    """Record one batched multi-exponentiation on the active counter."""
-    if _stack:
-        _stack[-1].add_batched(modbits, equiv_expbits, mults)
+        _stack[-1].add_fast(modbits, expbits, mults)
 
 
 def record_precompute(modbits: int, mults: int) -> None:
     """Record fixed-base table construction work on the active counter."""
     if _stack:
         _stack[-1].add_precompute(modbits, mults)
-
-
-def record_saved(saved: OpCounter) -> None:
-    """Record a cache hit: charge only the naive equivalent of ``saved``."""
-    if _stack:
-        _stack[-1].add_saved(saved)
 
 
 def active() -> Optional[OpCounter]:
@@ -247,19 +162,19 @@ def charge(recorder, counter: OpCounter, prefix: str = "crypto") -> None:
     exponentiations and work units, split by the full/short exponent
     buckets the cost model scales differently.  Call sites guard on
     ``recorder.enabled``; the call is also a no-op for empty counters.
-    Accelerated-operation counters (``modexp_fast``, ``units_batched``,
-    ``units_saved``) appear only when acceleration performed work, so the
-    counter set of an unaccelerated run is unchanged.
+    The table counters (``modexp_fast``, ``units_batched``) appear only
+    while acceleration is on, so the counter set of an unaccelerated run
+    is unchanged.
     """
+    from repro.crypto import fastexp  # fastexp imports this module
+
     if counter.ops:
         recorder.count(prefix + ".modexp", counter.ops)
         recorder.count(prefix + ".units_full", counter.units_full)
         recorder.count(prefix + ".units_short", counter.units_short)
-    saved = counter.equiv_full + counter.equiv_short
-    if counter.ops_fast or counter.units_batched or saved:
+    if fastexp.enabled() and (counter.ops or counter.units_batched):
         recorder.count(prefix + ".modexp_fast", counter.ops_fast)
         recorder.count(prefix + ".units_batched", counter.units_batched)
-        recorder.count(prefix + ".units_saved", saved)
 
 
 class counting:

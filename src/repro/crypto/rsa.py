@@ -8,6 +8,7 @@ notes benefits the multi-signature implementation [12].
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -28,20 +29,12 @@ class RSAPublicKey:
     def bits(self) -> int:
         return self.n.bit_length()
 
-    def verify_target(self, domain: str, message: bytes) -> int:
-        """The full-domain-hash value a valid signature must decrypt to.
-
-        Exposed for bulk verification paths (pool offload) that compute
-        the RSA exponentiations separately from the comparison.
-        """
-        return hashing.fdh_to_zn(domain, message, self.n)
-
     def verify(self, domain: str, message: bytes, signature: int) -> bool:
         """Verify an FDH signature; returns ``True`` iff valid."""
         if not 0 < signature < self.n:
             return False
-        return arith.mexp(signature, self.e, self.n) == self.verify_target(
-            domain, message
+        return arith.mexp(signature, self.e, self.n) == hashing.fdh_to_zn(
+            domain, message, self.n
         )
 
     def check(self, domain: str, message: bytes, signature: int) -> None:
@@ -92,7 +85,7 @@ def keypair_from_primes(p: int, q: int, e: int = DEFAULT_E) -> RSAKeyPair:
     if p == q:
         raise CryptoError("RSA primes must be distinct")
     phi = (p - 1) * (q - 1)
-    if arith.egcd(e, phi)[0] != 1:
+    if math.gcd(e, phi) != 1:
         raise CryptoError("public exponent not coprime to phi(n)")
     d = arith.invmod(e, phi)
     return RSAKeyPair(n=p * q, e=e, d=d, p=p, q=q)
@@ -109,7 +102,7 @@ def generate_keypair(
         if p == q:
             continue
         phi = (p - 1) * (q - 1)
-        if arith.egcd(e, phi)[0] != 1:
+        if math.gcd(e, phi) != 1:
             continue
         n = p * q
         if n.bit_length() != modbits:

@@ -71,12 +71,6 @@ def reconstruct_in_exponent(
         raise CryptoError(f"need {k} shares, got {len(shares)}")
     indices = sorted(shares)[:k]
     lam = arith.field_lagrange_at_zero(indices, q)
-    from repro.crypto import fastexp
-
-    if fastexp.config().batch_verify:
-        # Interleaved multi-exponentiation: the k exponentiations share
-        # one squaring chain (the result is bit-identical).
-        return fastexp.mexp_multi([(shares[j], lam[j]) for j in indices], p)
     acc = 1
     for j in indices:
         acc = (acc * arith.mexp(shares[j], lam[j], p)) % p

@@ -168,131 +168,46 @@ class TDH2Scheme:
         return TDH2ShareHolder(self, index, int(secret))  # type: ignore[arg-type]
 
     def _decode_share(self, share: bytes) -> "Optional[tuple]":
-        """Decode either share encoding into ``(index, u_i, a, b, c, z)``.
-
-        Legacy form ``(index, u_i, c, z)`` (commitments recomputed) or the
-        batch-verifiable form ``(index, u_i, a, b, z)`` emitted under the
-        ``batch_verify`` knob.  Returns ``None`` for malformed shares.
-        """
+        """Decode a share into ``(index, u_i, c, z)``; ``None`` if malformed."""
         try:
             decoded = decode(share)
         except EncodingError:
             return None
-        if not isinstance(decoded, tuple) or len(decoded) not in (4, 5):
+        if not isinstance(decoded, tuple) or len(decoded) != 4:
             return None
         if not all(isinstance(v, int) for v in decoded):
             return None
+        index, u_i, c, z = decoded
         grp = self.public.group
-        if len(decoded) == 4:
-            index, u_i, c, z = decoded
-            a = b = None
-            if not (0 <= c < grp.q):
-                return None
-        else:
-            index, u_i, a, b, z = decoded
-            c = None
-            if not (0 < a < grp.p and 0 < b < grp.p):
-                return None
         if not 1 <= index <= self.n:
             return None
-        if not 0 < u_i < grp.p or not 0 <= z < grp.q:
+        if not 0 < u_i < grp.p or not 0 <= c < grp.q or not 0 <= z < grp.q:
             return None
-        return index, u_i, a, b, c, z
-
-    def _challenge(self, ctxt: Ciphertext, index: int, u_i: int, a: int, b: int) -> int:
-        grp = self.public.group
-        return hashing.challenge(
-            _SHARE_DOMAIN,
-            (self.domain, index, ctxt.u, ctxt.c,
-             self.public.verification_keys[index - 1], u_i, a, b),
-            grp.q,
-        )
+        return index, u_i, c, z
 
     def verify_share(self, ctxt: Ciphertext, share: bytes) -> bool:
         """Verify one decryption share against a (valid) ciphertext."""
         fields = self._decode_share(share)
         if fields is None:
             return False
-        index, u_i, a, b, c, z = fields
+        index, u_i, c, z = fields
         grp = self.public.group
         h_i = self.public.verification_keys[index - 1]
-        if c is not None:
-            # Proof of log_g(h_i) == log_u(u_i): recompute the commitments.
-            a = (
-                fastexp.fb_pow(grp.g, z, grp.p)
-                * fastexp.fb_pow_neg(h_i, c, grp.p, grp.q)
-            ) % grp.p
-            b = (
-                arith.mexp(ctxt.u, z, grp.p)
-                * arith.mexp(arith.invmod(u_i, grp.p), c, grp.p)
-            ) % grp.p
-            return c == self._challenge(ctxt, index, u_i, a, b)
-        # Commitment-carrying form: g^z == a * h_i^c and u^z == b * u_i^c.
-        c = self._challenge(ctxt, index, u_i, a, b)
-        if fastexp.fb_pow(grp.g, z, grp.p) != (a * fastexp.fb_pow(h_i, c, grp.p)) % grp.p:
-            return False
-        rhs = (b * arith.mexp(u_i, c, grp.p)) % grp.p
-        return arith.mexp(ctxt.u, z, grp.p) == rhs
-
-    def verify_shares_batch(
-        self, ctxt: Ciphertext, shares: Dict[int, bytes]
-    ) -> Dict[int, bool]:
-        """Verify many decryption shares with one aggregated check.
-
-        Random-linear-combination batching over the commitment-carrying
-        encoding (see :meth:`ThresholdCoin.verify_shares_batch` — the
-        Chaum-Pedersen structure is identical, with ``u`` in the role of
-        ``g~``).  Falls back to individual verification to localize bad
-        shares; legacy/malformed shares always verify individually.
-        """
-        grp = self.public.group
-        verdicts: Dict[int, bool] = {}
-        batch: List[Tuple[int, tuple]] = []
-        for key in sorted(shares):
-            fields = self._decode_share(shares[key])
-            if fields is None:
-                verdicts[key] = False
-            elif fields[4] is None and fields[0] == key:
-                batch.append((key, fields))
-            else:
-                verdicts[key] = self.verify_share(ctxt, shares[key])
-        if len(batch) == 1:
-            key = batch[0][0]
-            verdicts[key] = self.verify_share(ctxt, shares[key])
-            return verdicts
-        if not batch:
-            return verdicts
-        weights = fastexp.batch_weights(
-            "tdh2.batch", encode((self.domain, ctxt.u, ctxt.c)),
-            [shares[key] for key, _ in batch],
+        # Proof of log_g(h_i) == log_u(u_i): recompute the commitments.
+        a = (
+            fastexp.fb_pow(grp.g, z, grp.p)
+            * fastexp.fb_pow_neg(h_i, c, grp.p, grp.q)
+        ) % grp.p
+        b = (
+            arith.mexp(ctxt.u, z, grp.p)
+            * arith.mexp(arith.invmod(u_i, grp.p), c, grp.p)
+        ) % grp.p
+        expected = hashing.challenge(
+            _SHARE_DOMAIN,
+            (self.domain, index, ctxt.u, ctxt.c, h_i, u_i, a, b),
+            grp.q,
         )
-        z_bits: List[int] = []
-        c_bits: List[int] = []
-        zsum = 0
-        a_pairs: List[Tuple[int, int]] = []
-        h_pairs: List[Tuple[int, int]] = []
-        b_pairs: List[Tuple[int, int]] = []
-        u_pairs: List[Tuple[int, int]] = []
-        for (key, fields), r in zip(batch, weights):
-            index, u_i, a, b, _, z = fields
-            c = self._challenge(ctxt, index, u_i, a, b)
-            zsum += r * z
-            z_bits.append(z.bit_length())
-            c_bits.append(c.bit_length())
-            a_pairs.append((a, r))
-            h_pairs.append((self.public.verification_keys[index - 1], r * c))
-            b_pairs.append((b, r))
-            u_pairs.append((u_i, r * c))
-        ok = (
-            fastexp.fb_pow(grp.g, zsum % grp.q, grp.p, equiv=z_bits)
-            == fastexp.mexp_multi(a_pairs + h_pairs, grp.p, equiv=c_bits)
-        ) and (
-            fastexp.mexp_multi([(ctxt.u, zsum % grp.q)], grp.p, equiv=z_bits)
-            == fastexp.mexp_multi(b_pairs + u_pairs, grp.p, equiv=c_bits)
-        )
-        for key, _ in batch:
-            verdicts[key] = ok if ok else self.verify_share(ctxt, shares[key])
-        return verdicts
+        return c == expected
 
     # -- combination -------------------------------------------------------------
 
@@ -372,6 +287,4 @@ class TDH2ShareHolder:
             grp.q,
         )
         z = (r + self._share * c) % grp.q
-        if fastexp.config().batch_verify:
-            return encode((self.index, u_i, a, b, z))
         return encode((self.index, u_i, c, z))

@@ -22,9 +22,10 @@ Shares and signatures are opaque byte strings (canonical encoding).
 from __future__ import annotations
 
 import abc
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import CryptoError, EncodingError, InvalidShare, InvalidSignature
@@ -152,14 +153,14 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
         modulus = safe_p * safe_q
         m = ((safe_p - 1) // 2) * ((safe_q - 1) // 2)
         e = 65537 if n < 65537 else arith.next_prime(n, rng)
-        if arith.egcd(e, m)[0] != 1:
+        if math.gcd(e, m) != 1:
             raise CryptoError("public exponent collides with secret modulus")
         d = arith.invmod(e, m)
         coeffs = [d] + [rng.randrange(m) for _ in range(k - 1)]
         shares = [arith.poly_eval(coeffs, i, m) for i in range(1, n + 1)]
         while True:
             r = rng.randrange(2, modulus)
-            if arith.egcd(r, modulus)[0] == 1:
+            if math.gcd(r, modulus) == 1:
                 break
         v = pow(r, 2, modulus)
         vks = tuple(pow(v, s, modulus) for s in shares)
@@ -398,48 +399,14 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
         """Verify one member signature (one RSA verification)."""
         return self.public_keys[index - 1].verify(self.domain, message, sig)
 
-    def verify(
-        self, message: bytes, signature: bytes, pow_many: Optional[Callable] = None
-    ) -> bool:
-        """Check an assembled multi-signature.
-
-        ``pow_many`` optionally routes the ``k`` independent RSA
-        exponentiations through a bulk executor (the
-        :class:`repro.crypto.fastexp.OffloadPool` offload path); the
-        verdict and the recorded operation counts are identical either
-        way.
-        """
-        try:
-            entries = decode(signature)
-        except EncodingError:
+    def verify(self, message: bytes, signature: bytes) -> bool:
+        """Check an assembled multi-signature (``k`` RSA verifications)."""
+        entries = self.members(signature)
+        if entries is None:
             return False
-        if not isinstance(entries, list) or len(entries) < self.k:
-            return False
-        seen = set()
-        checks = []  # (public key, signature) pairs awaiting the bulk path
-        for entry in entries:
-            if not isinstance(entry, tuple) or len(entry) != 2:
-                return False
-            index, sig = entry
-            if not isinstance(index, int) or not 1 <= index <= self.n:
-                return False
-            if index in seen or not isinstance(sig, int):
-                return False
-            pk = self.public_keys[index - 1]
-            if pow_many is None:
-                if not pk.verify(self.domain, message, sig):
-                    return False
-            else:
-                if not 0 < sig < pk.n:
-                    return False
-                checks.append((pk, sig))
-            seen.add(index)
-        if checks:
-            results = pow_many([(sig, pk.e, pk.n) for pk, sig in checks])
-            for (pk, _), got in zip(checks, results):
-                if got != pk.verify_target(self.domain, message):
-                    return False
-        return len(seen) >= self.k
+        return all(
+            self.verify_member(index, message, sig) for index, sig in entries
+        )
 
 
 def combine_optimistically(
@@ -460,8 +427,7 @@ def combine_optimistically(
     valid signature or ``None``.
 
     ``verifier`` optionally routes the signature/share checks through a
-    party's :class:`repro.crypto.verifier.ShareVerifier` (cached and
-    offload-aware).
+    party's :class:`repro.crypto.verifier.ShareVerifier` (cached).
     """
     def _verify(sig: bytes) -> bool:
         if verifier is not None:

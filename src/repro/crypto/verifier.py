@@ -1,94 +1,44 @@
-"""Per-party verification strategy for threshold-crypto shares.
+"""Per-party verification front-end for threshold-crypto shares.
 
 Protocol code routes every share/signature/ciphertext check through its
 party's :class:`ShareVerifier` (``ctx.crypto.accel``) instead of calling
-the schemes directly.  The verifier applies the acceleration knobs of the
-active :class:`repro.crypto.fastexp.AccelConfig`:
+the schemes directly — it is the only verification path.  With
+acceleration off (:func:`repro.crypto.fastexp.enabled`, the default) every
+method is a plain scheme call: the paper's naive operation mix.  With it
+on, the verifier keeps a bounded **verdict cache**: a share, signature or
+ciphertext proof that verified (or failed) once is never re-verified by
+this party, and a hit performs and records no exponentiation.
 
-* **verified-result caching** (``share_cache``): a share, signature or
-  ciphertext proof that verified once is never re-verified; the cache
-  stores the captured operation counter of the original verification so a
-  hit can be billed at its exact naive-equivalent cost (which is what
-  keeps ``bill_naive`` runs schedule-identical to unaccelerated ones).
-
-* **batch verification** (``batch_verify``): a quorum of
-  commitment-carrying shares is checked with two random-linear-combination
-  multi-exponentiations instead of ``4k`` individual exponentiations,
-  falling back to individual verification to localize a bad share.
-
-* **verify-on-quorum** (``verify_on_quorum``): share checks stop as soon
-  as ``k`` valid shares are in hand; the remainder stays unverified.
-
-* **pool offload** (``offload`` / :class:`repro.crypto.fastexp.
-  OffloadPool`): bulk exponentiations (multi-signature certificate
-  verification) run on worker processes.
-
-Every cache is **per party**: scheme objects are shared between the
-simulated parties of a run, so any scheme-level memoization would let one
-party ride on another's CPU time.  With all knobs off (the default) every
-method degrades to a plain scheme call — behaviour and recorded operation
-counts are identical to the unaccelerated implementation.
+The cache is **per party** and **per key epoch**: scheme objects are shared
+between the simulated parties of a run, so scheme-level memoization would
+let one party ride on another's CPU time; and cache keys name the scheme's
+domain, not its verification keys, so a bundle with refreshed keys must
+get a fresh verifier (see :meth:`repro.membership.epoch.EpochKeychain.
+party_crypto`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable
 
-from repro.crypto import fastexp, hashing, opcount
-
-#: A quorum-verification result: (valid shares by index, bad share indices).
-QuorumResult = Tuple[Dict[int, bytes], List[int]]
+from repro.crypto import fastexp, hashing
 
 
 class ShareVerifier:
-    """Strategy-aware, per-party verification front-end (see module doc)."""
+    """Per-party verification front-end with a verdict cache (see module doc)."""
 
     def __init__(self) -> None:
-        self._results: Optional[fastexp.LRU] = None
-        self.pool: Optional[fastexp.OffloadPool] = None
-
-    # -- plumbing ---------------------------------------------------------------
-
-    def _cache(self) -> Optional[fastexp.LRU]:
-        size = fastexp.config().share_cache
-        if not size:
-            return None
-        if self._results is None:
-            self._results = fastexp.LRU(size)
-        return self._results
+        self._results = fastexp.LRU(fastexp.SHARE_CACHE)
 
     def _memo(self, key: tuple, compute: Callable[[], Any]) -> Any:
-        """Compute-once with exact-cost replay on later hits."""
-        cache = self._cache()
-        if cache is None:
+        """``compute()``, at most once per ``key`` while acceleration is on."""
+        if not fastexp.enabled():
             return compute()
-        hit = cache.get(key)
-        if hit is not None:
-            verdict, counter = hit
-            opcount.record_saved(counter)
-            return verdict
-        with fastexp.capture() as counter:
+        verdict = self._results.get(key)  # None is a miss: verdicts never are
+        if verdict is None:
             verdict = compute()
-        cache.put(key, (verdict, counter))
+            self._results.put(key, verdict)
         return verdict
-
-    def _store(self, key: tuple, verdict: bool, counter: opcount.OpCounter) -> None:
-        cache = self._cache()
-        if cache is not None:
-            cache.put(key, (verdict, counter))
-
-    @property
-    def defer_shares(self) -> bool:
-        """Should per-share checks wait for a candidate quorum?"""
-        return fastexp.config().verify_on_quorum
-
-    @property
-    def batch(self) -> bool:
-        """Is random-linear-combination batch verification enabled?"""
-        return fastexp.config().batch_verify
-
-    def attach_pool(self, pool: Optional[fastexp.OffloadPool]) -> None:
-        self.pool = pool
 
     # -- threshold coin ---------------------------------------------------------
 
@@ -112,26 +62,6 @@ class ShareVerifier:
             lambda: coin.verify_share(name, share, gtilde=self.gtilde(coin, name)),
         )
 
-    def coin_quorum(self, coin: Any, name: bytes, shares: Dict[int, bytes]) -> QuorumResult:
-        """Partition candidate coin shares into valid and invalid.
-
-        Under ``verify_on_quorum``, verification stops once ``coin.k``
-        valid shares are found — later entries are left unverified and
-        appear in neither part of the result.  Under ``batch_verify``,
-        uncached shares are checked with one random-linear-combination
-        batch (falling back internally to localize bad shares).
-        """
-        return self._quorum(
-            shares,
-            coin.k,
-            lambda s: ("coin", coin.domain, bytes(name), bytes(s)),
-            lambda s: self.coin_share_ok(coin, name, s),
-            lambda pending: coin.verify_shares_batch(
-                name, pending, gtilde=self.gtilde(coin, name)
-            ),
-            equiv_bits=(coin.public.group.p.bit_length(), coin.public.group.q.bit_length()),
-        )
-
     # -- threshold decryption ---------------------------------------------------
 
     def _ctxt_key(self, scheme: Any, ctxt: Any) -> bytes:
@@ -151,18 +81,6 @@ class ShareVerifier:
             lambda: scheme.verify_share(ctxt, share),
         )
 
-    def enc_quorum(self, scheme: Any, ctxt: Any, shares: Dict[int, bytes]) -> QuorumResult:
-        """Partition candidate decryption shares (see :meth:`coin_quorum`)."""
-        ckey = self._ctxt_key(scheme, ctxt)
-        return self._quorum(
-            shares,
-            scheme.k,
-            lambda s: ("tdh2.share", scheme.domain, ckey, bytes(s)),
-            lambda s: self.enc_share_ok(scheme, ctxt, s),
-            lambda pending: scheme.verify_shares_batch(ctxt, pending),
-            equiv_bits=(scheme.public.group.p.bit_length(), scheme.public.group.q.bit_length()),
-        )
-
     # -- threshold signatures ---------------------------------------------------
 
     def sig_share_ok(self, scheme: Any, message: bytes, share: bytes) -> bool:
@@ -172,7 +90,7 @@ class ShareVerifier:
         member identity so a later certificate containing the same RSA
         signature (see :meth:`sig_ok`) is a cache hit, and vice versa.
         """
-        if self._cache() is not None and hasattr(scheme, "share_member"):
+        if fastexp.enabled() and hasattr(scheme, "share_member"):
             member = scheme.share_member(share)
             if member is None:
                 return False
@@ -195,10 +113,9 @@ class ShareVerifier:
         multi-signature certificate is verified member by member against
         the same cache entries as the individual shares it was combined
         from, so certificate verification right after share collection
-        performs no new exponentiations.  With an offload pool attached,
-        uncached RSA exponentiations run on worker processes.
+        performs no new exponentiations.
         """
-        if self._cache() is not None and hasattr(scheme, "members"):
+        if fastexp.enabled() and hasattr(scheme, "members"):
             entries = scheme.members(signature)
             if entries is None:
                 return False
@@ -212,15 +129,9 @@ class ShareVerifier:
                 if not verdict:
                     return False
             return True
-        pool = self.pool
-        if pool is not None and hasattr(scheme, "public_keys"):
-            compute = lambda: scheme.verify(  # noqa: E731
-                message, signature, pow_many=pool.pow_many
-            )
-        else:
-            compute = lambda: scheme.verify(message, signature)  # noqa: E731
         return self._memo(
-            ("sig", scheme.domain, bytes(message), bytes(signature)), compute
+            ("sig", scheme.domain, bytes(message), bytes(signature)),
+            lambda: scheme.verify(message, signature),
         )
 
     # -- ordinary per-party RSA signatures ---------------------------------------
@@ -239,52 +150,5 @@ class ShareVerifier:
             lambda: pk.verify(domain, message, sig),
         )
 
-    # -- generic quorum machinery ----------------------------------------------
 
-    def _quorum(
-        self,
-        shares: Dict[int, bytes],
-        k: int,
-        key_of: Callable[[bytes], tuple],
-        check_one: Callable[[bytes], bool],
-        check_batch: Callable[[Dict[int, bytes]], Dict[int, bool]],
-        equiv_bits: Tuple[int, int],
-    ) -> QuorumResult:
-        cfg = fastexp.config()
-        cache = self._cache()
-        valid: Dict[int, bytes] = {}
-        bad: List[int] = []
-        pending: Dict[int, bytes] = {}
-        for index in sorted(shares):
-            if cfg.verify_on_quorum and len(valid) >= k:
-                break  # quorum in hand; leave the rest unverified
-            share = shares[index]
-            hit = cache.get(key_of(share)) if cache is not None else None
-            if hit is not None:
-                verdict, counter = hit
-                opcount.record_saved(counter)
-                (valid.__setitem__(index, share) if verdict else bad.append(index))
-            elif cfg.batch_verify:
-                pending[index] = share
-            elif check_one(share):
-                valid[index] = share
-            else:
-                bad.append(index)
-        if pending:
-            if cfg.verify_on_quorum and len(valid) >= k:
-                return valid, bad
-            verdicts = check_batch(pending)
-            modbits, expbits = equiv_bits
-            for index, verdict in verdicts.items():
-                # Batch-verified shares enter the cache at the approximate
-                # per-share naive cost (four proof exponentiations); exact
-                # per-share attribution does not exist inside one batch.
-                counter = opcount.OpCounter()
-                for _ in range(4):
-                    counter.add_equiv(modbits, expbits)
-                self._store(key_of(pending[index]), verdict, counter)
-                (valid.__setitem__(index, pending[index]) if verdict else bad.append(index))
-        return valid, bad
-
-
-__all__ = ["QuorumResult", "ShareVerifier"]
+__all__ = ["ShareVerifier"]

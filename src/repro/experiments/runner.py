@@ -116,7 +116,7 @@ def run_channel_experiment(
     seed: object = 0,
     time_limit: float = 50_000.0,
     recorder: Optional[Recorder] = None,
-    accel: object = None,
+    accel: bool = False,
 ) -> ExperimentResult:
     """Run one experiment and return the recipient's delivery timings.
 
@@ -126,16 +126,13 @@ def run_channel_experiment(
     durations on the simulated clock) and per-node CPU gauges are set at
     the end of the run.
 
-    ``accel`` selects the crypto acceleration profile for the run —
-    anything :func:`repro.crypto.fastexp.resolve` accepts (``None``/
-    ``False`` for the plain implementation, ``True``/``"full"``,
-    ``"metered"``, or an :class:`~repro.crypto.fastexp.AccelConfig`).
-    Precomputation tables are cleared before the run so records never
-    inherit another run's precomputed state.
+    ``accel`` turns crypto acceleration (:mod:`repro.crypto.fastexp`) on
+    for the run; off is the paper's naive operation mix.  Precomputation
+    tables are cleared before the run so records never inherit another
+    run's precomputed state.
     """
-    cfg = fastexp.resolve(accel) or fastexp.AccelConfig()
     fastexp.clear_tables()  # no cross-run precompute inheritance
-    with fastexp.accelerated(cfg):
+    with fastexp.accelerated(accel):
         return _run_channel_experiment(
             setup, channel, senders, messages, sig_mode, security,
             seed, time_limit, recorder,

@@ -52,6 +52,7 @@ from repro.crypto.coin import ThresholdCoin
 from repro.crypto.dealer import SIG_MODE_SHOUP, GroupConfig, PartyCrypto
 from repro.crypto.threshold_enc import TDH2Scheme
 from repro.crypto.threshold_sig import ShoupThresholdScheme
+from repro.crypto.verifier import ShareVerifier
 from repro.membership.roster import Roster
 
 
@@ -196,6 +197,10 @@ class EpochKeychain:
             coin_holder=m.coin.holder(share_index, m.coin_shares[index0]),
             enc=m.enc,
             enc_holder=m.enc.holder(share_index, m.enc_shares[index0]),
+            # Verdict-cache keys name scheme domains, not verification
+            # keys: a verifier carried over from the previous epoch would
+            # accept that epoch's shares against the refreshed keys.
+            accel=ShareVerifier(),
         )
         if self._shoup:
             assert m.cbc is not None and m.cbc_shares is not None

@@ -58,19 +58,8 @@ class CostModel:
         ``op_scale`` is the ratio nominal-keysize / actual-keysize: a run
         executed with 512-bit keys but nominally measuring a 1024-bit
         configuration passes ``op_scale = 2``.
-
-        Under the ``bill_naive`` accounting mode of
-        :mod:`repro.crypto.fastexp` the *naive-equivalent* mix is billed
-        instead of the accelerated one, which preserves the exact handler
-        durations (and therefore the delivery schedule) of an
-        unaccelerated run while the counters report the accelerated mix.
         """
-        from repro.crypto import fastexp
-
-        if fastexp.config().bill_naive:
-            units = counter.scaled_units_naive(op_scale)
-        else:
-            units = counter.scaled_units(op_scale)
+        units = counter.scaled_units(op_scale)
         return (self.host.exp_ms / 1000.0) * units / UNITS_PER_EXP_1024
 
     def charge(self, recorder, counter: OpCounter, op_scale: float = 1.0) -> float:

@@ -33,6 +33,17 @@ def test_invmod_prime(a, p):
         assert (a * arith.invmod(a, p)) % p == 1
 
 
+@given(st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
+       st.integers(min_value=2, max_value=10 ** 30))
+def test_invmod_agrees_with_egcd(a, m):
+    g, x, _ = arith.egcd(a % m, m)
+    if g != 1:
+        with pytest.raises(CryptoError):
+            arith.invmod(a, m)
+    else:
+        assert arith.invmod(a, m) == x % m
+
+
 def test_invmod_composite():
     assert (7 * arith.invmod(7, 40)) % 40 == 1
     with pytest.raises(CryptoError):

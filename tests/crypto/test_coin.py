@@ -94,6 +94,7 @@ def test_malformed_share(coin_setup):
     assert not coin.verify_share(b"x", b"junk")
     assert not coin.verify_share(b"x", encode((1, 2)))
     assert not coin.verify_share(b"x", encode((1, 0, 0, 0)))
+    assert not coin.verify_share(b"x", encode((1, 2, 3, 4, 5)))  # one encoding only
 
 
 def test_assemble_rejects_mislabeled_share(coin_setup):

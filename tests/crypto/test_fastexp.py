@@ -1,35 +1,36 @@
-"""The crypto acceleration layer, cross-checked against the naive paths.
+"""The crypto acceleration switch, cross-checked against the naive paths.
 
-Every technique in :mod:`repro.crypto.fastexp` and every strategy in
-:mod:`repro.crypto.verifier` must agree bit for bit with the plain
-implementation it replaces: fixed-base tables against ``pow``, batch
-verification against per-share verification (including localization of
-planted bad shares), caches against recomputation, and the offload pool
-against in-process exponentiation — with the recorded operation mix
-accounting for exactly the work the naive path would have done.
+Off must *be* the naive implementation (same results, same recorded
+operations); on — fixed-base tables in :mod:`repro.crypto.fastexp` plus
+the per-party verdict cache of :mod:`repro.crypto.verifier` — must agree
+with it bit for bit on every verdict and result, and end to end must
+deliver the same payloads.
 """
 
 import random
 
 import pytest
 
+from repro.core.party import make_parties
 from repro.crypto import arith, fastexp, opcount
 from repro.crypto.coin import ThresholdCoin
-from repro.crypto.fastexp import AccelConfig, FixedBaseTable, LRU, OffloadPool
+from repro.crypto.fastexp import LRU, FixedBaseTable
 from repro.crypto.params import get_dl_group
 from repro.crypto.threshold_enc import TDH2Scheme
 from repro.crypto.verifier import ShareVerifier
+from repro.experiments.runner import make_channel
+from repro.net.costmodel import LAN_HOSTS
+from repro.obs.recorder import MemoryRecorder
+from tests.helpers import no_errors, sim_runtime
 
 N_PARTIES, K, T = 4, 2, 1
 
 
 @pytest.fixture(autouse=True)
-def _clean_accel_state():
-    """Every test starts from the all-off default and empty tables."""
-    fastexp.configure(AccelConfig())
+def _clean_tables():
+    """Every test starts and ends with empty process-wide tables."""
     fastexp.clear_tables()
     yield
-    fastexp.configure(AccelConfig())
     fastexp.clear_tables()
 
 
@@ -40,7 +41,7 @@ def test_fixed_base_table_matches_pow():
     rng = random.Random(11)
     m = arith.gen_prime(256, rng)
     for base in (2, rng.randrange(2, m), m - 1):
-        table = FixedBaseTable(base, m, window=4)
+        table = FixedBaseTable(base, m)
         for e in (0, 1, 2, 15, 16, 17, rng.getrandbits(256), (1 << 256) - 1):
             result, _mults = table.pow(e)
             assert result == pow(base, e, m)
@@ -50,7 +51,7 @@ def test_fixed_base_table_extends_lazily():
     """A table built for small exponents grows rows for larger ones."""
     rng = random.Random(12)
     m = arith.gen_prime(256, rng)
-    table = FixedBaseTable(3, m, window=4)
+    table = FixedBaseTable(3, m)
     assert table.pow(7)[0] == pow(3, 7, m)
     rows_small = len(table._rows)
     big = rng.getrandbits(250) | (1 << 249)
@@ -60,18 +61,19 @@ def test_fixed_base_table_extends_lazily():
     assert table.pow(7)[0] == pow(3, 7, m)
 
 
-def test_fb_pow_is_plain_mexp_with_knobs_off():
+def test_fb_pow_is_plain_mexp_when_off():
     rng = random.Random(13)
     m = arith.gen_prime(256, rng)
     b, e = rng.randrange(2, m), rng.getrandbits(255)
     with opcount.counting() as naive:
         expected = arith.mexp(b, e, m)
-    with opcount.counting() as accel:
+    with opcount.counting() as off:
         got = fastexp.fb_pow(b, e, m)
     assert got == expected == pow(b, e, m)
-    # knobs off: no tables were created and the counters are identical
+    # off: no tables were created and the counters are identical
+    assert not fastexp.enabled()
     assert len(fastexp._tables) == 0
-    assert accel.as_dict() == naive.as_dict()
+    assert off.as_dict() == naive.as_dict()
 
 
 def test_fb_pow_neg_matches_invmod_route():
@@ -80,20 +82,21 @@ def test_fb_pow_neg_matches_invmod_route():
     x = rng.randrange(1, grp.q)
     base = pow(grp.g, rng.randrange(1, grp.q), grp.p)  # subgroup element
     expected = arith.mexp(arith.invmod(base, grp.p), x, grp.p)
-    with fastexp.accelerated(fixed_base=True):
+    with fastexp.accelerated():
         assert fastexp.fb_pow_neg(base, x, grp.p, grp.q) == expected
 
 
 def test_table_lru_eviction_respects_cache_size():
     rng = random.Random(15)
     m = arith.gen_prime(256, rng)
-    with fastexp.accelerated(AccelConfig(fixed_base=True, table_cache=4)):
-        for base in range(2, 12):
+    last = 2 + fastexp.TABLE_CACHE + 5
+    with fastexp.accelerated():
+        for base in range(2, last + 1):
             fastexp.fb_pow(base, 12345, m)
-        assert len(fastexp._tables) == 4
-        # most recent bases survived
-        assert (11, m, 4) in fastexp._tables
-        assert (2, m, 4) not in fastexp._tables
+    assert len(fastexp._tables) == fastexp.TABLE_CACHE
+    # most recent bases survived
+    assert (last, m) in fastexp._tables
+    assert (2, m) not in fastexp._tables
 
 
 def test_lru_mapping_evicts_oldest():
@@ -106,75 +109,31 @@ def test_lru_mapping_evicts_oldest():
     assert len(lru) == 2
 
 
-# -- multi-exponentiation ------------------------------------------------------
-
-
-def test_mexp_multi_matches_product_of_pows():
-    rng = random.Random(16)
-    m = arith.gen_prime(256, rng)
-    for npairs in (1, 2, 5):
-        pairs = [
-            (rng.randrange(2, m), rng.getrandbits(rng.choice([16, 64, 255])))
-            for _ in range(npairs)
-        ]
-        expected = 1
-        for b, e in pairs:
-            expected = (expected * pow(b, e, m)) % m
-        assert fastexp.mexp_multi(pairs, m) == expected
-
-
-def test_mexp_multi_edge_cases():
-    rng = random.Random(17)
-    m = arith.gen_prime(256, rng)
-    assert fastexp.mexp_multi([], m) == 1
-    assert fastexp.mexp_multi([(5, 0)], m) == 1  # zero exponents drop out
-    assert fastexp.mexp_multi([(5, 0), (7, 3)], m) == pow(7, 3, m)
-
-
-# -- cost accounting -----------------------------------------------------------
-
-
-def test_fixed_base_counts_naive_equivalent():
-    """Accelerated ops remember the naive work they replaced."""
+def test_table_pow_bills_multiplications_performed():
     rng = random.Random(18)
     m = arith.gen_prime(256, rng)
     e = rng.getrandbits(255) | (1 << 254)
     with opcount.counting() as naive:
         arith.mexp(3, e, m)
-    with fastexp.accelerated(AccelConfig(fixed_base=True)):
+    with fastexp.accelerated():
         fastexp.fb_pow(3, e, m)  # warm the table; precompute is one-time
         with opcount.counting() as accel:
             fastexp.fb_pow(3, e - 1, m)
-    assert naive.units_naive == naive.units
-    # the accelerated counter bills fewer units but reports the same
-    # naive-equivalent mix
-    assert accel.units_naive == naive.units_naive
-    assert accel.units < naive.units
+    assert (accel.ops, accel.ops_fast) == (0, 1)
+    assert accel.units == accel.units_batched < naive.units
 
 
-def test_resolve_specs():
-    assert fastexp.resolve(None) is None
-    assert fastexp.resolve(False) is None
-    assert fastexp.resolve(True) == AccelConfig.full()
-    assert fastexp.resolve("full") == AccelConfig.full()
-    assert fastexp.resolve("metered") == AccelConfig.metered()
-    cfg = AccelConfig(fixed_base=True)
-    assert fastexp.resolve(cfg) is cfg
-    with pytest.raises(ValueError):
-        fastexp.resolve("turbo")
+def test_accelerated_context_nests_and_restores():
+    assert not fastexp.enabled()
+    with fastexp.accelerated():
+        assert fastexp.enabled()
+        with fastexp.accelerated(False):
+            assert not fastexp.enabled()
+        assert fastexp.enabled()
+    assert not fastexp.enabled()
 
 
-def test_accelerated_context_restores_previous_config():
-    outer = fastexp.configure(AccelConfig(share_cache=7))
-    with fastexp.accelerated(AccelConfig.full()) as cfg:
-        assert fastexp.config() is cfg
-        with fastexp.accelerated(AccelConfig.metered()):
-            assert fastexp.config().bill_naive
-        assert fastexp.config() is cfg
-    assert fastexp.config() is outer
-
-
-# -- verifier cross-checks: threshold coin -------------------------------------
+# -- verdict cache: threshold coin ---------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -187,94 +146,63 @@ def coin_setup():
     return coin, holders
 
 
-def test_coin_batch_agrees_with_individual(coin_setup):
-    coin, holders = coin_setup
-    name = b"accel-round-1"
-    shares = {h.index: h.release(name) for h in holders}
-    naive = {i: coin.verify_share(name, s) for i, s in shares.items()}
-    batched = coin.verify_shares_batch(name, shares)
-    assert batched == naive
-    assert all(naive.values())
-
-
-def test_coin_batch_localizes_planted_bad_share(coin_setup):
-    coin, holders = coin_setup
-    name = b"accel-round-2"
-    shares = {h.index: h.release(name) for h in holders}
-    shares[2] = holders[1].release(b"some-other-name")  # valid-looking, wrong name
-    verdicts = coin.verify_shares_batch(name, shares)
-    assert verdicts[2] is False
-    assert all(verdicts[i] for i in (1, 3, 4))
-
-
-def test_coin_quorum_via_verifier_full_accel(coin_setup):
-    coin, holders = coin_setup
-    name = b"accel-round-3"
-    shares = {h.index: h.release(name) for h in holders}
-    shares[4] = holders[3].release(b"bad")
-    with fastexp.accelerated(AccelConfig.full()):
-        valid, bad = ShareVerifier().coin_quorum(coin, name, shares)
-    assert 4 in bad
-    assert len(valid) >= coin.k
-    # the surviving quorum assembles the same bit as a naive quorum
-    naive_valid = {i: s for i, s in shares.items() if i != 4}
-    assert coin.assemble_bit(name, valid) == coin.assemble_bit(name, naive_valid)
-
-
-def test_verify_on_quorum_stops_early(coin_setup):
-    coin, holders = coin_setup
-    name = b"accel-round-4"
-    shares = {h.index: h.release(name) for h in holders}
-    with fastexp.accelerated(AccelConfig(verify_on_quorum=True, share_cache=64)):
-        valid, bad = ShareVerifier().coin_quorum(coin, name, shares)
-    assert len(valid) == coin.k and not bad
-    # the remaining shares were left unverified entirely
-    assert set(valid) == set(sorted(shares)[: coin.k])
-
-
-def test_share_cache_replays_exact_cost(coin_setup):
+def test_cache_hit_performs_no_exponentiation(coin_setup):
     coin, holders = coin_setup
     name = b"accel-round-5"
+    good = holders[0].release(name)
+    bad = holders[1].release(b"some-other-name")  # valid-looking, wrong name
+    verifier = ShareVerifier()
+    with fastexp.accelerated():
+        with opcount.counting() as first:
+            assert verifier.coin_share_ok(coin, name, good)
+            assert not verifier.coin_share_ok(coin, name, bad)
+        with opcount.counting() as second:
+            assert verifier.coin_share_ok(coin, name, good)
+            assert not verifier.coin_share_ok(coin, name, bad)
+    assert first.ops > 0
+    assert second.ops == 0 and second.ops_fast == 0 and second.units == 0
+
+
+def test_verifier_off_is_a_plain_scheme_call(coin_setup):
+    coin, holders = coin_setup
+    name = b"accel-round-6"
     share = holders[0].release(name)
     verifier = ShareVerifier()
-    with fastexp.accelerated(AccelConfig(share_cache=64)):
-        with opcount.counting() as first:
+    with opcount.counting() as naive:
+        assert coin.verify_share(name, share)
+    for _ in range(2):  # nothing is remembered between calls
+        with opcount.counting() as off:
             assert verifier.coin_share_ok(coin, name, share)
-        with opcount.counting() as second:
-            assert verifier.coin_share_ok(coin, name, share)
-    # the hit performs no exponentiations but bills the identical naive mix
-    assert second.ops == 0 and second.ops_fast == 0
-    assert second.units_naive == first.units_naive
+        assert off.as_dict() == naive.as_dict()
 
 
-# -- verifier cross-checks: threshold decryption -------------------------------
+# -- verdict cache: threshold decryption ---------------------------------------
 
 
-@pytest.fixture(scope="module")
-def enc_setup():
-    group = get_dl_group(256)
+def test_enc_share_verdicts_match_scheme_and_decrypt():
     scheme, secrets = TDH2Scheme.deal(
-        N_PARTIES, K, T, group, random.Random(22), "accel.enc"
+        N_PARTIES, K, T, get_dl_group(256), random.Random(22), "accel.enc"
     )
     holders = [scheme.holder(i + 1, secrets[i]) for i in range(N_PARTIES)]
-    return scheme, holders
-
-
-def test_enc_quorum_localizes_bad_share_and_decrypts(enc_setup):
-    scheme, holders = enc_setup
     ctxt = scheme.encrypt(b"accelerate me", b"label", random.Random(23))
     other = scheme.encrypt(b"decoy", b"label", random.Random(24))
     shares = {h.index: h.decryption_share(ctxt) for h in holders}
     shares[1] = holders[0].decryption_share(other)  # share for the wrong ciphertext
-    with fastexp.accelerated(AccelConfig.full()):
+    naive = {i: scheme.verify_share(ctxt, s) for i, s in shares.items()}
+    with fastexp.accelerated():
         verifier = ShareVerifier()
         assert verifier.ciphertext_ok(scheme, ctxt)
-        valid, bad = verifier.enc_quorum(scheme, ctxt, shares)
-        assert bad == [1]
+        for _ in range(2):
+            verdicts = {
+                i: verifier.enc_share_ok(scheme, ctxt, s) for i, s in shares.items()
+            }
+            assert verdicts == naive
+        valid = {i: s for i, s in shares.items() if verdicts[i]}
+        assert sorted(valid) == [2, 3, 4]
         assert scheme.combine(ctxt, valid, verifier=verifier) == b"accelerate me"
 
 
-# -- verifier cross-checks: threshold signatures -------------------------------
+# -- verdict cache: threshold signatures ---------------------------------------
 
 
 @pytest.mark.parametrize("mode", ["multi", "shoup"])
@@ -286,7 +214,7 @@ def test_sig_paths_agree_with_naive(mode, group4, group4_shoup):
     quorum = {scheme.share_index(s): s for s in shares[: scheme.k]}
     signature = scheme.combine(message, quorum)
     assert scheme.verify(message, signature)
-    with fastexp.accelerated(AccelConfig.full()):
+    with fastexp.accelerated():
         verifier = ShareVerifier()
         for share in shares:
             assert verifier.sig_share_ok(scheme, message, share)
@@ -298,43 +226,61 @@ def test_sig_paths_agree_with_naive(mode, group4, group4_shoup):
         assert cert.ops == 0 and cert.ops_fast == 0
 
 
-def test_offload_pool_matches_local_pow():
-    rng = random.Random(25)
-    m = arith.gen_prime(256, rng)
-    triples = [(rng.randrange(2, m), rng.getrandbits(128), m) for _ in range(6)]
-    with opcount.counting() as local:
-        expected = [arith.mexp(b, e, mm) for b, e, mm in triples]
-    with OffloadPool(max_workers=2) as pool:
-        with opcount.counting() as offloaded:
-            got = pool.pow_many(triples)
-    assert got == expected
-    assert offloaded.as_dict() == local.as_dict()
+# -- differential: the same seed through both settings of the switch -----------
+
+#: ``crypto.*`` counters of the off-mode runs below, as measured on the
+#: implementation that predates the single switch (and, for that matter,
+#: on the one that predates acceleration): off is the naive path.
+NAIVE_COUNTERS = {
+    ("atomic", "multi"): (1653, 530055168, 1556414464),
+    ("atomic", "shoup"): (1745, 8781234176, 1385562112),
+    ("secure", "multi"): (2376, 7853637632, 1556217856),
+    ("secure", "shoup"): (2464, 16072310784, 1383333888),
+}
 
 
-# -- end-to-end runner smoke ---------------------------------------------------
+def _channel_run(group, kind, accel):
+    """Six payloads from senders 0/2/3 on the LAN cost model; returns every
+    party's delivery sequence and the run's ``crypto.*`` counters."""
+    recorder = MemoryRecorder()
+    fastexp.clear_tables()
+    with fastexp.accelerated(accel):
+        rt = sim_runtime(group, seed=0xACCE1, hosts=LAN_HOSTS, recorder=recorder)
+        channels = [make_channel(p, kind, "diff") for p in make_parties(rt)]
+        sent = []
+        for sender in (0, 2, 3):
+            for k in range(2):
+                sent.append(b"m:%d:%d" % (sender, k))
+                channels[sender].send(sent[-1])
+        got = [[] for _ in channels]
+
+        def reader(i):
+            while len(got[i]) < len(sent):
+                got[i].append((yield channels[i].receive()))
+
+        rt.run_all(
+            [rt.spawn(reader(i)).future for i in range(len(channels))], limit=50_000.0
+        )
+    no_errors(rt)
+    counters = {k: int(v) for k, v in recorder.counters.items() if k.startswith("crypto.")}
+    return sent, got, counters
 
 
-def _smoke_run(accel):
-    from repro.experiments import LAN_SETUP, run_channel_experiment
-
-    return run_channel_experiment(
-        LAN_SETUP, "atomic", senders=[0, 2], messages=8, seed=31, accel=accel
-    )
-
-
-def test_runner_accel_smoke():
-    """The runner's accel knob end to end on a small atomic-broadcast run.
-
-    Metered must reproduce the plain run's delivery trace byte for byte;
-    full must deliver the same payload multiset (ordering may differ —
-    less crypto time changes the schedule).
-    """
-    naive = _smoke_run(None)
-    metered = _smoke_run("metered")
-    full = _smoke_run("full")
-    assert naive.count == 8
-    assert metered.deliveries == naive.deliveries
-    assert metered.sim_seconds == naive.sim_seconds
-    assert sorted(p for _, p in full.deliveries) == sorted(
-        p for _, p in naive.deliveries
-    )
+@pytest.mark.parametrize("mode", ["multi", "shoup"])
+@pytest.mark.parametrize("kind", ["atomic", "secure"])
+def test_off_and_on_deliver_the_same_payloads(kind, mode, group4, group4_shoup):
+    group = group4 if mode == "multi" else group4_shoup
+    sent, off, off_counters = _channel_run(group, kind, accel=False)
+    _, on, on_counters = _channel_run(group, kind, accel=True)
+    for got in (off, on):
+        # total order within a run; the order itself may differ between the
+        # two runs, because cheaper crypto changes the schedule
+        assert all(sequence == got[0] for sequence in got[1:])
+        assert sorted(got[0]) == sorted(sent)
+    modexp, units_full, units_short = NAIVE_COUNTERS[kind, mode]
+    assert off_counters == {
+        "crypto.modexp": modexp,
+        "crypto.units_full": units_full,
+        "crypto.units_short": units_short,
+    }
+    assert on_counters["crypto.modexp"] < modexp

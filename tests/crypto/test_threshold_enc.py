@@ -101,6 +101,24 @@ def test_forged_share_rejected(enc_setup):
     assert not scheme.verify_share(ctxt, forged)
 
 
+def test_malformed_share(enc_setup):
+    scheme, holders = enc_setup
+    ctxt = _ctxt(scheme)
+    index, u_i, c, z = decode(holders[0].decryption_share(ctxt))
+    q = scheme.public.group.q
+    for bad in (
+        b"junk",
+        encode((index, u_i)),
+        encode((index, u_i, c, z, z)),  # one encoding only
+        encode((index, u_i, b"c", z)),
+        encode((0, u_i, c, z)),
+        encode((index, 0, c, z)),
+        encode((index, u_i, q, z)),
+        encode((index, u_i, c, q)),
+    ):
+        assert not scheme.verify_share(ctxt, bad)
+
+
 def test_too_few_shares(enc_setup):
     scheme, holders = enc_setup
     ctxt = _ctxt(scheme)

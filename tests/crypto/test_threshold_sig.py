@@ -120,6 +120,23 @@ def test_multi_signature_requires_distinct_signers():
     assert not scheme.verify(MSG, fake)
 
 
+def test_multi_signature_rejects_malformed_certificates():
+    scheme, signers = _multi()
+    members = [decode(s.sign_share(MSG)) for s in signers[: scheme.k]]
+    assert scheme.verify(MSG, encode(members))
+    index, sig = members[0]
+    for bad in (
+        b"junk",
+        encode(tuple(members)),  # not a list
+        encode(members[: scheme.k - 1]),  # too few
+        encode([(0, sig)] + members[1:]),  # index out of range
+        encode([(index, b"sig")] + members[1:]),  # signature not an int
+        encode([(index, sig, sig)] + members[1:]),  # wrong arity
+        encode([(index, sig + 1)] + members[1:]),  # one bad member
+    ):
+        assert not scheme.verify(MSG, bad)
+
+
 def test_multi_signer_key_mismatch():
     scheme, _ = _multi()
     wrong_key = generate_keypair(256, random.Random(77))
