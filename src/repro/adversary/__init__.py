@@ -1,26 +1,21 @@
-"""In-process Byzantine adversary framework (`repro.adversary`).
+"""In-process Byzantine adversaries and the liveness watchdog.
 
 Up to ``t`` replicas run the genuine protocol stack behind an
 :class:`AdversarialContext` that executes a pluggable, seeded intrusion
 :class:`Strategy` — equivocation, share corruption and withholding,
 justified double votes, replay, certificate forgery, selective silence —
-while a :class:`LivenessWatchdog` turns stalls into typed
-:class:`LivenessViolation` errors with protocol-state dumps.  The
-harness composes both with the schedule-exploration chaos fabric and
-reports every failure as a replayable ``ADV-REPRO`` line.
+and a :class:`LivenessWatchdog` turns stalls into typed
+:class:`LivenessViolation` errors with protocol-state dumps.  This
+package holds the parts; :func:`repro.testing.schedule.run_case` is the
+runner that puts them in a seeded case (``strategy=...``) next to
+schedule chaos, crashes and wire mutation, and :func:`infect` is the one
+place a replica is put behind a strategy.
 
-See ``docs/ADVERSARY.md`` for the strategy catalog, the watchdog
-contract, and the replay workflow.
+See ``docs/ADVERSARY.md`` for the strategy catalog and the watchdog
+contract, ``docs/TESTING.md`` for the CLI and the replay workflow.
 """
 
-from repro.adversary.context import AdversarialContext
-from repro.adversary.harness import (
-    AdversaryResult,
-    campaign,
-    report_failures,
-    run_adversary_case,
-    shrink_adversary_case,
-)
+from repro.adversary.context import AdversarialContext, infect
 from repro.adversary.strategies import STRATEGIES, Strategy, make_strategy
 from repro.adversary.watchdog import (
     LivenessViolation,
@@ -31,16 +26,12 @@ from repro.adversary.watchdog import (
 
 __all__ = [
     "AdversarialContext",
-    "AdversaryResult",
     "LivenessViolation",
     "LivenessWatchdog",
     "ProgressSentinel",
     "STRATEGIES",
     "Strategy",
-    "campaign",
+    "infect",
     "make_strategy",
-    "report_failures",
-    "run_adversary_case",
     "sentinel_for",
-    "shrink_adversary_case",
 ]

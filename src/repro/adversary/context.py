@@ -22,8 +22,10 @@ equivocating votes.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, FrozenSet
 
+from repro.adversary.strategies import Strategy, make_strategy
+from repro.common import rng as rng_mod
 from repro.core.protocol import Context, Timer
 
 
@@ -82,3 +84,26 @@ class AdversarialContext(Context):
 
     def set_timer(self, delay: float, fn: Callable[[], None]) -> Timer:
         return self.inner.set_timer(delay, fn)
+
+
+def infect(
+    runtime: Any,
+    party: int,
+    strategy_name: str,
+    case_seed: int,
+    colluders: FrozenSet[int],
+) -> Strategy:
+    """Put ``party``'s whole stack behind a seeded intrusion strategy.
+
+    Call it *before* any protocol object is built on ``runtime``, so every
+    instance the party creates sends through the strategy; the strategy
+    also observes the party's router, so it sees its full inbound view.
+    ``colluders`` is the complete adversary set, ``party`` included.
+    """
+    strategy = make_strategy(
+        strategy_name, rng_mod.derive(case_seed, "strategy", party)
+    )
+    strategy.adversaries = colluders
+    runtime.contexts[party] = AdversarialContext(runtime.contexts[party], strategy)
+    runtime.routers[party].observers.append(strategy.observe)
+    return strategy

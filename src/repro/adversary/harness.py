@@ -1,368 +1,22 @@
-"""Driver for protocol-level Byzantine adversary campaigns.
+"""State-dump artifacts for liveness failures (``ADV_DUMP_DIR``).
 
-One integer *case seed* determines an entire adversarial run, exactly as
-in :mod:`repro.testing.schedule` — but where the schedule fuzzer models
-the adversary at the *wire* (corrupting a compromised party's sealed
-frames), this harness models it at the *protocol layer*: up to ``t``
-replicas run the real stack behind an
-:class:`~repro.adversary.context.AdversarialContext` executing a seeded
-intrusion :class:`~repro.adversary.strategies.Strategy`, while the
-scheduler-level chaos fabric (delay spikes, slow links, healing
-partitions from the shared fault-plan generator) still shapes delivery
-order underneath.
-
-Every run is double-instrumented:
-
-* the scenario's **safety invariants** sweep after each delivery —
-  a violation is a *safety* failure;
-* a :class:`~repro.adversary.watchdog.LivenessWatchdog` watches per-party
-  progress sentinels — a stall (or the simulator idling/timing out) is a
-  typed :class:`~repro.adversary.watchdog.LivenessViolation` carrying a
-  protocol-state dump, a *liveness* failure.
-
-Failures shrink (greedy directive elimination over the chaos plan) and
-print a one-line ``ADV-REPRO:`` command that replays them from the
-shell::
-
-    PYTHONPATH=src python -m repro.adversary \\
-        --scenario binary --strategy doublevote --n 4 --t 1 \\
-        --case 0x1234abcd --adversaries 2
-
-With at most ``t`` adversaries every shipped strategy must leave safety
-*and* liveness intact; ``allow_excess=True`` lifts the bound so the test
-suite can demonstrate where ``t + 1`` intrusions break agreement.
+A ``REPRO:`` line names a failing case; it cannot hold what the
+:class:`~repro.adversary.watchdog.LivenessWatchdog` saw when the run
+stalled.  :func:`write_failure_dumps` puts that — sentinel fingerprints,
+stall ages, failure-detector suspects — into one timestamped JSON file
+per failure, which :func:`repro.testing.schedule.report_failures` links
+from its report and CI uploads next to the repro lines.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.adversary.context import AdversarialContext
-from repro.adversary.strategies import STRATEGIES, Strategy, make_strategy
-from repro.adversary.watchdog import LivenessViolation, LivenessWatchdog, sentinel_for
-from repro.common import rng as rng_mod
-from repro.crypto.dealer import GroupConfig
-from repro.net.latency import lan_latency
-from repro.net.runtime import SimRuntime
-from repro.net.sim import SimError
-from repro.obs.recorder import Recorder
-from repro.testing.invariants import InvariantViolation
-from repro.testing.schedule import (
-    SCENARIOS,
-    Directive,
-    build_fault_plan,
-    default_group,
-    make_scenario,
-    parse_keep,
-    plan_from_seed,
-)
-
-#: chaos-plan directive kinds the adversary harness keeps; the fuzzer's
-#: crash/compromise budget is spent on protocol-level adversaries instead.
-SCHED_KINDS = frozenset({"spike", "slow-link", "partition"})
+from typing import Any, List, Sequence
 
 
-def format_directive(d: Directive) -> str:
-    """Render a directive as a ``--extra`` spec (``slow-link:0,1,5.0``).
-
-    Inverse of :func:`parse_directive`; partition sides join their party
-    ids with ``+`` (``partition:0+1,2.0``) so the spec stays one
-    shell-safe token.
-    """
-    parts = [
-        "+".join(map(str, p)) if isinstance(p, (tuple, list)) else str(p)
-        for p in d.params
-    ]
-    return f"{d.kind}:{','.join(parts)}"
-
-
-def parse_directive(spec: str) -> Directive:
-    """Parse a ``--extra`` spec back into a :class:`Directive`."""
-    kind, _, rest = spec.partition(":")
-    if kind not in SCHED_KINDS:
-        raise ValueError(
-            f"unknown extra-directive kind {kind!r} in {spec!r}; "
-            f"expected one of {sorted(SCHED_KINDS)}"
-        )
-    try:
-        if kind == "spike":
-            prob, max_delay = rest.split(",")
-            return Directive("spike", (float(prob), float(max_delay)))
-        if kind == "slow-link":
-            src, dst, delay = rest.split(",")
-            return Directive("slow-link", (int(src), int(dst), float(delay)))
-        side, heal_at = rest.split(",")
-        return Directive(
-            "partition",
-            (tuple(int(p) for p in side.split("+")), float(heal_at)),
-        )
-    except ValueError as exc:
-        raise ValueError(f"malformed extra-directive spec {spec!r}: {exc}")
-
-
-@dataclass
-class AdversaryResult:
-    """Outcome of one adversary case, carrying everything needed to replay."""
-
-    ok: bool
-    scenario: str
-    strategy: str
-    n: int
-    t: int
-    case_seed: int
-    adversaries: List[int]
-    plan_size: int
-    kept: List[int]
-    directives: List[Directive] = field(default_factory=list)
-    #: pinned directives appended outside the seed-derived plan — part of
-    #: the case's identity, so the replay command must carry them
-    extra: List[Directive] = field(default_factory=list)
-    error: Optional[str] = None
-    #: ``"safety"`` (invariant violation) or ``"liveness"`` (watchdog)
-    kind: Optional[str] = None
-    checks_run: int = 0
-    shrink_runs: int = 0
-    #: merged per-strategy action counters, e.g. ``{"split-pre-vote": 12}``
-    actions: Dict[str, int] = field(default_factory=dict)
-    #: the watchdog's protocol-state dump, on liveness failures
-    dump: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def minimized(self) -> bool:
-        return len(self.kept) < self.plan_size
-
-    def replay_command(self) -> str:
-        cmd = (
-            f"PYTHONPATH=src python -m repro.adversary"
-            f" --scenario {self.scenario} --strategy {self.strategy}"
-            f" --n {self.n} --t {self.t} --case {hex(self.case_seed)}"
-            f" --adversaries {','.join(map(str, self.adversaries))}"
-        )
-        if self.minimized:
-            cmd += f" --keep {','.join(map(str, self.kept)) or 'none'}"
-        for d in self.extra:
-            cmd += f" --extra {format_directive(d)}"
-        if len(self.adversaries) > self.t:
-            cmd += " --allow-excess"
-        return cmd
-
-    def repro_line(self) -> str:
-        faults = "; ".join(str(d) for d in self.directives) or "no faults"
-        return (
-            f"ADV-REPRO: scenario={self.scenario} strategy={self.strategy}"
-            f" n={self.n} t={self.t} case={hex(self.case_seed)}"
-            f" adversaries={self.adversaries} faults=[{faults}]"
-            f" kind={self.kind} error={self.error!r}"
-            f"\n  replay: {self.replay_command()}"
-        )
-
-
-def pick_adversaries(case_seed: int, n: int, t: int) -> List[int]:
-    """The case's seed-derived colluding set (size ``t``)."""
-    r = rng_mod.derive(case_seed, "adversaries")
-    return sorted(r.sample(range(n), t)) if t > 0 else []
-
-
-def run_adversary_case(
-    scenario_name: str,
-    strategy_name: str,
-    n: int,
-    t: int,
-    case_seed: int,
-    *,
-    adversaries: Optional[Sequence[int]] = None,
-    keep: Optional[Sequence[int]] = None,
-    group: Optional[GroupConfig] = None,
-    deadline: float = 30.0,
-    time_limit: float = 300.0,
-    recorder: Optional[Recorder] = None,
-    extra_directives: Sequence[Directive] = (),
-    allow_excess: bool = False,
-) -> AdversaryResult:
-    """Execute one adversary case; deterministic in all arguments.
-
-    ``keep`` restricts the chaos plan to the given directive indices (the
-    shrinker's replay knob); ``extra_directives`` appends fixed, pinned
-    chaos (e.g. the slow links a bound-tightness demonstration relies on).
-    ``allow_excess`` permits ``len(adversaries) > t`` — only ever set by
-    tests that *want* to watch the protocol break past its fault bound.
-    """
-    group = group or default_group(n, t)
-    advs = (
-        sorted(set(adversaries))
-        if adversaries is not None
-        else pick_adversaries(case_seed, n, t)
-    )
-    if any(not 0 <= a < n for a in advs):
-        raise ValueError(f"adversary ids {advs} out of range for n={n}")
-    if len(advs) > t and not allow_excess:
-        raise ValueError(
-            f"{len(advs)} adversaries exceeds t={t}; pass allow_excess=True "
-            "only to demonstrate bound tightness"
-        )
-    plan = [d for d in plan_from_seed(case_seed, n, t) if d.kind in SCHED_KINDS]
-    kept = list(range(len(plan))) if keep is None else list(keep)
-    bad = [i for i in kept if not 0 <= i < len(plan)]
-    if bad:
-        raise ValueError(
-            f"keep indices {bad} out of range: case {hex(case_seed)} plans "
-            f"{len(plan)} chaos directives"
-        )
-    directives = [plan[i] for i in kept] + list(extra_directives)
-    faults, _ = build_fault_plan(directives)
-    scenario = make_scenario(scenario_name)
-    runtime = SimRuntime(
-        group,
-        latency=lan_latency(),
-        seed=("adv", case_seed),
-        faults=faults,
-        recorder=recorder,
-    )
-    # Infect the colluders: wrap their contexts *before* the scenario
-    # builds protocol instances, so their entire stack runs behind the
-    # strategy; register each strategy as a router observer everywhere a
-    # colluder receives traffic, so it sees its full inbound view.
-    strategies: List[Strategy] = []
-    colluders = frozenset(advs)
-    for i in advs:
-        strategy = make_strategy(
-            strategy_name, rng_mod.derive(case_seed, "strategy", i)
-        )
-        strategy.adversaries = colluders
-        runtime.contexts[i] = AdversarialContext(runtime.contexts[i], strategy)
-        runtime.routers[i].observers.append(strategy.observe)
-        strategies.append(strategy)
-    setup = scenario.setup(
-        runtime, group, crashed=set(), compromised=set(advs)
-    )
-    setup.suite.attach(runtime)
-    watchdog = LivenessWatchdog(deadline=deadline, recorder=runtime.obs)
-    for i in sorted(setup.probes):
-        if i in colluders:
-            continue  # an adversary's own stack may legitimately stall
-        watchdog.watch(
-            sentinel_for(f"{scenario.name}[{i}]", i, setup.probes[i])
-        )
-    watchdog.attach(runtime)
-    watchdog.arm()
-    result = AdversaryResult(
-        ok=True,
-        scenario=scenario.name,
-        strategy=strategy_name,
-        n=n,
-        t=t,
-        case_seed=case_seed,
-        adversaries=advs,
-        plan_size=len(plan),
-        kept=kept,
-        directives=directives,
-        extra=list(extra_directives),
-    )
-    try:
-        for fut in setup.futures:
-            runtime.run_until(fut, limit=time_limit)
-        setup.suite.finalize()
-    except InvariantViolation as exc:
-        result.ok = False
-        result.kind = "safety"
-        result.error = f"invariant violated: {exc}"
-    except LivenessViolation as exc:
-        result.ok = False
-        result.kind = "liveness"
-        result.error = f"liveness violated: {exc.detail}"
-        result.dump = exc.dump
-    except SimError as exc:
-        # The simulator died before a watchdog deadline fired (idle with
-        # no pending events, or over the time limit): same liveness bug,
-        # wrapped so it still carries the protocol-state dump.
-        violation = watchdog.diagnose(str(exc))
-        result.ok = False
-        result.kind = "liveness"
-        result.error = f"liveness violated: {violation.detail}"
-        result.dump = violation.dump
-    result.checks_run = setup.suite.checks_run
-    for strategy in strategies:
-        for action, count in strategy.actions.items():
-            result.actions[action] = result.actions.get(action, 0) + count
-    return result
-
-
-def shrink_adversary_case(
-    first_failure: AdversaryResult,
-    **case_kwargs: Any,
-) -> AdversaryResult:
-    """Greedy chaos-directive elimination: drop what the failure survives.
-
-    Only the schedule-level chaos shrinks — the adversary set and strategy
-    are the case's point, not noise.  ``case_kwargs`` are forwarded to
-    :func:`run_adversary_case` (group, deadline, adversaries, ...).
-    """
-    best = first_failure
-    kept = list(best.kept)
-    runs = 0
-    for index in list(kept):
-        trial = [i for i in kept if i != index]
-        runs += 1
-        candidate = run_adversary_case(
-            best.scenario,
-            best.strategy,
-            best.n,
-            best.t,
-            best.case_seed,
-            keep=trial,
-            **case_kwargs,
-        )
-        if not candidate.ok and candidate.kind == best.kind:
-            kept = trial
-            best = candidate
-    best.shrink_runs = runs
-    return best
-
-
-def campaign(
-    scenario_name: str,
-    strategy_name: str,
-    n: int,
-    t: int,
-    root_seed: int,
-    iterations: int,
-    *,
-    group: Optional[GroupConfig] = None,
-    shrink_failures: bool = True,
-    fail_fast: bool = True,
-    deadline: float = 30.0,
-    time_limit: float = 300.0,
-) -> List[AdversaryResult]:
-    """Run ``iterations`` seeded cases; returns the (shrunk) failures."""
-    group = group or default_group(n, t)
-    failures: List[AdversaryResult] = []
-    for i in range(iterations):
-        case_seed = rng_mod.derive_int(
-            root_seed, "adv-case", scenario_name, strategy_name, n, t, i
-        )
-        result = run_adversary_case(
-            scenario_name, strategy_name, n, t, case_seed,
-            group=group, deadline=deadline, time_limit=time_limit,
-        )
-        if result.ok:
-            continue
-        if shrink_failures:
-            result = shrink_adversary_case(
-                result, group=group, deadline=deadline, time_limit=time_limit
-            )
-        failures.append(result)
-        if fail_fast:
-            break
-    return failures
-
-
-def dump_artifact_path(dump_dir: str, result: AdversaryResult) -> str:
+def dump_artifact_path(dump_dir: str, result: Any) -> str:
     """A unique, timestamped artifact path for one failure's state dump."""
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
     base = (
@@ -377,14 +31,13 @@ def dump_artifact_path(dump_dir: str, result: AdversaryResult) -> str:
     return path
 
 
-def write_failure_dumps(failures: Sequence[AdversaryResult]) -> List[str]:
-    """Write each liveness failure's protocol-state dump to ``ADV_DUMP_DIR``.
+def write_failure_dumps(failures: Sequence[Any]) -> List[str]:
+    """Write each failure's watchdog dump to ``ADV_DUMP_DIR``.
 
-    When the environment variable names a directory, every failure that
-    carries a watchdog dump gets one timestamped JSON artifact there —
-    the full sentinel fingerprints and failure-detector suspects that a
-    one-line ``ADV-REPRO:`` summary cannot hold.  Returns the written
-    paths (empty when the variable is unset or nothing had a dump).
+    ``failures`` are the results handed to ``report_failures``; those
+    without a dump (safety failures, cases run without a watchdog, heal
+    results) are skipped.  Returns the written paths — empty when the
+    variable is unset or nothing carried a dump.
     """
     dump_dir = os.environ.get("ADV_DUMP_DIR")
     if not dump_dir:
@@ -392,7 +45,7 @@ def write_failure_dumps(failures: Sequence[AdversaryResult]) -> List[str]:
     os.makedirs(dump_dir, exist_ok=True)
     written: List[str] = []
     for result in failures:
-        if not result.dump:
+        if not getattr(result, "dump", None):
             continue
         path = dump_artifact_path(dump_dir, result)
         artifact = {
@@ -413,146 +66,3 @@ def write_failure_dumps(failures: Sequence[AdversaryResult]) -> List[str]:
             f.write("\n")
         written.append(path)
     return written
-
-
-def report_failures(failures: Sequence[AdversaryResult]) -> str:
-    """Human-readable failure report; also honors ``ADV_REPRO_FILE``.
-
-    When the environment variable ``ADV_REPRO_FILE`` names a file, every
-    repro line is appended there as well — CI uploads that file as the
-    artifact of a failing adversary job.  ``ADV_DUMP_DIR`` additionally
-    collects full protocol-state dumps, one timestamped JSON file per
-    liveness failure (:func:`write_failure_dumps`).
-    """
-    lines = [f.repro_line() for f in failures]
-    for path in write_failure_dumps(failures):
-        lines.append(f"  state dump: {path}")
-    text = "\n".join(lines)
-    path = os.environ.get("ADV_REPRO_FILE")
-    if path and lines:
-        with open(path, "a") as f:
-            f.write(text + "\n")
-    return text
-
-
-def parse_adversaries(text: Optional[str]) -> Optional[List[int]]:
-    """Parse a ``--adversaries`` list (``"1,3"``; empty/None = derive)."""
-    if text is None or not text.strip():
-        return None
-    return [int(part) for part in text.strip().split(",")]
-
-
-def _case_summary(result: AdversaryResult) -> Tuple[str, str]:
-    actions = (
-        ", ".join(f"{k}={v}" for k, v in sorted(result.actions.items()))
-        or "none"
-    )
-    faults = "; ".join(map(str, result.directives)) or "none"
-    return actions, faults
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.adversary",
-        description="Protocol-level Byzantine adversary campaigns for SINTRA.",
-    )
-    parser.add_argument(
-        "--scenario", required=True, choices=sorted(SCENARIOS),
-        help="protocol workload to drive",
-    )
-    parser.add_argument(
-        "--strategy", required=True, choices=sorted(STRATEGIES),
-        help="intrusion strategy the compromised replicas execute",
-    )
-    parser.add_argument("--n", type=int, default=4, help="group size")
-    parser.add_argument("--t", type=int, default=1, help="fault threshold")
-    parser.add_argument(
-        "--case", default=None,
-        help="replay exactly this case seed (int, hex, or arbitrary string)",
-    )
-    parser.add_argument(
-        "--adversaries", default=None,
-        help="comma-separated compromised party ids (default: seed-derived)",
-    )
-    parser.add_argument(
-        "--keep", default=None,
-        help="comma-separated chaos-directive indices to keep ('none' = all off)",
-    )
-    parser.add_argument(
-        "--extra", action="append", default=[], metavar="KIND:PARAMS",
-        help="pinned chaos outside the seed-derived plan, e.g. "
-        "slow-link:0,1,5.0 spike:0.2,0.5 partition:0+1,2.0 (repeatable)",
-    )
-    parser.add_argument(
-        "--allow-excess", action="store_true",
-        help="permit more than t adversaries (bound-tightness replays)",
-    )
-    parser.add_argument(
-        "--seed", default="0", help="campaign root seed (with --iterations)"
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=5, help="cases per campaign"
-    )
-    parser.add_argument(
-        "--no-shrink", action="store_true", help="report failures unshrunk"
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=30.0,
-        help="liveness-watchdog deadline (simulated seconds)",
-    )
-    parser.add_argument(
-        "--time-limit", type=float, default=300.0,
-        help="simulated-seconds budget per case",
-    )
-    args = parser.parse_args(argv)
-    if not args.n > 3 * args.t:
-        parser.error(f"SINTRA requires n > 3t (got n={args.n}, t={args.t})")
-
-    if args.case is not None:
-        case_seed = rng_mod.parse_seed(args.case)
-        try:
-            result = run_adversary_case(
-                args.scenario, args.strategy, args.n, args.t, case_seed,
-                adversaries=parse_adversaries(args.adversaries),
-                keep=parse_keep(args.keep),
-                deadline=args.deadline,
-                time_limit=args.time_limit,
-                extra_directives=[parse_directive(s) for s in args.extra],
-                allow_excess=args.allow_excess,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        actions, faults = _case_summary(result)
-        if result.ok:
-            print(
-                f"OK: scenario={result.scenario} strategy={result.strategy}"
-                f" n={result.n} t={result.t} case={hex(case_seed)}"
-                f" adversaries={result.adversaries}"
-                f" ({result.checks_run} invariant sweeps,"
-                f" actions=[{actions}], chaos=[{faults}])"
-            )
-            return 0
-        print(report_failures([result]))
-        return 1
-
-    root_seed = rng_mod.parse_seed(args.seed)
-    failures = campaign(
-        args.scenario, args.strategy, args.n, args.t, root_seed,
-        args.iterations,
-        shrink_failures=not args.no_shrink,
-        deadline=args.deadline,
-        time_limit=args.time_limit,
-    )
-    if not failures:
-        print(
-            f"OK: {args.iterations} cases of scenario={args.scenario}"
-            f" strategy={args.strategy} n={args.n} t={args.t}"
-            f" seed={hex(root_seed)}"
-        )
-        return 0
-    print(report_failures(failures))
-    return 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

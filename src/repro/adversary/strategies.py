@@ -65,8 +65,8 @@ class Strategy:
     """Base class: pass-through behavior plus bookkeeping and helpers.
 
     ``rng`` must be a seeded :class:`random.Random`; every probabilistic
-    choice flows through it so campaigns replay bit-identically from an
-    ``ADV-REPRO`` line.  The harness sets ``adversaries`` (the full
+    choice flows through it so campaigns replay bit-identically from a
+    ``REPRO:`` line.  ``infect`` sets ``adversaries`` (the full
     colluding set, own party included) before the context is built, which
     lets strategies coordinate without any side channel: they all derive
     the same honest-half split from the same sorted membership.

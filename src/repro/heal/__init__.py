@@ -40,7 +40,6 @@ from repro.heal.planner import (
 from repro.heal.scenario import (
     CounterMachine,
     HealResult,
-    heal_group,
     run_heal_case,
     stale_share_rejected,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "ServiceFactory",
     "CounterMachine",
     "HealResult",
-    "heal_group",
     "run_heal_case",
     "stale_share_rejected",
 ]

@@ -6,8 +6,8 @@ identical state, and reject a renewed attack from pre-refresh shares.
 
 Environment:
 
-* ``HEAL_REPRO_FILE`` — append one ``HEAL-REPRO:`` replay line per
-  failing case (the CI artifact of a failing heal job);
+* ``REPRO_FILE`` — append one ``REPRO:`` replay line per failing case
+  (the CI artifact of a failing heal job);
 * ``REPRO_BENCH_DIR`` — export one ``BENCH_heal-*.json`` record per run
   carrying the ``heal.*`` counters and phase timings.
 """
@@ -15,7 +15,6 @@ Environment:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import tempfile
 from typing import List, Optional, Sequence
@@ -25,17 +24,7 @@ from repro.common import rng as rng_mod
 from repro.heal.scenario import HealResult, run_heal_case
 from repro.obs.export import bench_dir_from_env, make_record, write_record
 from repro.obs.recorder import MemoryRecorder
-
-
-def report_failures(failures: Sequence[HealResult]) -> str:
-    """Repro lines for failing cases; also honors ``HEAL_REPRO_FILE``."""
-    lines = [f.repro_line() for f in failures]
-    text = "\n".join(lines)
-    path = os.environ.get("HEAL_REPRO_FILE")
-    if path and lines:
-        with open(path, "a") as f:
-            f.write(text + "\n")
-    return text
+from repro.testing.schedule import report_failures
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -5,8 +5,8 @@ One seeded, deterministic end-to-end scenario composing the whole stack:
 1. an ``n``-replica reconfigurable group serves ordered traffic under
    the simulator; one seeded *victim* replica runs a real intrusion
    strategy from :mod:`repro.adversary.strategies` (``doublevote``,
-   ``badshare``, ``silence``, ...) behind an
-   :class:`~repro.adversary.context.AdversarialContext`;
+   ``badshare``, ``silence``, ...), put there by
+   :func:`~repro.adversary.context.infect`;
 2. the :class:`~repro.heal.orchestrator.HealOrchestrator` — wired to a
    report-mode watchdog, the equivocation/silence router tap, and the
    router error streams — must *autonomously* detect the victim, fence
@@ -18,25 +18,22 @@ One seeded, deterministic end-to-end scenario composing the whole stack:
    rotation made them cryptographically stale (checked directly against
    the new epoch's verifier).
 
-Failures print a one-line ``HEAL-REPRO:`` replay command, mirroring the
-adversary harness's ADV-REPRO convention.
+Failures print a one-line ``REPRO:`` replay command, through the same
+:func:`~repro.testing.schedule.report_failures` as every simulator case.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.adversary.context import AdversarialContext
-from repro.app.replication import StateMachine
-from repro.adversary.strategies import make_strategy
+from repro.adversary.context import AdversarialContext, infect
 from repro.adversary.watchdog import LivenessWatchdog
+from repro.app.replication import StateMachine
 from repro.common import rng as rng_mod
 from repro.common.errors import ReproError
 from repro.core.party import make_parties
-from repro.crypto import params as params_mod
-from repro.crypto.dealer import GroupConfig, fast_group
+from repro.crypto.dealer import GroupConfig
 from repro.heal.evidence import EquivocationMonitor, SuspicionScorer
 from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
@@ -45,6 +42,7 @@ from repro.membership.service import ReconfigurableService
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
 from repro.obs.recorder import Recorder
+from repro.testing.schedule import default_group
 
 
 class CounterMachine(StateMachine):
@@ -107,7 +105,7 @@ class HealResult:
 
     def repro_line(self) -> str:
         return (
-            f"HEAL-REPRO: strategy={self.strategy} n={self.n} t={self.t}"
+            f"REPRO: strategy={self.strategy} n={self.n} t={self.t}"
             f" case={hex(self.case_seed)} victim={self.victim}"
             f" detected={self.detected} replaced={self.replaced}"
             f" digests_agree={self.digests_agree}"
@@ -115,20 +113,6 @@ class HealResult:
             f" error={self.error!r}"
             f"\n  replay: {self.replay_command()}"
         )
-
-
-_GROUP_CACHE: Dict[Any, GroupConfig] = {}
-
-
-def heal_group(n: int, t: int) -> GroupConfig:
-    """Deal (or reuse) a toy group that keeps the raw key material the
-    :class:`~repro.membership.epoch.EpochKeychain` derives epochs from."""
-    key = (n, t)
-    if key not in _GROUP_CACHE:
-        _GROUP_CACHE[key] = fast_group(
-            n, t, params_mod.SecurityParams.toy(), sig_mode="multi", seed=1
-        )
-    return _GROUP_CACHE[key]
 
 
 def stale_share_rejected(
@@ -174,7 +158,7 @@ def run_heal_case(
     ``workdir`` hosts the replicas' durable state (WAL, checkpoints,
     epoch files) — a fresh temporary directory per case.
     """
-    group = group or heal_group(n, t)
+    group = group or default_group(n, t)
     if victim is None:
         victim = rng_mod.derive(case_seed, "victim").randrange(n)
     result = HealResult(
@@ -193,16 +177,9 @@ def run_heal_case(
     )
     obs = runtime.obs
 
-    # Infect the victim before any protocol object exists, exactly as the
-    # adversary harness does: its whole stack runs behind the strategy.
-    strategy = make_strategy(
-        strategy_name, rng_mod.derive(case_seed, "strategy", victim)
-    )
-    strategy.adversaries = frozenset({victim})
-    runtime.contexts[victim] = AdversarialContext(
-        runtime.contexts[victim], strategy
-    )
-    runtime.routers[victim].observers.append(strategy.observe)
+    # Before any protocol object exists: the victim's whole stack runs
+    # behind the strategy.
+    infect(runtime, victim, strategy_name, case_seed, frozenset({victim}))
 
     parties = make_parties(runtime)
     keychain = EpochKeychain(group)
@@ -419,20 +396,9 @@ def run_heal_case(
     return result
 
 
-def case_digest(result: HealResult) -> str:
-    """A short stable fingerprint of a case outcome (campaign reporting)."""
-    blob = (
-        f"{result.strategy}:{result.case_seed}:{result.victim}:"
-        f"{result.replaced}:{result.final_epoch}:{result.final_value}"
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
 __all__ = [
     "CounterMachine",
     "HealResult",
-    "heal_group",
     "run_heal_case",
     "stale_share_rejected",
-    "case_digest",
 ]

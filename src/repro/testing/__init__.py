@@ -3,8 +3,9 @@
 Everything a test needs to fuzz the SINTRA stack from one integer seed:
 
 * :mod:`repro.testing.schedule` — seeded fault plans, protocol workload
-  scenarios, the single-case runner and the fuzz campaign driver (also a
-  CLI: ``python -m repro.testing.schedule``);
+  scenarios, the single-case runner (schedule chaos, crashes, wire
+  mutation and :mod:`repro.adversary` strategies in one case) and the
+  campaign driver (also a CLI: ``python -m repro.testing.schedule``);
 * :mod:`repro.testing.invariants` — live protocol safety checkers;
 * :mod:`repro.testing.mutator` — the wire-level Byzantine mutator;
 * :mod:`repro.testing.netchaos` — seeded socket-level chaos proxies for

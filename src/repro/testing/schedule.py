@@ -1,30 +1,42 @@
-"""Deterministic schedule-exploration fuzzer for the SINTRA stack.
+"""The seeded simulator case runner for the SINTRA stack.
 
 One integer *case seed* determines an entire adversarial run:
 
 * a **fault plan** — random delivery-order exploration (per-message delay
   spikes), slow links, healing partitions, crash timings and the set of
-  compromised parties, generated as a list of :class:`Directive` records
-  by :func:`plan_from_seed`;
+  wire-compromised parties, generated as a list of :class:`Directive`
+  records by :func:`plan_from_seed`;
 * the **wire mutation stream** of the compromised parties (a
   :class:`~repro.testing.mutator.ByzantineMutator`);
+* optionally a **protocol-level intrusion**: with ``strategy=...`` a set
+  of replicas runs the real stack behind a seeded
+  :class:`~repro.adversary.strategies.Strategy`, and a
+  :class:`~repro.adversary.watchdog.LivenessWatchdog` turns stalls of the
+  non-faulty parties into typed failures with a protocol-state dump;
 * the protocol **workload** of a chosen :class:`Scenario` (which channel
   or agreement protocol to run and what the honest parties send).
 
 Everything stays within the paper's model: at most ``t`` parties are
-faulty (crashed or compromised), honest links remain reliable FIFO, and
-partitions heal.  Protocol invariant checkers
-(:mod:`repro.testing.invariants`) run after every delivery; a liveness
-failure surfaces as the simulator going idle or over its time limit.
+faulty — strategy adversaries spend that budget first, crashes and wire
+compromises get the remainder (:func:`within_budget`) — honest links
+remain reliable FIFO, and partitions heal.  ``allow_excess`` lifts the
+bound so the test suite can show where ``t + 1`` intrusions break
+agreement.  Protocol invariant checkers (:mod:`repro.testing.invariants`)
+run after every delivery: a violation is a *safety* failure; the
+watchdog firing, the simulator going idle or the time limit passing is a
+*liveness* failure.
 
-Replaying is exact: :func:`run_case` with the same ``(scenario, n, t,
-case_seed)`` reproduces the run bit-for-bit, and ``keep`` restricts the
-fault plan to a subset of directive indices — the representation
-:mod:`repro.testing.shrink` minimizes over.  Every failure is reported as
-a one-line ``FUZZ-REPRO:`` command that replays it from the shell::
+Replaying is exact: :func:`run_case` with the same arguments reproduces
+the run bit-for-bit, and ``keep`` restricts the fault plan to a subset of
+directive indices — the representation :mod:`repro.testing.shrink`
+minimizes over.  Every failure is reported as a one-line ``REPRO:``
+command that replays it from the shell::
 
     PYTHONPATH=src python -m repro.testing.schedule \\
         --scenario atomic --n 4 --t 1 --case 0x1234abcd --keep 0,3
+    PYTHONPATH=src python -m repro.testing.schedule \\
+        --scenario binary --strategy doublevote --n 4 --t 1 \\
+        --case 0x1234abcd --adversaries 2
 """
 
 from __future__ import annotations
@@ -33,8 +45,12 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.adversary.context import infect
+from repro.adversary.harness import write_failure_dumps
+from repro.adversary.strategies import STRATEGIES
+from repro.adversary.watchdog import LivenessViolation, LivenessWatchdog, sentinel_for
 from repro.common import rng as rng_mod
 from repro.common.encoding import encode
 from repro.core.party import Party, make_parties
@@ -46,11 +62,13 @@ from repro.net.faults import (
     DelaySpikeAdversary,
     FaultPlan,
     HealingPartitionAdversary,
+    NetworkAdversary,
     SlowLinkAdversary,
 )
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
 from repro.net.sim import SimError
+from repro.obs.recorder import Recorder
 from repro.testing.invariants import (
     AgreementInvariant,
     InvariantSuite,
@@ -70,11 +88,60 @@ from repro.testing.mutator import BatchFrameMutator, ByzantineMutator
 class Directive:
     """One replayable element of a fault plan."""
 
-    kind: str  # "spike" | "slow-link" | "partition" | "crash" | "compromise"
+    kind: str  # one of DIRECTIVE_PARAMS
     params: Tuple[Any, ...]
 
     def __str__(self) -> str:
         return f"{self.kind}{self.params}"
+
+
+def _party_set(text: str) -> Tuple[int, ...]:
+    return tuple(int(p) for p in text.split("+"))
+
+
+#: directive kind -> the parser of each parameter, in order
+DIRECTIVE_PARAMS: Dict[str, Tuple[Callable[[str], Any], ...]] = {
+    "spike": (float, float),           # per-message probability, max delay (s)
+    "slow-link": (int, int, float),    # src, dst, delay (s)
+    "partition": (_party_set, float),  # one side, heal time (s)
+    "crash": (int, float),             # victim, crash time (s)
+    "compromise": (int,),              # wire-mutated party
+}
+
+#: the kinds that make their first parameter a faulty party
+FAULTY_KINDS = frozenset({"crash", "compromise"})
+
+
+def format_directive(d: Directive) -> str:
+    """Render a directive as a ``--extra`` spec (``slow-link:0,1,5.0``).
+
+    Inverse of :func:`parse_directive`; partition sides join their party
+    ids with ``+`` (``partition:0+1,2.0``) so the spec stays one
+    shell-safe token.
+    """
+    parts = [
+        "+".join(map(str, p)) if isinstance(p, (tuple, list)) else str(p)
+        for p in d.params
+    ]
+    return f"{d.kind}:{','.join(parts)}"
+
+
+def parse_directive(spec: str) -> Directive:
+    """Parse a ``--extra`` spec back into a :class:`Directive`."""
+    kind, _, rest = spec.partition(":")
+    parsers = DIRECTIVE_PARAMS.get(kind)
+    if parsers is None:
+        raise ValueError(
+            f"unknown directive kind {kind!r} in {spec!r}; "
+            f"expected one of {sorted(DIRECTIVE_PARAMS)}"
+        )
+    parts = rest.split(",")
+    try:
+        if len(parts) != len(parsers):
+            raise ValueError(f"expected {len(parsers)} parameters")
+        return Directive(kind, tuple(parse(p) for parse, p in zip(parsers, parts)))
+    except ValueError as exc:
+        raise ValueError(f"malformed directive spec {spec!r}: {exc}") from None
 
 
 def plan_from_seed(case_seed: int, n: int, t: int) -> List[Directive]:
@@ -109,11 +176,35 @@ def plan_from_seed(case_seed: int, n: int, t: int) -> List[Directive]:
     return plan
 
 
+def within_budget(
+    plan: Sequence[Directive], keep: Iterable[int], pinned: Set[int], t: int
+) -> List[int]:
+    """The indices of ``keep`` whose directives fit the fault budget ``t``.
+
+    ``pinned`` — the strategy adversaries and the victims of ``extra``
+    directives — spend the budget first.  A seed-plan crash or compromise
+    is dropped when it names a party that is already faulty or would make
+    more than ``t`` parties faulty; scheduler directives always fit.
+    Indices are never renumbered, so a ``--keep`` list means the same
+    directives whatever the adversary set.
+    """
+    faulty = set(pinned)
+    kept: List[int] = []
+    for i in keep:
+        if plan[i].kind in FAULTY_KINDS:
+            victim = plan[i].params[0]
+            if victim in faulty or len(faulty) >= t:
+                continue
+            faulty.add(victim)
+        kept.append(i)
+    return kept
+
+
 def build_fault_plan(
     directives: Sequence[Directive],
 ) -> Tuple[FaultPlan, Set[int]]:
     """Materialize directives into a :class:`FaultPlan` + compromised set."""
-    adversaries = []
+    adversaries: List[NetworkAdversary] = []
     crashes: List[CrashFault] = []
     compromised: Set[int] = set()
     for d in directives:
@@ -133,7 +224,7 @@ def build_fault_plan(
             crashes.append(CrashFault(victim=victim, crash_at=crash_at))
         elif d.kind == "compromise":
             compromised.add(d.params[0])
-        else:  # pragma: no cover - plan generator only emits the kinds above
+        else:
             raise ValueError(f"unknown directive kind {d.kind!r}")
     adversary = CompositeAdversary(adversaries) if adversaries else None
     return FaultPlan(adversary=adversary, crashes=tuple(crashes)), compromised
@@ -150,7 +241,7 @@ class CaseSetup:
     #: futures the driver must run to completion, in order
     futures: List[Any]
     #: party id -> the protocol instance whose progress defines liveness;
-    #: the adversary harness derives its watchdog sentinels from these
+    #: the liveness watchdog derives its sentinels from these
     probes: Dict[int, Any] = field(default_factory=dict)
 
 
@@ -159,9 +250,10 @@ class Scenario:
 
     ``setup`` builds all protocol instances on ``runtime``, injects the
     workload (parties in ``crashed`` stay passive; parties in
-    ``compromised`` act honestly at the protocol layer — the wire mutator
-    corrupts their traffic), and returns the invariant suite plus the
-    futures whose resolution defines a live run.
+    ``compromised`` run the honest stack too — a wire mutator corrupts
+    their traffic or an intrusion strategy mediates it — and are outside
+    every invariant), and returns the invariant suite plus the futures
+    whose resolution defines a live run.
     """
 
     name = "scenario"
@@ -385,7 +477,7 @@ def make_scenario(name: str) -> Scenario:
 
 @dataclass
 class CaseResult:
-    """Outcome of one fuzz case, carrying everything needed to replay it."""
+    """Outcome of one case, carrying everything needed to replay it."""
 
     ok: bool
     scenario: str
@@ -393,37 +485,72 @@ class CaseResult:
     t: int
     case_seed: int
     plan_size: int
+    #: the plan indices whose directives ran (after ``keep`` and the budget)
     kept: List[int]
     directives: List[Directive] = field(default_factory=list)
+    #: the intrusion strategy and the replicas running it, if any
+    strategy: Optional[str] = None
+    adversaries: List[int] = field(default_factory=list)
+    #: pinned directives appended outside the seed-derived plan — part of
+    #: the case's identity, so the replay command must carry them
+    extra: List[Directive] = field(default_factory=list)
     error: Optional[str] = None
+    #: ``"safety"`` (invariant violation) or ``"liveness"``
+    kind: Optional[str] = None
     checks_run: int = 0
     shrink_runs: int = 0
+    #: merged per-strategy action counters, e.g. ``{"split-pre-vote": 12}``
+    actions: Dict[str, int] = field(default_factory=dict)
+    #: the watchdog's protocol-state dump, on liveness failures
+    dump: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def minimized(self) -> bool:
+        """Whether ``keep`` or the fault budget left part of the plan out."""
         return len(self.kept) < self.plan_size
 
     def replay_command(self) -> str:
         cmd = (
             f"PYTHONPATH=src python -m repro.testing.schedule"
-            f" --scenario {self.scenario} --n {self.n} --t {self.t}"
-            f" --case {hex(self.case_seed)}"
+            f" --scenario {self.scenario}"
         )
+        if self.strategy is not None:
+            cmd += f" --strategy {self.strategy}"
+        cmd += f" --n {self.n} --t {self.t} --case {hex(self.case_seed)}"
+        if self.strategy is not None:
+            cmd += f" --adversaries {','.join(map(str, self.adversaries)) or 'none'}"
         if self.minimized:
             cmd += f" --keep {','.join(map(str, self.kept)) or 'none'}"
+        for d in self.extra:
+            cmd += f" --extra {format_directive(d)}"
+        if len(pinned_faulty(self.adversaries, self.extra)) > self.t:
+            cmd += " --allow-excess"
         return cmd
 
+    def describe(self) -> str:
+        """The case's identity, as the OK and ``REPRO:`` lines print it."""
+        text = f"scenario={self.scenario}"
+        if self.strategy is not None:
+            text += f" strategy={self.strategy}"
+        text += f" n={self.n} t={self.t} case={hex(self.case_seed)}"
+        if self.strategy is not None:
+            text += f" adversaries={self.adversaries}"
+        faults = "; ".join(map(str, self.directives)) or "none"
+        return f"{text} faults=[{faults}]"
+
     def repro_line(self) -> str:
-        faults = "; ".join(str(d) for d in self.directives) or "no faults"
         return (
-            f"FUZZ-REPRO: scenario={self.scenario} n={self.n} t={self.t}"
-            f" case={hex(self.case_seed)} faults=[{faults}]"
-            f" error={self.error!r}\n  replay: {self.replay_command()}"
+            f"REPRO: {self.describe()} kind={self.kind} error={self.error!r}"
+            f"\n  replay: {self.replay_command()}"
         )
 
 
-def parse_keep(text: Optional[str]) -> Optional[List[int]]:
-    """Parse a ``--keep`` list (``"0,3,5"``; ``"none"`` = empty plan)."""
+def parse_int_list(text: Optional[str]) -> Optional[List[int]]:
+    """Parse a ``--keep`` / ``--adversaries`` list (``"0,3,5"``).
+
+    ``None`` stays ``None`` (keep everything / derive the adversaries from
+    the case seed); ``"none"`` or the empty string is the empty list.
+    """
     if text is None:
         return None
     text = text.strip()
@@ -436,13 +563,26 @@ _GROUP_CACHE: Dict[Tuple[int, int], GroupConfig] = {}
 
 
 def default_group(n: int, t: int) -> GroupConfig:
-    """Deal (or reuse) the toy-parameter group the fuzzer runs on."""
+    """Deal (or reuse) the toy-parameter group the simulator cases run on."""
     key = (n, t)
     if key not in _GROUP_CACHE:
         _GROUP_CACHE[key] = fast_group(
             n, t, SecurityParams.toy(), sig_mode="multi", seed=1
         )
     return _GROUP_CACHE[key]
+
+
+def pick_adversaries(case_seed: int, n: int, t: int) -> List[int]:
+    """The case's seed-derived colluding set (size ``t``)."""
+    r = rng_mod.derive(case_seed, "adversaries")
+    return sorted(r.sample(range(n), t)) if t > 0 else []
+
+
+def pinned_faulty(adversaries: Iterable[int], extra: Iterable[Directive]) -> Set[int]:
+    """The parties a case makes faulty before its seed plan is consulted."""
+    return set(adversaries) | {
+        d.params[0] for d in extra if d.kind in FAULTY_KINDS
+    }
 
 
 def run_case(
@@ -453,36 +593,91 @@ def run_case(
     keep: Optional[Sequence[int]] = None,
     group: Optional[GroupConfig] = None,
     time_limit: float = 300.0,
+    *,
+    strategy: Optional[str] = None,
+    adversaries: Optional[Sequence[int]] = None,
+    extra: Sequence[Directive] = (),
+    allow_excess: bool = False,
+    deadline: float = 30.0,
+    recorder: Optional[Recorder] = None,
 ) -> CaseResult:
-    """Execute one fuzz case; deterministic in all arguments.
+    """Execute one case; deterministic in all arguments.
 
     ``keep`` restricts the generated fault plan to the given directive
-    indices (``None`` keeps everything) — the shrinker's replay knob.
+    indices (``None`` keeps everything) — the shrinker's replay knob;
+    ``extra`` appends fixed, pinned directives (e.g. the slow links a
+    bound-tightness demonstration relies on).  ``strategy`` puts
+    ``adversaries`` (default: ``t`` seed-derived parties) behind that
+    intrusion strategy and arms a liveness watchdog with ``deadline``
+    simulated seconds.  ``allow_excess`` permits more than ``t`` pinned
+    faulty parties — only ever set by tests that *want* to watch the
+    protocol break past its fault bound.
     """
     group = group or default_group(n, t)
+    if strategy is None:
+        if adversaries:
+            raise ValueError("adversaries need a strategy to run")
+        advs: List[int] = []
+    elif adversaries is None:
+        advs = pick_adversaries(case_seed, n, t)
+    else:
+        advs = sorted(set(adversaries))
+    extra = list(extra)
+    pinned = pinned_faulty(advs, extra)
+    if any(not 0 <= p < n for p in pinned):
+        raise ValueError(f"faulty party ids {sorted(pinned)} out of range for n={n}")
+    if len(pinned) > t and not allow_excess:
+        raise ValueError(
+            f"{len(pinned)} pinned faulty parties exceeds t={t}; pass "
+            "allow_excess=True only to demonstrate bound tightness"
+        )
     plan = plan_from_seed(case_seed, n, t)
-    kept = list(range(len(plan))) if keep is None else list(keep)
-    bad = [i for i in kept if not 0 <= i < len(plan)]
+    requested = range(len(plan)) if keep is None else keep
+    bad = [i for i in requested if not 0 <= i < len(plan)]
     if bad:
         raise ValueError(
             f"keep indices {bad} out of range: case {hex(case_seed)} plans "
             f"{len(plan)} fault directives"
         )
-    directives = [plan[i] for i in kept]
-    faults, compromised = build_fault_plan(directives)
+    kept = within_budget(plan, requested, pinned, t)
+    directives = [plan[i] for i in kept] + extra
+    faults, mutated = build_fault_plan(directives)
     crashed = {c.victim for c in faults.crashes}
+    colluders = frozenset(advs)
+    # Two seed labels, keyed on whether the case carries a strategy: the
+    # seeds pinned in tests, CI and docs replay bit-identically only so.
     runtime = SimRuntime(
-        group, latency=lan_latency(), seed=("fuzz", case_seed), faults=faults
+        group,
+        latency=lan_latency(),
+        seed=("fuzz" if strategy is None else "adv", case_seed),
+        faults=faults,
+        recorder=recorder,
     )
-    if compromised:
+    if mutated:
         factory = scenario.mutator_factory or ByzantineMutator
         mutator = factory(
-            group, compromised, rng_mod.derive(case_seed, "mutator"),
+            group, mutated, rng_mod.derive(case_seed, "mutator"),
             recorder=runtime.obs,
         )
         runtime.wire_taps.append(mutator)
-    setup = scenario.setup(runtime, group, crashed=crashed, compromised=compromised)
+    strategies = (
+        []
+        if strategy is None
+        else [infect(runtime, i, strategy, case_seed, colluders) for i in advs]
+    )
+    setup = scenario.setup(
+        runtime, group, crashed=crashed, compromised=mutated | colluders
+    )
     setup.suite.attach(runtime)
+    watchdog: Optional[LivenessWatchdog] = None
+    if strategy is not None:
+        # Armed only here: its recurring check is a simulator timer, which
+        # would shift the schedule of every pinned strategy-free seed.
+        watchdog = LivenessWatchdog(deadline=deadline, recorder=runtime.obs)
+        for i in sorted(set(setup.probes) - colluders - crashed - mutated):
+            watchdog.watch(sentinel_for(f"{scenario.name}[{i}]", i, setup.probes[i]))
+        watchdog.attach(runtime)
+        watchdog.arm()
     result = CaseResult(
         ok=True,
         scenario=scenario.name,
@@ -492,28 +687,62 @@ def run_case(
         plan_size=len(plan),
         kept=kept,
         directives=directives,
-        error=None,
+        strategy=strategy,
+        adversaries=advs,
+        extra=extra,
     )
+
+    def fail(kind: str, error: str, dump: Optional[Dict[str, Any]] = None) -> None:
+        result.ok = False
+        result.kind = kind
+        result.error = error
+        result.dump = dump or {}
+
     try:
         for fut in setup.futures:
             runtime.run_until(fut, limit=time_limit)
         setup.suite.finalize()
     except InvariantViolation as exc:
-        result.ok = False
-        result.error = f"invariant violated: {exc}"
+        fail("safety", f"invariant violated: {exc}")
+    except LivenessViolation as exc:
+        fail("liveness", f"liveness violated: {exc.detail}", exc.dump)
     except SimError as exc:
-        result.ok = False
-        result.error = f"liveness: {exc}"
+        # The simulator went idle or over the time limit.  Under a
+        # watchdog that is the same bug caught before a deadline fired,
+        # wrapped so it still carries the protocol-state dump.
+        if watchdog is None:
+            fail("liveness", f"liveness: {exc}")
+        else:
+            violation = watchdog.diagnose(str(exc))
+            fail("liveness", f"liveness violated: {violation.detail}", violation.dump)
     result.checks_run = setup.suite.checks_run
+    for s in strategies:
+        for action, count in s.actions.items():
+            result.actions[action] = result.actions.get(action, 0) + count
     return result
 
 
-# --- the fuzz driver -----------------------------------------------------------------
+# --- campaigns ------------------------------------------------------------------------
 
 
-def case_seed_for(root_seed: int, scenario_name: str, n: int, t: int, i: int) -> int:
-    """The i-th case seed of a fuzz campaign (stable across versions)."""
-    return rng_mod.derive_int(root_seed, "case", scenario_name, n, t, i)
+def case_seed_for(
+    root_seed: int,
+    scenario_name: str,
+    n: int,
+    t: int,
+    i: int,
+    strategy: Optional[str] = None,
+) -> int:
+    """The i-th case seed of a campaign (stable across versions).
+
+    Campaigns with a strategy draw from their own label; seeds pinned in
+    tests, CI and docs depend on both.
+    """
+    if strategy is None:
+        return rng_mod.derive_int(root_seed, "case", scenario_name, n, t, i)
+    return rng_mod.derive_int(
+        root_seed, "adv-case", scenario_name, strategy, n, t, i
+    )
 
 
 def fuzz(
@@ -522,27 +751,32 @@ def fuzz(
     t: int,
     root_seed: int,
     iterations: int,
-    group: Optional[GroupConfig] = None,
+    *,
     shrink_failures: bool = True,
     fail_fast: bool = True,
-    time_limit: float = 300.0,
+    strategy: Optional[str] = None,
+    **case_kwargs: Any,
 ) -> List[CaseResult]:
-    """Run ``iterations`` seeded cases; returns the (shrunk) failures."""
+    """Run ``iterations`` seeded cases; returns the (shrunk) failures.
+
+    ``case_kwargs`` (group, time_limit, adversaries, extra, ...) go to
+    :func:`run_case` unchanged, for the first run and for the shrinker's.
+    """
     from repro.testing.shrink import shrink_case
 
-    group = group or default_group(n, t)
+    case_kwargs.setdefault("group", default_group(n, t))
     failures: List[CaseResult] = []
     for i in range(iterations):
-        case_seed = case_seed_for(root_seed, scenario.name, n, t, i)
+        case_seed = case_seed_for(root_seed, scenario.name, n, t, i, strategy)
         result = run_case(
-            scenario, n, t, case_seed, group=group, time_limit=time_limit
+            scenario, n, t, case_seed, strategy=strategy, **case_kwargs
         )
         if result.ok:
             continue
         if shrink_failures:
             result = shrink_case(
-                scenario, n, t, case_seed, group=group, time_limit=time_limit,
-                first_failure=result,
+                scenario, n, t, case_seed,
+                first_failure=result, strategy=strategy, **case_kwargs,
             )
         failures.append(result)
         if fail_fast:
@@ -550,16 +784,22 @@ def fuzz(
     return failures
 
 
-def report_failures(failures: Sequence[CaseResult]) -> str:
-    """Human-readable failure report; also honors ``FUZZ_REPRO_FILE``.
+def report_failures(failures: Sequence[Any]) -> str:
+    """Human-readable failure report; also honors ``REPRO_FILE``.
 
-    When the environment variable ``FUZZ_REPRO_FILE`` names a file, every
-    repro line is appended there as well — CI uploads that file as the
-    artifact of a failing fuzz job.
+    ``failures`` is anything with a ``repro_line()`` — case results here,
+    heal results in :mod:`repro.heal`.  When the environment variable
+    ``REPRO_FILE`` names a file, every repro line is appended there as
+    well — CI uploads that file as the artifact of a failing job.
+    ``ADV_DUMP_DIR`` additionally collects the watchdog's protocol-state
+    dump of each liveness failure, one timestamped JSON file each
+    (:func:`~repro.adversary.harness.write_failure_dumps`).
     """
     lines = [f.repro_line() for f in failures]
+    for path in write_failure_dumps(failures):
+        lines.append(f"  state dump: {path}")
     text = "\n".join(lines)
-    path = os.environ.get("FUZZ_REPRO_FILE")
+    path = os.environ.get("REPRO_FILE")
     if path and lines:
         with open(path, "a") as f:
             f.write(text + "\n")
@@ -572,11 +812,16 @@ def report_failures(failures: Sequence[CaseResult]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.schedule",
-        description="Seeded schedule/Byzantine fuzzing for the SINTRA stack.",
+        description="Seeded schedule, fault and Byzantine-strategy cases "
+        "for the SINTRA stack.",
     )
     parser.add_argument(
         "--scenario", required=True, choices=sorted(SCENARIOS),
         help="protocol workload to drive",
+    )
+    parser.add_argument(
+        "--strategy", default=None, choices=sorted(STRATEGIES),
+        help="intrusion strategy run by the adversaries (default: none)",
     )
     parser.add_argument("--n", type=int, default=4, help="group size")
     parser.add_argument("--t", type=int, default=1, help="fault threshold")
@@ -585,8 +830,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="replay exactly this case seed (int, hex, or arbitrary string)",
     )
     parser.add_argument(
+        "--adversaries", default=None,
+        help="comma-separated party ids running --strategy "
+        "(default: t seed-derived parties)",
+    )
+    parser.add_argument(
         "--keep", default=None,
-        help="comma-separated fault-directive indices to keep ('none' = all off)",
+        help="with --case: comma-separated fault-directive indices to keep "
+        "('none' = all off)",
+    )
+    parser.add_argument(
+        "--extra", action="append", default=[], metavar="KIND:PARAMS",
+        help="pinned directive outside the seed-derived plan, e.g. "
+        "slow-link:0,1,5.0 spike:0.2,0.5 partition:0+1,2.0 crash:3,0.5 "
+        "compromise:3 (repeatable)",
+    )
+    parser.add_argument(
+        "--allow-excess", action="store_true",
+        help="permit more than t faulty parties (bound-tightness replays)",
     )
     parser.add_argument(
         "--seed", default="0", help="campaign root seed (with --iterations)"
@@ -598,6 +859,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-shrink", action="store_true", help="report failures unshrunk"
     )
     parser.add_argument(
+        "--deadline", type=float, default=30.0,
+        help="liveness-watchdog deadline with --strategy (simulated seconds)",
+    )
+    parser.add_argument(
         "--time-limit", type=float, default=300.0,
         help="simulated-seconds budget per case",
     )
@@ -606,35 +871,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"SINTRA requires n > 3t (got n={args.n}, t={args.t})")
 
     scenario = make_scenario(args.scenario)
-    if args.case is not None:
-        case_seed = rng_mod.parse_seed(args.case)
-        try:
-            result = run_case(
-                scenario, args.n, args.t, case_seed,
-                keep=parse_keep(args.keep), time_limit=args.time_limit,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        if result.ok:
-            print(
-                f"OK: scenario={result.scenario} n={result.n} t={result.t}"
-                f" case={hex(case_seed)} ({result.checks_run} invariant sweeps,"
-                f" faults=[{'; '.join(map(str, result.directives)) or 'none'}])"
-            )
-            return 0
-        print(report_failures([result]))
-        return 1
-
-    root_seed = rng_mod.parse_seed(args.seed)
-    failures = fuzz(
-        scenario, args.n, args.t, root_seed, args.iterations,
-        shrink_failures=not args.no_shrink, time_limit=args.time_limit,
-    )
-    if not failures:
-        print(
-            f"OK: {args.iterations} cases of scenario={args.scenario}"
-            f" n={args.n} t={args.t} seed={hex(root_seed)}"
+    try:
+        case_kwargs: Dict[str, Any] = dict(
+            strategy=args.strategy,
+            adversaries=parse_int_list(args.adversaries),
+            extra=[parse_directive(spec) for spec in args.extra],
+            allow_excess=args.allow_excess,
+            deadline=args.deadline,
+            time_limit=args.time_limit,
         )
+        if args.case is not None:
+            result = run_case(
+                scenario, args.n, args.t, rng_mod.parse_seed(args.case),
+                keep=parse_int_list(args.keep), **case_kwargs,
+            )
+            failures = [] if result.ok else [result]
+            ran = f"{result.describe()} ({result.checks_run} invariant sweeps"
+            for action, count in sorted(result.actions.items()):
+                ran += f", {action}={count}"
+            ran += ")"
+        else:
+            root_seed = rng_mod.parse_seed(args.seed)
+            failures = fuzz(
+                scenario, args.n, args.t, root_seed, args.iterations,
+                shrink_failures=not args.no_shrink, **case_kwargs,
+            )
+            ran = f"{args.iterations} cases of scenario={args.scenario}"
+            if args.strategy is not None:
+                ran += f" strategy={args.strategy}"
+            ran += f" n={args.n} t={args.t} seed={hex(root_seed)}"
+    except ValueError as exc:
+        parser.error(str(exc))
+    if not failures:
+        print(f"OK: {ran}")
         return 0
     print(report_failures(failures))
     return 1

@@ -1,25 +1,27 @@
-"""Greedy minimization of failing fuzz cases.
+"""Greedy minimization of failing cases.
 
-A failure found by :func:`repro.testing.schedule.fuzz` is identified by
-``(scenario, n, t, case_seed)`` plus the subset of fault-plan directives
-in force.  Because the fault plan draws from its own RNG stream
-(``SimRuntime.fault_rng``) and the mutation stream is keyed only by the
-case seed, *removing* directives leaves everything else about the run
-deterministic — so a directive subset either still fails or it doesn't,
-repeatably.
+A failure of :func:`repro.testing.schedule.run_case` is identified by its
+arguments plus the subset of fault-plan directives in force.  Because the
+fault plan draws from its own RNG stream (``SimRuntime.fault_rng``) and
+the mutation and strategy streams are keyed only by the case seed,
+*removing* directives leaves everything else about the run deterministic
+— so a directive subset either still fails or it doesn't, repeatably.
 
 The shrinker exploits this with delta-debugging-style greedy removal:
 first it tries chopping whole halves of the remaining directive list,
 then single directives, restarting after every successful removal, under
-a total re-run budget.  The result is a (locally) 1-minimal fault plan:
-removing any single remaining directive makes the failure disappear.
-The minimized case replays from the shell via the ``--keep`` list in its
-``FUZZ-REPRO`` line.
+a total re-run budget.  A removal is kept only when the case still fails
+*with the same kind* (a safety bug must not shrink into an unrelated
+stall).  Only the seed-derived plan shrinks: the strategy, the adversary
+set and the pinned ``extra`` directives are the case's point, not noise.
+The result is a (locally) 1-minimal fault plan — removing any single
+remaining directive makes the failure disappear — that replays from the
+shell via the ``--keep`` list in its ``REPRO:`` line.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.testing.schedule import CaseResult, Scenario, run_case
 
@@ -29,25 +31,25 @@ def shrink_case(
     n: int,
     t: int,
     case_seed: int,
-    group=None,
-    time_limit: float = 300.0,
+    *,
     max_runs: int = 60,
     first_failure: Optional[CaseResult] = None,
+    **case_kwargs: Any,
 ) -> CaseResult:
     """Minimize the fault plan of a known-failing case.
 
     Returns the failing :class:`CaseResult` with the smallest directive
     subset found (the original failure if nothing can be removed).
     ``first_failure``, when the caller already ran the full case, avoids
-    re-running it.
+    re-running it.  ``case_kwargs`` (group, time_limit, strategy,
+    adversaries, extra, ...) go to :func:`run_case` unchanged.
     """
     best = first_failure
     if best is None or best.ok:
-        best = run_case(
-            scenario, n, t, case_seed, group=group, time_limit=time_limit
-        )
+        best = run_case(scenario, n, t, case_seed, **case_kwargs)
         if best.ok:
             return best  # not actually failing; nothing to shrink
+    kind = best.kind
     kept: List[int] = list(best.kept)
     runs = 0
 
@@ -55,10 +57,9 @@ def shrink_case(
         nonlocal runs
         runs += 1
         result = run_case(
-            scenario, n, t, case_seed,
-            keep=list(subset), group=group, time_limit=time_limit,
+            scenario, n, t, case_seed, keep=list(subset), **case_kwargs
         )
-        return result if not result.ok else None
+        return result if not result.ok and result.kind == kind else None
 
     # Phase 1: binary chop — try dropping large chunks first.
     chunk = max(1, len(kept) // 2)

@@ -20,21 +20,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversary import run_adversary_case, shrink_adversary_case
-from repro.testing.schedule import Directive, default_group
+from repro.testing.schedule import default_group, main, make_scenario, run_case
+from repro.testing.shrink import shrink_case
 
-#: a symmetric slow link separating the honest pair {0, 1}; every case in
-#: this module runs under it so the t vs. t+1 comparison is apples to apples.
-EXTRA = (
-    Directive("slow-link", (0, 1, 5.0)),
-    Directive("slow-link", (1, 0, 5.0)),
-)
-
-#: the pinned t+1 coalition and the seed whose honest proposals diverge
-#: (0 proposes one bit, 1 the other) — the precondition for a split decision.
-COALITION = [2, 3]
-SAFETY_SEED = 2
-LIVENESS_SEED = 0
+from tests.adversary.conftest import COALITION, EXTRA, SAFETY_SEED
 
 
 @pytest.fixture(scope="module")
@@ -42,69 +31,67 @@ def group4():
     return default_group(4, 1)
 
 
+def doublevote(seed, **kwargs):
+    return run_case(
+        make_scenario("binary"), 4, 1, seed, strategy="doublevote", extra=EXTRA,
+        **kwargs,
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("adversary", [2, 3])
 def test_exactly_t_doublevote_is_absorbed(adversary, seed, group4):
     """Each coalition member *alone* (exactly t) is harmless under the
     identical network conditions that doom the t+1 runs below."""
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, seed,
-        adversaries=[adversary], keep=[], extra_directives=EXTRA, group=group4,
-    )
+    result = doublevote(seed, adversaries=[adversary], keep=[], group=group4)
     assert result.ok, result.repro_line()
 
 
 def test_t_plus_one_doublevote_breaks_safety(group4):
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, SAFETY_SEED,
-        adversaries=COALITION, keep=[], extra_directives=EXTRA,
-        group=group4, allow_excess=True,
+    result = doublevote(
+        SAFETY_SEED, adversaries=COALITION, keep=[], group=group4,
+        allow_excess=True,
     )
     assert not result.ok
     assert result.kind == "safety"
     assert "decided differently" in result.error
     line = result.repro_line()
-    assert "ADV-REPRO" in line and "--allow-excess" in line
+    assert line.startswith("REPRO:") and "--allow-excess" in line
     assert "--extra slow-link:0,1,5.0 --extra slow-link:1,0,5.0" in line
 
 
 def test_safety_repro_line_replays_via_cli(group4, capsys):
     """Pasting the printed replay command reproduces the exact failure —
     the pinned slow links travel with it as ``--extra`` specs."""
-    from repro.adversary.harness import main
-
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, SAFETY_SEED,
-        adversaries=COALITION, keep=[], extra_directives=EXTRA,
-        group=group4, allow_excess=True,
+    result = doublevote(
+        SAFETY_SEED, adversaries=COALITION, keep=[], group=group4,
+        allow_excess=True,
     )
     argv = result.replay_command().split()
-    argv = argv[argv.index("repro.adversary") + 1:]
+    argv = argv[argv.index("repro.testing.schedule") + 1:]
     assert main(argv) == 1
     out = capsys.readouterr().out
-    assert "ADV-REPRO" in out and "decided differently" in out
+    assert out.startswith("REPRO:") and "decided differently" in out
+    assert f"kind={result.kind} error={result.error!r}" in out
+    assert result.replay_command() in out
 
 
-def test_t_plus_one_doublevote_breaks_liveness(group4):
+def test_t_plus_one_doublevote_breaks_liveness(liveness_failure):
     """Seeds where the honest proposals agree livelock instead: the
     coalition keeps both values viable forever, so rounds spin without a
-    decision until the simulated-time budget trips."""
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, LIVENESS_SEED,
-        adversaries=COALITION, keep=[], extra_directives=EXTRA,
-        group=group4, allow_excess=True, time_limit=10.0,
-    )
-    assert not result.ok
-    assert result.kind == "liveness"
-    assert result.error
+    decision until the simulated-time budget trips (the run itself is the
+    session fixture in ``conftest.py``)."""
+    assert not liveness_failure.ok
+    assert liveness_failure.kind == "liveness"
+    assert liveness_failure.error
+    assert liveness_failure.dump  # the violation carries the watchdog's state
 
 
 def test_safety_break_is_deterministic(group4):
     runs = [
-        run_adversary_case(
-            "binary", "doublevote", 4, 1, SAFETY_SEED,
-            adversaries=COALITION, keep=[], extra_directives=EXTRA,
-            group=group4, allow_excess=True,
+        doublevote(
+            SAFETY_SEED, adversaries=COALITION, keep=[], group=group4,
+            allow_excess=True,
         )
         for _ in range(2)
     ]
@@ -117,16 +104,20 @@ def test_shrink_discards_superfluous_chaos(group4):
     the pinned slow links — so the shrinker reduces ``kept`` to empty and
     the failure survives, same kind, same error."""
     kwargs = dict(
-        adversaries=COALITION, extra_directives=EXTRA,
+        strategy="doublevote", adversaries=COALITION, extra=EXTRA,
         group=group4, allow_excess=True, time_limit=10.0,
     )
-    first = run_adversary_case("binary", "doublevote", 4, 1, SAFETY_SEED, **kwargs)
+    scenario = make_scenario("binary")
+    first = run_case(scenario, 4, 1, SAFETY_SEED, **kwargs)
     assert not first.ok and first.kind == "safety"
     assert first.plan_size > 0  # there is chaos to discard
-    shrunk = shrink_adversary_case(first, **kwargs)
+    shrunk = shrink_case(
+        scenario, 4, 1, SAFETY_SEED, first_failure=first, **kwargs
+    )
     assert not shrunk.ok
     assert shrunk.kind == first.kind
+    assert shrunk.error == first.error
     assert shrunk.minimized
     assert shrunk.kept == []
-    assert shrunk.shrink_runs == first.plan_size
+    assert 0 < shrunk.shrink_runs <= len(first.kept)
     assert "--keep none" in shrunk.replay_command()

@@ -1,6 +1,6 @@
 """Liveness failures leave a full protocol-state dump on disk.
 
-``ADV_REPRO_FILE`` captures the one-line replay command; ``ADV_DUMP_DIR``
+``REPRO_FILE`` captures the one-line replay command; ``ADV_DUMP_DIR``
 captures what the line cannot: the watchdog's sentinel fingerprints and
 failure-detector suspects at the moment of the stall, one timestamped
 JSON artifact per failure — the file a CI run uploads so the stall is
@@ -9,36 +9,13 @@ diagnosable without replaying it.
 
 import json
 
-import pytest
+from repro.adversary.harness import write_failure_dumps
+from repro.testing.schedule import CaseResult, report_failures
 
-from repro.adversary.harness import (
-    AdversaryResult,
-    report_failures,
-    run_adversary_case,
-    write_failure_dumps,
-)
-from repro.testing.schedule import Directive, default_group
+from tests.adversary.conftest import COALITION
 
-#: the pinned t+1 doublevote livelock from test_bound_tightness — the
-#: cheapest deterministic liveness failure the harness can produce.
-EXTRA = (
-    Directive("slow-link", (0, 1, 5.0)),
-    Directive("slow-link", (1, 0, 5.0)),
-)
-COALITION = [2, 3]
-LIVENESS_SEED = 0
-
-
-@pytest.fixture(scope="module")
-def liveness_failure():
-    result = run_adversary_case(
-        "binary", "doublevote", 4, 1, LIVENESS_SEED,
-        adversaries=COALITION, keep=[], extra_directives=EXTRA,
-        group=default_group(4, 1), allow_excess=True, time_limit=10.0,
-    )
-    assert not result.ok and result.kind == "liveness"
-    assert result.dump  # the violation carries the watchdog's state
-    return result
+# ``liveness_failure`` is the pinned t+1 doublevote livelock, run once per
+# session by ``conftest.py``.
 
 
 def test_dump_dir_unset_writes_nothing(liveness_failure, monkeypatch):
@@ -81,9 +58,9 @@ def test_report_failures_links_the_artifacts(
     liveness_failure, tmp_path, monkeypatch
 ):
     monkeypatch.setenv("ADV_DUMP_DIR", str(tmp_path))
-    monkeypatch.setenv("ADV_REPRO_FILE", str(tmp_path / "repro.txt"))
+    monkeypatch.setenv("REPRO_FILE", str(tmp_path / "repro.txt"))
     text = report_failures([liveness_failure])
-    assert "ADV-REPRO:" in text
+    assert text.startswith("REPRO:")
     assert "state dump: " in text
     # the repro file carries the pointer too
     assert "state dump: " in open(tmp_path / "repro.txt").read()
@@ -91,7 +68,7 @@ def test_report_failures_links_the_artifacts(
 
 def test_failures_without_dumps_are_skipped(tmp_path, monkeypatch):
     monkeypatch.setenv("ADV_DUMP_DIR", str(tmp_path))
-    safety = AdversaryResult(
+    safety = CaseResult(
         ok=False, scenario="binary", strategy="doublevote", n=4, t=1,
         case_seed=2, adversaries=[2, 3], plan_size=0, kept=[],
         kind="safety", error="agreement violated",

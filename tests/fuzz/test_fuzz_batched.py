@@ -11,7 +11,7 @@ generic equivocation/replay arsenal.
 
 A planted batch-sub-order bug shows the tier has teeth: it must be
 detected by the total-order invariant, shrunk to the bare seed, and
-replayable from the reported ``FUZZ-REPRO`` line.
+replayable from the reported ``REPRO:`` line.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def test_batch_suborder_bug_is_caught_shrunk_and_replayable(group4):
     )
     assert not shrunk.ok
     assert shrunk.kept == []
-    assert "FUZZ-REPRO" in shrunk.repro_line()
+    assert shrunk.repro_line().startswith("REPRO:")
     assert hex(seed) in shrunk.replay_command()
 
     replay = run_case(

@@ -6,8 +6,8 @@ delivery orderings, slow links, a healing partition, up to ``t`` faulty
 parties (crashed or wire-mutating Byzantine), with the safety invariants
 re-checked after every delivery and liveness enforced by the simulator.
 
-A failure prints (and, under ``FUZZ_REPRO_FILE``, records) a shrunk
-``FUZZ-REPRO`` line that replays the exact counterexample from the shell.
+A failure prints (and, under ``REPRO_FILE``, records) a shrunk
+``REPRO:`` line that replays the exact counterexample from the shell.
 """
 
 from __future__ import annotations

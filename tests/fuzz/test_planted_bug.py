@@ -25,6 +25,7 @@ from repro.testing import (
     run_case,
     shrink_case,
 )
+from repro.testing.schedule import main
 
 #: Fixed root seed: these tests must find their counterexample at a known
 #: iteration, independent of --fuzz-seed (random.Random is stable across
@@ -74,7 +75,7 @@ def test_safety_bug_is_caught_shrunk_and_replayable(group4):
     assert shrunk.kept == []
     assert "--keep none" in shrunk.replay_command()
     assert hex(seed) in shrunk.replay_command()
-    assert "FUZZ-REPRO" in shrunk.repro_line()
+    assert shrunk.repro_line().startswith("REPRO:")
 
     # The repro line's (seed, keep) pair replays the exact failure.
     replay = run_case(
@@ -100,7 +101,7 @@ def _first_crash_case(n: int, t: int) -> int:
     raise AssertionError("no crash plan among 50 cases")  # pragma: no cover
 
 
-def test_quorum_offbyone_stalls_and_is_caught(group4, monkeypatch):
+def test_quorum_offbyone_stalls_and_is_caught(group4, monkeypatch, capsys):
     seed = _first_crash_case(4, 1)
 
     # Sanity first: with the correct n - t quorum the case passes.
@@ -133,3 +134,12 @@ def test_quorum_offbyone_stalls_and_is_caught(group4, monkeypatch):
     assert not replay.ok
     assert replay.error.startswith("liveness")
     assert "--keep" in shrunk.replay_command()
+
+    # ... and so does pasting the printed command into the CLI.
+    argv = shrunk.replay_command().split()
+    argv = argv[argv.index("repro.testing.schedule") + 1:]
+    assert main(argv + ["--time-limit", "60"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("REPRO:")
+    assert f"kind={shrunk.kind} error={shrunk.error!r}" in out
+    assert shrunk.replay_command() in out

@@ -18,7 +18,7 @@ import pytest
 from repro.heal.evidence import EV_EQUIVOCATION, Evidence, SuspicionScorer
 from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
-from repro.heal.scenario import CounterMachine, heal_group, run_heal_case
+from repro.heal.scenario import CounterMachine, run_heal_case
 from repro.membership.epoch import EpochKeychain
 from repro.membership.service import ReconfigurableService
 from repro.obs.export import make_record
