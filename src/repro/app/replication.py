@@ -10,6 +10,11 @@ paradigm).
 With ``secure=True`` commands travel on the *secure causal* atomic channel
 (Sec. 2.6), so their content stays confidential until ordered — preventing
 a corrupted replica from, say, front-running a client's command.
+
+Who is in the group is a value the service *has* (``membership``): the
+paper's static group is :class:`StaticGroup`, one that reconfigures is
+``repro.membership.Membership``.  Durability is the one subclass
+(``repro.recovery.RecoverableService``): its lifecycle differs.
 """
 
 from __future__ import annotations
@@ -19,11 +24,18 @@ import hashlib
 from typing import Any, List, Optional, Tuple
 
 from repro.common.encoding import encode
-from repro.common.errors import ChannelCongested, EpochMismatch, ServiceNotOpen
+from repro.common.errors import (
+    ChannelCongested,
+    EpochMismatch,
+    ReconfigInProgress,
+    ServiceNotOpen,
+)
+from repro.core.channel.atomic import ChannelResume
 from repro.core.party import Party
 
 __all__ = [
     "StateMachine",
+    "StaticGroup",
     "ReplicatedService",
     # Re-exported so service callers can catch backpressure distinctly
     # from other protocol errors (see submit()).
@@ -66,6 +78,40 @@ class StateMachine(abc.ABC):
         return hashlib.sha256(self.snapshot()).digest()
 
 
+class StaticGroup:
+    """The membership of a group that never changes (the paper's model):
+    the trivial implementation of what a service asks of its
+    ``membership``.  ``repro.membership.Membership`` documents each."""
+
+    epoch = 0
+    members = None
+    reconfiguring = False
+    min_epoch = 0
+    is_barrier = None
+    on_barrier = None
+
+    def info(self) -> Tuple[int, bytes]:
+        # clients read the empty digest as "membership never changes"
+        return (0, b"")
+
+    def channel_pid(self, pid: str) -> str:
+        return pid
+
+    def step(self, epoch: int, members: Any, payload: bytes) -> None:
+        return None
+
+    def admit(self, base: Any) -> Any:
+        if base.epoch != 0:
+            raise EpochMismatch(
+                f"checkpoint is from membership epoch {base.epoch}; a static "
+                "group cannot cross epochs (pass membership= to the service)"
+            )
+        return base
+
+    def enter(self, epoch: int, members: Any) -> None:
+        pass
+
+
 class ReplicatedService:
     """One replica of a service replicated via atomic broadcast.
 
@@ -76,6 +122,7 @@ class ReplicatedService:
     """
 
     _auto_open_channel = True
+    membership: Any = StaticGroup()
 
     def __init__(
         self,
@@ -97,24 +144,16 @@ class ReplicatedService:
         if self._auto_open_channel:
             self._open_channel()
 
-    def _open_channel(self, **extra_kwargs: Any):
+    def _open_channel(self, resume: ChannelResume = ChannelResume()):
         """Create the (possibly resumed) channel and hook up delivery."""
-        kwargs = {**self._channel_kwargs, **extra_kwargs}
-        pid = self._channel_pid()
-        if self.secure:
-            self.channel = self.party.secure_atomic_channel(pid, **kwargs)
-        else:
-            self.channel = self.party.atomic_channel(pid, **kwargs)
+        pid = self.membership.channel_pid(self.pid)
+        make = (
+            self.party.secure_atomic_channel if self.secure
+            else self.party.atomic_channel
+        )
+        self.channel = make(pid, resume=resume, **self._channel_kwargs)
         self.channel.on_output = self._on_command
         return self.channel
-
-    def _channel_pid(self) -> str:
-        """The wire protocol id the channel registers under.
-
-        Membership-aware subclasses tag this with the current epoch so
-        frames — and the statements signed over them, which embed the
-        pid — from a superseded epoch are rejected outright."""
-        return self.pid
 
     # -- client side --------------------------------------------------------------
 
@@ -131,8 +170,15 @@ class ReplicatedService:
         ``epoch`` optionally pins the submission to a membership epoch:
         if the replica has since reconfigured, the command is refused
         with :class:`~repro.common.errors.EpochMismatch` instead of being
-        silently ordered under a group the caller did not intend.
+        silently ordered under a group the caller did not intend.  Between
+        an epoch barrier and the cutover every submission is refused with
+        the retryable :class:`~repro.common.errors.ReconfigInProgress`.
         """
+        if self.membership.reconfiguring:
+            raise ReconfigInProgress(
+                f"service {self.pid!r} is between membership epochs; "
+                "retry after the transition completes"
+            )
         if epoch is not None and epoch != self.membership_epoch:
             raise EpochMismatch(
                 f"submit pinned to epoch {epoch} but service {self.pid!r} "
@@ -174,18 +220,12 @@ class ReplicatedService:
 
     @property
     def membership_epoch(self) -> int:
-        """The current membership epoch (0 for a static service).
-
-        ``repro.membership.ReconfigurableService`` overrides this; the
-        plain service is forever at the dealt epoch."""
-        return 0
+        """The current membership epoch (0 = as dealt)."""
+        return self.membership.epoch
 
     def membership_info(self) -> Tuple[int, bytes]:
-        """``(epoch, roster-digest-prefix)`` advertised in client replies.
-
-        A static service has no roster; clients treat the empty digest as
-        "membership never changes"."""
-        return (0, b"")
+        """``(epoch, roster-digest-prefix)`` advertised in client replies."""
+        return self.membership.info()
 
     @property
     def applied(self) -> int:

@@ -59,7 +59,8 @@ certified holders, so delivery cannot stall on a withheld body.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ProtocolError
@@ -108,6 +109,28 @@ def avail_string(pid: str, r: int, signer: int, digest: bytes) -> bytes:
     return encode(("atomic-avail", pid, r, signer, digest))
 
 
+@dataclass(frozen=True)
+class ChannelResume:
+    """Where a channel continues a predecessor: recovery builds one from
+    durable history, :meth:`AtomicChannel.harvest_resume` from a channel
+    frozen at an epoch barrier.  ``delivered`` carries duplicate
+    suppression over (per-origin sequence numbers continue at
+    ``next_seq``); ``own_records`` and ``pending`` re-enter agreement with
+    no ``send()`` — from the own queue and the adoption pool, so fairness
+    carries over too."""
+
+    round: int = 1
+    delivered: Tuple[Tuple[int, int], ...] = ()
+    close_origins: Tuple[int, ...] = ()
+    next_seq: int = 0
+    own_records: Tuple[Record, ...] = ()
+    pending: Tuple[Record, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.round < 1:
+            raise ProtocolError(f"resume round must be >= 1, got {self.round}")
+
+
 class AtomicChannel(Channel):
     """One party's endpoint of the atomic broadcast channel."""
 
@@ -123,12 +146,7 @@ class AtomicChannel(Channel):
         max_batch: int = 1,
         pipeline_depth: int = 1,
         offload: bool = False,
-        resume_round: Optional[int] = None,
-        resume_delivered: Optional[Iterable[Tuple[int, int]]] = None,
-        resume_close_origins: Optional[Iterable[int]] = None,
-        resume_next_seq: int = 0,
-        resume_own_records: Optional[Iterable[Record]] = None,
-        resume_pending: Optional[Iterable[Record]] = None,
+        resume: ChannelResume = ChannelResume(),
     ):
         super().__init__(ctx, pid, max_pending=max_pending)
         n, t = ctx.n, ctx.t
@@ -147,28 +165,23 @@ class AtomicChannel(Channel):
         self.pipeline_depth = pipeline_depth
         self.offload = bool(offload)
         self.order = order
-        if resume_round is not None and resume_round < 1:
-            raise ProtocolError(f"resume round must be >= 1, got {resume_round}")
-        self.round = 1 if resume_round is None else resume_round
+        self.round = resume.round
         #: messages this party has sent but that are not yet delivered
         self._own_queue: List[Record] = []
-        self._own_next_seq = resume_next_seq
+        self._own_next_seq = resume.next_seq
         #: round -> {signer: (vector-or-digest, proof)} in arrival order
         self._candidates: Dict[int, Dict[int, Tuple[Any, Any]]] = {}
         #: adoption pool: (origin, seq) -> record, in arrival order
         self._pending: Dict[Tuple[int, int], Record] = {}
         self._delivered: Set[Tuple[int, int]] = set(
-            (int(o), int(s)) for o, s in (resume_delivered or ())
+            (int(o), int(s)) for o, s in resume.delivered
         )
-        self._close_origins: Set[int] = set(int(o) for o in (resume_close_origins or ()))
-        # Epoch handover: records harvested from a frozen predecessor
-        # channel re-enter here — own sends re-emit from the own queue,
-        # foreign records rejoin the adoption pool (fairness carries over).
-        for raw in resume_own_records or ():
+        self._close_origins: Set[int] = set(int(o) for o in resume.close_origins)
+        for raw in resume.own_records:
             record = self._check_record(tuple(raw))
             if record is not None and (record[0], record[1]) not in self._delivered:
                 self._own_queue.append(record)
-        for raw in resume_pending or ():
+        for raw in resume.pending:
             record = self._check_record(tuple(raw))
             if record is not None and (record[0], record[1]) not in self._delivered:
                 self._pending.setdefault((record[0], record[1]), record)
@@ -339,6 +352,10 @@ class AtomicChannel(Channel):
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
         if self.halted or self._frozen:
+            return
+        if self._terminated:
+            if mtype == MSG_FETCH:
+                self._on_fetch(sender, payload)
             return
         if mtype == MSG_QUEUE:
             self._on_candidate(sender, payload)
@@ -828,40 +845,24 @@ class AtomicChannel(Channel):
 
     # -- recovery introspection ------------------------------------------------------
 
-    def delivered_keys(self) -> List[Tuple[int, int]]:
-        """Sorted (origin, seq) keys of every slot delivered so far."""
-        return sorted(self._delivered)
-
-    def close_origin_list(self) -> List[int]:
-        """Sorted origins whose close requests have been delivered."""
-        return sorted(self._close_origins)
-
-    @property
-    def frozen(self) -> bool:
-        """True once the epoch barrier has frozen this channel."""
-        return self._frozen
-
-    def harvest_resume(self) -> Dict[str, Any]:
-        """Everything a successor channel needs to continue this one.
-
-        Returned as keyword arguments for the constructor's ``resume_*``
-        parameters: the delivered-key set (cross-epoch duplicate
-        suppression — per-origin sequence numbers continue across
-        epochs), surviving close origins, the next own sequence number,
-        and the undelivered records (own queue and adoption pool) that
-        must re-enter agreement in the next epoch."""
-        return dict(
-            resume_delivered=self.delivered_keys(),
-            resume_close_origins=self.close_origin_list(),
-            resume_next_seq=self._own_next_seq,
-            resume_own_records=[
+    def harvest_resume(self) -> ChannelResume:
+        """What the next epoch's channel needs to continue this one: it
+        restarts at round 1 with this channel's delivered keys, close
+        origins and own sequence counter, and with every undelivered
+        record (own queue and adoption pool) back in agreement."""
+        return ChannelResume(
+            round=1,
+            delivered=tuple(sorted(self._delivered)),
+            close_origins=tuple(sorted(self._close_origins)),
+            next_seq=self._own_next_seq,
+            own_records=tuple(
                 rec for rec in self._own_queue
                 if (rec[0], rec[1]) not in self._delivered
-            ],
-            resume_pending=[
+            ),
+            pending=tuple(
                 rec for key, rec in self._pending.items()
                 if key not in self._delivered
-            ],
+            ),
         )
 
     def abort(self) -> None:
@@ -886,3 +887,10 @@ class AtomicChannel(Channel):
     def _finish(self) -> None:
         """Termination after the round in which t+1 close requests arrived."""
         self._terminate()
+
+    def halt(self) -> None:
+        # A terminated offload channel stays registered to answer
+        # MSG_FETCH: a party left with exactly n - t correspondents may
+        # still miss a decided body when those, its holders, close.
+        if not (self.offload and self._terminated and not self._frozen):
+            super().halt()

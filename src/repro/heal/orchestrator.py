@@ -21,8 +21,8 @@ simulator) it:
                       +-- retry/abort            +-- rolled-back
 
    Submission goes through a healthy executor replica's programmatic
-   membership API (:meth:`~repro.membership.service.ReconfigurableService.
-   drain_and_replace` et al.) with exponential-backoff retries that
+   membership API (``svc.membership``: :meth:`~repro.membership.service.
+   Membership.drain_and_replace` et al.) with exponential-backoff retries that
    rotate executors; the epoch-commit and onboarding steps each carry a
    timeout whose expiry *rolls the execution back* without wedging the
    channel — the group keeps running on ``>= n - t`` replicas and the
@@ -71,10 +71,10 @@ from repro.heal.planner import (
     RefreshShares,
     RestartReplica,
 )
-from repro.membership.service import ReconfigurableService
 from repro.net.failure_detector import DOWN, SUSPECT
 from repro.obs.recorder import NULL as NULL_RECORDER
 from repro.obs.recorder import Recorder
+from repro.recovery.service import RecoverableService
 
 #: execution states
 PENDING = "pending"
@@ -89,7 +89,7 @@ ROLLED_BACK = "rolled-back"
 #: ``recover()`` on the result.  ``kind`` is ``"replace"`` (a fresh,
 #: reimaged machine) or ``"restart"`` (the same machine recycled — an
 #: intrusion may survive it, which is what escalation is for).
-ServiceFactory = Callable[[int, str, int, str], ReconfigurableService]
+ServiceFactory = Callable[[int, str, int, str], RecoverableService]
 
 
 class OrchestratorConfig:
@@ -133,7 +133,7 @@ class _Execution:
         #: the member name was taken from the spare pool (vs. pinned by
         #: the action) — a failed execution must return it
         self.spare_taken = False
-        self.successor: Optional[ReconfigurableService] = None
+        self.successor: Optional[RecoverableService] = None
         self.error: Optional[str] = None
 
 
@@ -143,7 +143,7 @@ class HealOrchestrator:
     def __init__(
         self,
         runtime: Any,
-        services: Dict[int, Optional[ReconfigurableService]],
+        services: Dict[int, Optional[RecoverableService]],
         *,
         scorer: Optional[SuspicionScorer] = None,
         planner: Optional[RecoveryPlanner] = None,
@@ -205,8 +205,8 @@ class HealOrchestrator:
         self._last_refresh = self.runtime.now
         return self
 
-    def _hook_service(self, slot: int, svc: ReconfigurableService) -> None:
-        svc.epoch_listeners.append(
+    def _hook_service(self, slot: int, svc: RecoverableService) -> None:
+        svc.membership.listeners.append(
             lambda event, value, _slot=slot: self._on_epoch_event(_slot, event, value)
         )
 
@@ -349,7 +349,7 @@ class HealOrchestrator:
             svc = self.services[slot]
             if svc is not None:
                 t = svc.party.t
-                roster_members = svc.roster.members
+                roster_members = svc.membership.roster.members
                 vacancies = sum(1 for m in roster_members if m is None)
                 break
         dark = {
@@ -407,7 +407,7 @@ class HealOrchestrator:
             if svc is None:
                 self._abort(exec_, "no live service to restart against")
                 return
-            member = svc.roster.members[action.slot] or f"replica-{action.slot}"
+            member = svc.membership.roster.members[action.slot] or f"replica-{action.slot}"
             exec_.target_epoch = svc.membership_epoch
             self._onboard(exec_, action.slot, member)
             return
@@ -429,7 +429,7 @@ class HealOrchestrator:
         if self.obs.enabled:
             self.obs.count("heal.fence")
 
-    def _executors(self) -> List[ReconfigurableService]:
+    def _executors(self) -> List[RecoverableService]:
         out = []
         for slot in sorted(self.services):
             svc = self.services[slot]
@@ -448,11 +448,11 @@ class HealOrchestrator:
         action = exec_.action
         try:
             if isinstance(action, DrainAndReplace):
-                target = svc.drain_and_replace(action.slot, exec_.member or "")
+                target = svc.membership.drain_and_replace(action.slot, exec_.member or "")
             elif isinstance(action, Quarantine):
-                target = svc.retire_slot(action.slot)
+                target = svc.membership.retire_slot(action.slot)
             else:
-                target = svc.refresh_shares()
+                target = svc.membership.refresh_shares()
         except (ReconfigInProgress, ChannelCongested, ServiceNotOpen) as exc:
             self._retry(exec_, str(exc))
             return

@@ -38,10 +38,11 @@ from repro.heal.evidence import EquivocationMonitor, SuspicionScorer
 from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
 from repro.membership.epoch import EpochKeychain
-from repro.membership.service import ReconfigurableService
+from repro.membership.service import Membership
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
 from repro.obs.recorder import Recorder
+from repro.recovery.service import RecoverableService
 from repro.testing.schedule import default_group
 
 
@@ -184,20 +185,19 @@ def run_heal_case(
     parties = make_parties(runtime)
     keychain = EpochKeychain(group)
 
-    def build(slot: int, suffix: str, min_epoch: int = 0) -> ReconfigurableService:
+    def build(slot: int, suffix: str, min_epoch: int = 0) -> RecoverableService:
         directory = f"{workdir}/replica{slot}{suffix}"
-        return ReconfigurableService(
+        return RecoverableService(
             parties[slot],
             "heal",
             CounterMachine(),
             directory,
-            keychain,
-            min_epoch=min_epoch,
             checkpoint_interval=2,
             fsync="never",
+            membership=Membership(keychain, min_epoch=min_epoch),
         )
 
-    services: Dict[int, Optional[ReconfigurableService]] = {
+    services: Dict[int, Optional[RecoverableService]] = {
         i: build(i, "") for i in range(n)
     }
     for svc in services.values():
@@ -221,7 +221,7 @@ def run_heal_case(
 
     def factory(
         slot: int, member: str, min_epoch: int, kind: str
-    ) -> ReconfigurableService:
+    ) -> RecoverableService:
         nonlocal spawned
         spawned += 1
         ctx = runtime.contexts[slot]
@@ -267,7 +267,7 @@ def run_heal_case(
     watchdog.arm()
     orchestrator.start()
 
-    def live_honest() -> List[ReconfigurableService]:
+    def live_honest() -> List[RecoverableService]:
         return [
             svc
             for slot, svc in services.items()
@@ -369,7 +369,7 @@ def run_heal_case(
         anchor = post[0] if post else None
         if anchor is not None and result.final_epoch > 0:
             result.stale_share_rejected = stale_share_rejected(
-                keychain, anchor.roster, result.final_epoch, victim
+                keychain, anchor.membership.roster, result.final_epoch, victim
             )
         result.heals = list(orchestrator.heals)
         result.suspicion = scorer.dump(runtime.now)

@@ -5,8 +5,9 @@ member uids and advances one epoch per committed configuration change.
 Changes travel through the totally-ordered channel itself, so every honest
 replica cuts over at the same slot; :class:`EpochKeychain` derives the
 epoch's refreshed key shares (proactive share refresh — same group keys,
-new polynomials) and :class:`ReconfigurableService` drives the barrier,
-the channel hand-off, and newcomer onboarding via certified checkpoints.
+new polynomials) and :class:`Membership` — the component a
+``RecoverableService(..., membership=...)`` has — drives the barrier and
+the channel hand-off; newcomers onboard via certified checkpoints.
 """
 
 from repro.membership.epoch import EpochKeychain, EpochMaterial
@@ -16,13 +17,13 @@ from repro.membership.roster import (
     make_reconfig_command,
     parse_reconfig_command,
 )
-from repro.membership.service import ReconfigurableService
+from repro.membership.service import Membership
 
 __all__ = [
     "EpochKeychain",
     "EpochMaterial",
+    "Membership",
     "MembershipChange",
-    "ReconfigurableService",
     "Roster",
     "make_reconfig_command",
     "parse_reconfig_command",

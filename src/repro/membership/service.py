@@ -1,8 +1,13 @@
 """Epoch-based group reconfiguration over the recovery subsystem.
 
-``ReconfigurableService`` is a :class:`~repro.recovery.service.
-RecoverableService` whose group membership can change while the service
-runs.  A change is an ordinary ordered request (``reconfigure()`` wraps a
+:class:`Membership` is the component a ``RecoverableService(...,
+membership=Membership(keychain))`` *has* when its group can change while
+it runs (the paper's static group is the trivial implementation of the
+same interface, :class:`~repro.app.replication.StaticGroup`).  Roster,
+epoch key swap, durable epoch floor, barrier predicate, listeners and
+the reconfiguration verbs live here; the walk over delivered slots does
+not — :meth:`Membership.step` is the rule ``recovery.history.fold`` takes.
+A change is an ordinary ordered request (``reconfigure()`` wraps a
 :class:`~repro.membership.roster.MembershipChange` into a tagged payload
 and submits it); the slot at which the first admissible change for the
 current epoch commits is the **epoch barrier**:
@@ -32,24 +37,20 @@ from epoch ``e`` is cryptographically invalid in ``e + 1`` (the mobile-
 adversary argument; see docs/MEMBERSHIP.md).
 
 Epoch 0 deliberately uses the *untagged* pid and the dealt epoch-0
-material, so a reconfigurable service in a group that never reconfigures
-is wire- and checkpoint-compatible with the surrounding test and
-benchmark corpus.
+material, so a group that never reconfigures is wire-compatible with a
+static one.  Its checkpoint packages are not: a membership-aware replica
+reads the static 4-tuple (as "the initial roster") but signs the 6-tuple
+from epoch 0 on, so the two kinds cannot share a certificate.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Callable, List, Optional, Tuple
 
-from repro.common.errors import (
-    ConfigError,
-    EpochMismatch,
-    ReconfigInProgress,
-)
-from repro.core.channel.atomic import KIND_APP, KIND_CLOSE
-from repro.core.party import Party
+from repro.common.errors import ConfigError, EpochMismatch
 from repro.membership.epoch import EpochKeychain
 from repro.membership.roster import (
     MembershipChange,
@@ -57,114 +58,126 @@ from repro.membership.roster import (
     make_reconfig_command,
     parse_reconfig_command,
 )
-from repro.recovery.checkpoint import make_package
-from repro.recovery.service import RecoverableService, RecoveryError
-from repro.recovery.wal import SlotTuple
+from repro.recovery.history import History, Seats
+from repro.recovery.service import RecoverableService
 
 EPOCH_STATE_FILE = "epoch.json"
 
 
-class ReconfigurableService(RecoverableService):
-    """A recoverable replica whose group can reconfigure between epochs."""
+class Membership:
+    """The group of one replica of a service that can reconfigure.  One
+    instance serves one service: the constructor it is passed to binds it."""
 
     def __init__(
         self,
-        party: Party,
-        pid: str,
-        state_machine,
-        directory: str,
         keychain: EpochKeychain,
         roster: Optional[Roster] = None,
         min_epoch: int = 0,
-        **kwargs: Any,
     ):
         self.keychain = keychain
-        initial = roster if roster is not None else Roster.initial(keychain.group.n)
-        if initial.epoch != 0:
+        self.initial = self.roster = roster or Roster.initial(keychain.group.n)
+        if self.initial.epoch != 0:
             raise ConfigError("the configured roster must be the epoch-0 roster")
-        self._roster = initial
-        self._initial_roster = initial
-        self._base_roster_obj = initial
-        self._reconfiguring = False
-        self._e2e_open = False
-        self._crypto_epoch = 0
+        #: the durable epoch floor: state transfer refuses to adopt any
+        #: history that ends below it, so a wiped-and-restarted replica
+        #: cannot be rolled back behind a reconfiguration it once saw.
+        self.min_epoch = int(min_epoch)
+        self.reconfiguring = False
         #: ``callback(event, value)`` where event is ``"barrier"`` (value:
         #: the frozen channel's round) or ``"epoch"`` (value: the epoch
         #: just entered).  The liveness watchdog suspends across the
         #: barrier window through this hook; the recovery orchestrator
         #: tracks commit progress through it.
-        self.epoch_listeners: List[Any] = []
-        super().__init__(party, pid, state_machine, directory, **kwargs)
-        stored = self._load_epoch_state()
-        #: the durable epoch floor: state transfer refuses to adopt any
-        #: history that ends below it, so a wiped-and-restarted replica
-        #: cannot be rolled back behind a reconfiguration it once saw.
-        self.min_epoch = max(int(min_epoch), stored)
+        self.listeners: List[Callable[[str, int], None]] = []
+        self._e2e_open = False
+        self._crypto_epoch = 0
 
-    # -- epoch bookkeeping ----------------------------------------------------------
-
-    @property
-    def membership_epoch(self) -> int:
-        return self._roster.epoch
-
-    @property
-    def roster(self) -> Roster:
-        return self._roster
-
-    def membership_info(self) -> Tuple[int, bytes]:
-        return (self._roster.epoch, self._roster.short_digest())
-
-    def _channel_pid(self) -> str:
-        epoch = self._roster.epoch
-        return self.pid if epoch == 0 else f"{self.pid}@e{epoch}"
-
-    def _epoch_state_path(self) -> str:
-        return os.path.join(self.directory, EPOCH_STATE_FILE)
-
-    def _load_epoch_state(self) -> int:
+    def bind(self, service: RecoverableService) -> "Membership":
+        """Attach to ``service`` and read its durable epoch floor."""
+        self.service = service
+        self.party = service.party
+        self.obs = service.obs
+        self._scope = (service.party.id, f"{service.pid}:mem")  # obs phase scope
+        self._state_path = os.path.join(service.directory, EPOCH_STATE_FILE)
         try:
-            with open(self._epoch_state_path(), "r", encoding="utf-8") as fh:
-                blob = json.load(fh)
-            return int(blob["epoch"])
+            with open(self._state_path, "r", encoding="utf-8") as fh:
+                stored = int(json.load(fh)["epoch"])
         except (OSError, ValueError, KeyError, TypeError):
-            return 0
+            stored = 0
+        self.min_epoch = max(self.min_epoch, stored)
+        return self
 
-    def _save_epoch_state(self) -> None:
-        path = self._epoch_state_path()
-        tmp = path + ".tmp"
-        blob = {"epoch": self._roster.epoch, "members": list(self._roster.members)}
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        self.min_epoch = max(self.min_epoch, self._roster.epoch)
+    # -- what the service asks ---------------------------------------------------------
 
-    def _step_roster(self, roster: Roster, data: bytes) -> Optional[Roster]:
-        """The successor roster if ``data`` is an admissible barrier
-        command for ``roster``'s epoch, else ``None`` (not a reconfig
-        command, stale epoch, or inadmissible change).  Pure — the same
-        rule drives the live barrier, WAL replay, and package builds."""
-        parsed = parse_reconfig_command(data)
+    @property
+    def epoch(self) -> int:
+        return self.roster.epoch
+
+    @property
+    def members(self) -> Seats:
+        return self.roster.members
+
+    def info(self) -> Tuple[int, bytes]:
+        return (self.roster.epoch, self.roster.short_digest())
+
+    def channel_pid(self, pid: str) -> str:
+        """Epoch-tagged beyond epoch 0, so frames — and the statements
+        signed over them, which embed the pid — from a superseded epoch
+        are rejected outright."""
+        return pid if self.epoch == 0 else f"{pid}@e{self.epoch}"
+
+    def step(
+        self, epoch: int, members: Seats, payload: bytes
+    ) -> Optional[Tuple[int, Seats]]:
+        """The membership rule (pure; see ``repro.recovery.history.fold``):
+        ``None`` unless ``payload`` is a reconfiguration command, else the
+        roster after it — stepped if the command is for ``epoch`` and
+        admissible, unchanged if it is stale or inadmissible."""
+        parsed = parse_reconfig_command(payload)
         if parsed is None:
             return None
         cmd_epoch, change = parsed
-        if cmd_epoch != roster.epoch:
-            return None
-        try:
-            return roster.apply(change, self.party.t)
-        except ConfigError:
-            return None
+        if cmd_epoch == epoch:
+            try:
+                stepped = Roster(epoch, members).apply(change, self.keychain.group.t)
+                return (stepped.epoch, stepped.members)
+            except ConfigError:
+                pass
+        return (epoch, members)
 
-    def _sync_epoch_crypto(self) -> None:
-        """Swap the epoch key material into the crypto context (no-op if
-        the context already holds the current epoch's material)."""
-        epoch = self._roster.epoch
+    def admit(self, base: History) -> History:
+        """A package without a roster (a static service's 4-tuple) means
+        the initial roster."""
+        if base.roster is None:
+            if base.epoch != 0:
+                raise EpochMismatch(
+                    f"epoch {base.epoch} checkpoint package carries no roster"
+                )
+            return replace(base, roster=self.initial.members)
+        if len(base.roster) != self.keychain.group.n:
+            raise EpochMismatch("checkpoint roster has the wrong slot count")
+        return base
+
+    def enter(self, epoch: int, members: Seats) -> None:
+        """Make ``(epoch, members)`` the roster in force and swap the
+        epoch's key material into the crypto context."""
+        if epoch < self.min_epoch:
+            # Local durable state that ends before the floor (e.g. a wiped
+            # successor booting locally): the replica must recover() from
+            # peers instead of going live stale.
+            raise EpochMismatch(
+                f"local state ends at membership epoch {epoch}, below this "
+                f"replica's floor {self.min_epoch}; recover() from the group "
+                "instead of start()"
+            )
+        self.roster = Roster(epoch, members)
+        if self.obs.enabled:
+            self.obs.set_gauge("membership.epoch", float(epoch))
         if epoch == self._crypto_epoch:
             return
         started = self.party.ctx.now()
         self.party.ctx.crypto = self.keychain.party_crypto(
-            epoch, self._roster, self.party.id
+            epoch, self.roster, self.party.id
         )
         self._crypto_epoch = epoch
         if self.obs.enabled:
@@ -178,7 +191,63 @@ class ReconfigurableService(RecoverableService):
                 "membership.reshare.seconds", self.party.ctx.now() - started
             )
 
-    # -- the reconfiguration API ----------------------------------------------------
+    def is_barrier(self, data: bytes) -> bool:
+        """The channel's barrier predicate: does ``data`` end the epoch?"""
+        stepped = self.step(self.epoch, self.members, data)
+        return stepped is not None and stepped[0] > self.epoch
+
+    def on_barrier(self, round_: int) -> None:
+        # Delivery-time: the channel just froze.  The transition itself
+        # runs when the barrier command reaches the service through the
+        # ordered apply FIFO; until then new submissions are refused with
+        # the typed retryable error.
+        self.reconfiguring = True
+        if self.obs.enabled:
+            self.obs.count("membership.barrier")
+        for callback in self.listeners:
+            callback("barrier", round_)
+
+    def advance(self, epoch: int, members: Seats) -> bool:
+        """A reconfiguration command reached the application: a no-op on
+        every replica if ``epoch`` is unchanged (stale or inadmissible),
+        else the cutover — swap key material, carry the frozen channel's
+        undelivered records into its successor.  True if the epoch moved."""
+        if epoch == self.roster.epoch:
+            if self.obs.enabled:
+                self.obs.count("membership.reconfig.stale")
+            return False
+        service = self.service
+        old_channel = service.channel
+        resume = old_channel.harvest_resume()
+        old_channel.abort()
+        self.enter(epoch, members)
+        self._save_epoch_state()
+        service._open_channel(resume)
+        # Late own-submissions still racing toward the old object are
+        # forwarded so their sequence numbers allocate on the live
+        # channel (see AtomicChannel._enqueue_own).
+        old_channel.successor = service.channel
+        self.reconfiguring = False
+        if self.obs.enabled:
+            self.obs.count("membership.reconfig.committed")
+            if self._e2e_open:
+                self._e2e_open = False
+                self.obs.phase_end(self._scope)
+        for callback in self.listeners:
+            callback("epoch", epoch)
+        return True
+
+    def _save_epoch_state(self) -> None:
+        tmp = self._state_path + ".tmp"
+        blob = {"epoch": self.roster.epoch, "members": list(self.roster.members)}
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, self._state_path)
+        self.min_epoch = max(self.min_epoch, self.roster.epoch)
+
+    # -- the reconfiguration verbs -----------------------------------------------------
 
     def reconfigure(self, change: MembershipChange) -> int:
         """Submit ``change`` for the current epoch through the total
@@ -186,17 +255,17 @@ class ReconfigurableService(RecoverableService):
 
         Raises :class:`~repro.common.errors.ConfigError` if the change is
         inadmissible against the current roster, and the usual submit
-        errors (:class:`ReconfigInProgress`, ``ChannelCongested``,
+        errors (``ReconfigInProgress``, ``ChannelCongested``,
         ``ServiceNotOpen``).  Any replica may submit; the first
         admissible command to commit wins and the rest become no-ops.
         """
-        target = self._roster.apply(change, self.party.t)
-        self.submit(make_reconfig_command(self._roster.epoch, change))
+        target = self.roster.apply(change, self.keychain.group.t)
+        self.service.submit(make_reconfig_command(self.roster.epoch, change))
         if self.obs.enabled:
             self.obs.count("membership.reconfig.requested")
             if not self._e2e_open:
                 self._e2e_open = True
-                self.obs.phase(self._mem_scope(), "membership.reconfig.e2e")
+                self.obs.phase(self._scope, "membership.reconfig.e2e")
         return target.epoch
 
     def refresh_shares(self) -> int:
@@ -219,220 +288,5 @@ class ReconfigurableService(RecoverableService):
         group degrades but stale shares still rotate out."""
         return self.reconfigure(MembershipChange("retire", slot=slot))
 
-    def submit(self, command: bytes, epoch: Optional[int] = None) -> None:
-        if self._reconfiguring:
-            raise ReconfigInProgress(
-                f"service {self.pid!r} is between membership epochs; "
-                "retry after the transition completes"
-            )
-        super().submit(command, epoch=epoch)
 
-    def _mem_scope(self) -> Tuple[int, str]:
-        return (self.party.id, f"{self.pid}:mem")
-
-    # -- channel hooks --------------------------------------------------------------
-
-    def _open_channel(self, **extra_kwargs: Any):
-        if self._roster.epoch < self.min_epoch:
-            # start() replayed local durable state that ends before the
-            # floor (e.g. a wiped successor booting locally): the replica
-            # must recover() from peers instead of going live stale.
-            raise EpochMismatch(
-                f"local state ends at membership epoch {self._roster.epoch}, "
-                f"below this replica's floor {self.min_epoch}; recover() "
-                "from the group instead of start()"
-            )
-        self._sync_epoch_crypto()
-        if self.obs.enabled:
-            self.obs.set_gauge("membership.epoch", float(self._roster.epoch))
-        return super()._open_channel(**extra_kwargs)
-
-    def _hook_channel(self) -> None:
-        super()._hook_channel()
-        self.channel.barrier_predicate = self._barrier_predicate
-        self.channel.on_barrier = self._on_barrier
-
-    def _barrier_predicate(self, data: bytes) -> bool:
-        return self._step_roster(self._roster, data) is not None
-
-    def _on_barrier(self, _round: int) -> None:
-        # Delivery-time: the channel just froze.  The transition itself
-        # runs when the barrier command reaches _on_command through the
-        # ordered apply FIFO; until then new submissions are refused with
-        # the typed retryable error.
-        self._reconfiguring = True
-        if self.obs.enabled:
-            self.obs.count("membership.barrier")
-        for callback in self.epoch_listeners:
-            callback("barrier", _round)
-
-    # -- ordered command handling ----------------------------------------------------
-
-    def _on_command(self, command: bytes) -> None:
-        new_roster = self._step_roster(self._roster, command)
-        if new_roster is None and parse_reconfig_command(command) is None:
-            super()._on_command(command)
-            return
-        # A reconfiguration command: it occupies a slot (and advances the
-        # applied sequence) but never reaches the state machine.
-        index = self._apply_fifo.popleft() if self._apply_fifo else None
-        if new_roster is None:
-            # Stale (raced with another change for the same epoch) or
-            # inadmissible: a deterministic no-op on every replica.
-            if self.obs.enabled:
-                self.obs.count("membership.reconfig.stale")
-        else:
-            self._transition(new_roster)
-        if index is None:
-            return
-        self._applied_seq = index + 1
-        self._maybe_checkpoint(index + 1, force=new_roster is not None)
-
-    def _transition(self, new_roster: Roster) -> None:
-        """The epoch cutover: swap key material, carry the frozen
-        channel's undelivered records into the successor channel."""
-        old_channel = self.channel
-        self._roster = new_roster
-        self._save_epoch_state()
-        harvest: dict = {}
-        if old_channel is not None:
-            harvest = old_channel.harvest_resume()
-            old_channel.abort()
-        self._open_channel(resume_round=1, **harvest)
-        self._hook_channel()
-        if old_channel is not None:
-            # Late own-submissions still racing toward the old object are
-            # forwarded so their sequence numbers allocate on the live
-            # channel (see AtomicChannel._enqueue_own).
-            old_channel.successor = self.channel
-        self._reconfiguring = False
-        if self.obs.enabled:
-            self.obs.count("membership.reconfig.committed")
-            if self._e2e_open:
-                self._e2e_open = False
-                self.obs.phase_end(self._mem_scope())
-        for callback in self.epoch_listeners:
-            callback("epoch", new_roster.epoch)
-
-    # -- durable state across the epoch boundary --------------------------------------
-
-    def _set_package_base(
-        self, epoch: int, roster: Optional[List[Optional[str]]]
-    ) -> None:
-        if roster is None:
-            if epoch != 0:
-                raise RecoveryError(
-                    f"epoch {epoch} checkpoint package carries no roster"
-                )
-            self._base_roster_obj = self._initial_roster
-        else:
-            if len(roster) != self.keychain.group.n:
-                raise RecoveryError("checkpoint roster has the wrong slot count")
-            self._base_roster_obj = Roster(epoch=epoch, members=tuple(roster))
-        self._base_epoch = epoch
-        self._base_roster = roster
-
-    def _check_transfer_epoch(
-        self,
-        epoch: int,
-        roster: Optional[List[Optional[str]]],
-        tail: List[SlotTuple],
-    ) -> None:
-        """Refuse transfer responses that would land below the epoch
-        floor — a mobile adversary must not be able to serve a stale but
-        genuinely certified pre-reconfiguration history to a successor."""
-        if roster is None:
-            walk = self._initial_roster
-        else:
-            if epoch < 0 or len(roster) != self.keychain.group.n:
-                raise EpochMismatch("transfer package roster malformed")
-            walk = Roster(epoch=epoch, members=tuple(roster))
-        for _index, _origin, _oseq, kind, data, _round in tail:
-            if kind == KIND_APP:
-                step = self._step_roster(walk, data)
-                if step is not None:
-                    walk = step
-        if walk.epoch < self.min_epoch:
-            if self.obs.enabled:
-                self.obs.count("membership.transfer.stale_epoch")
-            raise EpochMismatch(
-                f"transfer response ends at membership epoch {walk.epoch}, "
-                f"below this replica's floor {self.min_epoch}"
-            )
-
-    def _absorb_tail(
-        self, tail: List[SlotTuple], apply: bool
-    ) -> Tuple[List[Tuple[int, int]], Set[int], int]:
-        """WAL replay across epoch boundaries.
-
-        A barrier slot ends its epoch: the roster steps forward and the
-        round accumulator resets to 1, because the successor channel
-        numbered its rounds from 1 again.  Records after the barrier in
-        the tail therefore carry new-channel rounds, and the computed
-        resume round is always relative to the *final* epoch's channel.
-        """
-        roster = self._base_roster_obj
-        delivered: List[Tuple[int, int]] = list(self._base_delivered)
-        closes: Set[int] = set(self._base_closes)
-        round_now = self._base_round
-        for _index, origin, oseq, kind, data, round_ in tail:
-            delivered.append((origin, oseq))
-            if kind == KIND_CLOSE:
-                closes.add(origin)
-                round_now = max(round_now, round_ + 1)
-                continue
-            if kind == KIND_APP:
-                step = self._step_roster(roster, data)
-                if step is not None:
-                    roster = step
-                    round_now = 1  # successor channel restarts its rounds
-                    continue  # barrier commands never reach the state machine
-                if apply:
-                    result = self.state.apply(data)
-                    self.log.append((data, result))
-            round_now = max(round_now, round_ + 1)
-        self._roster = roster
-        return delivered, closes, round_now
-
-    def _build_package(self, seq: int) -> Optional[bytes]:
-        """The deterministic checkpoint package covering slots ``< seq``,
-        carrying the membership epoch and roster in force at the
-        boundary.  The walk replays reconfiguration commands from the
-        certified base so the epoch fields — like everything else in the
-        package — are a pure function of the slot sequence."""
-        boundary = self.wal.slots.get(seq - 1)
-        if boundary is None:
-            return None
-        roster = self._base_roster_obj
-        delivered = list(self._base_delivered)
-        closes = set(self._base_closes)
-        barrier_index = None
-        for index in sorted(self.wal.slots):
-            if index >= seq:
-                break
-            origin, oseq, kind, data, _round = self.wal.slots[index]
-            delivered.append((origin, oseq))
-            if kind == KIND_CLOSE:
-                closes.add(origin)
-            elif kind == KIND_APP:
-                step = self._step_roster(roster, data)
-                if step is not None:
-                    roster = step
-                    barrier_index = index
-        if len(delivered) != seq:
-            return None
-        # A package cut exactly at the barrier resumes the successor
-        # channel from scratch; otherwise the boundary slot's round is a
-        # round of the epoch in force at the boundary.
-        base_round = 1 if barrier_index == seq - 1 else boundary[4] + 1
-        return make_package(
-            self.state.snapshot(),
-            delivered,
-            sorted(closes),
-            base_round,
-            epoch=roster.epoch,
-            roster=list(roster.members),
-        )
-
-
-__all__ = ["ReconfigurableService", "EPOCH_STATE_FILE"]
+__all__ = ["Membership", "EPOCH_STATE_FILE"]

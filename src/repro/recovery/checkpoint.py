@@ -22,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ReproError
 from repro.crypto.threshold_sig import MultiSignatureScheme, ThresholdSigner
+from repro.recovery.history import History, Members
 
 CHECKPOINT_DOMAIN = "sintra.recovery.checkpoint"
 
@@ -63,47 +64,33 @@ def checkpoint_signer(
 # -- the checkpoint package ---------------------------------------------------------
 
 
-def make_package(
-    snapshot: bytes,
-    delivered: List[Tuple[int, int]],
-    close_origins: List[int],
-    base_round: int,
-    epoch: int = 0,
-    roster: Optional[List[Optional[str]]] = None,
-) -> bytes:
-    """Canonical encoding of (snapshot, delivered keys, closes, next round).
+def make_package(snapshot: bytes, history: History) -> bytes:
+    """Canonical encoding of a snapshot and the history it stands at.
 
-    Deterministic in the slot sequence alone: the lists are sorted and
-    ``base_round`` is derived from the last covered slot's round, so all
-    honest replicas produce identical bytes and their signature shares
-    combine.
-
-    Membership-aware services additionally record their epoch and roster
-    (slot → member uid, ``None`` for a vacant slot), extending the
-    encoding to a 6-tuple; the plain 4-tuple form is kept byte-identical
-    for static groups so existing certificates stay valid.
+    Deterministic in the slot sequence alone (the key lists are sorted),
+    so all honest replicas produce identical bytes and their shares
+    combine.  Without a roster (a static group) it is the 4-tuple
+    ``(snapshot, delivered, closes, round)``; a membership-aware service
+    appends ``(epoch, roster)`` from epoch 0 on.
     """
     base = (
         snapshot,
-        sorted((int(o), int(s)) for o, s in delivered),
-        sorted(int(o) for o in close_origins),
-        int(base_round),
+        sorted((int(o), int(s)) for o, s in history.delivered),
+        sorted(int(o) for o in history.closes),
+        int(history.round),
     )
-    if epoch == 0 and roster is None:
+    if history.roster is None:
+        if history.epoch != 0:
+            raise CheckpointError("an epoch > 0 package must carry its roster")
         return encode(base)
-    if roster is None:
-        raise CheckpointError("an epoch > 0 package must carry its roster")
-    return encode(base + (int(epoch), list(roster)))
+    return encode(base + (int(history.epoch), list(history.roster)))
 
 
-def parse_package_full(
-    package: bytes,
-) -> Tuple[bytes, List[Tuple[int, int]], Set[int], int, int,
-           Optional[List[Optional[str]]]]:
+def parse_package(package: bytes) -> Tuple[bytes, History]:
     """Decode and shape-check a checkpoint package from an untrusted peer.
 
-    Returns ``(snapshot, delivered, closes, base_round, epoch, roster)``;
-    a legacy 4-tuple package parses as epoch 0 with ``roster = None``.
+    Returns ``(snapshot, history)``; a 4-tuple package parses as epoch 0
+    with ``roster = None``.
     """
     try:
         parsed = decode(package)
@@ -116,22 +103,18 @@ def parse_package_full(
         raise CheckpointError("package snapshot must be bytes")
     if not isinstance(delivered, list) or not isinstance(closes, list):
         raise CheckpointError("package bookkeeping must be lists")
-    keys: List[Tuple[int, int]] = []
     for entry in delivered:
         if not (isinstance(entry, tuple) and len(entry) == 2
                 and isinstance(entry[0], int) and isinstance(entry[1], int)
                 and entry[1] >= 0):
             raise CheckpointError("package delivered key malformed")
-        keys.append((entry[0], entry[1]))
-    origins: Set[int] = set()
     for origin in closes:
         if not isinstance(origin, int):
             raise CheckpointError("package close origin malformed")
-        origins.add(origin)
     if not isinstance(base_round, int) or base_round < 1:
         raise CheckpointError("package base round malformed")
     epoch = 0
-    roster: Optional[List[Optional[str]]] = None
+    roster: Members = None
     if len(parsed) == 6:
         epoch, raw_roster = parsed[4], parsed[5]
         if not isinstance(epoch, int) or epoch < 0:
@@ -141,15 +124,9 @@ def parse_package_full(
         for member in raw_roster:
             if member is not None and not isinstance(member, str):
                 raise CheckpointError("package roster member malformed")
-        roster = list(raw_roster)
-    return snapshot, keys, origins, base_round, epoch, roster
-
-
-def parse_package(
-    package: bytes,
-) -> Tuple[bytes, List[Tuple[int, int]], Set[int], int]:
-    """Legacy accessor: the first four fields of :func:`parse_package_full`."""
-    return parse_package_full(package)[:4]
+        roster = tuple(raw_roster)
+    history = History(tuple(delivered), frozenset(closes), base_round, epoch, roster)
+    return snapshot, history
 
 
 @dataclass(frozen=True)

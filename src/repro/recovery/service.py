@@ -17,8 +17,15 @@ recovery mechanisms of this package:
   once its certificate verifies under the group key **and** ``t + 1``
   peers report byte-identical transfer state (the uncertified tail is
   attested by the quorum, the certified prefix by the certificate), then
-  restore the state machine, replay the tail, and re-enter the live
-  channel at the resumed round via the atomic channel's resume support.
+  install it — the ``_install(checkpoint, tail)`` that ``start()`` runs
+  on local durable state: restore the snapshot, extend the package's
+  history over the tail with the one slot walk
+  (:func:`~repro.recovery.history.fold`), apply the commands it returns,
+  and re-enter the live channel through a ``ChannelResume``.
+
+Who is in the group is ``self.membership``'s business (the static group,
+or a ``repro.membership.Membership``): it supplies the rule ``fold``
+steps with, so builds, replay, transfer and the live path agree.
 
 Trust argument: the certificate needs ``t + 1`` of ``n`` signatures, so at
 least one honest replica attests the package digest — a single Byzantine
@@ -35,12 +42,17 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.app.replication import ReplicatedService, StateMachine
 from repro.common.encoding import encode
-from repro.common.errors import ReproError
-from repro.core.channel.atomic import KIND_APP, KIND_CIPHER, KIND_CLOSE
+from repro.common.errors import EpochMismatch, ReproError
+from repro.core.channel.atomic import (
+    KIND_APP,
+    KIND_CIPHER,
+    KIND_CLOSE,
+    ChannelResume,
+)
 from repro.core.party import Party
 from repro.core.protocol import Protocol
 from repro.crypto.threshold_sig import combine_optimistically
@@ -52,8 +64,9 @@ from repro.recovery.checkpoint import (
     checkpoint_signer,
     checkpoint_statement,
     make_package,
-    parse_package_full,
+    parse_package,
 )
+from repro.recovery.history import History, fold
 from repro.recovery.wal import FSYNC_BATCH, DeliveryLog, SlotTuple
 
 MSG_SHARE = "ckpt-share"
@@ -116,6 +129,7 @@ class RecoverableService(ReplicatedService):
         fsync: str = FSYNC_BATCH,
         pull_retry_s: float = 0.5,
         secure: bool = False,
+        membership: Any = None,
         **channel_kwargs: Any,
     ):
         if secure:
@@ -140,23 +154,16 @@ class RecoverableService(ReplicatedService):
         #: sequence of the newest certified checkpoint this replica holds
         self.last_certified = 0
         self._last_proposed = 0
-        #: bookkeeping covered by the newest certificate (parsed package)
-        self._base_delivered: List[Tuple[int, int]] = []
-        self._base_closes: Set[int] = set()
-        self._base_round = 1
-        #: membership fields of the newest certificate (6-tuple packages;
-        #: a static group stays at epoch 0 with no roster)
-        self._base_epoch = 0
-        self._base_roster: Optional[List[Optional[str]]] = None
-        #: seq -> {"package", "statement", "shares": {1-based index: share}}
+        if membership is not None:  # else the class's StaticGroup
+            self.membership = membership.bind(self)
+        self._base = History()  #: what the newest certificate covers
+        #: seq -> {"package", "history", "statement", "shares": {index: share}}
         self._pending: Dict[int, Dict[str, Any]] = {}
         #: shares for checkpoints this replica has not reached yet
         self._foreign: Dict[int, Dict[int, bytes]] = {}
         #: delivered slot indices awaiting application (FIFO: the channel
         #: defers apply via ctx.effect, in delivery order)
         self._apply_fifo: Deque[int] = deque()
-        #: slots durably logged or checkpoint-covered (high-water index + 1)
-        self.slots_covered = 0
         self._applied_seq = 0
         self.recovered = False
         self._recover_future = None
@@ -182,19 +189,7 @@ class RecoverableService(ReplicatedService):
         if ckpt is not None:
             if not ckpt.verify(self.scheme, self.pid):
                 raise RecoveryError("stored checkpoint certificate does not verify")
-            snapshot, delivered0, closes0, base_round, epoch0, roster0 = (
-                parse_package_full(ckpt.package)
-            )
-            if len(delivered0) != ckpt.seq:
-                raise RecoveryError("stored checkpoint package is inconsistent")
-            self.state.restore(snapshot)
             base = ckpt.seq
-            self._base_delivered = delivered0
-            self._base_closes = closes0
-            self._base_round = base_round
-            self._set_package_base(epoch0, roster0)
-            self.last_certified = base
-            self._last_proposed = base
         if self.wal.base < base:
             # Crashed between persisting the certificate and compacting.
             self.wal.truncate_through(base - 1)
@@ -204,17 +199,7 @@ class RecoverableService(ReplicatedService):
                 f"(log base {self.wal.base}, checkpoint seq {base})"
             )
         self.wal.check_contiguous()
-        delivered, closes, round_now = self._absorb_tail(self.wal.tail(), apply=True)
-        next_seq = self._next_own_seq(delivered)
-        self.slots_covered = base + len(self.wal.slots)
-        self._applied_seq = self.slots_covered
-        self._open_channel(
-            resume_round=round_now,
-            resume_delivered=delivered,
-            resume_close_origins=closes,
-            resume_next_seq=next_seq,
-        )
-        self._hook_channel()
+        self._open_channel(self._install(ckpt, self.wal.tail()))
         return self
 
     def recover(self):
@@ -236,10 +221,6 @@ class RecoverableService(ReplicatedService):
             self.obs.phase(self.exchange.obs_scope, "recovery.catchup")
         self.party.ctx.api(self._send_pull)
         return self._recover_future
-
-    def close(self) -> None:
-        if self.channel is not None:
-            self.channel.close()
 
     def release(self) -> None:
         """Flush and close the durable files (clean shutdown only)."""
@@ -269,15 +250,18 @@ class RecoverableService(ReplicatedService):
 
     # -- channel hooks -------------------------------------------------------------
 
-    def _hook_channel(self) -> None:
-        self.channel.on_slot = self._on_slot
-        self.channel.on_own_enqueue = self._on_own_enqueue
+    def _open_channel(self, resume: ChannelResume = ChannelResume()):
+        channel = super()._open_channel(resume)
+        channel.on_slot = self._on_slot
+        channel.on_own_enqueue = self._on_own_enqueue
+        channel.barrier_predicate = self.membership.is_barrier
+        channel.on_barrier = self.membership.on_barrier
+        return channel
 
     def _on_slot(
         self, index: int, origin: int, oseq: int, kind: int, data: bytes, round_: int
     ) -> None:
         self.wal.append_slot(index, origin, oseq, kind, data, round_)
-        self.slots_covered = index + 1
         if self.obs.enabled:
             self.obs.count("recovery.wal.slots")
             self.obs.count("recovery.wal.bytes", len(data))
@@ -289,14 +273,21 @@ class RecoverableService(ReplicatedService):
 
     def _on_command(self, command: bytes) -> None:
         index = self._apply_fifo.popleft() if self._apply_fifo else None
-        result = self.state.apply(command)
-        self.log.append((command, result))
+        group = self.membership
+        stepped = group.step(group.epoch, group.members, command)
+        barrier = False
+        if stepped is None:
+            super()._on_command(command)
+            if self.obs.enabled and index is not None:
+                self.obs.count("recovery.applied")
+        else:
+            # A reconfiguration command occupies its slot but never
+            # reaches the state machine (the rule ``fold`` replays).
+            barrier = group.advance(*stepped)
         if index is None:
             return  # a non-recoverable channel path delivered this
         self._applied_seq = index + 1
-        if self.obs.enabled:
-            self.obs.count("recovery.applied")
-        self._maybe_checkpoint(index + 1)
+        self._maybe_checkpoint(index + 1, force=barrier)
 
     # -- checkpointing -------------------------------------------------------------
 
@@ -319,11 +310,12 @@ class RecoverableService(ReplicatedService):
             return
         if seq <= max(self.last_certified, self._last_proposed):
             return
-        package = self._build_package(seq)
-        if package is None:
+        built = self._build_package(seq)
+        if built is None:
             if self.obs.enabled:
                 self.obs.count("recovery.checkpoint.skipped")
             return
+        package, history = built
         self._last_proposed = seq
         statement = checkpoint_statement(
             self.pid, seq, hashlib.sha256(package).digest()
@@ -331,6 +323,7 @@ class RecoverableService(ReplicatedService):
         share = self.signer.sign_share(statement)
         self._pending[seq] = {
             "package": package,
+            "history": history,
             "statement": statement,
             "shares": {self.party.id + 1: share},
         }
@@ -346,24 +339,17 @@ class RecoverableService(ReplicatedService):
         )
         self._try_combine(seq)
 
-    def _build_package(self, seq: int) -> Optional[bytes]:
-        """The deterministic checkpoint package covering slots ``< seq``."""
-        delivered = list(self._base_delivered)
-        closes = set(self._base_closes)
-        boundary = self.wal.slots.get(seq - 1)
-        if boundary is None:
+    def _build_package(self, seq: int) -> Optional[Tuple[bytes, History]]:
+        """The deterministic checkpoint package covering slots ``< seq``,
+        with the history it encodes."""
+        history, _ = fold(
+            self._base,
+            (slot for slot in self.wal.tail() if slot[0] < seq),
+            self.membership.step,
+        )
+        if len(history.delivered) != seq:
             return None  # log inconsistent with the apply stream
-        for index in sorted(self.wal.slots):
-            if index >= seq:
-                break
-            origin, oseq, kind, _data, _round = self.wal.slots[index]
-            delivered.append((origin, oseq))
-            if kind == KIND_CLOSE:
-                closes.add(origin)
-        if len(delivered) != seq:
-            return None
-        base_round = boundary[4] + 1
-        return make_package(self.state.snapshot(), delivered, sorted(closes), base_round)
+        return make_package(self.state.snapshot(), history), history
 
     def _on_ckpt_share(self, sender: int, payload: Any) -> None:
         if not (isinstance(payload, tuple) and len(payload) == 2):
@@ -411,19 +397,14 @@ class RecoverableService(ReplicatedService):
         if signature is None:
             return
         self._install_checkpoint(
-            Checkpoint(seq=seq, package=pending["package"], signature=signature)
+            Checkpoint(seq=seq, package=pending["package"], signature=signature),
+            pending["history"],
         )
 
-    def _install_checkpoint(self, ckpt: Checkpoint) -> None:
-        """Persist a certificate and truncate the covered log prefix."""
+    def _install_checkpoint(self, ckpt: Checkpoint, history: History) -> None:
+        """Persist a certificate over a package built here; truncate the log."""
         self.ckpt_store.save(ckpt)
-        _snapshot, delivered, closes, base_round, epoch0, roster0 = (
-            parse_package_full(ckpt.package)
-        )
-        self._base_delivered = delivered
-        self._base_closes = closes
-        self._base_round = base_round
-        self._set_package_base(epoch0, roster0)
+        self._base = history
         self.last_certified = ckpt.seq
         self.wal.truncate_through(ckpt.seq - 1)
         for seq in [s for s in self._pending if s <= ckpt.seq]:
@@ -527,31 +508,27 @@ class RecoverableService(ReplicatedService):
         slots.sort(key=lambda s: s[0])
         if [s[0] for s in slots] != list(range(seq, seq + len(slots))):
             raise CheckpointError("transfer tail is not contiguous from seq")
+        ckpt: Optional[Checkpoint] = None
         if seq > 0:
             ckpt = Checkpoint(seq=seq, package=package, signature=sig)
             if not ckpt.verify(self.scheme, self.pid):
                 raise CheckpointError("transfer certificate does not verify")
-            _snapshot, delivered0, _closes0, _round, epoch0, roster0 = (
-                parse_package_full(package)
+        elif package != b"" or sig != b"":
+            raise CheckpointError("uncertified response carries a package")
+        _snapshot, _base, history, _commands = self._replay(ckpt, slots)
+        if len(set(history.delivered)) != len(history.delivered):
+            raise CheckpointError("transfer repeats a delivered key")
+        if history.epoch < self.membership.min_epoch:
+            # A mobile adversary must not be able to serve a stale but
+            # genuinely certified pre-reconfiguration history.
+            if self.obs.enabled:
+                self.obs.count("membership.transfer.stale_epoch")
+            raise EpochMismatch(
+                f"transfer response ends at membership epoch {history.epoch}, "
+                f"below this replica's floor {self.membership.min_epoch}"
             )
-            if len(delivered0) != seq:
-                raise CheckpointError("certified package is inconsistent")
-            self._check_transfer_epoch(epoch0, roster0, slots)
-        else:
-            if package != b"" or sig != b"":
-                raise CheckpointError("uncertified response carries a package")
-            delivered0 = []
-            self._check_transfer_epoch(0, None, slots)
-        keys = set(delivered0)
-        for slot in slots:
-            key = (slot[1], slot[2])
-            if key in keys:
-                raise CheckpointError("transfer repeats a delivered key")
-            keys.add(key)
         return {
-            "seq": seq,
-            "signature": sig,
-            "package": package,
+            "checkpoint": ckpt,
             "tail": slots,
             "fingerprint": hashlib.sha256(encode((seq, package, slots))).digest(),
         }
@@ -560,106 +537,58 @@ class RecoverableService(ReplicatedService):
         if self._retry_timer is not None:
             self._retry_timer.cancel()
             self._retry_timer = None
-        seq = response["seq"]
-        tail = response["tail"]
-        if seq > 0:
-            ckpt = Checkpoint(
-                seq=seq, package=response["package"],
-                signature=response["signature"],
-            )
-            snapshot, delivered0, closes0, base_round, epoch0, roster0 = (
-                parse_package_full(ckpt.package)
-            )
-            self.state.restore(snapshot)
+        ckpt, tail = response["checkpoint"], response["tail"]
+        if ckpt is not None:
             self.ckpt_store.save(ckpt)
-        else:
-            delivered0, closes0, base_round = [], set(), 1
-            epoch0, roster0 = 0, None
-        self._base_delivered = delivered0
-        self._base_closes = set(closes0)
-        self._base_round = base_round
-        self._set_package_base(epoch0, roster0)
-        self.last_certified = seq
-        self._last_proposed = seq
-        self.log = []
-        self._apply_fifo.clear()
-        delivered, closes, round_now = self._absorb_tail(tail, apply=True)
-        next_seq = self._next_own_seq(delivered)
-        self.wal.reset(seq, tail, next_seq)
-        self.slots_covered = seq + len(tail)
-        self._applied_seq = self.slots_covered
-        self._open_channel(
-            resume_round=round_now,
-            resume_delivered=delivered,
-            resume_close_origins=closes,
-            resume_next_seq=next_seq,
-        )
-        self._hook_channel()
+        resume = self._install(ckpt, tail)
+        self.wal.reset(self.last_certified, tail, resume.next_seq)
+        self._open_channel(resume)
         self.recovered = True
         if self.obs.enabled:
             self.obs.phase_end(self.exchange.obs_scope)  # recovery.catchup
             self.obs.count("recovery.transfer.adopted")
             self.obs.count("recovery.catchup.slots", len(tail))
-            self.obs.set_gauge("recovery.resume_round", round_now)
+            self.obs.set_gauge("recovery.resume_round", resume.round)
         future, self._recover_future = self._recover_future, None
         future.resolve({
-            "seq": seq,
+            "seq": self.last_certified,
             "tail_slots": len(tail),
-            "resume_round": round_now,
+            "resume_round": resume.round,
             "applied_seq": self._applied_seq,
         })
 
-    # -- membership hooks (overridden by repro.membership) ----------------------------
+    def _replay(
+        self, ckpt: Optional[Checkpoint], tail: List[SlotTuple]
+    ) -> Tuple[Optional[bytes], History, History, List[bytes]]:
+        """``(snapshot, base, history, commands)`` of ``tail`` folded over
+        ``ckpt`` (``None``: genesis); touches nothing."""
+        snapshot: Optional[bytes] = None
+        base = History()
+        if ckpt is not None:
+            snapshot, base = parse_package(ckpt.package)
+            if len(base.delivered) != ckpt.seq:
+                raise CheckpointError("checkpoint package is inconsistent")
+        base = self.membership.admit(base)
+        history, commands = fold(base, tail, self.membership.step)
+        return snapshot, base, history, commands
 
-    def _set_package_base(
-        self, epoch: int, roster: Optional[List[Optional[str]]]
-    ) -> None:
-        """Record the membership fields of the checkpoint now serving as
-        base.  A plain recoverable service is pinned to epoch 0: adopting
-        a package from a reconfigured group requires the epoch key
-        material only ``repro.membership.ReconfigurableService`` holds."""
-        if epoch != 0:
-            raise RecoveryError(
-                f"checkpoint is from membership epoch {epoch}; a plain "
-                "RecoverableService cannot cross epochs (use "
-                "repro.membership.ReconfigurableService)"
-            )
-        self._base_epoch = epoch
-        self._base_roster = roster
-
-    def _check_transfer_epoch(
-        self,
-        epoch: int,
-        roster: Optional[List[Optional[str]]],
-        tail: List[SlotTuple],
-    ) -> None:
-        """Validate the membership epoch of a state-transfer response
-        before adopting it (subclass hook; the base class accepts
-        anything epoch 0 and defers epoch > 0 rejection to
-        :meth:`_set_package_base`)."""
-
-    # -- shared restore helpers -------------------------------------------------------
-
-    def _absorb_tail(
-        self, tail: List[SlotTuple], apply: bool
-    ) -> Tuple[List[Tuple[int, int]], Set[int], int]:
-        """Fold a log tail over the certified base: returns the resume
-        bookkeeping (delivered keys, close origins, next round) and
-        optionally applies the APP payloads to the state machine."""
-        delivered = list(self._base_delivered)
-        closes = set(self._base_closes)
-        round_now = self._base_round
-        for _index, origin, oseq, kind, data, round_ in tail:
-            delivered.append((origin, oseq))
-            round_now = max(round_now, round_ + 1)
-            if kind == KIND_CLOSE:
-                closes.add(origin)
-            elif kind == KIND_APP and apply:
-                result = self.state.apply(data)
-                self.log.append((data, result))
-        return delivered, closes, round_now
-
-    def _next_own_seq(self, delivered: List[Tuple[int, int]]) -> int:
-        own = self.party.id
-        highest = max((s + 1 for o, s in delivered if o == own), default=0)
-        return max(self.wal.sent_next, highest)
+    def _install(
+        self, ckpt: Optional[Checkpoint], tail: List[SlotTuple]
+    ) -> ChannelResume:
+        """Make ``ckpt`` plus ``tail`` this replica's state and return
+        where the channel continues; ``start()`` and ``recover()`` differ
+        only in where the two arguments come from."""
+        snapshot, base, history, commands = self._replay(ckpt, tail)
+        self.membership.enter(history.epoch, history.roster)  # may refuse
+        if snapshot is not None:
+            self.state.restore(snapshot)
+        for command in commands:
+            super()._on_command(command)
+        self._base = base
+        self.last_certified = self._last_proposed = len(base.delivered)
+        self._applied_seq = len(history.delivered)
+        own = [s + 1 for o, s in history.delivered if o == self.party.id]
+        next_seq = max([self.wal.sent_next] + own)
+        return ChannelResume(
+            history.round, history.delivered, tuple(history.closes), next_seq
+        )

@@ -279,9 +279,10 @@ class ReplicaProcess:
         self.directory = directory
         self.service_pid = service_pid
         self.recorder_factory = recorder_factory
-        #: service class each incarnation constructs; RecoverableService by
-        #: default, ReconfigurableService for membership chaos tests (its
-        #: extra constructor arguments ride in ``service_kwargs``).
+        #: what each incarnation constructs, called like RecoverableService
+        #: (the default).  A ``Membership`` serves one service instance, so
+        #: membership chaos tests pass a function that builds a fresh one
+        #: from the ``keychain`` riding in ``service_kwargs``.
         self.service_cls = service_cls
         self.service_kwargs = dict(service_kwargs or {})
         self.client_endpoint = client_endpoint

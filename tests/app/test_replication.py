@@ -129,6 +129,28 @@ def test_submit_before_open_raises_typed_error(group4):
     assert svc.can_submit()
 
 
+def test_durable_service_before_start_raises_the_same_typed_error(
+    group4, tmp_path
+):
+    """The durable subclass has no channel until start()/recover(): its
+    close() is the base's, so misuse is ServiceNotOpen there too (it used
+    to return silently)."""
+    from repro.app import ServiceNotOpen
+    from repro.recovery import RecoverableService
+
+    rt = sim_runtime(group4, seed=6)
+    svc = RecoverableService(
+        make_parties(rt)[0], "durable", Counter(), str(tmp_path)
+    )
+    with pytest.raises(ServiceNotOpen, match="durable"):
+        svc.close()
+    with pytest.raises(ServiceNotOpen, match="durable"):
+        svc.submit(b"add:1")
+    svc.start()
+    svc.close()
+    svc.release()
+
+
 def test_channel_congestion_is_catchable_from_app_layer(group4):
     """max_pending backpressure surfaces as the re-exported
     ChannelCongested, catchable distinctly from other ReproErrors."""

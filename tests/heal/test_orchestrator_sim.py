@@ -20,9 +20,10 @@ from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
 from repro.heal.scenario import CounterMachine, run_heal_case
 from repro.membership.epoch import EpochKeychain
-from repro.membership.service import ReconfigurableService
+from repro.membership.service import Membership
 from repro.obs.export import make_record
 from repro.obs.recorder import MemoryRecorder
+from repro.recovery import RecoverableService
 
 from tests.helpers import sim_runtime
 
@@ -99,15 +100,14 @@ class _Harness:
         self.orchestrator.start()
 
     def build(self, slot, suffix, min_epoch=0):
-        return ReconfigurableService(
+        return RecoverableService(
             self.parties[slot],
             "svc",
             CounterMachine(),
             str(self.tmp_path / f"replica{slot}{suffix}"),
-            self.keychain,
-            min_epoch=min_epoch,
             checkpoint_interval=2,
             fsync="never",
+            membership=Membership(self.keychain, min_epoch=min_epoch),
         )
 
     def default_factory(self, slot, member, min_epoch, kind):
@@ -157,7 +157,7 @@ def test_commit_timeout_rolls_back_without_wedging(tmp_path, group4):
     # fake the membership API on every executor: the submission
     # "succeeds" (a target epoch comes back) but no barrier ever fires.
     for svc in h.services.values():
-        svc.drain_and_replace = (  # type: ignore[method-assign]
+        svc.membership.drain_and_replace = (  # type: ignore[method-assign]
             lambda slot, member, _svc=svc: _svc.membership_epoch + 1
         )
     h.accuse(3)

@@ -62,7 +62,7 @@ def _replicas(fabric, group, tmp_path):
         ReplicaProcess(
             fabric, group, i, RCounter, str(tmp_path / f"replica{i}"),
             recorder_factory=MemoryRecorder,
-            service_cls=_reconfigurable(),
+            service_cls=_membership_aware,
             service_kwargs=dict(
                 checkpoint_interval=4, fsync="always", pull_retry_s=0.3,
                 keychain=EpochKeychain(group),
@@ -73,10 +73,14 @@ def _replicas(fabric, group, tmp_path):
     ]
 
 
-def _reconfigurable():
-    from repro.membership.service import ReconfigurableService
+def _membership_aware(*args, keychain, min_epoch=0, **kwargs):
+    """One fresh ``Membership`` per incarnation of the replica process."""
+    from repro.membership import Membership
+    from repro.recovery import RecoverableService
 
-    return ReconfigurableService
+    return RecoverableService(
+        *args, membership=Membership(keychain, min_epoch=min_epoch), **kwargs
+    )
 
 
 async def _submit_spaced(replicas, amounts, spacing=0.03):
@@ -151,7 +155,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
 
             # Phase 2: the survivors replace the dead slot through the
             # total order while traffic keeps flowing around the barrier.
-            target = survivors[0].service.reconfigure(
+            target = survivors[0].service.membership.reconfigure(
                 MembershipChange("replace", slot=3, member="fresh-3")
             )
             assert target == 1
@@ -199,11 +203,11 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
                 "values": [r.service.state.value for r in replicas],
                 "epochs": [r.service.membership_epoch for r in replicas],
                 "pids": [r.service.channel.pid for r in replicas],
-                "roster_slot3": successor.roster.members[3],
+                "roster_slot3": successor.membership.roster.members[3],
                 "recovered": successor.recovered,
                 "kills": replicas[3].kills,
                 "share_rejected": _old_share_rejected(
-                    successor.keychain, successor.roster
+                    successor.membership.keychain, successor.membership.roster
                 ),
                 "recorder0": replicas[0].recorder,
                 "recorder3": replicas[3].recorder,
@@ -273,7 +277,7 @@ def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path):
                 lambda: all(r.service.applied_seq >= 4 for r in replicas),
                 what="pre-refresh application",
             )
-            replicas[1].service.refresh_shares()
+            replicas[1].service.membership.refresh_shares()
             await _submit_spaced(replicas, range(5, 11))
             await _wait(
                 lambda: all(r.service.applied_seq >= 11 for r in replicas),
@@ -283,7 +287,7 @@ def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path):
                 "epochs": [r.service.membership_epoch for r in replicas],
                 "values": [r.service.state.value for r in replicas],
                 "digests": [r.service.last_state_digest() for r in replicas],
-                "members": {r.service.roster.members for r in replicas},
+                "members": {r.service.membership.roster.members for r in replicas},
             }
         finally:
             await _stop_all(replicas, fabric)

@@ -26,12 +26,9 @@ from repro.client.server import RequestServer
 from repro.client.simnet import SimClientNetwork
 from repro.common.errors import EpochMismatch, ReconfigInProgress
 from repro.core.party import make_parties
-from repro.membership import (
-    EpochKeychain,
-    MembershipChange,
-    ReconfigurableService,
-)
+from repro.membership import EpochKeychain, Membership, MembershipChange
 from repro.obs import MemoryRecorder
+from repro.recovery import RecoverableService
 
 from tests.helpers import no_errors, sim_runtime
 from tests.recovery.test_service_sim import RCounter
@@ -44,13 +41,15 @@ def keychain4(group4):
     return EpochKeychain(group4)
 
 
-def _service(party, tmp_path, keychain, suffix="", state=None, **kwargs):
+def _service(
+    party, tmp_path, keychain, suffix="", state=None, min_epoch=0, **kwargs
+):
     kwargs.setdefault("checkpoint_interval", 2)
     kwargs.setdefault("fsync", "always")
     directory = str(tmp_path / f"replica{party.id}{suffix}")
-    return ReconfigurableService(
-        party, "svc", state if state is not None else RCounter(),
-        directory, keychain, **kwargs,
+    return RecoverableService(
+        party, "svc", state if state is not None else RCounter(), directory,
+        membership=Membership(keychain, min_epoch=min_epoch), **kwargs,
     )
 
 
@@ -77,7 +76,7 @@ def test_proactive_refresh_mid_traffic(group4, keychain4, tmp_path):
         services[i % 2].submit(b"add:%d" % (i + 1))
     _sync(rt, services, 3)
 
-    assert services[0].refresh_shares() == 1
+    assert services[0].membership.refresh_shares() == 1
     # Interleaved traffic: submitted while the reconfig command races
     # through agreement, possibly harvested across the barrier.
     services[1].submit(b"add:10")
@@ -86,7 +85,9 @@ def test_proactive_refresh_mid_traffic(group4, keychain4, tmp_path):
     rt.run()
 
     assert {s.membership_epoch for s in services} == {1}
-    assert {s.roster.members for s in services} == {services[0].roster.members}
+    assert {s.membership.roster.members for s in services} == {
+        services[0].membership.roster.members
+    }
     assert {s.state.value for s in services} == {1 + 2 + 3 + 10 - 2}
     assert len({s.log_digest() for s in services}) == 1
 
@@ -130,7 +131,7 @@ def test_submit_guards_during_and_after_transition(group4, keychain4, tmp_path):
 
     services[0].submit(b"add:1")
     _sync(rt, services, 1)
-    services[0].refresh_shares()
+    services[0].membership.refresh_shares()
     _sync(rt, services, 2)
     rt.run()
 
@@ -173,7 +174,7 @@ def test_client_stream_exactly_once_across_refresh(group4, keychain4, tmp_path):
     assert client.membership_epoch == 0
 
     # Refresh commits somewhere inside the ongoing stream.
-    services[1].refresh_shares()
+    services[1].membership.refresh_shares()
     for i in range(3, 8):
         fut = client.submit(b"add:%d" % (i + 1))
         results.append(rt.run_until(fut, limit=600))
@@ -191,7 +192,7 @@ def test_client_stream_exactly_once_across_refresh(group4, keychain4, tmp_path):
 
     # The reply frames carried the new membership view to the client.
     assert client.membership_epoch == 1
-    assert client.roster_digest == services[0].roster.short_digest()
+    assert client.roster_digest == services[0].membership.roster.short_digest()
     assert obs.counters["client.membership.refreshes"] == 1.0
     assert {s.membership_epoch for s in services} == {1}
     no_errors(rt)
@@ -216,13 +217,13 @@ def test_rolling_replacement_via_state_transfer(group4, keychain4, tmp_path):
     services[3].shutdown()
     live = services[:3]
 
-    assert live[0].reconfigure(
+    assert live[0].membership.reconfigure(
         MembershipChange("replace", slot=3, member="fresh-3")) == 1
     live[1].submit(b"add:100")
     _sync(rt, live, 6)
     rt.run()
     assert {s.membership_epoch for s in live} == {1}
-    assert {s.roster.members[3] for s in live} == {"fresh-3"}
+    assert {s.membership.roster.members[3] for s in live} == {"fresh-3"}
 
     # The successor is a new process for slot 3: empty directory, only
     # the group identity and the epoch floor.
@@ -231,7 +232,7 @@ def test_rolling_replacement_via_state_transfer(group4, keychain4, tmp_path):
     stats = rt.run_until(successor.recover(), limit=9000.0)
     assert stats["seq"] >= 5  # at least the forced barrier checkpoint
     assert successor.membership_epoch == 1
-    assert successor.roster.members[3] == "fresh-3"
+    assert successor.membership.roster.members[3] == "fresh-3"
     assert successor.last_state_digest() == live[0].last_state_digest()
     assert successor.channel.pid == "svc@e1"
 
@@ -265,7 +266,7 @@ def test_transfer_tail_replays_across_the_barrier(group4, keychain4, tmp_path):
     for i in range(3):
         services[i].submit(b"add:%d" % (i + 1))
     _sync(rt, services, 3)
-    services[0].refresh_shares()
+    services[0].membership.refresh_shares()
     services[1].submit(b"add:10")
     _sync(rt, services, 5)
     rt.run()
@@ -304,7 +305,7 @@ def test_group_restart_resumes_epoch_from_durable_state(
     for i in range(2):
         services[i].submit(b"add:%d" % (i + 1))
     _sync(rt, services, 2)
-    services[2].refresh_shares()
+    services[2].membership.refresh_shares()
     _sync(rt, services, 3)
     services[0].submit(b"add:5")  # epoch-1 tail slot beyond the checkpoint
     _sync(rt, services, 4)
@@ -322,7 +323,7 @@ def test_group_restart_resumes_epoch_from_durable_state(
     for s in revived:
         s.start()
     assert {s.membership_epoch for s in revived} == {1}
-    assert {s.min_epoch for s in revived} == {1}  # epoch.json floor
+    assert {s.membership.min_epoch for s in revived} == {1}  # epoch.json floor
     assert {s.applied_seq for s in revived} == {4}
     assert {s.last_state_digest() for s in revived} == {digest}
     assert all(s.channel.pid == "svc@e1" for s in revived)
@@ -362,7 +363,7 @@ def test_epoch_floor_rejects_stale_certified_history(
     assert obs.counters["recovery.transfer.rejected"] >= 3
 
     # Once the group reconfigures, the retry loop adopts epoch 1.
-    services[0].refresh_shares()
+    services[0].membership.refresh_shares()
     _sync(rt, services, 5)
     stats = rt.run_until(future, limit=9000.0)
     assert stats["seq"] == 5

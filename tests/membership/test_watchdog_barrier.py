@@ -15,8 +15,9 @@ import pytest
 
 from repro.adversary.watchdog import LivenessWatchdog, sentinel_for
 from repro.core.party import make_parties
-from repro.membership import EpochKeychain, ReconfigurableService
+from repro.membership import EpochKeychain, Membership
 from repro.obs import MemoryRecorder
+from repro.recovery import RecoverableService
 
 from tests.helpers import sim_runtime
 from tests.recovery.test_service_sim import RCounter
@@ -29,10 +30,11 @@ def _build(group, tmp_path, obs, deadline=6.0):
     keychain = EpochKeychain(group)
     services = []
     for party in make_parties(rt):
-        svc = ReconfigurableService(
+        svc = RecoverableService(
             party, "svc", RCounter(),
-            str(tmp_path / f"replica{party.id}"), keychain,
+            str(tmp_path / f"replica{party.id}"),
             checkpoint_interval=2, fsync="never",
+            membership=Membership(keychain),
         )
         svc.start()
         services.append(svc)
@@ -48,7 +50,7 @@ def _build(group, tmp_path, obs, deadline=6.0):
 
 def _wire_barrier_suspension(services, watchdog):
     for svc in services:
-        svc.epoch_listeners.append(
+        svc.membership.listeners.append(
             lambda event, _value: (
                 watchdog.suspend() if event == "barrier" else watchdog.resume()
             )
@@ -76,7 +78,7 @@ def test_epoch_barrier_is_not_a_stall(group4, tmp_path):
         services[i % 2].submit(b"add:%d" % (i + 1))
     _sync(rt, services, 3, watchdog.deadline)
 
-    assert services[0].refresh_shares() == 1
+    assert services[0].membership.refresh_shares() == 1
     # commands racing the barrier carry over into the new epoch
     services[1].submit(b"add:10")
     _sync(rt, services, 5, watchdog.deadline)  # 3 + barrier slot + 1

@@ -15,6 +15,7 @@ from repro.recovery.checkpoint import (
     make_package,
     parse_package,
 )
+from repro.recovery.history import History
 
 def _scheme(group):
     return checkpoint_scheme(group.party(0))
@@ -36,14 +37,17 @@ def test_statement_binds_all_fields():
 
 
 def test_package_round_trip_and_canonical_order():
-    package = make_package(b"snap", [(2, 0), (0, 1), (0, 0)], [3, 1], 7)
-    snapshot, delivered, closes, base_round = parse_package(package)
+    package = make_package(
+        b"snap", History(((2, 0), (0, 1), (0, 0)), frozenset({3, 1}), 7)
+    )
+    snapshot, history = parse_package(package)
     assert snapshot == b"snap"
-    assert delivered == [(0, 0), (0, 1), (2, 0)]
-    assert closes == {1, 3}
-    assert base_round == 7
+    assert history.delivered == ((0, 0), (0, 1), (2, 0))
+    assert history.closes == {1, 3}
+    assert history.round == 7
+    assert (history.epoch, history.roster) == (0, None)
     # Deterministic in the slot sequence: input order must not matter.
-    assert package == make_package(b"snap", [(0, 0), (0, 1), (2, 0)], [1, 3], 7)
+    assert package == make_package(b"snap", history)
 
 
 @pytest.mark.parametrize(
@@ -76,7 +80,7 @@ def test_parse_package_rejects_bad_shapes():
 
 def test_certificate_from_t_plus_one_shares(group4):
     scheme = _scheme(group4)
-    package = make_package(b"snap", [(0, 0), (1, 0)], [], 3)
+    package = make_package(b"snap", History(((0, 0), (1, 0)), round=3))
     statement = checkpoint_statement(
         "svc", 2, hashlib.sha256(package).digest()
     )
