@@ -44,69 +44,60 @@ signer can waste its own batch slot on stale records, but each batch
 carries at least ``batch_size - t >= 1`` honest vectors, so liveness and
 fairness are preserved.
 
-**Payload offloading** (``offload=True``): agreement runs on 32-byte
-vector digests instead of the vectors themselves, keeping MVBA proposals
-small when ``max_batch`` is large.  Bodies are disseminated point-to-point
-(``MSG_BATCH``) and each receiver returns a signature share on the
-statement ``(channel, round, signer, digest)``; ``n - t`` shares combine
-into an *availability certificate* proving that at least ``n - 2t >= t+1``
-honest parties hold the body.  The certificate — a pure, globally
-checkable predicate — is what the MVBA validator verifies, and a party
-missing a decided body fetches it (``MSG_FETCH``/``MSG_BODY``) from the
-certified holders, so delivery cannot stall on a withheld body.
+**Payload offloading** (``offload=True``): agreement runs on vector
+digests under availability certificates instead of on the vectors.  What
+a candidate's body and proof are, and the traffic that produces them, is
+the business of :mod:`repro.core.channel.dissemination`; this module is
+the round loop — pick, announce, collect, agree, deliver in order, close
+— and holds one :class:`_Round` record per round in flight.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ProtocolError
 from repro.core.agreement.multivalued import ORDER_RANDOM, ArrayAgreement
 from repro.core.channel.base import Channel
+from repro.core.channel.dissemination import MSG_QUEUE, Inline, Offloaded
 from repro.core.protocol import Context
-from repro.crypto.threshold_sig import MultiSignatureScheme
-
-MSG_QUEUE = "queue"   # candidate announcement: (r, vector, sig) / (r, digest, cert)
-MSG_BATCH = "body"    # offload: body dissemination (r, vector)
-MSG_ACK = "avail"     # offload: availability share (r, digest, share), unicast
-MSG_FETCH = "fetch"   # offload: request a missing decided body (r, signer, digest)
-MSG_BODY = "bodyr"    # offload: fetched-body reply (r, signer, vector), unicast
 
 KIND_APP = 0
 KIND_CLOSE = 1
 KIND_CIPHER = 2  # used by the secure causal channel subclass
 
-SIGN_DOMAIN = "sintra.atomic"
-AVAIL_DOMAIN = "sintra.atomic.avail"
-
 #: hard upper bound on records per candidate vector — a protocol constant
 #: (not the local ``max_batch`` knob) so the batch validity predicate stays
 #: a pure function every party evaluates identically
 VECTOR_LIMIT = 1024
-#: delivered rounds whose offloaded bodies stay cached to serve fetches
-#: from lagging parties
-BODY_KEEP_ROUNDS = 32
+
+#: why ordering stopped (``AtomicChannel._stopped``, ``None`` while it has
+#: not): CLOSED by ``t + 1`` delivered close requests — decryptions may
+#: still drain, fetches are still answered; FROZEN by an epoch barrier or
+#: ``abort()`` — superseded, answers nothing
+CLOSED = "closed"
+FROZEN = "frozen"
 
 #: a candidate record: (origin, seq, kind, data)
 Record = Tuple[int, int, int, bytes]
+#: one candidate entry: (signer, body, proof) — see ``dissemination``
+Entry = Tuple[int, Any, Any]
 
 
-def vector_digest(vector: List[Record]) -> bytes:
-    """Collision-resistant digest of a candidate vector."""
-    return hashlib.sha256(encode(list(vector))).digest()
+@dataclass
+class _Round:
+    """What one round in flight holds; dropped whole when it delivers."""
 
-
-def sign_string(pid: str, r: int, digest: bytes) -> bytes:
-    """The string a party signs to put a vector forward in round ``r``."""
-    return encode(("atomic-batch", pid, r, digest))
-
-
-def avail_string(pid: str, r: int, signer: int, digest: bytes) -> bytes:
-    """The availability statement receivers of a body sign a share on."""
-    return encode(("atomic-avail", pid, r, signer, digest))
+    #: signer -> (body, proof), checked, in arrival order
+    candidates: Dict[int, Tuple[Any, Any]] = field(default_factory=dict)
+    #: keys riding this party's own candidate; empty until it is out
+    own_keys: Set[Tuple[int, int]] = field(default_factory=set)
+    #: the round's agreement instance while it runs
+    mvba: Optional[ArrayAgreement] = None
+    #: the agreed batch, awaiting strictly in-order delivery
+    decided: Optional[List[Entry]] = None
 
 
 @dataclass(frozen=True)
@@ -164,13 +155,15 @@ class AtomicChannel(Channel):
             raise ProtocolError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         self.pipeline_depth = pipeline_depth
         self.offload = bool(offload)
+        #: what a candidate's body and proof are, and how bodies travel
+        self._dissem: Union[Inline, Offloaded] = Offloaded(self) if self.offload else Inline(self)
         self.order = order
         self.round = resume.round
         #: messages this party has sent but that are not yet delivered
         self._own_queue: List[Record] = []
         self._own_next_seq = resume.next_seq
-        #: round -> {signer: (vector-or-digest, proof)} in arrival order
-        self._candidates: Dict[int, Dict[int, Tuple[Any, Any]]] = {}
+        #: the rounds in flight, ``self.round`` and later
+        self._rounds: Dict[int, _Round] = {}
         #: adoption pool: (origin, seq) -> record, in arrival order
         self._pending: Dict[Tuple[int, int], Record] = {}
         self._delivered: Set[Tuple[int, int]] = set(
@@ -189,17 +182,9 @@ class AtomicChannel(Channel):
             # Carried-over records must re-enter agreement without waiting
             # for a fresh send; pump once construction has finished.
             ctx.defer(self._pump)
-        #: rounds for which this party's signed candidate is already out
-        self._emitted: Set[int] = set()
-        #: round -> keys inside this party's emitted candidate (in-flight)
-        self._emitted_keys: Dict[int, Set[Tuple[int, int]]] = {}
         #: keys inside decided-but-undelivered batches (will deliver soon)
         self._reserved: Set[Tuple[int, int]] = set()
-        #: in-flight agreement instances, one per pipelined round
-        self._mvbas: Dict[int, ArrayAgreement] = {}
-        #: decided rounds awaiting strictly in-order delivery
-        self._decided: Dict[int, List[Tuple[int, Any, Any]]] = {}
-        self._closing = False
+        self._stopped: Optional[str] = None  # or CLOSED / FROZEN
         self.deliveries: List[Tuple[int, int, bytes]] = []  # (origin, seq, data)
         self.rounds_completed = 0
         #: count of slots delivered by *this instance* plus any resumed prefix
@@ -231,32 +216,10 @@ class AtomicChannel(Channel):
         #: scheduler, so one may land after the harvest — without the
         #: forward it would be silently lost).
         self.successor: Optional["AtomicChannel"] = None
-        self._barrier_hit = False
-        self._frozen = False
-        # -- offload state -----------------------------------------------------
-        if self.offload:
-            crypto = ctx.crypto
-            self._avail_scheme = MultiSignatureScheme(
-                crypto.n, crypto.n - crypto.t, crypto.t,
-                crypto.party_public_keys, AVAIL_DOMAIN,
-            )
-            self._avail_signer = self._avail_scheme.signer(
-                crypto.index0 + 1, crypto.rsa
-            )
-        else:
-            self._avail_scheme = None
-            self._avail_signer = None
-        #: (round, signer, digest) -> body vector
-        self._bodies: Dict[Tuple[int, int, bytes], List[Record]] = {}
-        self._body_count: Dict[Tuple[int, int], int] = {}
-        self._acked: Set[Tuple[int, int]] = set()
-        #: round -> digest of this party's own disseminated body
-        self._own_digest: Dict[int, bytes] = {}
-        #: round -> {1-based signer index: availability share}
-        self._ack_shares: Dict[int, Dict[int, bytes]] = {}
-        self._cert_done: Set[int] = set()
-        self._fetched: Set[Tuple[int, int, bytes]] = set()
-        self._served: Set[Tuple[int, int, int, bytes]] = set()
+
+    def _ordering(self) -> bool:
+        """Whether rounds still run (``_stopped`` says why not)."""
+        return self._stopped is None
 
     # -- submitting payloads ---------------------------------------------------------
 
@@ -270,7 +233,7 @@ class AtomicChannel(Channel):
         self._enqueue_own(KIND_CLOSE, b"")
 
     def _enqueue_own(self, kind: int, data: bytes) -> None:
-        if self._frozen and self.successor is not None:
+        if self._stopped == FROZEN and self.successor is not None:
             self.successor._enqueue_own(kind, data)
             return
         record: Record = (self.ctx.node_id, self._own_next_seq, kind, data)
@@ -287,39 +250,37 @@ class AtomicChannel(Channel):
 
     def _pump(self) -> None:
         """Emit candidates and start agreements across the pipeline window."""
-        if self._terminated or self._closing or self._frozen:
+        if not self._ordering():
             return
         for r in range(self.round, self.round + self.pipeline_depth):
-            if r in self._decided:
-                continue
-            self._try_emit(r)
-            self._maybe_propose(r)
+            rnd = self._rounds.get(r)
+            if rnd is None or rnd.decided is None:
+                self._try_emit(r)
+                self._maybe_propose(r)
         if self.obs.enabled:
-            self.obs.set_gauge("atomic.pipeline.inflight", float(len(self._mvbas)))
+            self.obs.set_gauge("atomic.pipeline.inflight", self._inflight())
+
+    def _inflight(self) -> float:
+        """Agreement instances running (the ``atomic.pipeline.inflight`` gauge)."""
+        return float(sum(rnd.mvba is not None for rnd in self._rounds.values()))
 
     # -- per-round candidate emission ----------------------------------------------------
 
     def _try_emit(self, r: int) -> None:
         """Sign and circulate this party's round-``r`` candidate vector."""
-        if r in self._emitted:
+        rnd = self._rounds.get(r)
+        if rnd is not None and rnd.own_keys:
             return
         vector = self._pick_vector()
         if vector is None:
             return
-        self._emitted.add(r)
-        self._emitted_keys[r] = {(rec[0], rec[1]) for rec in vector}
+        if rnd is None:
+            rnd = self._rounds[r] = _Round()
+        rnd.own_keys = {(rec[0], rec[1]) for rec in vector}
         if self.obs.enabled:
             # Phase 1 of a round: collecting signed candidates from peers.
             self.obs.phase((self.obs_scope, r), "atomic.collect")
-        digest = vector_digest(vector)
-        if self.offload:
-            # Disseminate the body; the candidate announcement follows once
-            # the availability certificate assembles (see _on_ack).
-            self._own_digest[r] = digest
-            self.send_all(MSG_BATCH, (r, vector))
-        else:
-            sig = self.ctx.crypto.sign(SIGN_DOMAIN, sign_string(self.pid, r, digest))
-            self.send_all(MSG_QUEUE, (r, vector, sig))
+        self._dissem.announce(r, vector)
 
     def _pick_vector(self) -> Optional[List[Record]]:
         """Up to ``max_batch`` undelivered records: own queue first, then
@@ -331,7 +292,7 @@ class AtomicChannel(Channel):
             if key in self._delivered or key in self._reserved or key in taken:
                 return False
             # skip keys already riding one of our in-flight candidates
-            return not any(key in keys for keys in self._emitted_keys.values())
+            return not any(key in rnd.own_keys for rnd in self._rounds.values())
 
         for record in self._own_queue:
             key = (record[0], record[1])
@@ -348,54 +309,33 @@ class AtomicChannel(Channel):
                     return out
         return out or None
 
-    # -- candidate and body handling --------------------------------------------------------
+    # -- candidate handling ------------------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted or self._frozen:
+        if self.halted or self._stopped == FROZEN:
             return
-        if self._terminated:
-            if mtype == MSG_FETCH:
-                self._on_fetch(sender, payload)
-            return
-        if mtype == MSG_QUEUE:
+        if mtype != MSG_QUEUE:
+            self._dissem.on_message(sender, mtype, payload)
+        elif not self._terminated:
             self._on_candidate(sender, payload)
-        elif self.offload:
-            if mtype == MSG_BATCH:
-                self._on_body(sender, payload)
-            elif mtype == MSG_ACK:
-                self._on_ack(sender, payload)
-            elif mtype == MSG_FETCH:
-                self._on_fetch(sender, payload)
-            elif mtype == MSG_BODY:
-                self._on_fetched_body(sender, payload)
 
     def _on_candidate(self, sender: int, payload: Any) -> None:
         if not (isinstance(payload, tuple) and len(payload) == 3):
             return
         r, body, proof = payload
-        if not isinstance(r, int) or r < self.round or r in self._decided:
-            return  # stale or already agreed
-        round_candidates = self._candidates.setdefault(r, {})
-        if sender in round_candidates:
-            return  # one candidate per signer per round
-        if self.offload:
-            if not (isinstance(body, bytes) and isinstance(proof, bytes)):
-                return
-            if not self.ctx.crypto.accel.sig_ok(
-                self._avail_scheme, avail_string(self.pid, r, sender, body), proof
-            ):
-                return
-            round_candidates[sender] = (body, proof)
-        else:
-            vector = self._check_vector(body)
-            if vector is None or not isinstance(proof, int):
-                return
-            digest = vector_digest(vector)
-            if not self.ctx.crypto.verify_party(
-                sender, SIGN_DOMAIN, sign_string(self.pid, r, digest), proof
-            ):
-                return
-            round_candidates[sender] = (vector, proof)
+        if not isinstance(r, int) or r < self.round:
+            return  # stale
+        rnd = self._rounds.get(r)
+        if rnd is not None and (rnd.decided is not None or sender in rnd.candidates):
+            return  # already agreed, or one candidate per signer per round
+        body = self._dissem.check(r, sender, body, proof)
+        if body is None:
+            return
+        if rnd is None:
+            rnd = self._rounds[r] = _Round()
+        rnd.candidates[sender] = (body, proof)
+        vector = self._dissem.vector(r, sender, body)
+        if vector is not None:
             self._absorb(vector)
         self._pump()
 
@@ -436,37 +376,33 @@ class AtomicChannel(Channel):
     # -- the round's multi-valued agreement -----------------------------------------------------
 
     def _maybe_propose(self, r: int) -> None:
+        rnd = self._rounds.get(r)
         if (
-            r in self._mvbas
-            or r in self._decided
-            or self._terminated
-            or self._closing
-            or self._frozen
+            rnd is None
+            or rnd.mvba is not None
+            or rnd.decided is not None
+            or not self._ordering()
+            or len(rnd.candidates) < self.batch_size
         ):
             return
-        round_candidates = self._candidates.get(r, {})
-        if len(round_candidates) < self.batch_size:
-            return
-        batch = self._assemble(round_candidates)
+        batch = self._assemble(rnd.candidates)
         mvba = ArrayAgreement(
             self.ctx,
             f"{self.pid}/r.{r}",
-            validator=self._batch_validator(r),
+            validator=lambda value, r=r: self._decode_batch(r, value) is not None,
             order=self.order,
         )
         mvba.on_decide = (
             lambda _mvba, value, closing, r=r: self._on_round_decided(r, value)
         )
-        self._mvbas[r] = mvba
+        rnd.mvba = mvba
         if self.obs.enabled:
             # Phase 2: the batch is in multi-valued Byzantine agreement.
             self.obs.phase((self.obs_scope, r), "atomic.agree")
-            self.obs.set_gauge("atomic.pipeline.inflight", float(len(self._mvbas)))
-        mvba.propose(self._encode_batch(batch))
+            self.obs.set_gauge("atomic.pipeline.inflight", self._inflight())
+        mvba.propose(encode(batch))
 
-    def _assemble(
-        self, round_candidates: Dict[int, Tuple[Any, Any]]
-    ) -> List[Tuple[int, Any, Any]]:
+    def _assemble(self, candidates: Dict[int, Tuple[Any, Any]]) -> List[Entry]:
         """Pick ``batch_size`` candidate entries from distinct signers.
 
         Inline vectors are chosen preferring entries that contribute at
@@ -475,10 +411,10 @@ class AtomicChannel(Channel):
         distinct entries maximize throughput per agreement round.
         Offloaded candidates are opaque digests; arrival order is used.
         """
-        chosen: List[Tuple[int, Any, Any]] = []
+        chosen: List[Entry] = []
         if not self.offload:
             covered: Set[Tuple[int, int]] = set()
-            for signer, (vector, proof) in round_candidates.items():
+            for signer, (vector, proof) in candidates.items():
                 keys = {(rec[0], rec[1]) for rec in vector}
                 keys -= self._delivered | covered
                 if not keys:
@@ -488,7 +424,7 @@ class AtomicChannel(Channel):
                 if len(chosen) == self.batch_size:
                     return chosen
         picked = {signer for signer, _, _ in chosen}
-        for signer, (body, proof) in round_candidates.items():
+        for signer, (body, proof) in candidates.items():
             if signer in picked:
                 continue
             chosen.append((signer, body, proof))
@@ -497,29 +433,16 @@ class AtomicChannel(Channel):
                 break
         return chosen
 
-    def _encode_batch(self, batch: List[Tuple[int, Any, Any]]) -> bytes:
-        return encode([(signer, body, proof) for signer, body, proof in batch])
-
-    def _batch_validator(self, r: int):
-        def is_valid(value: bytes) -> bool:
-            return self._decode_batch(r, value) is not None
-
-        return is_valid
-
-    def _decode_batch(
-        self, r: int, value: bytes
-    ) -> Optional[List[Tuple[int, Any, Any]]]:
+    def _decode_batch(self, r: int, value: bytes) -> Optional[List[Entry]]:
         """Decode and fully validate a proposed batch for round ``r``.
 
         The external validity condition: exactly ``batch_size`` entries
-        from distinct signers, each either a well-formed vector properly
-        signed for round ``r`` (inline) or a digest under a valid
-        availability certificate for round ``r`` (offload).  Unlike the
-        paper's strictly sequential protocol, the predicate does *not*
-        consult the local delivery frontier — under pipelining that
-        frontier differs between parties while a later round validates, so
-        duplicate records are instead filtered deterministically at
-        delivery time.
+        from distinct signers, each a valid round-``r`` entry by the same
+        ``check`` a candidate passes on arrival.  Unlike the paper's
+        strictly sequential protocol, the predicate does *not* consult the
+        local delivery frontier — under pipelining that frontier differs
+        between parties while a later round validates, so duplicate
+        records are instead filtered deterministically at delivery time.
         """
         try:
             entries = decode(value)
@@ -528,7 +451,7 @@ class AtomicChannel(Channel):
         if not isinstance(entries, list) or len(entries) != self.batch_size:
             return None
         signers: Set[int] = set()
-        out: List[Tuple[int, Any, Any]] = []
+        out: List[Entry] = []
         for entry in entries:
             if not (isinstance(entry, tuple) and len(entry) == 3):
                 return None
@@ -539,114 +462,72 @@ class AtomicChannel(Channel):
                 or not 0 <= signer < self.ctx.n
             ):
                 return None
-            if self.offload:
-                if not (isinstance(body, bytes) and isinstance(proof, bytes)):
-                    return None
-                if not self.ctx.crypto.accel.sig_ok(
-                    self._avail_scheme, avail_string(self.pid, r, signer, body), proof
-                ):
-                    return None
-                out.append((signer, body, proof))
-            else:
-                vector = self._check_vector(body)
-                if vector is None:
-                    return None
-                if not isinstance(proof, int) or not self.ctx.crypto.verify_party(
-                    signer, SIGN_DOMAIN,
-                    sign_string(self.pid, r, vector_digest(vector)), proof,
-                ):
-                    return None
-                out.append((signer, vector, proof))
+            body = self._dissem.check(r, signer, body, proof)
+            if body is None:
+                return None
+            out.append((signer, body, proof))
             signers.add(signer)
         return out
 
     # -- delivery ------------------------------------------------------------------------------------
 
     def _on_round_decided(self, r: int, value: bytes) -> None:
-        if self._terminated or self._closing or self._frozen:
+        if not self._ordering():
             return
-        self._mvbas.pop(r, None)
-        if r < self.round or r in self._decided:
+        rnd = self._rounds.get(r)
+        if rnd is None or rnd.decided is not None:
             return  # stale decision (cannot happen without an abort race)
+        rnd.mvba = None
         batch = self._decode_batch(r, value)
         if batch is None:  # cannot happen: the MVBA validated it
             raise ProtocolError("agreed batch failed validation")
-        self._decided[r] = batch
+        rnd.decided = batch
         for signer, body, _ in batch:
-            vector = body if not self.offload else self._bodies.get((r, signer, body))
+            vector = self._dissem.vector(r, signer, body)
             if vector is not None:
                 for record in vector:
                     self._reserved.add((record[0], record[1]))
         if self.obs.enabled:
             self.obs.phase_end((self.obs_scope, r))  # closes "atomic.agree"
             self.obs.count("atomic.rounds")
-            self.obs.set_gauge("atomic.pipeline.inflight", float(len(self._mvbas)))
+            self.obs.set_gauge("atomic.pipeline.inflight", self._inflight())
         self._advance()
 
     def _advance(self) -> None:
         """Deliver decided rounds strictly in round order."""
-        while (
-            not self._terminated
-            and not self._closing
-            and not self._frozen
-            and self.round in self._decided
-        ):
+        while self._ordering():
             r = self.round
-            batch = self._decided[r]
-            resolved = self._resolve_bodies(r, batch)
-            if resolved is None:
-                return  # waiting on offloaded bodies; resumed on arrival
-            del self._decided[r]
-            self._deliver_round(r, batch, resolved)
+            rnd = self._rounds.get(r)
+            if rnd is None or rnd.decided is None:
+                break
+            resolved: List[Tuple[int, List[Record]]] = []
+            for signer, body, _ in rnd.decided:
+                vector = self._dissem.vector(r, signer, body)
+                if vector is None:
+                    self._dissem.fetch(r, signer, body)
+                else:
+                    resolved.append((signer, vector))
+            if len(resolved) < len(rnd.decided):
+                return  # waiting on missing bodies; resumed on arrival
+            del self._rounds[r]  # the round's state dies with the round
+            self._dissem.forget(r)
+            self._deliver_round(r, rnd.decided, resolved)
         self._pump()
-
-    def _resolve_bodies(
-        self, r: int, batch: List[Tuple[int, Any, Any]]
-    ) -> Optional[List[Tuple[int, List[Record]]]]:
-        if not self.offload:
-            return [(signer, vector) for signer, vector, _ in batch]
-        resolved: List[Tuple[int, List[Record]]] = []
-        missing: List[Tuple[int, bytes]] = []
-        for signer, digest, _ in batch:
-            vector = self._bodies.get((r, signer, digest))
-            if vector is None:
-                missing.append((signer, digest))
-            else:
-                resolved.append((signer, vector))
-        if missing:
-            # The certificate guarantees >= t+1 live honest holders.
-            for signer, digest in missing:
-                fetch_key = (r, signer, digest)
-                if fetch_key not in self._fetched:
-                    self._fetched.add(fetch_key)
-                    if self.obs.enabled:
-                        self.obs.count("atomic.offload.fetches")
-                    self.send_all(MSG_FETCH, (r, signer, digest))
-            return None
-        return resolved
 
     def _deliver_round(
         self,
         r: int,
-        batch: List[Tuple[int, Any, Any]],
+        batch: List[Entry],
         resolved: List[Tuple[int, List[Record]]],
     ) -> None:
         delivered_now = 0
         # Fixed delivery order within the batch: by signer index, then by
-        # position inside the signer's vector.
+        # position inside the signer's vector, up to a barrier record.
         for signer, vector in sorted(resolved, key=lambda e: e[0]):
             for record in vector:
-                delivered_now += self._deliver_record(record, r)
-                if self._barrier_hit:
-                    break
-            if self._barrier_hit:
-                break
+                if self._ordering():
+                    delivered_now += self._deliver_record(record, r)
         self.rounds_completed += 1
-        self._candidates.pop(r, None)
-        self._emitted.discard(r)
-        self._emitted_keys.pop(r, None)
-        if self.offload:
-            self._gc_offload(r)
         if self.obs.enabled:
             self.obs.count("atomic.batch_entries", len(batch))
             self.obs.count("atomic.batch.payloads", delivered_now)
@@ -654,11 +535,10 @@ class AtomicChannel(Channel):
         if len(self._close_origins) >= self.ctx.t + 1:
             # Closing always wins over a barrier: a channel that has
             # collected t+1 close requests terminates for good.
-            self._closing = True
-            self._abort_inflight()
+            self._stop(CLOSED)
             self._finish()
             return
-        if self._barrier_hit:
+        if not self._ordering():
             # The barrier record is the last slot of its epoch.  Records
             # of this batch sequenced after it are NOT delivered here —
             # they rejoin the adoption pool and carry over to the epoch
@@ -667,8 +547,7 @@ class AtomicChannel(Channel):
             # this channel is done.
             for _signer, vector in resolved:
                 self._absorb(vector)
-            self._frozen = True
-            self._abort_inflight()
+            self._stop(FROZEN)
             if self.obs.enabled:
                 self.obs.count("atomic.barrier")
             if self.on_barrier is not None:
@@ -679,11 +558,11 @@ class AtomicChannel(Channel):
     def _deliver_record(self, record: Record, r: int) -> int:
         origin, seq, kind, data = record
         key = (origin, seq)
+        self._reserved.discard(key)  # even a duplicate: it was reserved once
         if key in self._delivered:
             return 0
         self._delivered.add(key)
         self._pending.pop(key, None)
-        self._reserved.discard(key)
         # Drain every delivered prefix of the own queue: with batching, an
         # own record adopted by a peer can deliver before an earlier one.
         while (
@@ -703,145 +582,19 @@ class AtomicChannel(Channel):
                 and self.barrier_predicate is not None
                 and self.barrier_predicate(data)
             ):
-                self._barrier_hit = True
+                self._stopped = FROZEN  # _deliver_round finishes the freeze
             self._handle_delivered_payload(origin, seq, kind, data)
         return 1
 
-    def _abort_inflight(self) -> None:
-        """Tear down agreements for rounds after the closing round."""
-        for mvba in self._mvbas.values():
-            mvba.abort()
-        self._mvbas.clear()
-        self._decided.clear()
+    def _stop(self, why: str) -> None:
+        """Ordering ends: abort and drop every round still in flight."""
+        self._stopped = why
+        for rnd in self._rounds.values():
+            if rnd.mvba is not None:
+                rnd.mvba.abort()
+        self._rounds.clear()
         if self.obs.enabled:
             self.obs.set_gauge("atomic.pipeline.inflight", 0.0)
-
-    # -- offloaded bodies --------------------------------------------------------------
-
-    def _on_body(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            return
-        r, body = payload
-        if not isinstance(r, int) or r < self.round:
-            return  # rounds below the frontier have fully delivered
-        vector = self._check_vector(body)
-        if vector is None:
-            return
-        digest = vector_digest(vector)
-        if not self._store_body(r, sender, digest, vector):
-            return
-        if (r, sender) not in self._acked:
-            # Ack only the first valid body per (round, signer): an
-            # equivocating signer cannot farm certificates, and every
-            # certificate still proves >= n - 2t honest holders.
-            self._acked.add((r, sender))
-            share = self._avail_signer.sign_share(
-                avail_string(self.pid, r, sender, digest)
-            )
-            self.unicast(sender, MSG_ACK, (r, digest, share))
-            if self.obs.enabled:
-                self.obs.count("atomic.offload.acks")
-        self._advance()
-
-    def _store_body(
-        self, r: int, signer: int, digest: bytes, vector: List[Record]
-    ) -> bool:
-        bkey = (r, signer, digest)
-        if bkey in self._bodies:
-            return False
-        count = self._body_count.get((r, signer), 0)
-        if count >= 2:
-            return False  # bound what an equivocating signer can store here
-        self._body_count[(r, signer)] = count + 1
-        self._bodies[bkey] = vector
-        self._absorb(vector)
-        return True
-
-    def _on_ack(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
-        r, digest, share = payload
-        if not (
-            isinstance(r, int)
-            and isinstance(digest, bytes)
-            and isinstance(share, bytes)
-        ):
-            return
-        if r < self.round or r in self._cert_done:
-            return
-        if self._own_digest.get(r) != digest:
-            return
-        statement = avail_string(self.pid, r, self.ctx.node_id, digest)
-        if not self.ctx.crypto.accel.sig_share_ok(self._avail_scheme, statement, share):
-            return
-        shares = self._ack_shares.setdefault(r, {})
-        if sender + 1 in shares:
-            return
-        shares[sender + 1] = share
-        if len(shares) >= self._avail_scheme.k:
-            cert = self._avail_scheme.combine(statement, shares)
-            self._cert_done.add(r)
-            if self.obs.enabled:
-                self.obs.count("atomic.offload.certs")
-            self.send_all(MSG_QUEUE, (r, digest, cert))
-
-    def _on_fetch(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
-        r, signer, digest = payload
-        if not (
-            isinstance(r, int)
-            and isinstance(signer, int)
-            and isinstance(digest, bytes)
-        ):
-            return
-        vector = self._bodies.get((r, signer, digest))
-        if vector is None:
-            return
-        serve_key = (sender, r, signer, digest)
-        if serve_key in self._served:
-            return  # at most one reply per requester per body
-        self._served.add(serve_key)
-        if self.obs.enabled:
-            self.obs.count("atomic.offload.served")
-        self.unicast(sender, MSG_BODY, (r, signer, vector))
-
-    def _on_fetched_body(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
-        r, signer, body = payload
-        if not (isinstance(r, int) and isinstance(signer, int)) or r < self.round:
-            return
-        vector = self._check_vector(body)
-        if vector is None:
-            return
-        # The digest authenticates the body regardless of who served it.
-        self._store_body(r, signer, vector_digest(vector), vector)
-        self._advance()
-
-    def _gc_offload(self, r: int) -> None:
-        """Drop offload state for rounds far behind the frontier.
-
-        Bodies of recently delivered rounds are kept for
-        ``BODY_KEEP_ROUNDS`` so lagging parties' fetches can be served.
-        """
-        horizon = r - BODY_KEEP_ROUNDS
-        if horizon < 1:
-            return
-        self._bodies = {k: v for k, v in self._bodies.items() if k[0] > horizon}
-        self._body_count = {
-            k: v for k, v in self._body_count.items() if k[0] > horizon
-        }
-        self._acked = {k for k in self._acked if k[0] > horizon}
-        self._own_digest = {
-            k: v for k, v in self._own_digest.items() if k > horizon
-        }
-        self._ack_shares = {
-            k: v for k, v in self._ack_shares.items() if k > horizon
-        }
-        self._cert_done = {k for k in self._cert_done if k > horizon}
-        self._fetched = {k for k in self._fetched if k[0] > horizon}
-        self._served = {k for k in self._served if k[1] > horizon}
 
     # -- recovery introspection ------------------------------------------------------
 
@@ -873,8 +626,7 @@ class AtomicChannel(Channel):
         tombstoned, so straggling old-epoch frames are dropped at the
         router), and the ``closed`` future is left unresolved — the
         channel did not close, it was superseded."""
-        self._frozen = True
-        self._abort_inflight()
+        self._stop(FROZEN)
         super().abort()
 
     def _handle_delivered_payload(
@@ -889,8 +641,6 @@ class AtomicChannel(Channel):
         self._terminate()
 
     def halt(self) -> None:
-        # A terminated offload channel stays registered to answer
-        # MSG_FETCH: a party left with exactly n - t correspondents may
-        # still miss a decided body when those, its holders, close.
-        if not (self.offload and self._terminated and not self._frozen):
+        # closed, but still answering for the bodies it holds
+        if not (self._dissem.serves_closed and self._terminated and self._stopped == CLOSED):
             super().halt()

@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional
 from repro.common import rng as rng_mod
 from repro.common.encoding import encode
 from repro.common.errors import InvalidCiphertext, ProtocolError
-from repro.core.channel.atomic import KIND_CIPHER, AtomicChannel
+from repro.core.channel.atomic import CLOSED, KIND_CIPHER, AtomicChannel
 from repro.core.protocol import Context
 from repro.crypto.threshold_enc import Ciphertext, TDH2Scheme
 
@@ -150,8 +150,10 @@ class SecureAtomicChannel(AtomicChannel):
             if self.halted:
                 return
             index, share = payload
-            if not (isinstance(index, int) and index >= 0 and isinstance(share, bytes)):
+            if not (isinstance(index, int) and isinstance(share, bytes)):
                 return
+            if index < self._next_release:
+                return  # already released: a late share can unlock nothing
             self._dec_shares.setdefault(index, {})[sender + 1] = share
             self._consume_shares(index)
             return
@@ -199,8 +201,7 @@ class SecureAtomicChannel(AtomicChannel):
             super()._finish()
         # else: stay alive handling "dec" messages; _maybe_finish_late
         # terminates once everything pending has been released.
-        self._closing_now = True
 
     def _maybe_finish_late(self) -> None:
-        if getattr(self, "_closing_now", False) and not self._pending_ctxt:
+        if self._stopped == CLOSED and not self._pending_ctxt:
             super()._finish()

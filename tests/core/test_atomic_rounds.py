@@ -1,0 +1,234 @@
+"""The atomic channel holds what is in flight and nothing else.
+
+Three checks the one-record-per-round shape makes possible:
+
+* **quiescence** — once everything has delivered, no round-keyed state is
+  left behind (the leak regressions: ``_reserved`` kept one key per
+  duplicate-adopted record, ``_dec_shares`` one dict per late share);
+* **one validity** — a candidate entry is judged by the same ``check`` on
+  arrival and inside the agreement's external-validity predicate, for
+  both dissemination modes;
+* **wire pins** — messages, bytes, rounds, per-type counts and delivery
+  order of three closing runs in configuration cells no
+  ``benchmarks/baseline.json`` record covers, pinned to the values
+  commit ``20c3dbd`` produced.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.common.encoding import encode
+from repro.core.channel import AtomicChannel, SecureAtomicChannel
+from repro.core.channel.atomic import KIND_APP, VECTOR_LIMIT
+from repro.core.channel.dissemination import (
+    BODY_KEEP_ROUNDS,
+    SIGN_DOMAIN,
+    avail_string,
+    sign_string,
+    vector_digest,
+)
+from repro.crypto.dealer import fast_group
+from tests.helpers import MockContext, no_errors, sim_runtime
+
+# -- quiescence ------------------------------------------------------------------
+
+
+def _run_to_quiescence(group, cls, per_party, **kwargs):
+    rt = sim_runtime(group, seed=20)
+    chans = [cls(rt.contexts[i], "q", **kwargs) for i in range(group.n)]
+    for k in range(per_party):
+        for ch in chans:
+            ch.send(encode(("cmd", ch.ctx.node_id, k)))
+    rt.run()
+    no_errors(rt)
+    for ch in chans:
+        assert len(ch.deliveries) == group.n * per_party
+    return chans
+
+
+def _assert_nothing_left(ch):
+    assert len(ch._rounds) <= ch.pipeline_depth
+    assert all(rnd.mvba is None for rnd in ch._rounds.values())
+    assert ch._reserved == set()
+
+
+@pytest.mark.parametrize("offload", [False, True])
+def test_quiescent_channel_holds_no_round_state(group4, offload):
+    chans = _run_to_quiescence(
+        group4, AtomicChannel, 36, max_batch=2, pipeline_depth=2, offload=offload
+    )
+    for ch in chans:
+        _assert_nothing_left(ch)
+        if offload:
+            # enough rounds that the keep horizon had something to drop
+            assert ch.rounds_completed > BODY_KEEP_ROUNDS + ch.pipeline_depth
+            assert len(ch._dissem._rounds) <= BODY_KEEP_ROUNDS + ch.pipeline_depth
+
+
+def test_quiescent_secure_channel_holds_no_shares(group4):
+    chans = _run_to_quiescence(group4, SecureAtomicChannel, 5)
+    for ch in chans:
+        _assert_nothing_left(ch)
+        assert len(ch._dec_shares) == 0
+        assert not ch._pending_ctxt and not ch._plain
+
+
+def test_early_decryption_share_is_still_buffered(group4):
+    """A fast peer may be a ciphertext ahead: shares for an index not yet
+    delivered are kept, only those below the release frontier dropped."""
+    ch = SecureAtomicChannel(MockContext(group4, 0), "s")
+    ch.on_message(1, "dec", (0, b"share"))
+    assert ch._dec_shares == {0: {2: b"share"}}
+    ch._next_release = 1
+    ch.on_message(2, "dec", (0, b"late"))
+    assert ch._dec_shares == {0: {2: b"share"}}
+
+
+# -- one validity -------------------------------------------------------------------
+
+ROUND = 3
+SIGNER = 1
+PID = "v"
+
+
+def _channels(group, offload):
+    return [
+        AtomicChannel(MockContext(group, i), PID, offload=offload)
+        for i in range(group.n)
+    ]
+
+
+def _entry(chans, r, signer, vector):
+    """A properly proved ``(signer, body, proof)`` for ``vector`` —
+    whatever its shape — in the channels' dissemination mode."""
+    digest = vector_digest(vector)
+    if not chans[0].offload:
+        sig = chans[signer].ctx.crypto.sign(SIGN_DOMAIN, sign_string(PID, r, digest))
+        return (signer, vector, sig)
+    statement = avail_string(PID, r, signer, digest)
+    scheme = chans[0]._dissem._scheme
+    shares = {
+        i + 1: chans[i]._dissem._signer.sign_share(statement)
+        for i in range(scheme.k)
+    }
+    return (signer, digest, scheme.combine(statement, shares))
+
+
+VECTOR = [(SIGNER, 0, KIND_APP, b"x"), (SIGNER, 1, KIND_APP, b"y")]
+OTHER = [(SIGNER, 7, KIND_APP, b"z")]
+
+
+def _bad_entries(chans):
+    """name -> an entry that must be refused at (ROUND, SIGNER)."""
+    good = _entry(chans, ROUND, SIGNER, VECTOR)
+    bad = {
+        "wrong round": _entry(chans, ROUND + 1, SIGNER, VECTOR),
+        "wrong signer": (SIGNER,) + _entry(chans, ROUND, SIGNER + 1, VECTOR)[1:],
+    }
+    if chans[0].offload:
+        bad.update({
+            "non-bytes digest": (SIGNER, list(good[1]), good[2]),
+            "non-bytes certificate": (SIGNER, good[1], 7),
+            "certificate for another digest": (
+                SIGNER, good[1], _entry(chans, ROUND, SIGNER, OTHER)[2]
+            ),
+        })
+    else:
+        malformed = [(SIGNER, 0, KIND_APP, "not bytes")]
+        duplicate = [VECTOR[0], VECTOR[0]]
+        too_long = [(SIGNER, k, KIND_APP, b"") for k in range(VECTOR_LIMIT + 1)]
+        bad.update({
+            "malformed vector": _entry(chans, ROUND, SIGNER, malformed),
+            "duplicate key inside a vector": _entry(chans, ROUND, SIGNER, duplicate),
+            "over VECTOR_LIMIT": _entry(chans, ROUND, SIGNER, too_long),
+            "empty vector": _entry(chans, ROUND, SIGNER, []),
+            "non-int signature": (SIGNER, VECTOR, b"sig"),
+            "signature on another vector": (
+                SIGNER, VECTOR, _entry(chans, ROUND, SIGNER, OTHER)[2]
+            ),
+        })
+    return good, bad
+
+
+@pytest.mark.parametrize("offload", [False, True])
+def test_one_validity_on_arrival_and_in_agreement(group4, offload):
+    chans = _channels(group4, offload)
+    ch = chans[0]
+    assert ch.batch_size == 2
+    companion = _entry(chans, ROUND, 0, [(0, 0, KIND_APP, b"c")])
+    good, bad = _bad_entries(chans)
+
+    assert ch._dissem.check(ROUND, *good) is not None
+    assert ch._decode_batch(ROUND, encode([companion, good])) is not None
+    for name, entry in bad.items():
+        signer, body, proof = entry
+        assert signer == SIGNER
+        assert ch._dissem.check(ROUND, signer, body, proof) is None, name
+        assert ch._decode_batch(ROUND, encode([companion, entry])) is None, name
+        # ... and on arrival nothing of it is kept
+        ch._on_candidate(signer, (ROUND, body, proof))
+        assert ROUND not in ch._rounds, name
+    ch._on_candidate(SIGNER, (ROUND,) + good[1:])
+    assert list(ch._rounds[ROUND].candidates) == [SIGNER]
+
+
+# -- wire pins ------------------------------------------------------------------------
+
+#: config -> (messages, bytes, rounds, payloads delivered before the close
+#: round, per-mtype counts on the channel's own pid, delivery-order digest),
+#: computed at the parent commit 20c3dbd
+WIRE_PINS = [
+    (
+        dict(max_batch=4, pipeline_depth=2, offload=True),
+        (656, 450380, 4, 14, {"avail": 64, "body": 80, "queue": 64}, "0ecad55eac3f243a"),
+    ),
+    (
+        dict(max_batch=4, pipeline_depth=2),
+        (528, 359932, 4, 17, {"queue": 80}, "f0878b317fd5ac97"),
+    ),
+    (
+        dict(),
+        (1280, 724663, 10, 18, {"queue": 160}, "0b8dd6474036b30a"),
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def default_group4():
+    return fast_group(4, 1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,pinned", WIRE_PINS, ids=["offload-b4-d2", "inline-b4-d2", "defaults"]
+)
+def test_wire_is_pinned_where_no_baseline_record_looks(default_group4, kwargs, pinned):
+    """24 payloads from four senders and an immediate close: the close
+    round cuts the run short with rounds still in flight."""
+    rt = sim_runtime(default_group4, seed=20)
+    chans = [AtomicChannel(rt.contexts[i], "pin", **kwargs) for i in range(4)]
+    for k in range(6):
+        for s in range(4):
+            chans[s].send(encode(("cmd", s, k)))
+    for ch in chans:
+        ch.close()
+    for ch in chans:
+        rt.run_until(ch.closed, limit=3000)
+    rt.run()
+    no_errors(rt)
+    orders = [[data for _, _, data in ch.deliveries] for ch in chans]
+    assert all(order == orders[0] for order in orders)
+    by_type = {}
+    for (pid, mtype), count in rt.protocol_messages.items():
+        if pid == "pin":
+            by_type[mtype] = by_type.get(mtype, 0) + count
+    assert (
+        rt.messages_sent,
+        rt.bytes_sent,
+        chans[0].rounds_completed,
+        len(orders[0]),
+        by_type,
+        hashlib.sha256(encode(orders[0])).hexdigest()[:16],
+    ) == pinned

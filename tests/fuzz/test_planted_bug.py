@@ -37,19 +37,7 @@ class ReversedOrderChannel(AtomicChannel):
     """Planted bug: delivers agreed batches in reversed signer order."""
 
     def _deliver_round(self, r, batch, resolved):
-        for signer, vector in sorted(resolved, key=lambda e: -e[0]):  # BUG
-            for record in vector:
-                self._deliver_record(record, r)
-        self.rounds_completed += 1
-        self._candidates.pop(r, None)
-        self._emitted.discard(r)
-        self._emitted_keys.pop(r, None)
-        if len(self._close_origins) >= self.ctx.t + 1:
-            self._closing = True
-            self._abort_inflight()
-            self._finish()
-            return
-        self.round = r + 1
+        super()._deliver_round(r, batch, [(-s, v) for s, v in resolved])  # BUG
 
 
 def _buggy_atomic_scenario() -> ChannelScenario:

@@ -189,8 +189,12 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
 @pytest.mark.recovery
 def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path):
     """A wiped replica (no disk left at all) recovering next to a
-    Byzantine peer: the forged response is rejected, the honest quorum's
-    is adopted."""
+    Byzantine peer that serves it a forged response: the honest quorum's
+    is adopted, exactly once.  (That a forged response is *counted* as
+    rejected holds only if it beats the ``t + 1`` honest ones — ``_on_state``
+    stops counting once a response is adopted — so refusal itself is
+    asserted where arrival order is deterministic:
+    ``test_service_sim.py::test_byzantine_transfer_response_rejected``.)"""
 
     async def body():
         fabric = ChaosFabric(4, SocketChaosPlan(), seed=fuzz_seed)
@@ -223,13 +227,17 @@ def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path)
                 lambda: replicas[3].service.applied_seq >= 8,
                 what="wiped replica catching up",
             )
+            # What TCP adds: the forgery really went out on a socket.
+            await _wait(
+                lambda: replicas[1].recorder.counters.get(
+                    "recovery.transfer.served", 0
+                ) >= 1,
+                what="Byzantine peer serving its forged payload",
+            )
             digests = [r.service.last_state_digest() for r in replicas]
             return {
                 "stats": stats,
                 "digests": digests,
-                "rejected": replicas[3].recorder.counters.get(
-                    "recovery.transfer.rejected", 0
-                ),
                 "adopted": replicas[3].recorder.counters.get(
                     "recovery.transfer.adopted", 0
                 ),
@@ -241,7 +249,6 @@ def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path)
         out = _run(body())
         assert out["stats"]["seq"] == 8
         assert len(set(out["digests"])) == 1
-        assert out["rejected"] >= 1  # the forged response was refused
         assert out["adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
         print(_repro(
