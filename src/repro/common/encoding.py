@@ -24,11 +24,15 @@ which is required for signatures and hashes to be well-defined.
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Tuple
+from typing import Any, Tuple
 
 from repro.common.errors import EncodingError
 
-_LEN = struct.Struct(">I")
+_head = struct.Struct(">BI").pack  # tag, 4-byte length or count
+_int_head = struct.Struct(">BIB").pack  # tag, 4-byte magnitude length, sign
+_unpack_len = struct.Struct(">I").unpack_from
+_TAG_N, _TAG_T, _TAG_F, _TAG_I, _TAG_B, _TAG_S, _TAG_L, _TAG_U = b"NTFIBSLU"
+_PLUS, _MINUS = b"+-"
 
 
 def encode(value: Any) -> bytes:
@@ -37,40 +41,51 @@ def encode(value: Any) -> bytes:
     Supported types: ``None``, ``bool``, ``int``, ``bytes``, ``str``,
     ``list`` and ``tuple`` (recursively).
     """
-    out: List[bytes] = []
+    out = bytearray()
     _encode_into(value, out)
-    return b"".join(out)
+    return bytes(out)
 
 
-def _encode_into(value: Any, out: List[bytes]) -> None:
-    if value is None:
-        out.append(b"N")
-    elif value is True:
-        out.append(b"T")
-    elif value is False:
-        out.append(b"F")
-    elif isinstance(value, int):
-        mag = abs(value)
-        body = mag.to_bytes((mag.bit_length() + 7) // 8, "big") if mag else b""
-        out.append(b"I")
-        out.append(_LEN.pack(len(body)))
-        out.append(b"-" if value < 0 else b"+")
-        out.append(body)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        data = bytes(value)
-        out.append(b"B")
-        out.append(_LEN.pack(len(data)))
-        out.append(data)
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out.append(b"S")
-        out.append(_LEN.pack(len(data)))
-        out.append(data)
-    elif isinstance(value, (list, tuple)):
-        out.append(b"L" if isinstance(value, list) else b"U")
-        out.append(_LEN.pack(len(value)))
+def _encode_into(value: Any, out: bytearray) -> None:
+    # Exact types first, most frequent first; subclasses and the other
+    # bytes-likes are normalized by the isinstance chain at the end.
+    kind = type(value)
+    if kind is bytes:
+        out += _head(_TAG_B, len(value))
+        out += value
+    elif kind is int:
+        if 0 < value < 256:  # party indices, rounds, kinds: most integers sent
+            out += b"I\x00\x00\x00\x01+"
+            out.append(value)
+        elif not value:
+            out += b"I\x00\x00\x00\x00+"
+        else:
+            mag = abs(value)
+            size = (mag.bit_length() + 7) >> 3
+            out += _int_head(_TAG_I, size, _MINUS if value < 0 else _PLUS)
+            out += mag.to_bytes(size, "big")
+    elif kind is tuple or kind is list:
+        out += _head(_TAG_U if kind is tuple else _TAG_L, len(value))
         for item in value:
             _encode_into(item, out)
+    elif kind is str:
+        data = value.encode("utf-8")
+        out += _head(_TAG_S, len(data))
+        out += data
+    elif value is None:
+        out += b"N"
+    elif value is True:
+        out += b"T"
+    elif value is False:
+        out += b"F"
+    elif isinstance(value, int):
+        _encode_into(int.__int__(value), out)
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        _encode_into(bytes(value), out)
+    elif isinstance(value, str):
+        _encode_into(str.__str__(value), out)
+    elif isinstance(value, (list, tuple)):
+        _encode_into(list(value) if isinstance(value, list) else tuple(value), out)
     else:
         raise EncodingError(f"cannot encode value of type {type(value).__name__}")
 
@@ -81,61 +96,61 @@ def decode(data: bytes) -> Any:
     Raises :class:`~repro.common.errors.EncodingError` on malformed input or
     trailing garbage.
     """
-    value, offset = _decode_from(data, 0)
+    if type(data) is not bytes:
+        data = bytes(data)  # bytes-likes decode to the values ``bytes`` does
+    value, offset = _decode_from(data, 0, len(data))
     if offset != len(data):
         raise EncodingError(f"{len(data) - offset} trailing bytes after value")
     return value
 
 
-def _read_len(data: bytes, offset: int) -> Tuple[int, int]:
-    if offset + 4 > len(data):
-        raise EncodingError("truncated length prefix")
-    return _LEN.unpack_from(data, offset)[0], offset + 4
-
-
-def _decode_from(data: bytes, offset: int) -> Tuple[Any, int]:
-    if offset >= len(data):
+def _decode_from(data: bytes, offset: int, size: int) -> Tuple[Any, int]:
+    if offset >= size:
         raise EncodingError("truncated input: missing tag")
-    tag = data[offset : offset + 1]
-    offset += 1
-    if tag == b"N":
-        return None, offset
-    if tag == b"T":
-        return True, offset
-    if tag == b"F":
-        return False, offset
-    if tag == b"I":
-        length, offset = _read_len(data, offset)
-        if offset + 1 + length > len(data):
+    tag = data[offset]
+    body = offset + 5  # past the tag and a 4-byte length
+    if tag == _TAG_I:
+        if body > size:
+            raise EncodingError("truncated length prefix")
+        end = body + 1 + _unpack_len(data, offset + 1)[0]
+        if end > size:
             raise EncodingError("truncated integer")
-        sign = data[offset : offset + 1]
-        if sign not in (b"+", b"-"):
-            raise EncodingError(f"bad integer sign byte {sign!r}")
-        offset += 1
-        mag = int.from_bytes(data[offset : offset + length], "big")
-        offset += length
-        if sign == b"-":
-            if mag == 0:
-                raise EncodingError("negative zero is not canonical")
-            mag = -mag
-        return mag, offset
-    if tag in (b"B", b"S"):
-        length, offset = _read_len(data, offset)
-        if offset + length > len(data):
+        sign = data[body]
+        if end == body + 2:
+            mag = data[body + 1]
+        else:
+            mag = int.from_bytes(data[body + 1 : end], "big")
+        if sign == _PLUS:
+            return mag, end
+        if sign != _MINUS:
+            raise EncodingError(f"bad integer sign byte {bytes((sign,))!r}")
+        if mag == 0:
+            raise EncodingError("negative zero is not canonical")
+        return -mag, end
+    if tag == _TAG_B or tag == _TAG_S:
+        if body > size:
+            raise EncodingError("truncated length prefix")
+        end = body + _unpack_len(data, offset + 1)[0]
+        if end > size:
             raise EncodingError("truncated bytes/string")
-        raw = data[offset : offset + length]
-        offset += length
-        if tag == b"B":
-            return raw, offset
+        if tag == _TAG_B:
+            return data[body:end], end
         try:
-            return raw.decode("utf-8"), offset
+            return data[body:end].decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise EncodingError("invalid UTF-8 in string") from exc
-    if tag in (b"L", b"U"):
-        count, offset = _read_len(data, offset)
+    if tag == _TAG_U or tag == _TAG_L:
+        if body > size:
+            raise EncodingError("truncated length prefix")
         items = []
-        for _ in range(count):
-            item, offset = _decode_from(data, offset)
+        for _ in range(_unpack_len(data, offset + 1)[0]):
+            item, body = _decode_from(data, body, size)
             items.append(item)
-        return (items if tag == b"L" else tuple(items)), offset
-    raise EncodingError(f"unknown tag byte {tag!r}")
+        return (items if tag == _TAG_L else tuple(items)), body
+    if tag == _TAG_N:
+        return None, offset + 1
+    if tag == _TAG_T:
+        return True, offset + 1
+    if tag == _TAG_F:
+        return False, offset + 1
+    raise EncodingError(f"unknown tag byte {bytes((tag,))!r}")

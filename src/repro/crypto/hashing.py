@@ -11,6 +11,7 @@ into the hash input, so distinct uses of the hash can never collide.
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Iterable
 
 from repro.common.encoding import encode
@@ -80,7 +81,7 @@ def fdh_to_zn(domain: str, data: bytes, n: int) -> int:
     counter = 0
     while True:
         x = hash_to_int(domain, encode((data, counter)), n - 2) + 2
-        if arith.egcd(x, n)[0] == 1:
+        if math.gcd(x, n) == 1:
             return x
         counter += 1
 
@@ -98,7 +99,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
     if len(a) != len(b):
         raise ValueError("xor_bytes requires equal lengths")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def challenge(domain: str, parts: Iterable[object], bound: int) -> int:

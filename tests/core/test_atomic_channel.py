@@ -215,3 +215,21 @@ def test_unbounded_by_default(group4):
     for k in range(50):
         chans[0].send(b"x%d" % k)
     assert chans[0].can_send()
+
+
+def test_delivery_path_makes_no_egcd_call(group4, monkeypatch):
+    """Extended Euclid is for Shoup ``combine``'s Bézout coefficients; with
+    multi-signatures a delivery needs none (``fdh_to_zn`` asks ``math.gcd``)."""
+
+    def no_egcd(a, b):
+        raise AssertionError("arith.egcd called on the delivery path")
+
+    monkeypatch.setattr("repro.crypto.arith.egcd", no_egcd)
+    rt = sim_runtime(group4, seed=21)
+    chans = _channels(rt)
+    msgs = [b"p%d" % k for k in range(3)]
+    for sender, m in zip((0, 2, 3), msgs):
+        chans[sender].send(m)
+    got = _drain(rt, chans, 3)
+    assert sorted(got[0]) == msgs and all(g == got[0] for g in got.values())
+    no_errors(rt)

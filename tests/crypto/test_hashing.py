@@ -1,10 +1,18 @@
 """Random-oracle utilities: determinism, ranges, domain separation."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import hashing
+from repro.common.encoding import encode
+from repro.crypto import arith, hashing, rsa
 from repro.crypto.params import get_dl_group
+
+#: 58 % of first candidates share a factor with it, so the counter loop runs
+SMOOTH_N = 3 * 5 * 7 * 11 * 104729
+DEALT_N = rsa.generate_keypair(512, random.Random(21)).n
 
 
 def test_oracle_bytes_deterministic_and_sized():
@@ -52,6 +60,52 @@ def test_fdh_coprime(data):
     assert gcd(x, n) == 1
 
 
+def _fdh_reference(domain, data, n):
+    """``fdh_to_zn`` as it was while the coprimality test was ``arith.egcd``;
+    returns the counter that was accepted as well."""
+    counter = 0
+    while True:
+        x = hashing.hash_to_int(domain, encode((data, counter)), n - 2) + 2
+        if arith.egcd(x, n)[0] == 1:
+            return x, counter
+        counter += 1
+
+
+@pytest.mark.parametrize("n", [SMOOTH_N, DEALT_N], ids=["smooth", "dealt-512"])
+@given(st.sampled_from(["t", "repro.sig", ""]), st.binary(max_size=80))
+@settings(max_examples=100)
+def test_fdh_matches_egcd_reference(n, domain, data):
+    assert hashing.fdh_to_zn(domain, data, n) == _fdh_reference(domain, data, n)[0]
+
+
+def test_fdh_retry_branch_is_exercised():
+    counters = [_fdh_reference("t", b"a%d" % i, SMOOTH_N)[1] for i in range(30)]
+    assert sum(c > 0 for c in counters) >= 10 and max(counters) >= 2
+
+
+@pytest.mark.parametrize(
+    "domain, data, n, expected",
+    [  # computed at 27c9828 (egcd); the first one is accepted on a retry
+        ("t", b"a0", SMOOTH_N, 95646718),
+        (
+            "repro.rsa",
+            b"message",
+            67502083847044127709609317720844473178268748261756538744465114119399772822029,
+            13818157970351476127009934178279241038970867351923257042497427624238417407165,
+        ),
+        (
+            "atomic.sign",
+            bytes(range(64)),
+            9091836394769795716823728074617564647749441364838711365596681462332264784789483854747908554312467566822046706250362659707927724728135695950034965962791017,
+            2912050726817231118146200059465745470022197908037085225098806753663212850755312537718546363987530808677126388271750529458364347840782616900697531965718649,
+        ),
+    ],
+)
+def test_fdh_golden_values(domain, data, n, expected):
+    assert hashing.fdh_to_zn(domain, data, n) == expected
+    assert _fdh_reference(domain, data, n)[0] == expected
+
+
 def test_keystream_xor_roundtrip():
     key = b"k" * 32
     msg = b"the quick brown fox"
@@ -65,6 +119,12 @@ def test_xor_bytes_length_mismatch():
 
     with pytest.raises(ValueError):
         hashing.xor_bytes(b"ab", b"a")
+
+
+def test_xor_bytes_keeps_leading_zeros_and_length():
+    assert hashing.xor_bytes(b"\x00\x00\x01\xff", b"\x00\x00\x01\x0f") == b"\x00\x00\x00\xf0"
+    assert hashing.xor_bytes(b"\x00\x07", b"\x00\x07") == b"\x00\x00"
+    assert hashing.xor_bytes(b"", b"") == b""
 
 
 def test_challenge_depends_on_all_parts():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.common.errors import CryptoError, InvalidSignature
-from repro.crypto import rsa
+from repro.crypto import hashing, opcount, rsa
 
 RNG = random.Random(11)
 KP = rsa.generate_keypair(256, RNG)
@@ -46,6 +46,17 @@ def test_check_raises():
 def test_crt_consistent_with_plain_pow():
     x = 0x1234567890ABCDEF
     assert KP.sign_raw(x) == pow(x, KP.d, KP.n)
+
+
+def test_sign_is_the_raw_operation_on_the_full_domain_hash():
+    with opcount.counting() as ops:
+        sig = KP.sign("d", b"message")
+    assert sig == KP.sign_raw(hashing.fdh_to_zn("d", b"message", KP.n))
+    assert sig == pow(hashing.fdh_to_zn("d", b"message", KP.n), KP.d, KP.n)
+    # two half-size exponentiations, with the exponents derived once per key
+    assert ops.ops == 2
+    assert (KP.d_p, KP.d_q) == (KP.d % (KP.p - 1), KP.d % (KP.q - 1))
+    assert KP == rsa.RSAKeyPair(n=KP.n, e=KP.e, d=KP.d, p=KP.p, q=KP.q)
 
 
 def test_keypair_from_primes_validates():
