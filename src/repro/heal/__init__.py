@@ -39,8 +39,7 @@ from repro.heal.planner import (
 )
 from repro.heal.scenario import (
     CounterMachine,
-    HealResult,
-    run_heal_case,
+    HealScenario,
     stale_share_rejected,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "OrchestratorConfig",
     "ServiceFactory",
     "CounterMachine",
-    "HealResult",
-    "run_heal_case",
+    "HealScenario",
     "stale_share_rejected",
 ]

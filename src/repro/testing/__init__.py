@@ -3,9 +3,11 @@
 Everything a test needs to fuzz the SINTRA stack from one integer seed:
 
 * :mod:`repro.testing.schedule` — seeded fault plans, protocol workload
-  scenarios, the single-case runner (schedule chaos, crashes, wire
-  mutation and :mod:`repro.adversary` strategies in one case) and the
-  campaign driver (also a CLI: ``python -m repro.testing.schedule``);
+  scenarios (the :mod:`repro.heal` closed repair loop among them), the
+  single-case runner (schedule chaos, crashes, wire mutation and
+  :mod:`repro.adversary` strategies in one case), the campaign driver
+  (also a CLI: ``python -m repro.testing.schedule``) and the failure
+  report with its ``REPRO:`` lines and state-dump artifacts;
 * :mod:`repro.testing.invariants` — live protocol safety checkers;
 * :mod:`repro.testing.mutator` — the wire-level Byzantine mutator;
 * :mod:`repro.testing.netchaos` — seeded socket-level chaos proxies for
@@ -52,6 +54,7 @@ _EXPORTS = {
         "plan_from_seed",
         "report_failures",
         "run_case",
+        "write_failure_dumps",
     ],
     "shrink": ["shrink_case"],
 }

@@ -42,13 +42,14 @@ command that replays it from the shell::
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.adversary.context import infect
-from repro.adversary.harness import write_failure_dumps
 from repro.adversary.strategies import STRATEGIES
 from repro.adversary.watchdog import LivenessViolation, LivenessWatchdog, sentinel_for
 from repro.common import rng as rng_mod
@@ -68,7 +69,8 @@ from repro.net.faults import (
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
 from repro.net.sim import SimError
-from repro.obs.recorder import Recorder
+from repro.obs.export import bench_dir_from_env, make_record, write_record
+from repro.obs.recorder import MemoryRecorder, Recorder
 from repro.testing.invariants import (
     AgreementInvariant,
     InvariantSuite,
@@ -243,6 +245,12 @@ class CaseSetup:
     #: party id -> the protocol instance whose progress defines liveness;
     #: the liveness watchdog derives its sentinels from these
     probes: Dict[int, Any] = field(default_factory=dict)
+    #: the case's one watchdog, attached and armed, when the scenario
+    #: brings its own (the driver then builds none)
+    watchdog: Optional[LivenessWatchdog] = None
+    #: what the scenario reports about the run, filled in by the time
+    #: ``futures`` resolve; lands on :attr:`CaseResult.facts`
+    facts: Dict[str, Any] = field(default_factory=dict)
 
 
 class Scenario:
@@ -253,10 +261,17 @@ class Scenario:
     ``compromised`` run the honest stack too — a wire mutator corrupts
     their traffic or an intrusion strategy mediates it — and are outside
     every invariant), and returns the invariant suite plus the futures
-    whose resolution defines a live run.
+    whose resolution defines a live run.  ``deadline`` and ``time_limit``
+    are the case's budgets, for a scenario that paces its own workload.
     """
 
     name = "scenario"
+
+    #: the budgets (simulated seconds) a case of this scenario runs under
+    #: unless told otherwise: the liveness-watchdog deadline and the
+    #: whole run's limit
+    deadline = 30.0
+    time_limit = 300.0
 
     #: wire-mutator class for compromised parties; ``None`` means the
     #: generic :class:`~repro.testing.mutator.ByzantineMutator`.  Scenarios
@@ -270,6 +285,8 @@ class Scenario:
         group: GroupConfig,
         crashed: Set[int],
         compromised: Set[int],
+        deadline: float,
+        time_limit: float,
     ) -> CaseSetup:
         raise NotImplementedError
 
@@ -320,7 +337,9 @@ class ChannelScenario(Scenario):
         factory_name, kwargs = self.KINDS[self.kind]
         return getattr(party, factory_name)(self.name, **kwargs)
 
-    def setup(self, runtime, group, crashed, compromised) -> CaseSetup:
+    def setup(
+        self, runtime, group, crashed, compromised, deadline, time_limit
+    ) -> CaseSetup:
         channels = {p.id: self._make_channel(p) for p in make_parties(runtime)}
         for i, ch in channels.items():
             if i in crashed:
@@ -359,7 +378,9 @@ class AgreementScenario(Scenario):
         self.name = kind
         self.kind = kind
 
-    def setup(self, runtime, group, crashed, compromised) -> CaseSetup:
+    def setup(
+        self, runtime, group, crashed, compromised, deadline, time_limit
+    ) -> CaseSetup:
         parties = make_parties(runtime)
         r = runtime.sim.derive("workload", self.kind)
         honest = set(range(group.n)) - compromised
@@ -399,7 +420,9 @@ class LedgerScenario(Scenario):
         self.opens_per_party = opens_per_party
         self.transfers_per_party = transfers_per_party
 
-    def setup(self, runtime, group, crashed, compromised) -> CaseSetup:
+    def setup(
+        self, runtime, group, crashed, compromised, deadline, time_limit
+    ) -> CaseSetup:
         from repro.app.ledger import ReplicatedLedger
 
         keys = _ledger_keys(group.n)
@@ -446,6 +469,14 @@ def _ledger_keys(n: int):
     return _LEDGER_KEYS
 
 
+def _heal_scenario() -> Scenario:
+    """The closed-loop repair scenario (imported on first use: it pulls in
+    the recovery, membership and orchestrator layers)."""
+    from repro.heal.scenario import HealScenario
+
+    return HealScenario()
+
+
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "atomic": lambda: ChannelScenario("atomic"),
     "batched": lambda: ChannelScenario(
@@ -460,6 +491,7 @@ SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "binary": lambda: AgreementScenario("binary"),
     "mvba": lambda: AgreementScenario("mvba"),
     "ledger": lambda: LedgerScenario(),
+    "heal": _heal_scenario,
 }
 
 
@@ -501,8 +533,14 @@ class CaseResult:
     shrink_runs: int = 0
     #: merged per-strategy action counters, e.g. ``{"split-pre-vote": 12}``
     actions: Dict[str, int] = field(default_factory=dict)
-    #: the watchdog's protocol-state dump, on liveness failures
+    #: the protocol-state dump of a liveness failure (the watchdog's, or
+    #: the scenario's own)
     dump: Dict[str, Any] = field(default_factory=dict)
+    #: the budgets the case ran under (simulated seconds)
+    deadline: float = Scenario.deadline
+    time_limit: float = Scenario.time_limit
+    #: what the scenario reported about the run (:attr:`CaseSetup.facts`)
+    facts: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def minimized(self) -> bool:
@@ -525,6 +563,12 @@ class CaseResult:
             cmd += f" --extra {format_directive(d)}"
         if len(pinned_faulty(self.adversaries, self.extra)) > self.t:
             cmd += " --allow-excess"
+        # the replay resolves unset budgets from the registered scenario
+        defaults = SCENARIOS.get(self.scenario, Scenario)()
+        if self.deadline != defaults.deadline:
+            cmd += f" --deadline {self.deadline:g}"
+        if self.time_limit != defaults.time_limit:
+            cmd += f" --time-limit {self.time_limit:g}"
         return cmd
 
     def describe(self) -> str:
@@ -592,13 +636,13 @@ def run_case(
     case_seed: int,
     keep: Optional[Sequence[int]] = None,
     group: Optional[GroupConfig] = None,
-    time_limit: float = 300.0,
+    time_limit: Optional[float] = None,
     *,
     strategy: Optional[str] = None,
     adversaries: Optional[Sequence[int]] = None,
     extra: Sequence[Directive] = (),
     allow_excess: bool = False,
-    deadline: float = 30.0,
+    deadline: Optional[float] = None,
     recorder: Optional[Recorder] = None,
 ) -> CaseResult:
     """Execute one case; deterministic in all arguments.
@@ -609,11 +653,17 @@ def run_case(
     bound-tightness demonstration relies on).  ``strategy`` puts
     ``adversaries`` (default: ``t`` seed-derived parties) behind that
     intrusion strategy and arms a liveness watchdog with ``deadline``
-    simulated seconds.  ``allow_excess`` permits more than ``t`` pinned
-    faulty parties — only ever set by tests that *want* to watch the
-    protocol break past its fault bound.
+    simulated seconds — unless the scenario brings its own: a case has
+    exactly one.  ``deadline`` and ``time_limit`` default to the
+    scenario's.  ``allow_excess`` permits more than ``t`` pinned faulty
+    parties — only ever set by tests that *want* to watch the protocol
+    break past its fault bound.
     """
     group = group or default_group(n, t)
+    if deadline is None:
+        deadline = scenario.deadline
+    if time_limit is None:
+        time_limit = scenario.time_limit
     if strategy is None:
         if adversaries:
             raise ValueError("adversaries need a strategy to run")
@@ -666,11 +716,12 @@ def run_case(
         else [infect(runtime, i, strategy, case_seed, colluders) for i in advs]
     )
     setup = scenario.setup(
-        runtime, group, crashed=crashed, compromised=mutated | colluders
+        runtime, group, crashed=crashed, compromised=mutated | colluders,
+        deadline=deadline, time_limit=time_limit,
     )
     setup.suite.attach(runtime)
-    watchdog: Optional[LivenessWatchdog] = None
-    if strategy is not None:
+    watchdog = setup.watchdog
+    if watchdog is None and strategy is not None:
         # Armed only here: its recurring check is a simulator timer, which
         # would shift the schedule of every pinned strategy-free seed.
         watchdog = LivenessWatchdog(deadline=deadline, recorder=runtime.obs)
@@ -690,6 +741,9 @@ def run_case(
         strategy=strategy,
         adversaries=advs,
         extra=extra,
+        deadline=deadline,
+        time_limit=time_limit,
+        facts=setup.facts,
     )
 
     def fail(kind: str, error: str, dump: Optional[Dict[str, Any]] = None) -> None:
@@ -784,16 +838,69 @@ def fuzz(
     return failures
 
 
-def report_failures(failures: Sequence[Any]) -> str:
+def dump_artifact_path(dump_dir: str, result: CaseResult) -> str:
+    """A unique, timestamped artifact path for one failure's state dump."""
+    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S")
+    base = (
+        f"liveness-{stamp}-{result.scenario}-{result.strategy}"
+        f"-{hex(result.case_seed)}"
+    )
+    path = os.path.join(dump_dir, f"{base}.json")
+    serial = 1
+    while os.path.exists(path):
+        path = os.path.join(dump_dir, f"{base}-{serial}.json")
+        serial += 1
+    return path
+
+
+def write_failure_dumps(failures: Sequence[CaseResult]) -> List[str]:
+    """Write each failure's protocol-state dump to ``ADV_DUMP_DIR``.
+
+    A ``REPRO:`` line names a failing case; it cannot hold what the
+    watchdog saw when the run stalled — sentinel fingerprints, stall
+    ages, failure-detector suspects — or what a scenario knows about a
+    run that never got there.  That goes into one timestamped JSON file
+    per failure.  Failures without a dump (safety failures, cases run
+    without a watchdog) are skipped.  Returns the written paths — empty
+    when the variable is unset or nothing carried a dump.
+    """
+    dump_dir = os.environ.get("ADV_DUMP_DIR")
+    if not dump_dir:
+        return []
+    os.makedirs(dump_dir, exist_ok=True)
+    written: List[str] = []
+    for result in failures:
+        if not result.dump:
+            continue
+        path = dump_artifact_path(dump_dir, result)
+        artifact = {
+            "written_at": datetime.now(timezone.utc).isoformat(),
+            "scenario": result.scenario,
+            "strategy": result.strategy,
+            "n": result.n,
+            "t": result.t,
+            "case": hex(result.case_seed),
+            "adversaries": result.adversaries,
+            "kind": result.kind,
+            "error": result.error,
+            "replay": result.replay_command(),
+            "dump": result.dump,
+        }
+        with open(path, "w") as f:
+            json.dump(artifact, f, indent=2, sort_keys=True, default=repr)
+            f.write("\n")
+        written.append(path)
+    return written
+
+
+def report_failures(failures: Sequence[CaseResult]) -> str:
     """Human-readable failure report; also honors ``REPRO_FILE``.
 
-    ``failures`` is anything with a ``repro_line()`` — case results here,
-    heal results in :mod:`repro.heal`.  When the environment variable
-    ``REPRO_FILE`` names a file, every repro line is appended there as
-    well — CI uploads that file as the artifact of a failing job.
-    ``ADV_DUMP_DIR`` additionally collects the watchdog's protocol-state
-    dump of each liveness failure, one timestamped JSON file each
-    (:func:`~repro.adversary.harness.write_failure_dumps`).
+    When the environment variable ``REPRO_FILE`` names a file, every
+    repro line is appended there as well — CI uploads that file as the
+    artifact of a failing job.  ``ADV_DUMP_DIR`` additionally collects
+    the protocol-state dump of each liveness failure, one timestamped
+    JSON file each (:func:`write_failure_dumps`).
     """
     lines = [f.repro_line() for f in failures]
     for path in write_failure_dumps(failures):
@@ -859,18 +966,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-shrink", action="store_true", help="report failures unshrunk"
     )
     parser.add_argument(
-        "--deadline", type=float, default=30.0,
-        help="liveness-watchdog deadline with --strategy (simulated seconds)",
+        "--deadline", type=float, default=None,
+        help="liveness-watchdog deadline with --strategy (simulated "
+        "seconds; default: the scenario's)",
     )
     parser.add_argument(
-        "--time-limit", type=float, default=300.0,
-        help="simulated-seconds budget per case",
+        "--time-limit", type=float, default=None,
+        help="simulated-seconds budget per case (default: the scenario's)",
     )
     args = parser.parse_args(argv)
     if not args.n > 3 * args.t:
         parser.error(f"SINTRA requires n > 3t (got n={args.n}, t={args.t})")
 
     scenario = make_scenario(args.scenario)
+    bench_dir = bench_dir_from_env()
+    recorder = MemoryRecorder() if bench_dir else None
     try:
         case_kwargs: Dict[str, Any] = dict(
             strategy=args.strategy,
@@ -879,6 +989,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             allow_excess=args.allow_excess,
             deadline=args.deadline,
             time_limit=args.time_limit,
+            recorder=recorder,
         )
         if args.case is not None:
             result = run_case(
@@ -902,6 +1013,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ran += f" n={args.n} t={args.t} seed={hex(root_seed)}"
     except ValueError as exc:
         parser.error(str(exc))
+    if bench_dir:
+        # one record per invocation: the run's counters and phase timings
+        # (a heal campaign's ``heal.*`` story), under REPRO_BENCH_DIR
+        record = make_record(
+            f"{args.scenario}-{args.strategy or 'fuzz'}-n{args.n}t{args.t}",
+            experiment=f"{args.scenario}-campaign",
+            meta={"strategy": args.strategy, "n": args.n, "t": args.t, "ran": ran},
+            metrics={"failures": float(len(failures))},
+            recorder=recorder,
+            outcome="fail" if failures else "ok",
+        )
+        print(f"bench record: {write_record(bench_dir, record)}")
     if not failures:
         print(f"OK: {ran}")
         return 0

@@ -76,6 +76,26 @@ def test_safety_repro_line_replays_via_cli(group4, capsys):
     assert result.replay_command() in out
 
 
+def test_repro_line_carries_the_budgets_that_decide_the_run(capsys):
+    """A case run under its own ``--deadline`` / ``--time-limit`` replays
+    under them: this heal case is repaired within the scenario's 2000 s
+    and cannot be within 50, so a replay that fell back to the defaults
+    would pass."""
+    result = run_case(
+        make_scenario("heal"), 4, 1, 0x1, keep=[], strategy="doublevote",
+        deadline=10.0, time_limit=50.0,
+    )
+    assert not result.ok and result.kind == "liveness"
+    assert (result.deadline, result.time_limit) == (10.0, 50.0)
+    command = result.replay_command()
+    assert command.endswith("--keep none --deadline 10 --time-limit 50")
+    argv = command.split()
+    argv = argv[argv.index("repro.testing.schedule") + 1:]
+    assert main(argv) == 1
+    assert f"kind={result.kind} error={result.error!r}" in capsys.readouterr().out
+    assert main(argv[:argv.index("--deadline")]) == 0
+
+
 def test_t_plus_one_doublevote_breaks_liveness(liveness_failure):
     """Seeds where the honest proposals agree livelock instead: the
     coalition keeps both values viable forever, so rounds spin without a

@@ -2,15 +2,21 @@
 
 ``REPRO_FILE`` captures the one-line replay command; ``ADV_DUMP_DIR``
 captures what the line cannot: the watchdog's sentinel fingerprints and
-failure-detector suspects at the moment of the stall, one timestamped
-JSON artifact per failure — the file a CI run uploads so the stall is
-diagnosable without replaying it.
+failure-detector suspects at the moment of the stall — or, for a heal
+case, what the orchestrator tried — one timestamped JSON artifact per
+failure: the file a CI run uploads so the stall is diagnosable without
+replaying it.
 """
 
 import json
 
-from repro.adversary.harness import write_failure_dumps
-from repro.testing.schedule import CaseResult, report_failures
+from repro.testing.schedule import (
+    CaseResult,
+    make_scenario,
+    report_failures,
+    run_case,
+    write_failure_dumps,
+)
 
 from tests.adversary.conftest import COALITION
 
@@ -74,3 +80,20 @@ def test_failures_without_dumps_are_skipped(tmp_path, monkeypatch):
         kind="safety", error="agreement violated",
     )
     assert write_failure_dumps([safety]) == []
+
+
+def test_unhealed_case_dumps_the_orchestrators_story(tmp_path, monkeypatch):
+    """A heal case that never replaces its intruder is a liveness failure
+    whose dump is the orchestrator's: every repair it tried, in order."""
+    monkeypatch.setenv("ADV_DUMP_DIR", str(tmp_path))
+    unhealed = run_case(
+        make_scenario("heal"), 4, 1, 0x93FC29BF0FB27A7C,
+        strategy="silence", adversaries=[2],
+    )
+    assert not unhealed.ok and unhealed.kind == "liveness"
+    (path,) = write_failure_dumps([unhealed])
+    assert "heal-silence-0x93fc29bf0fb27a7c" in path
+    heals = json.loads(open(path).read())["dump"]["heals"]
+    assert heals == unhealed.facts["heals"]
+    assert heals[0]["action"] == "restart"
+    assert {h["outcome"] for h in heals} == {"rolled-back"}

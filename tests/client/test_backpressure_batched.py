@@ -19,7 +19,6 @@ concurrently.  The edge guarantees must survive that:
 
 from __future__ import annotations
 
-import os
 
 import pytest
 
@@ -30,23 +29,11 @@ from repro.client.simnet import SimClientNetwork
 from repro.core.party import make_parties
 from repro.obs import MemoryRecorder
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, print_repro, sim_runtime
 from tests.recovery.test_service_sim import RCounter
 
 CLIENTS = ("alice", "bob")
 REQUESTS_PER_CLIENT = 8
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/client/test_backpressure_batched.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _deployment(group, seed, **channel_kwargs):
@@ -129,10 +116,7 @@ def test_burst_sheds_retryably_and_executes_each_request_once(
         assert obs.counters["reqserver.submitted"] >= total
         no_errors(rt)
     except AssertionError:
-        print(_repro(
-            "test_burst_sheds_retryably_and_executes_each_request_once",
-            fuzz_seed,
-        ))
+        print_repro(fuzz_seed)
         raise
 
 
@@ -161,8 +145,5 @@ def test_coalescing_drains_congestion_without_client_retries_lost(
         assert obs.counters.get("atomic.batch.payloads", 0) >= REQUESTS_PER_CLIENT
         no_errors(rt)
     except AssertionError:
-        print(_repro(
-            "test_coalescing_drains_congestion_without_client_retries_lost",
-            fuzz_seed,
-        ))
+        print_repro(fuzz_seed)
         raise

@@ -12,10 +12,9 @@ The acceptance scenarios, deterministic and seed-replayable:
     with the retryable OVERLOADED status; the client backs off, retries,
     and eventually succeeds.
 
-Failures print a ``CHAOS-REPRO`` line pinning the seed.
+Failures print a ``REPRO:`` line pinning the seed.
 """
 
-import os
 
 import pytest
 
@@ -28,20 +27,8 @@ from repro.common.errors import RetriesExhausted
 from repro.core.party import make_parties
 from repro.obs import MemoryRecorder
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, print_repro, sim_runtime
 from tests.recovery.test_service_sim import RCounter
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/client/test_client_sim.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _deployment(group, seed, server_kwargs=None, **service_kwargs):
@@ -80,7 +67,7 @@ def test_correct_reply_with_t_byzantine_repliers(group4, fuzz_seed):
         assert all(s.state.inner.value == 8 for s in services)
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_correct_reply_with_t_byzantine_repliers", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
 
 
@@ -107,7 +94,7 @@ def test_failover_executes_exactly_once(group4, fuzz_seed):
         assert len({s.last_state_digest() for s in services}) == 1
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_failover_executes_exactly_once", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
 
 
@@ -131,8 +118,7 @@ def test_overloaded_shed_then_backoff_retry_succeeds(group4, fuzz_seed):
         assert all(len(s.log) == 2 for s in services)
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_overloaded_shed_then_backoff_retry_succeeds",
-                     fuzz_seed))
+        print_repro(fuzz_seed)
         raise
 
 
@@ -151,7 +137,7 @@ def test_channel_backpressure_reaches_the_client(group4, fuzz_seed):
         assert all(s.state.inner.value == 3 for s in services)
         no_errors(rt)
     except AssertionError:
-        print(_repro("test_channel_backpressure_reaches_the_client", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
 
 

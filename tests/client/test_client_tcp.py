@@ -10,11 +10,10 @@ is then restarted and recovered — its dedup table, rebuilt from the
 fsync'd WAL and certified checkpoints, must suppress a raw resubmission
 of an already-executed request without re-executing it.
 
-Failures print a ``CHAOS-REPRO`` line pinning the campaign seed.
+Failures print a ``REPRO:`` line pinning the campaign seed.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -28,6 +27,7 @@ from repro.obs import MemoryRecorder, bench_dir_from_env, make_record, write_rec
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
+from tests.helpers import print_repro
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.client]
@@ -41,18 +41,6 @@ SERVICE_KWARGS = dict(checkpoint_interval=4, fsync="always", pull_retry_s=0.3)
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/client/test_client_tcp.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 async def _wait(predicate, timeout=60.0, what="condition"):
@@ -186,8 +174,7 @@ def test_contact_killed_midrequest_failover_exactly_once(fuzz_seed, tmp_path):
         assert len(set(out["digests"])) == 1
         assert out["client_completed"] == out["client_requests"] == 5
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro(
-            "test_contact_killed_midrequest_failover_exactly_once", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
 
     # Export the run's client.* counters and e2e phase through the BENCH

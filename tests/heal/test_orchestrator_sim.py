@@ -5,6 +5,10 @@ Covers the tentpole acceptance criteria:
 * the pinned closed-loop case — a ``doublevote`` replica is detected,
   drained and replaced autonomously, the healed group converges on one
   digest, and the evicted replica's pre-refresh shares are stale;
+* the cells the loop reaches as a scenario of the one case runner: the
+  ``silence`` restart → re-offend → replace escalation, heal × schedule
+  chaos, ``t = 2`` simultaneous intruders, the CLI with its replaying
+  ``REPRO:`` line, and the shrinker on a cell that does not heal;
 * an epoch change that never commits rolls back without wedging the
   channel (the group keeps ordering on ``n - t`` replicas);
 * an onboarding that times out mid-transfer rolls back and shuts the
@@ -18,12 +22,14 @@ import pytest
 from repro.heal.evidence import EV_EQUIVOCATION, Evidence, SuspicionScorer
 from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
 from repro.heal.planner import PlannerConfig, RecoveryPlanner
-from repro.heal.scenario import CounterMachine, run_heal_case
+from repro.heal.scenario import CounterMachine
 from repro.membership.epoch import EpochKeychain
 from repro.membership.service import Membership
 from repro.obs.export import make_record
 from repro.obs.recorder import MemoryRecorder
 from repro.recovery import RecoverableService
+from repro.testing.schedule import main, make_scenario, run_case
+from repro.testing.shrink import shrink_case
 
 from tests.helpers import sim_runtime
 
@@ -32,21 +38,33 @@ pytestmark = pytest.mark.heal
 #: the pinned seed of the e2e case — CI replays exactly this run
 PINNED_CASE = 0x1
 
+#: a ``silence`` cell that does not heal under its seed plan (ROADMAP item
+#: 4): the intruder's restart rolls back mid-transfer, then no epoch
+#: change commits and the group stays at epoch 0
+UNHEALED_CASE, UNHEALED_INTRUDER = 0xFF827FAF9C813ED9, 3
 
-def test_closed_loop_doublevote_pinned_case(tmp_path):
+
+def assert_healed(result):
+    """Every acceptance check of the closed loop, intruder by intruder."""
+    assert result.ok, result.repro_line()
+    facts = result.facts
+    assert facts["detected"] and facts["replaced"]
+    assert facts["digests_agree"] and facts["stale_share_rejected"]
+    assert facts["final_epoch"] >= 1
+    replaced = {h["slot"] for h in facts["heals"] if h["outcome"] == "replaced"}
+    assert result.adversaries and set(result.adversaries) <= replaced
+
+
+def test_closed_loop_doublevote_pinned_case():
     """A doublevote intruder is autonomously detected, drained, replaced
     via certified state transfer; the healed group agrees byte-for-byte
     and the evicted replica's pre-refresh shares are rejected."""
     obs = MemoryRecorder()
-    result = run_heal_case(
-        "doublevote", PINNED_CASE, str(tmp_path), recorder=obs
+    result = run_case(
+        make_scenario("heal"), 4, 1, PINNED_CASE, keep=[],
+        strategy="doublevote", recorder=obs,
     )
-    assert result.ok, result.repro_line()
-    assert result.detected and result.replaced
-    assert result.digests_agree and result.stale_share_rejected
-    assert result.final_epoch >= 1
-    replaced = [h for h in result.heals if h["outcome"] == "replaced"]
-    assert any(h["slot"] == result.victim for h in replaced)
+    assert_healed(result)
 
     # the whole loop is observable: one BENCH record carries the story.
     record = make_record(
@@ -62,6 +80,76 @@ def test_closed_loop_doublevote_pinned_case(tmp_path):
     assert counters["heal.onboarding"] >= 1
     assert counters["heal.replaced"] >= 1
     assert "heal.replace.e2e" in record["phases"]
+
+
+def test_silence_escalates_from_restart_to_replacement():
+    """A silent replica is first restarted; the restart keeps the
+    compromised image, so it re-offends and the planner escalates."""
+    result = run_case(
+        make_scenario("heal"), 4, 1, PINNED_CASE, keep=[], strategy="silence"
+    )
+    assert_healed(result)
+    (intruder,) = result.adversaries
+    story = [
+        (h["action"], h["outcome"])
+        for h in result.facts["heals"] if h["slot"] == intruder
+    ]
+    assert story == [("restart", "rolled-back"), ("replace", "replaced")]
+
+
+def test_doublevote_heals_under_its_seed_fault_plan():
+    """Heal × schedule chaos: delay spikes, a slow link and a healing
+    partition run under the whole detect → replace loop."""
+    result = run_case(
+        make_scenario("heal"), 4, 1, PINNED_CASE, strategy="doublevote"
+    )
+    assert {d.kind for d in result.directives} == {
+        "spike", "slow-link", "partition"
+    }
+    assert_healed(result)
+
+
+def test_two_simultaneous_intruders_are_both_replaced():
+    """n = 7, t = 2: both seed-derived intruders, under the seed plan."""
+    result = run_case(
+        make_scenario("heal"), 7, 2, PINNED_CASE, strategy="doublevote"
+    )
+    assert len(result.adversaries) == 2 and result.directives
+    assert_healed(result)
+
+
+def test_cli_runs_heal_cases_and_its_repro_line_replays(capsys):
+    assert main([
+        "--scenario", "heal", "--strategy", "doublevote",
+        "--case", hex(PINNED_CASE),
+    ]) == 0
+    assert capsys.readouterr().out.startswith("OK: scenario=heal")
+
+    assert main([
+        "--scenario", "heal", "--strategy", "silence",
+        "--case", hex(UNHEALED_CASE), "--adversaries", str(UNHEALED_INTRUDER),
+    ]) == 1
+    first = capsys.readouterr().out
+    assert first.startswith("REPRO: scenario=heal strategy=silence")
+    assert "kind=liveness" in first and "not healed: replaced" in first
+    argv = first.split("replay: ")[1].split()
+    assert main(argv[argv.index("repro.testing.schedule") + 1:]) == 1
+    assert capsys.readouterr().out == first  # same kind, same error
+
+
+def test_shrinker_minimizes_an_unhealed_case():
+    """Of the three scheduler directives the cell runs, one slow link is
+    enough to stop the loop; without it the same intruder is replaced.
+    (Three re-runs: the last one heals, which is what makes the subset
+    minimal.)"""
+    shrunk = shrink_case(
+        make_scenario("heal"), 4, 1, UNHEALED_CASE, max_runs=3,
+        strategy="silence", adversaries=[UNHEALED_INTRUDER],
+    )
+    assert not shrunk.ok and shrunk.kind == "liveness"
+    assert shrunk.shrink_runs == 3 and shrunk.kept == [2]
+    assert [str(d) for d in shrunk.directives] == ["slow-link(2, 1, 0.292)"]
+    assert shrunk.replay_command().endswith("--adversaries 3 --keep 2")
 
 
 class _Harness:

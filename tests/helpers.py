@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import Any, Callable, List, Tuple
 
 from repro.core.protocol import Context, Router
@@ -117,3 +118,15 @@ def no_errors(rt):
     """Assert no handler raised during an honest run."""
     errors = rt.router_errors()
     assert not errors, f"handler errors in honest run: {errors[:5]}"
+
+
+def print_repro(seed: int) -> None:
+    """Print the one-line replay of the running seeded test; appended to
+    ``REPRO_FILE`` too when that is set, like a simulator case's line."""
+    test = os.environ["PYTEST_CURRENT_TEST"].rsplit(" ", 1)[0]
+    line = f"REPRO: PYTHONPATH=src python -m pytest {test} --fuzz-seed=0x{seed:x}"
+    print(line)
+    path = os.environ.get("REPRO_FILE")
+    if path:
+        with open(path, "a") as fh:
+            fh.write(line + "\n")

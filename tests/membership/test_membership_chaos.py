@@ -12,13 +12,12 @@ verification keys (the mobile-adversary check).
 A second test exercises proactive refresh on a *static* group under the
 same socket chaos: every submitted command survives the epoch cutover.
 
-Failures print a ``CHAOS-REPRO`` line pinning the seed; the headline test
+Failures print a ``REPRO:`` line pinning the seed; the headline test
 exports its ``membership.*`` counters through the BENCH pipeline.
 """
 
 import asyncio
 import json
-import os
 
 import pytest
 
@@ -29,6 +28,7 @@ from repro.obs import MemoryRecorder, bench_dir_from_env, make_record, write_rec
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
+from tests.helpers import print_repro
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.membership]
@@ -41,18 +41,6 @@ NODE_KWARGS = dict(
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/membership/test_membership_chaos.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _replicas(fabric, group, tmp_path):
@@ -232,7 +220,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
         assert out["recorder0"].counters["membership.reshare.epochs"] >= 1
         assert out["recorder3"].counters["recovery.transfer.adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_rolling_replacement_under_chaos", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
 
     # Export the run's membership counters through the BENCH pipeline.
@@ -299,5 +287,5 @@ def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path):
         assert len(set(out["digests"])) == 1
         assert len(out["members"]) == 1  # the roster did not change
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_proactive_refresh_under_chaos", fuzz_seed))
+        print_repro(fuzz_seed)
         raise

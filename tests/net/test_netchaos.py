@@ -2,13 +2,11 @@
 
 The heavyweight end-to-end cases are marked ``chaos`` so CI can run them
 as a dedicated smoke job with a pinned seed; they also run in tier-1.
-On failure each case prints (and, when ``CHAOS_REPRO_FILE`` is set,
-appends) a ``CHAOS-REPRO`` line pinning the campaign seed, mirroring the
-fuzz tier's repro artifacts.
+On failure each case prints (and, when ``REPRO_FILE`` is set, appends)
+a ``REPRO:`` line pinning the campaign seed, like every simulator case.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -17,22 +15,11 @@ from repro.net.faults import SocketChaosPlan
 from repro.testing.netchaos import ChaosFabric, ChaosProxy
 
 from tests.conftest import cached_group
+from tests.helpers import print_repro
 
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/net/test_netchaos.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 async def _drain(channel, count):
@@ -148,7 +135,7 @@ def test_atomic_broadcast_survives_socket_chaos(fuzz_seed):
     try:
         sequences, stats, injected = _run(body())
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_atomic_broadcast_survives_socket_chaos", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
     # total order and zero loss at the channel layer
     assert all(seq == sequences[0] for seq in sequences)
@@ -203,7 +190,7 @@ def test_recovery_after_peer_connections_killed_midrun(fuzz_seed):
     try:
         sequences, reconnects = _run(body())
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_recovery_after_peer_connections_killed_midrun", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
     assert all(seq == sequences[0] for seq in sequences)
     expected = sorted(
@@ -253,7 +240,7 @@ def test_remaining_three_deliver_after_one_peer_dies(fuzz_seed):
     try:
         sequences, states = _run(body())
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_remaining_three_deliver_after_one_peer_dies", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
     assert all(seq == sequences[0] for seq in sequences)
     assert sorted(sequences[0]) == sorted(b"alive-%d" % k for k in range(total))

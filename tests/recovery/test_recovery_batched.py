@@ -9,11 +9,10 @@ sees batched deliveries — several records per round, under the stable
 per-payload sub-sequencing — and WAL replay plus certified-checkpoint
 catch-up must still reproduce a byte-identical state digest.
 
-Failures print a ``CHAOS-REPRO`` line pinning the seed.
+Failures print a ``REPRO:`` line pinning the seed.
 """
 
 import asyncio
-import os
 
 import pytest
 
@@ -22,6 +21,7 @@ from repro.obs import MemoryRecorder
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
+from tests.helpers import print_repro
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
@@ -44,18 +44,6 @@ TOTAL = len(PHASE1) + len(BURST)
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/recovery/test_recovery_batched.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _replicas(fabric, group, tmp_path):
@@ -185,7 +173,5 @@ def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
         assert out["batch_sizes"] and max(out["batch_sizes"]) > 1
         assert out["adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro(
-            "test_kill_mid_batch_catches_up_to_identical_digest", fuzz_seed
-        ))
+        print_repro(fuzz_seed)
         raise

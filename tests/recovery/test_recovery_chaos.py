@@ -5,14 +5,13 @@ destroyed, only the fsync'd delivery log and checkpoint surviving (or not
 even those, with ``wipe_disk``) — while the rest of the group keeps
 ordering commands under mild socket chaos.  The restarted incarnation
 must catch up via checkpoint + state transfer and converge on the same
-state digest.  Failures print a ``CHAOS-REPRO`` line pinning the seed,
+state digest.  Failures print a ``REPRO:`` line pinning the seed,
 like the rest of the chaos tier, and the first test exports its
 ``recovery.*`` counters as a ``BENCH_*.json`` record.
 """
 
 import asyncio
 import json
-import os
 
 import pytest
 
@@ -21,6 +20,7 @@ from repro.obs import MemoryRecorder, bench_dir_from_env, make_record, write_rec
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
+from tests.helpers import print_repro
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
@@ -34,18 +34,6 @@ SERVICE_KWARGS = dict(checkpoint_interval=4, fsync="always", pull_retry_s=0.3)
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-def _repro(test, seed):
-    line = (
-        f"CHAOS-REPRO: PYTHONPATH=src python -m pytest "
-        f"tests/recovery/test_recovery_chaos.py::{test} --fuzz-seed=0x{seed:x}"
-    )
-    path = os.environ.get("CHAOS_REPRO_FILE")
-    if path:
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-    return line
 
 
 def _replicas(fabric, group, tmp_path):
@@ -162,7 +150,7 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
         assert out["recorder0"].counters["recovery.transfer.served"] >= 1
         assert out["recorder3"].counters["recovery.transfer.adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro("test_killed_replica_catches_up_to_identical_digest", fuzz_seed))
+        print_repro(fuzz_seed)
         raise
 
     # Export the run's recovery counters through the BENCH pipeline.
@@ -251,7 +239,5 @@ def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path)
         assert len(set(out["digests"])) == 1
         assert out["adopted"] == 1
     except (AssertionError, asyncio.TimeoutError):
-        print(_repro(
-            "test_byzantine_transfer_rejected_wiped_replica_recovers", fuzz_seed
-        ))
+        print_repro(fuzz_seed)
         raise
