@@ -34,7 +34,12 @@ instances run for every round in the window ``[r, r + depth)`` where ``r``
 is the lowest undelivered round.  Decisions for later rounds are buffered
 and *delivery stays strictly in round order*, so the total order is
 unchanged — only the collect/propose phase of round ``r + 1`` overlaps the
-agreement phase of round ``r``.  Because a round can be validated before
+agreement phase of round ``r``.  A party signs a candidate for a round
+*above* ``r`` only when its vector is full (``max_batch`` records): a
+partial vector waits until its round is the lowest and then takes
+whatever has arrived, as at depth 1, so a window of rounds does not cut a
+backlog into many small vectors, and with ``max_batch = 1`` every vector
+is full and the rule is vacuous.  Because a round can be validated before
 an earlier round has delivered locally, the batch validity predicate must
 not depend on the local delivery frontier: instead of the paper's "none
 already delivered before round r" clause, duplicates are filtered
@@ -59,6 +64,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ProtocolError
+from repro.common.runs import Runs
 from repro.core.agreement.multivalued import ORDER_RANDOM, ArrayAgreement
 from repro.core.channel.base import Channel
 from repro.core.channel.dissemination import MSG_QUEUE, Inline, Offloaded
@@ -106,12 +112,13 @@ class ChannelResume:
     durable history, :meth:`AtomicChannel.harvest_resume` from a channel
     frozen at an epoch barrier.  ``delivered`` carries duplicate
     suppression over (per-origin sequence numbers continue at
-    ``next_seq``); ``own_records`` and ``pending`` re-enter agreement with
-    no ``send()`` — from the own queue and the adoption pool, so fairness
+    ``next_seq``) and is copied, never kept, by the channel that takes
+    it; ``own_records`` and ``pending`` re-enter agreement with no
+    ``send()`` — from the own queue and the adoption pool, so fairness
     carries over too."""
 
     round: int = 1
-    delivered: Tuple[Tuple[int, int], ...] = ()
+    delivered: Runs = field(default_factory=Runs)
     close_origins: Tuple[int, ...] = ()
     next_seq: int = 0
     own_records: Tuple[Record, ...] = ()
@@ -166,9 +173,8 @@ class AtomicChannel(Channel):
         self._rounds: Dict[int, _Round] = {}
         #: adoption pool: (origin, seq) -> record, in arrival order
         self._pending: Dict[Tuple[int, int], Record] = {}
-        self._delivered: Set[Tuple[int, int]] = set(
-            (int(o), int(s)) for o, s in resume.delivered
-        )
+        #: every key delivered since genesis, as per-origin runs
+        self._delivered: Runs = resume.delivered.copy()
         self._close_origins: Set[int] = set(int(o) for o in resume.close_origins)
         for raw in resume.own_records:
             record = self._check_record(tuple(raw))
@@ -252,10 +258,11 @@ class AtomicChannel(Channel):
         """Emit candidates and start agreements across the pipeline window."""
         if not self._ordering():
             return
+        emitting = True  # until a round finds no vector: a later one cannot
         for r in range(self.round, self.round + self.pipeline_depth):
             rnd = self._rounds.get(r)
             if rnd is None or rnd.decided is None:
-                self._try_emit(r)
+                emitting = emitting and self._try_emit(r)
                 self._maybe_propose(r)
         if self.obs.enabled:
             self.obs.set_gauge("atomic.pipeline.inflight", self._inflight())
@@ -266,14 +273,20 @@ class AtomicChannel(Channel):
 
     # -- per-round candidate emission ----------------------------------------------------
 
-    def _try_emit(self, r: int) -> None:
-        """Sign and circulate this party's round-``r`` candidate vector."""
+    def _try_emit(self, r: int) -> bool:
+        """Sign and circulate this party's round-``r`` candidate vector;
+        whether one is out, now or from before."""
         rnd = self._rounds.get(r)
         if rnd is not None and rnd.own_keys:
-            return
+            return True
         vector = self._pick_vector()
         if vector is None:
-            return
+            return False
+        if r > self.round and len(vector) < self.max_batch:
+            # A partial vector waits for the lowest round: it goes out
+            # when ``r`` gets there, as it would at depth 1, with whatever
+            # has arrived by then.
+            return False
         if rnd is None:
             rnd = self._rounds[r] = _Round()
         rnd.own_keys = {(rec[0], rec[1]) for rec in vector}
@@ -281,6 +294,7 @@ class AtomicChannel(Channel):
             # Phase 1 of a round: collecting signed candidates from peers.
             self.obs.phase((self.obs_scope, r), "atomic.collect")
         self._dissem.announce(r, vector)
+        return True
 
     def _pick_vector(self) -> Optional[List[Record]]:
         """Up to ``max_batch`` undelivered records: own queue first, then
@@ -415,8 +429,8 @@ class AtomicChannel(Channel):
         if not self.offload:
             covered: Set[Tuple[int, int]] = set()
             for signer, (vector, proof) in candidates.items():
-                keys = {(rec[0], rec[1]) for rec in vector}
-                keys -= self._delivered | covered
+                keys = {(rec[0], rec[1]) for rec in vector} - covered
+                keys = {key for key in keys if key not in self._delivered}
                 if not keys:
                     continue
                 covered.update(keys)
@@ -559,9 +573,8 @@ class AtomicChannel(Channel):
         origin, seq, kind, data = record
         key = (origin, seq)
         self._reserved.discard(key)  # even a duplicate: it was reserved once
-        if key in self._delivered:
+        if not self._delivered.add(origin, seq):
             return 0
-        self._delivered.add(key)
         self._pending.pop(key, None)
         # Drain every delivered prefix of the own queue: with batching, an
         # own record adopted by a peer can deliver before an earlier one.
@@ -605,7 +618,7 @@ class AtomicChannel(Channel):
         record (own queue and adoption pool) back in agreement."""
         return ChannelResume(
             round=1,
-            delivered=tuple(sorted(self._delivered)),
+            delivered=self._delivered.copy(),
             close_origins=tuple(sorted(self._close_origins)),
             next_seq=self._own_next_seq,
             own_records=tuple(

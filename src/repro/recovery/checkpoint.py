@@ -2,10 +2,11 @@
 
 Every ``K`` delivered slots each replica signs the statement
 ``(pid, seq, digest)`` where ``digest`` hashes the *checkpoint package* —
-the state snapshot together with the channel bookkeeping (delivered keys,
-close origins, next round) needed to resume delivery after the covered
-prefix.  Because the package is a pure function of the slot sequence,
-honest replicas produce byte-identical packages and their shares combine.
+the state snapshot together with the channel bookkeeping (delivered keys
+as per-origin runs, close origins, next round) needed to resume delivery
+after the covered prefix; its size does not grow with the history.
+Because the package is a pure function of the slot sequence, honest
+replicas produce byte-identical packages and their shares combine.
 
 The certificate is a ``k = t + 1`` multi-signature over the group's
 per-party RSA keys (``crypto/threshold_sig.py``).  ``t + 1`` shares mean
@@ -26,6 +27,7 @@ from typing import Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ReproError
+from repro.common.runs import Runs
 from repro.crypto.threshold_sig import MultiSignatureScheme, ThresholdSigner
 from repro.recovery.history import History, Members
 
@@ -67,15 +69,16 @@ def checkpoint_signer(
 def make_package(snapshot: bytes, history: History) -> bytes:
     """Canonical encoding of a snapshot and the history it stands at.
 
-    Deterministic in the slot sequence alone (the key lists are sorted),
-    so all honest replicas produce identical bytes and their shares
-    combine.  Without a roster (a static group) it is the 4-tuple
-    ``(snapshot, delivered, closes, round)``; a membership-aware service
-    appends ``(epoch, roster)`` from epoch 0 on.
+    Deterministic in the slot sequence alone (a set of keys has one
+    canonical run list, the close origins are sorted), so all honest
+    replicas produce identical bytes and their shares combine.  Without a
+    roster (a static group) it is the 4-tuple ``(snapshot, delivered,
+    closes, round)`` with ``delivered = [(origin, lo, hi), ...]``; a
+    membership-aware service appends ``(epoch, roster)`` from epoch 0 on.
     """
     base = (
         snapshot,
-        sorted((int(o), int(s)) for o, s in history.delivered),
+        history.delivered.canonical(),
         sorted(int(o) for o in history.closes),
         int(history.round),
     )
@@ -90,7 +93,9 @@ def parse_package(package: bytes) -> Tuple[bytes, History]:
     """Decode and shape-check a checkpoint package from an untrusted peer.
 
     Returns ``(snapshot, history)``; a 4-tuple package parses as epoch 0
-    with ``roster = None``.
+    with ``roster = None``.  ``t + 1`` replicas sign the digest of these
+    bytes, so a set of delivered keys has exactly one accepted encoding
+    (:meth:`Runs.parse`), checked run by run, never key by key.
     """
     try:
         parsed = decode(package)
@@ -103,11 +108,10 @@ def parse_package(package: bytes) -> Tuple[bytes, History]:
         raise CheckpointError("package snapshot must be bytes")
     if not isinstance(delivered, list) or not isinstance(closes, list):
         raise CheckpointError("package bookkeeping must be lists")
-    for entry in delivered:
-        if not (isinstance(entry, tuple) and len(entry) == 2
-                and isinstance(entry[0], int) and isinstance(entry[1], int)
-                and entry[1] >= 0):
-            raise CheckpointError("package delivered key malformed")
+    try:
+        delivered = Runs.parse(delivered)
+    except ValueError as exc:
+        raise CheckpointError(f"package delivered keys: {exc}") from exc
     for origin in closes:
         if not isinstance(origin, int):
             raise CheckpointError("package close origin malformed")
@@ -125,7 +129,7 @@ def parse_package(package: bytes) -> Tuple[bytes, History]:
             if member is not None and not isinstance(member, str):
                 raise CheckpointError("package roster member malformed")
         roster = tuple(raw_roster)
-    history = History(tuple(delivered), frozenset(closes), base_round, epoch, roster)
+    history = History(delivered, frozenset(closes), base_round, epoch, roster)
     return snapshot, history
 
 
@@ -155,7 +159,9 @@ class Checkpoint:
 class CheckpointStore:
     """Holds the newest certified checkpoint on disk (atomic replace)."""
 
-    _MAGIC = b"SINTRA-CKPT1"
+    #: bumped with the package format (``CKPT1``: delivered as a key list);
+    #: an older file is unrecognized and recovery falls back to peers
+    _MAGIC = b"SINTRA-CKPT2"
 
     def __init__(self, path: str):
         self.path = path

@@ -10,9 +10,10 @@ it, so a slot means the same thing live, on replay and on transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.common.runs import Runs
 from repro.core.channel.atomic import KIND_APP, KIND_CLOSE
 from repro.recovery.wal import SlotTuple
 
@@ -26,9 +27,10 @@ Step = Callable[[int, Members, bytes], Optional[Tuple[int, Members]]]
 
 @dataclass(frozen=True)
 class History:
-    """What a delivered slot prefix leaves behind (see the module text)."""
+    """What a delivered slot prefix leaves behind (see the module text).
+    ``len(delivered)`` is the number of slots in the prefix."""
 
-    delivered: Tuple[Tuple[int, int], ...] = ()
+    delivered: Runs = field(default_factory=Runs)
     closes: FrozenSet[int] = frozenset()
     #: the round the channel continues at after the prefix
     round: int = 1
@@ -47,13 +49,18 @@ def fold(
     restarts at 1, the successor channel numbering its rounds afresh.  The
     same epoch: a reconfiguration command that lost the race for its epoch
     or is inadmissible; it occupies its slot and is never applied.
+
+    A slot repeating a delivered key adds nothing to ``delivered``: the
+    count falls short of the slots folded, which is how callers tell.
+    Costs O(runs + slots), whatever the length of the history behind
+    ``base``.
     """
-    delivered = list(base.delivered)
+    delivered = base.delivered.copy()
     closes = set(base.closes)
     round_now, epoch, roster = base.round, base.epoch, base.roster
     commands: List[bytes] = []
     for _index, origin, oseq, kind, data, round_ in slots:
-        delivered.append((origin, oseq))
+        delivered.add(origin, oseq)
         round_now = max(round_now, round_ + 1)
         if kind == KIND_CLOSE:
             closes.add(origin)
@@ -64,5 +71,5 @@ def fold(
             elif stepped[0] > epoch:
                 epoch, roster = stepped
                 round_now = 1
-    history = History(tuple(delivered), frozenset(closes), round_now, epoch, roster)
+    history = History(delivered, frozenset(closes), round_now, epoch, roster)
     return history, commands

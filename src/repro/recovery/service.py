@@ -516,7 +516,7 @@ class RecoverableService(ReplicatedService):
         elif package != b"" or sig != b"":
             raise CheckpointError("uncertified response carries a package")
         _snapshot, _base, history, _commands = self._replay(ckpt, slots)
-        if len(set(history.delivered)) != len(history.delivered):
+        if len(history.delivered) != seq + len(slots):
             raise CheckpointError("transfer repeats a delivered key")
         if history.epoch < self.membership.min_epoch:
             # A mobile adversary must not be able to serve a stale but
@@ -587,8 +587,9 @@ class RecoverableService(ReplicatedService):
         self._base = base
         self.last_certified = self._last_proposed = len(base.delivered)
         self._applied_seq = len(history.delivered)
-        own = [s + 1 for o, s in history.delivered if o == self.party.id]
-        next_seq = max([self.wal.sent_next] + own)
+        next_seq = max(
+            self.wal.sent_next, history.delivered.next_seq(self.party.id)
+        )
         return ChannelResume(
             history.round, history.delivered, tuple(history.closes), next_seq
         )

@@ -9,9 +9,10 @@ Three checks the one-record-per-round shape makes possible:
   arrival and inside the agreement's external-validity predicate, for
   both dissemination modes;
 * **wire pins** — messages, bytes, rounds, per-type counts and delivery
-  order of three closing runs in configuration cells no
+  order of four closing runs in configuration cells no
   ``benchmarks/baseline.json`` record covers, pinned to the values
-  commit ``20c3dbd`` produced.
+  commit ``20c3dbd`` produced (the pipelined cells re-pinned with the
+  full-vector rule, see ``test_round_rule.py``).
 """
 
 from __future__ import annotations
@@ -179,19 +180,27 @@ def test_one_validity_on_arrival_and_in_agreement(group4, offload):
 
 #: config -> (messages, bytes, rounds, payloads delivered before the close
 #: round, per-mtype counts on the channel's own pid, delivery-order digest),
-#: computed at the parent commit 20c3dbd
+#: computed at commit 20c3dbd; the two ``b4-d2`` cells moved once since, when
+#: a partial vector began to wait for the lowest round (one round fewer each:
+#: 656 / 450380 / 4 rounds offloaded, 528 / 359932 / 4 inline before)
 WIRE_PINS = [
     (
         dict(max_batch=4, pipeline_depth=2, offload=True),
-        (656, 450380, 4, 14, {"avail": 64, "body": 80, "queue": 64}, "0ecad55eac3f243a"),
+        (624, 428252, 3, 14, {"avail": 64, "body": 64, "queue": 64}, "c980363d3c6d0c73"),
     ),
     (
         dict(max_batch=4, pipeline_depth=2),
-        (528, 359932, 4, 17, {"queue": 80}, "f0878b317fd5ac97"),
+        (496, 367468, 3, 14, {"queue": 64}, "3818c77d55638ad9"),
     ),
     (
         dict(),
         (1280, 724663, 10, 18, {"queue": 160}, "0b8dd6474036b30a"),
+    ),
+    # the paper's one record per signer, pipelined: a vector of one is
+    # always full, so the rule is a no-op (values of commit 27fba93)
+    (
+        dict(max_batch=1, pipeline_depth=4),
+        (1072, 590011, 8, 14, {"queue": 176}, "306fcbd0896248df"),
     ),
 ]
 
@@ -202,7 +211,7 @@ def default_group4():
 
 
 @pytest.mark.parametrize(
-    "kwargs,pinned", WIRE_PINS, ids=["offload-b4-d2", "inline-b4-d2", "defaults"]
+    "kwargs,pinned", WIRE_PINS, ids=["offload-b4-d2", "inline-b4-d2", "defaults", "b1-d4"]
 )
 def test_wire_is_pinned_where_no_baseline_record_looks(default_group4, kwargs, pinned):
     """24 payloads from four senders and an immediate close: the close

@@ -4,6 +4,7 @@ way in, ``harvest_resume()`` the only way out of a frozen channel."""
 import pytest
 
 from repro.common.errors import ProtocolError
+from repro.common.runs import Runs
 from repro.core.channel.atomic import KIND_APP, AtomicChannel, ChannelResume
 
 from tests.helpers import no_errors, sim_runtime
@@ -33,7 +34,7 @@ def test_carried_records_reenter_agreement_without_a_send(group4):
     adoption pool; a key already delivered is dropped on the way in and
     never delivered again."""
     rt = sim_runtime(group4, seed=61)
-    delivered = ((0, 0),)
+    delivered = Runs(((0, 0),))
     old = (0, 0, KIND_APP, b"old")
     resumes = {
         0: ChannelResume(
@@ -62,7 +63,7 @@ def test_carried_records_reenter_agreement_without_a_send(group4):
     assert [slot[0] for slot in slots] == [1, 2]
     assert sorted(slot[1:] for slot in slots) == [(0, 1, KIND_APP), (1, 5, KIND_APP)]
     assert all(
-        ch.harvest_resume().delivered == ((0, 0), (0, 1), (1, 5))
+        ch.harvest_resume().delivered == Runs(((0, 0), (0, 1), (1, 5)))
         for ch in chans.values()
     )
 

@@ -1,9 +1,12 @@
 """Checkpoint packages, certificates, and their durable store."""
 
 import hashlib
+import time
 
 import pytest
 
+from repro.common.encoding import encode
+from repro.common.runs import Runs
 from repro.crypto.threshold_sig import combine_optimistically
 from repro.recovery.checkpoint import (
     Checkpoint,
@@ -16,6 +19,7 @@ from repro.recovery.checkpoint import (
     parse_package,
 )
 from repro.recovery.history import History
+
 
 def _scheme(group):
     return checkpoint_scheme(group.party(0))
@@ -38,11 +42,11 @@ def test_statement_binds_all_fields():
 
 def test_package_round_trip_and_canonical_order():
     package = make_package(
-        b"snap", History(((2, 0), (0, 1), (0, 0)), frozenset({3, 1}), 7)
+        b"snap", History(Runs(((2, 0), (0, 1), (0, 0))), frozenset({3, 1}), 7)
     )
     snapshot, history = parse_package(package)
     assert snapshot == b"snap"
-    assert history.delivered == ((0, 0), (0, 1), (2, 0))
+    assert history.delivered.canonical() == [(0, 0, 2), (2, 0, 1)]
     assert history.closes == {1, 3}
     assert history.round == 7
     assert (history.epoch, history.roster) == (0, None)
@@ -63,24 +67,83 @@ def test_parse_package_rejects_garbage(blob):
 
 
 def test_parse_package_rejects_bad_shapes():
-    from repro.common.encoding import encode
-
     bad = [
-        encode((b"snap", [(0, 0)], [])),  # 3-tuple
-        encode(("snap", [(0, 0)], [], 1)),  # snapshot not bytes
-        encode((b"snap", [(0,)], [], 1)),  # delivered key not a pair
-        encode((b"snap", [(0, -1)], [], 1)),  # negative per-origin seq
-        encode((b"snap", [(0, 0)], ["x"], 1)),  # close origin not int
-        encode((b"snap", [(0, 0)], [], 0)),  # round below 1
+        encode((b"snap", [(0, 0, 1)], [])),  # 3-tuple
+        encode(("snap", [(0, 0, 1)], [], 1)),  # snapshot not bytes
+        encode((b"snap", ((0, 0, 1),), [], 1)),  # delivered not a list
+        encode((b"snap", [(0, 0, 1)], ["x"], 1)),  # close origin not int
+        encode((b"snap", [(0, 0, 1)], [], 0)),  # round below 1
     ]
     for blob in bad:
         with pytest.raises(CheckpointError):
             parse_package(blob)
 
 
+#: t + 1 replicas sign the package digest, so a set of delivered keys must
+#: have exactly one accepted encoding: each way of writing the same set (or
+#: no set) differently is refused, by name
+NON_CANONICAL = [
+    ("runs unsorted", [(1, 0, 1), (0, 0, 1)]),
+    ("runs unsorted", [(0, 5, 6), (0, 0, 1)]),
+    ("runs overlap", [(0, 0, 4), (0, 3, 6)]),
+    ("runs overlap", [(0, 0, 4), (0, 0, 4)]),
+    ("runs adjacent", [(0, 0, 2), (0, 2, 3)]),
+    ("run is empty or reversed", [(0, 3, 3)]),
+    ("run is empty or reversed", [(0, 4, 2)]),
+    ("run starts below zero", [(0, -1, 2)]),
+    ("run must be a triple of ints", [(0, 0)]),
+    ("run must be a triple of ints", [(0, 0, b"1")]),
+    ("run must be a triple of ints", [(0, False, True)]),
+    ("run must be a triple of ints", [[0, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("name, runs", NON_CANONICAL)
+def test_parse_package_rejects_non_canonical_runs(name, runs):
+    with pytest.raises(CheckpointError, match=name):
+        parse_package(encode((b"snap", runs, [], 1)))
+
+
+def test_hostile_run_costs_no_per_key_work():
+    """``(0, 0, 2**60)`` parses in the time of one run; what refuses it is
+    the count, which cannot equal any certified ``seq``."""
+    start = time.perf_counter()
+    _, history = parse_package(encode((b"snap", [(0, 0, 2**60)], [], 1)))
+    assert time.perf_counter() - start < 0.1
+    assert len(history.delivered) == 2**60
+    assert (0, 2**59) in history.delivered
+    assert history.delivered.next_seq(0) == 2**60
+
+
+def _history_of(keys_per_origin):
+    return History(
+        Runs((o, s) for s in range(keys_per_origin) for o in range(4)), round=9
+    )
+
+
+def test_package_size_and_build_time_do_not_grow_with_history():
+    small, large = _history_of(25), _history_of(5000)
+    assert (len(small.delivered), len(large.delivered)) == (100, 20000)
+    packages = [make_package(b"snap", h) for h in (small, large)]
+    # 25 -> 5000 is one more magnitude byte in each of four ``hi``
+    assert len(packages[1]) - len(packages[0]) == 4
+    assert parse_package(packages[1])[1] == large
+
+    def best_of(history):
+        best = float("inf")
+        for _ in range(20):
+            start = time.perf_counter()
+            make_package(b"snap", history)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    # the key list cost 0.4 ms at 100 keys and 120 ms at 20 000
+    assert best_of(large) < 10 * best_of(small) + 1e-4
+
+
 def test_certificate_from_t_plus_one_shares(group4):
     scheme = _scheme(group4)
-    package = make_package(b"snap", History(((0, 0), (1, 0)), round=3))
+    package = make_package(b"snap", History(Runs(((0, 0), (1, 0))), round=3))
     statement = checkpoint_statement(
         "svc", 2, hashlib.sha256(package).digest()
     )
@@ -127,9 +190,22 @@ def test_store_round_trip(tmp_path):
 def test_store_tolerates_garbage_file(tmp_path):
     path = str(tmp_path / "checkpoint.bin")
     with open(path, "wb") as fh:
-        fh.write(b"SINTRA-CKPT1 but then torn garbage \x00\xff")
+        fh.write(CheckpointStore._MAGIC + b" but then torn garbage \x00\xff")
     store = CheckpointStore(path)
     assert store.latest is None  # falls back to peer transfer
     with open(path, "wb") as fh:
         fh.write(b"entirely unrecognized")
     assert CheckpointStore(path).latest is None
+
+
+def test_store_ignores_a_file_of_the_previous_format(tmp_path):
+    """``CKPT1`` packages carried a key list; such a file is unrecognized,
+    not misparsed, and a save replaces it."""
+    path = str(tmp_path / "checkpoint.bin")
+    ckpt = Checkpoint(seq=8, package=b"pkg", signature=b"sig")
+    with open(path, "wb") as fh:
+        fh.write(b"SINTRA-CKPT1" + encode((ckpt.seq, ckpt.package, ckpt.signature)))
+    store = CheckpointStore(path)
+    assert store.latest is None
+    store.save(ckpt)
+    assert CheckpointStore(path).latest == ckpt

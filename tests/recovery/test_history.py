@@ -2,14 +2,17 @@
 and the bytes of the checkpoint packages built from it.
 
 The fold is pure, so it is tested as a table: no runtime, no party, no
-service.  The package literals were computed at the commit before the
-fold existed; a static service must still sign the 4-tuple, a
-membership-aware one the 6-tuple, byte for byte.
+service.  The package literals pin the format: a static service signs
+the 4-tuple, a membership-aware one the 6-tuple, byte for byte, with the
+delivered keys as ``(origin, lo, hi)`` runs (they were computed at the
+commit before the fold existed and moved once since, with the format:
+every other field decodes to what it did).
 """
 
 import pytest
 
 from repro.app.replication import StaticGroup
+from repro.common.runs import Runs
 from repro.core.channel.atomic import KIND_APP, KIND_CIPHER, KIND_CLOSE
 from repro.core.party import make_parties
 from repro.membership import (
@@ -52,19 +55,19 @@ CASES = [
     (
         "ordinary commands count rounds and keys",
         _slots(0, (0, 0, KIND_APP, b"a", 1), (1, 0, KIND_APP, b"b", 3)),
-        History(((0, 0), (1, 0)), frozenset(), 4, 0, ROSTER),
+        History(Runs(((0, 0), (1, 0))), frozenset(), 4, 0, ROSTER),
         [b"a", b"b"],
     ),
     (
         "a close adds its origin and applies nothing",
         _slots(0, (0, 0, KIND_APP, b"a", 1), (2, 0, KIND_CLOSE, b"", 2)),
-        History(((0, 0), (2, 0)), frozenset({2}), 3, 0, ROSTER),
+        History(Runs(((0, 0), (2, 0))), frozenset({2}), 3, 0, ROSTER),
         [b"a"],
     ),
     (
         "a ciphertext is neither applied nor stepped",
         _slots(0, (0, 0, KIND_CIPHER, REFRESH0, 1)),
-        History(((0, 0),), frozenset(), 2, 0, ROSTER),
+        History(Runs(((0, 0),)), frozenset(), 2, 0, ROSTER),
         [],
     ),
     (
@@ -76,13 +79,13 @@ CASES = [
             (1, 0, KIND_APP, REFRESH0, 8),
             (2, 0, KIND_APP, b"b", 2),
         ),
-        History(((0, 0), (1, 0), (2, 0)), frozenset(), 3, 1, ROSTER),
+        History(Runs(((0, 0), (1, 0), (2, 0))), frozenset(), 3, 1, ROSTER),
         [b"a", b"b"],
     ),
     (
         "a history cut at the barrier resumes at round 1",
         _slots(0, (0, 0, KIND_APP, b"a", 7), (1, 0, KIND_APP, REFRESH0, 8)),
-        History(((0, 0), (1, 0)), frozenset(), 1, 1, ROSTER),
+        History(Runs(((0, 0), (1, 0))), frozenset(), 1, 1, ROSTER),
         [b"a"],
     ),
     (
@@ -95,7 +98,7 @@ CASES = [
             (2, 0, KIND_APP, BAD0, 2),      # stale and inadmissible
             (3, 0, KIND_APP, b"a", 2),
         ),
-        History(((0, 0), (1, 0), (2, 0), (3, 0)), frozenset(), 3, 1, ROSTER),
+        History(Runs(((0, 0), (1, 0), (2, 0), (3, 0))), frozenset(), 3, 1, ROSTER),
         [b"a"],
     ),
 ]
@@ -123,7 +126,7 @@ def test_static_rule_applies_everything():
     )
     history, commands = fold(History(), slots, StaticGroup().step)
     assert commands == [REFRESH0, b"a"]
-    assert history == History(((0, 0), (1, 0)), frozenset(), 3, 0, None)
+    assert history == History(Runs(((0, 0), (1, 0))), frozenset(), 3, 0, None)
 
 
 def test_fold_composes(step):
@@ -150,25 +153,26 @@ def test_fold_composes(step):
 # -- package bytes ------------------------------------------------------------------
 
 STATIC_SEQ4 = bytes.fromhex(
-    "5500000004420000000749000000012b064c00000004550000000249000000002b4900"
-    "0000002b550000000249000000002b49000000012b01550000000249000000012b0149"
-    "000000002b550000000249000000012b0249000000002b4c0000000149000000012b02"
-    "49000000012b05"
+    "5500000004420000000749000000012b064c00000003550000000349000000002b4900"
+    "0000002b49000000012b02550000000349000000012b0149000000002b49000000012b"
+    "01550000000349000000012b0249000000002b49000000012b014c0000000149000000"
+    "012b0249000000012b05"
 )
 _ROSTER_HEX = (
     "4c0000000453000000097265706c6963612d3053000000097265706c6963612d315300"
     "0000097265706c6963612d3253000000097265706c6963612d33"
 )
 BARRIER_SEQ2 = bytes.fromhex(
-    "5500000006420000000749000000012b014c00000002550000000249000000002b4900"
-    "0000002b550000000249000000012b0149000000002b4c0000000049000000012b0149"
-    "000000012b01" + _ROSTER_HEX
+    "5500000006420000000749000000012b014c00000002550000000349000000002b4900"
+    "0000002b49000000012b01550000000349000000012b0149000000002b49000000012b"
+    "014c0000000049000000012b0149000000012b01" + _ROSTER_HEX
 )
 EPOCH1_SEQ4 = bytes.fromhex(
-    "5500000006420000000749000000012b044c00000004550000000249000000002b4900"
-    "0000002b550000000249000000012b0149000000002b550000000249000000012b0249"
-    "000000002b550000000249000000012b0349000000002b4c0000000049000000012b03"
-    "49000000012b01" + _ROSTER_HEX
+    "5500000006420000000749000000012b044c00000004550000000349000000002b4900"
+    "0000002b49000000012b01550000000349000000012b0149000000002b49000000012b"
+    "01550000000349000000012b0249000000002b49000000012b01550000000349000000"
+    "012b0349000000002b49000000012b014c0000000049000000012b0349000000012b01"
+    + _ROSTER_HEX
 )
 
 
@@ -186,8 +190,8 @@ def _group(rt, tmp_path, membership=lambda: None):
 
 
 def test_static_package_bytes(group4, tmp_path):
-    """Snapshot 6, four keys, replica 2's close, next round 5 — the
-    4-tuple."""
+    """Snapshot 6, four keys in three runs, replica 2's close, next round
+    5 — the 4-tuple."""
     rt = sim_runtime(group4, seed=51)
     services = _group(rt, tmp_path)
     services[0].submit(b"add:1")

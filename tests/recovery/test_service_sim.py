@@ -208,3 +208,77 @@ def test_secure_channel_not_supported(group4, tmp_path):
     parties = make_parties(rt)
     with pytest.raises(RecoveryError):
         _service(parties[0], tmp_path, secure=True)
+
+
+def _group_with_a_tail(group4, tmp_path, seed, recorder=None):
+    """Three live replicas, certified at 4 with one logged slot after it,
+    and replica 3 not yet started."""
+    rt = sim_runtime(group4, seed=seed, recorder=recorder)
+    parties = make_parties(rt)
+    services = [_service(p, tmp_path) for p in parties[:3]]
+    for s in services:
+        s.start()
+    for i in range(5):
+        services[i % 3].submit(b"add:%d" % (i + 1))
+    _sync(rt, services, 5)
+    rt.run()
+    assert {s.last_certified for s in services} == {4}
+    return rt, parties, services
+
+
+def test_checkpoint_file_of_the_previous_format_falls_back_to_peers(
+    group4, tmp_path
+):
+    """A ``CKPT1`` file (its package lists keys, not runs) is not read:
+    the replica comes back through its peers and overwrites it."""
+    from repro.recovery.checkpoint import CheckpointStore
+
+    recorder = MemoryRecorder()
+    rt, parties, services = _group_with_a_tail(group4, tmp_path, 18, recorder)
+    directory = tmp_path / "replica3"
+    directory.mkdir()
+    old = b"SINTRA-CKPT1" + encode((4, encode((b"", [(0, 0)], [], 2)), b"sig"))
+    (directory / "checkpoint.bin").write_bytes(old)
+
+    joiner = _service(parties[3], tmp_path)
+    assert joiner.ckpt_store.latest is None
+    stats = rt.run_until(joiner.recover(), limit=3000.0)
+    assert (stats["seq"], stats["applied_seq"]) == (4, 5)
+    assert joiner.last_state_digest() == services[0].last_state_digest()
+    assert recorder.counters["recovery.transfer.adopted"] == 1
+    on_disk = (directory / "checkpoint.bin").read_bytes()
+    assert on_disk.startswith(CheckpointStore._MAGIC) and on_disk != old
+    no_errors(rt)
+
+
+def test_count_checks_are_raised_where_the_key_list_raised_them(group4, tmp_path):
+    """The three consistency checks that compared lengths of key lists
+    compare counts of runs: same places, same messages."""
+    from repro.recovery.checkpoint import Checkpoint, CheckpointError
+
+    rt, parties, services = _group_with_a_tail(group4, tmp_path, 19)
+    joiner = _service(parties[3], tmp_path)
+    seq, sig, package, tail = services[0]._serve_payload()
+    assert (seq, len(tail)) == (4, 1)
+    assert joiner._validate_response(seq, sig, package, tail)["tail"] == tail
+
+    index, origin, oseq, kind, data, round_ = tail[0]
+    repeat = (index + 1, origin, oseq, kind, data, round_ + 1)
+    with pytest.raises(CheckpointError, match="transfer repeats a delivered key"):
+        joiner._validate_response(seq, sig, package, tail + [repeat])
+    # ... also when the repeated key sits inside the certified prefix
+    with pytest.raises(CheckpointError, match="transfer repeats a delivered key"):
+        joiner._validate_response(seq, sig, package, [(4, 0, 0, kind, data, 9)])
+
+    for wrong in (
+        Checkpoint(seq=3, package=package, signature=sig),
+        Checkpoint(seq=4, package=encode((b"", [(0, 0, 2**60)], [], 2)), signature=sig),
+    ):
+        with pytest.raises(CheckpointError, match="checkpoint package is inconsistent"):
+            joiner._replay(wrong, [])
+
+    # "log inconsistent with the apply stream": no package is built
+    assert services[0]._build_package(5) is not None
+    assert services[0]._build_package(7) is None
+    services[0].wal.slots[5] = repeat[1:]
+    assert services[0]._build_package(6) is None
