@@ -30,6 +30,10 @@ class Runs:
 
     def add(self, origin: int, seq: int) -> bool:
         """Insert a key; ``False`` (and no change) when it was present."""
+        # ``True == 1`` passes every ``isinstance(x, int)`` shape check on
+        # the way here; held as given it would reach :meth:`canonical`, and
+        # :meth:`parse` refuses a bool.
+        origin, seq = int(origin), int(seq)
         flat = self._runs.get(origin)
         if flat is None:
             flat = self._runs[origin] = []

@@ -258,11 +258,10 @@ class AtomicChannel(Channel):
         """Emit candidates and start agreements across the pipeline window."""
         if not self._ordering():
             return
-        emitting = True  # until a round finds no vector: a later one cannot
         for r in range(self.round, self.round + self.pipeline_depth):
             rnd = self._rounds.get(r)
             if rnd is None or rnd.decided is None:
-                emitting = emitting and self._try_emit(r)
+                self._try_emit(r)
                 self._maybe_propose(r)
         if self.obs.enabled:
             self.obs.set_gauge("atomic.pipeline.inflight", self._inflight())
@@ -273,20 +272,19 @@ class AtomicChannel(Channel):
 
     # -- per-round candidate emission ----------------------------------------------------
 
-    def _try_emit(self, r: int) -> bool:
-        """Sign and circulate this party's round-``r`` candidate vector;
-        whether one is out, now or from before."""
+    def _try_emit(self, r: int) -> None:
+        """Sign and circulate this party's round-``r`` candidate vector."""
         rnd = self._rounds.get(r)
         if rnd is not None and rnd.own_keys:
-            return True
+            return
         vector = self._pick_vector()
         if vector is None:
-            return False
+            return
         if r > self.round and len(vector) < self.max_batch:
             # A partial vector waits for the lowest round: it goes out
             # when ``r`` gets there, as it would at depth 1, with whatever
             # has arrived by then.
-            return False
+            return
         if rnd is None:
             rnd = self._rounds[r] = _Round()
         rnd.own_keys = {(rec[0], rec[1]) for rec in vector}
@@ -294,7 +292,6 @@ class AtomicChannel(Channel):
             # Phase 1 of a round: collecting signed candidates from peers.
             self.obs.phase((self.obs_scope, r), "atomic.collect")
         self._dissem.announce(r, vector)
-        return True
 
     def _pick_vector(self) -> Optional[List[Record]]:
         """Up to ``max_batch`` undelivered records: own queue first, then

@@ -51,6 +51,23 @@ def test_in_order_history_is_one_run_per_origin():
     assert len(runs) == 20000
 
 
+def test_bools_are_held_as_the_ints_they_equal():
+    """``True`` passes an ``isinstance(x, int)`` check; whichever branch of
+    ``add`` it reaches (new origin, new run, growing a run at either end),
+    the canonical form holds plain ints and ``parse`` takes it back."""
+    runs = Runs()
+    assert runs.add(True, 3)  # a new origin
+    assert runs.add(0, True)  # a new run
+    assert runs.add(0, False)  # joins the run on its right
+    assert not runs.add(0, 1) and not runs.add(1, 3)
+    assert runs.add(0, 2) and (False, True) in runs
+    canonical = runs.canonical()
+    assert canonical == [(0, 0, 3), (1, 3, 4)]
+    assert all(type(x) is int for triple in canonical for x in triple)
+    assert Runs.parse(canonical) == runs
+    assert type(runs.next_seq(True)) is int
+
+
 def test_copy_is_independent():
     runs = Runs(((0, 0), (0, 1)))
     other = runs.copy()

@@ -1,12 +1,12 @@
 """Checkpoint packages, certificates, and their durable store."""
 
 import hashlib
-import time
 
 import pytest
 
 from repro.common.encoding import encode
 from repro.common.runs import Runs
+from repro.core.channel.atomic import KIND_APP
 from repro.crypto.threshold_sig import combine_optimistically
 from repro.recovery.checkpoint import (
     Checkpoint,
@@ -18,7 +18,7 @@ from repro.recovery.checkpoint import (
     make_package,
     parse_package,
 )
-from repro.recovery.history import History
+from repro.recovery.history import History, fold
 
 
 def _scheme(group):
@@ -105,11 +105,11 @@ def test_parse_package_rejects_non_canonical_runs(name, runs):
 
 
 def test_hostile_run_costs_no_per_key_work():
-    """``(0, 0, 2**60)`` parses in the time of one run; what refuses it is
-    the count, which cannot equal any certified ``seq``."""
-    start = time.perf_counter()
+    """``(0, 0, 2**60)`` parses as the one run it is (2**60 keys could not
+    be held any other way); what refuses it is the count, which cannot
+    equal any certified ``seq``."""
     _, history = parse_package(encode((b"snap", [(0, 0, 2**60)], [], 1)))
-    assert time.perf_counter() - start < 0.1
+    assert history.delivered.canonical() == [(0, 0, 2**60)]
     assert len(history.delivered) == 2**60
     assert (0, 2**59) in history.delivered
     assert history.delivered.next_seq(0) == 2**60
@@ -121,24 +121,33 @@ def _history_of(keys_per_origin):
     )
 
 
-def test_package_size_and_build_time_do_not_grow_with_history():
+def test_package_does_not_grow_with_history():
+    """What ``make_package`` encodes is four runs at either size (timed in
+    BENCH_23.json's ``package_microbench_us``, not here)."""
     small, large = _history_of(25), _history_of(5000)
     assert (len(small.delivered), len(large.delivered)) == (100, 20000)
+    assert len(small.delivered.canonical()) == len(large.delivered.canonical()) == 4
     packages = [make_package(b"snap", h) for h in (small, large)]
     # 25 -> 5000 is one more magnitude byte in each of four ``hi``
     assert len(packages[1]) - len(packages[0]) == 4
     assert parse_package(packages[1])[1] == large
 
-    def best_of(history):
-        best = float("inf")
-        for _ in range(20):
-            start = time.perf_counter()
-            make_package(b"snap", history)
-            best = min(best, time.perf_counter() - start)
-        return best
 
-    # the key list cost 0.4 ms at 100 keys and 120 ms at 20 000
-    assert best_of(large) < 10 * best_of(small) + 1e-4
+def test_bool_keys_in_delivered_slots_leave_a_parseable_package():
+    """``True`` passes the channel's ``isinstance(x, int)`` record check
+    and records are not origin-signed, so a Byzantine signer can get
+    ``(2, True, ...)`` delivered everywhere; the package certified after
+    it must still be one every replica can load."""
+    slots = [
+        (0, 2, 0, KIND_APP, b"a", 1),
+        (1, 2, True, KIND_APP, b"b", 2),
+        (2, True, False, KIND_APP, b"c", 3),
+    ]
+    history, _ = fold(History(), slots, lambda epoch, roster, data: None)
+    assert history.delivered.canonical() == [(1, 0, 1), (2, 0, 2)]
+    package = make_package(b"snap", history)
+    assert package == make_package(b"snap", History(Runs(((2, 0), (2, 1), (1, 0))), round=4))
+    assert parse_package(package) == (b"snap", history)
 
 
 def test_certificate_from_t_plus_one_shares(group4):

@@ -15,6 +15,7 @@ from repro.common.errors import EncodingError
 from repro.core.party import make_parties
 from repro.obs import MemoryRecorder
 from repro.recovery import RecoverableService
+from repro.recovery.checkpoint import parse_package
 
 from tests.helpers import no_errors, sim_runtime
 
@@ -121,6 +122,35 @@ def test_group_restart_from_durable_state(group4, tmp_path):
     _sync(rt2, revived, 6)
     assert {s.state.value for s in revived} == {15 - 3}
     assert len({s.log_digest() for s in revived}) == 1
+    no_errors(rt2)
+
+
+def test_a_record_numbered_true_does_not_poison_the_checkpoints(group4, tmp_path):
+    """Records are not origin-signed and ``True`` passes the channel's
+    ``isinstance(seq, int)`` shape check, so one Byzantine signer can have
+    ``(3, True, ...)`` delivered on every honest replica.  The package
+    certified after it must be one the group can still start from."""
+    rt = sim_runtime(group4, seed=15)
+    services = [_service(p, tmp_path) for p in make_parties(rt)]
+    for s in services:
+        s.start()
+    services[3].channel._own_next_seq = True  # the adversary's numbering
+    services[3].submit(b"add:7")
+    services[0].submit(b"add:1")
+    _sync(rt, services, 2)
+    rt.run()
+    assert {s.last_certified for s in services} == {2}
+    _, history = parse_package(services[0].ckpt_store.latest.package)
+    assert history.delivered.canonical() == [(0, 0, 1), (3, 1, 2)]
+    for s in services:
+        s.release()
+
+    rt2 = sim_runtime(group4, seed=16)
+    revived = [_service(p, tmp_path) for p in make_parties(rt2)]
+    for s in revived:
+        s.start()  # parses the certified package from its own disk
+    assert {s.applied_seq for s in revived} == {2}
+    assert {s.state.value for s in revived} == {8}
     no_errors(rt2)
 
 
