@@ -43,37 +43,19 @@ from repro.client.server import RequestServer
 from repro.common import rng as rng_mod
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
-from repro.net.tcp import _LEN, MAX_FRAME, AsyncFuture, BackoffPolicy
+from repro.net.tcp import AsyncFuture, BackoffPolicy, read_frame, write_frame
 from repro.obs import recorder as _recorder
 
 
-def _framed(payload: bytes) -> bytes:
-    return _LEN.pack(len(payload)) + payload
-
-
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
+async def _read_fields(reader: asyncio.StreamReader) -> Optional[Any]:
     """One decoded frame, or ``None`` on EOF/garbage/oversize."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-        (length,) = _LEN.unpack(header)
-        if length > MAX_FRAME:
-            return None
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError):
+    payload = await read_frame(reader)
+    if payload is None:
         return None
     try:
         return decode(payload)
     except EncodingError:
         return None
-
-
-class RejectableFuture(AsyncFuture):
-    """:class:`AsyncFuture` plus the ``reject`` half of the SimFuture
-    interface — awaiting a rejected future raises its error."""
-
-    def reject(self, error: BaseException) -> None:
-        if not self._fut.done():
-            self._fut.set_exception(error)
 
 
 class TcpRequestListener:
@@ -107,7 +89,7 @@ class TcpRequestListener:
         client_id: Optional[str] = None
         send_reply = None
         try:
-            hello = await _read_frame(reader)
+            hello = await _read_fields(reader)
             if not (isinstance(hello, tuple) and len(hello) == 2
                     and hello[0] == MSG_HELLO and isinstance(hello[1], str)):
                 return
@@ -116,8 +98,8 @@ class TcpRequestListener:
             def send_reply(seq: int, status: int, result: bytes,
                            epoch: int = 0, digest: bytes = b"") -> None:
                 try:
-                    writer.write(_framed(encode(
-                        (MSG_REPLY, seq, status, result, epoch, digest))))
+                    write_frame(writer, encode(
+                        (MSG_REPLY, seq, status, result, epoch, digest)))
                 except (ConnectionError, OSError, RuntimeError):
                     pass  # dying connection; the client will reconnect
 
@@ -126,7 +108,7 @@ class TcpRequestListener:
                 self.obs.count("reqserver.sessions")
 
             while True:
-                fields = await _read_frame(reader)
+                fields = await _read_fields(reader)
                 if fields is None:
                     return
                 request = check_request_frame(fields)
@@ -223,7 +205,7 @@ class TcpClient:
                 continue
             attempt = 0
             try:
-                writer.write(_framed(encode((MSG_HELLO, self.client_id))))
+                write_frame(writer, encode((MSG_HELLO, self.client_id)))
                 self._writers[replica] = writer
                 if self.obs.enabled:
                     self.obs.count("client.connects")
@@ -239,7 +221,7 @@ class TcpClient:
     async def _read_replies(self, replica: int,
                             reader: asyncio.StreamReader) -> None:
         while True:
-            fields = await _read_frame(reader)
+            fields = await _read_fields(reader)
             if fields is None:
                 return
             reply = check_reply_frame(fields)
@@ -256,16 +238,16 @@ class TcpClient:
         if writer is None:
             return  # down; retry/failover will cover it
         try:
-            writer.write(_framed(encode(
-                (MSG_REQUEST, self.client_id, seq, command))))
+            write_frame(writer, encode(
+                (MSG_REQUEST, self.client_id, seq, command)))
         except (ConnectionError, OSError, RuntimeError):
             pass
 
     def set_timer(self, delay: float, fn: Any) -> Any:
         return asyncio.get_running_loop().call_later(delay, fn)
 
-    def new_future(self) -> RejectableFuture:
-        return RejectableFuture()
+    def new_future(self) -> AsyncFuture:
+        return AsyncFuture()
 
 
-__all__ = ["TcpRequestListener", "TcpClient", "RejectableFuture"]
+__all__ = ["TcpRequestListener", "TcpClient"]

@@ -187,13 +187,9 @@ class FaultPlan:
         self,
         adversary: Optional[NetworkAdversary] = None,
         crashes: Optional[Tuple[CrashFault, ...]] = None,
-        process_faults: Optional[Tuple[ProcessFault, ...]] = None,
     ):
         self.adversary = adversary or NetworkAdversary()
         self.crashes = tuple(crashes or ())
-        #: kill/restart faults; interpreted by the TCP chaos harness, not
-        #: the simulator (a process fault needs real sockets and disks)
-        self.process_faults = tuple(process_faults or ())
 
     def drops(self, src: int, now: float) -> bool:
         return any(c.is_silenced(src, now) for c in self.crashes)

@@ -1,23 +1,30 @@
-"""Reliable authenticated point-to-point links (paper Secs. 2, 3).
+"""Authenticated point-to-point links (paper Secs. 2, 3): who sent a frame.
 
-Every pair of servers shares a symmetric HMAC key generated by the dealer.
-The wire format is ``encode((sender, tag, body))``; the receiver looks up
-the pairwise authenticator for the *claimed* sender and verifies the tag,
-so a corrupted party cannot impersonate an honest one.
+Every pair of servers shares an HMAC key from the dealer.  The rule, for
+both runtimes: **a frame's sender is the link it arrived on** — a fact
+the carrier supplies, never a field the frame asserts.
 
-Reliability and FIFO ordering are properties of the transports: the
-simulator enforces per-pair FIFO, and the TCP transport provides them
-via supervised connections carrying sliding-window sessions with
-authenticated acknowledgments (closing the TCP-level denial of service
-the paper notes — see ``docs/RESILIENCE.md``).
+* Simulator wire: ``encode((sender, tag, body))``.  :func:`open_sealed`
+  is told the source the runtime knows, refuses a frame claiming anyone
+  else (the receiver's own id included) and checks the tag under that
+  source's pairwise key: a corrupted party speaks only as itself.
+* A party's messages to itself cross no link: :func:`open_local` unwraps
+  them without a MAC, and only the carrier's local loop calls it.
+* The TCP mesh has no envelope of its own: the window datagram is MACed
+  under the key of the connection's authenticated peer, and that peer is
+  the sender (:mod:`repro.net.tcp`, :mod:`repro.net.sliding_window`).
+
+Reliability and FIFO order are the transports': the simulator enforces
+per-pair FIFO; TCP runs sliding-window sessions with authenticated
+acknowledgments over supervised connections (``docs/RESILIENCE.md``).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro.common.encoding import decode, encode
-from repro.common.errors import EncodingError, TransportError
+from repro.common.errors import EncodingError, InvalidSignature, TransportError
 from repro.crypto.dealer import PartyCrypto
 
 
@@ -25,28 +32,42 @@ def seal(crypto: PartyCrypto, dst: int, body: bytes) -> bytes:
     """Tag ``body`` for the link to ``dst`` and frame it for the wire."""
     sender = crypto.index0
     if dst == sender:
-        tag = b""  # self-delivery needs no authentication
+        tag = b""  # the local loop needs no authentication
     else:
         tag = crypto.link_auth(dst).tag(body)
     return encode((sender, tag, body))
 
 
-def open_sealed(crypto: PartyCrypto, wire: bytes) -> Tuple[int, bytes]:
-    """Verify a framed wire message; returns ``(sender, body)``.
-
-    Raises :class:`InvalidSignature` if the MAC does not verify and
-    :class:`TransportError` on malformed framing.
-    """
+def _fields(wire: bytes) -> Tuple[int, bytes, bytes]:
     try:
         sender, tag, body = decode(wire)
     except (EncodingError, ValueError, TypeError) as exc:
         raise TransportError("malformed wire frame") from exc
     if not isinstance(sender, int) or not isinstance(tag, bytes) or not isinstance(body, bytes):
         raise TransportError("malformed wire frame fields")
-    me = crypto.index0
-    if sender == me:
-        return sender, body
-    if not 0 <= sender < crypto.n:
-        raise TransportError(f"sender id {sender} out of range")
-    crypto.link_auth(sender).check(body, tag)
-    return sender, body
+    return sender, tag, body
+
+
+def open_sealed(crypto: PartyCrypto, src: Optional[int], wire: bytes) -> bytes:
+    """Verify a frame that arrived on the link from ``src``; returns the body.
+
+    ``src`` comes from the carrier (``None``: on no link, so no claim
+    holds).  Raises :class:`InvalidSignature` if the frame names another
+    sender or its MAC fails under the link's key, and
+    :class:`TransportError` on malformed framing.
+    """
+    sender, tag, body = _fields(wire)
+    # no party shares a key with itself: "from the receiver" opens nowhere
+    if sender != src or src not in crypto.mac_keys:
+        raise InvalidSignature(f"frame claims sender {sender} on the link from {src}")
+    crypto.link_auth(src).check(body, tag)
+    return body
+
+
+def open_local(crypto: PartyCrypto, wire: bytes) -> bytes:
+    """Unwrap a frame this party sent itself (the carrier's local loop
+    only): nothing to verify, the bytes never left the party."""
+    sender, _tag, body = _fields(wire)
+    if sender != crypto.index0:
+        raise TransportError(f"local frame names sender {sender}")
+    return body

@@ -59,7 +59,7 @@ class LossyLinkRuntime(SimRuntime):
             rx = SlidingWindowEndpoint(
                 auth, session,
                 transmit=lambda d, k=key: self._datagram(k[1], k[0], d),
-                deliver=lambda frame, d=dst: self._frame_delivered(d, frame),
+                deliver=lambda frame, k=key: self._arrive(k[1], frame, k[0]),
                 rto=self.rto,
             )
             self._links[key] = (tx, rx)
@@ -74,7 +74,7 @@ class LossyLinkRuntime(SimRuntime):
         self.messages_sent += 1
         self.bytes_sent += len(wire)
         if dst == src:
-            self.sim.schedule_at(depart, self._arrive, dst, wire)
+            self.sim.schedule_at(depart, self._arrive, dst, wire, src)
             return
         tx, _ = self._link(src, dst)
         self.sim.schedule_at(depart, self._link_send, src, dst, tx, wire)
@@ -82,11 +82,6 @@ class LossyLinkRuntime(SimRuntime):
     def _link_send(self, src: int, dst: int, tx: SlidingWindowEndpoint, wire: bytes) -> None:
         tx.send(wire, self.sim.now)
         self._schedule_poll(src, dst)
-
-    def _frame_delivered(self, dst: int, frame: bytes) -> None:
-        self.nodes[dst].process(
-            lambda: self._handle_wire(dst, frame), self._dispatch
-        )
 
     # -- the unreliable datagram service -----------------------------------------------------
 

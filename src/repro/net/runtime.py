@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import ReproError, TransportError
+from repro.common.errors import ReproError
 from repro.core.protocol import Context, Router
 from repro.crypto.dealer import GroupConfig
 from repro.net import links
@@ -267,17 +267,22 @@ class SimRuntime:
             last = self._fifo_last.get((src, dst), 0.0)
             arrival = max(arrival, last + 1e-9)  # links are FIFO, like TCP
             self._fifo_last[(src, dst)] = arrival
-        self.sim.schedule_at(arrival, self._arrive, dst, wire)
+        self.sim.schedule_at(arrival, self._arrive, dst, wire, src)
 
-    def _arrive(self, dst: int, wire: bytes) -> None:
-        self.nodes[dst].process(lambda: self._handle_wire(dst, wire), self._dispatch)
+    def _arrive(self, dst: int, wire: bytes, src: Optional[int] = None) -> None:
+        self.nodes[dst].process(lambda: self._handle_wire(dst, wire, src), self._dispatch)
 
-    def _handle_wire(self, dst: int, wire: bytes) -> None:
+    def _handle_wire(self, dst: int, wire: bytes, src: Optional[int]) -> None:
+        """Route a frame as sent by ``src``, the link it arrived on at
+        ``dst``, whatever sender it claims (:mod:`repro.net.links`)."""
         crypto = self.group.party(dst)
         try:
-            sender, body = links.open_sealed(crypto, wire)
-            msg = unpack_body(sender, body)
-        except (ReproError, TransportError):
+            if src == dst:
+                body = links.open_local(crypto, wire)
+            else:
+                body = links.open_sealed(crypto, src, wire)
+            msg = unpack_body(src, body)
+        except ReproError:
             self.auth_failures += 1
             if self.obs.enabled:
                 self.obs.count("net.auth_failures")

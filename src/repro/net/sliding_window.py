@@ -244,10 +244,6 @@ class SlidingWindowReceiver:
         # Always re-ACK: the cumulative ACK also repairs lost ACKs.
         return [make_ack_datagram(self._auth, self.session, self._expected)]
 
-    @property
-    def delivered_count(self) -> int:
-        return self._expected
-
 
 class SlidingWindowEndpoint:
     """One direction of a link: a sender and the peer's receiver glue.

@@ -12,9 +12,11 @@ connection supervisor per directed peer link keeps the carrier alive.
 Layering, top to bottom:
 
 * protocol stack — unchanged sans-I/O classes, driven via :class:`TcpContext`;
-* sealed frames — pairwise-HMAC wire messages (:mod:`repro.net.links`);
 * sliding-window session — authenticated data + cumulative authenticated
-  ACKs, bounded in-flight window, RTO retransmission.  Frames
+  ACKs, bounded in-flight window, RTO retransmission.  The payload is
+  the packed message body, MACed once; its sender is the peer the
+  connection's authenticated hello bound (:mod:`repro.net.links` states
+  the rule), and self-sends take the local loop.  Frames
   unacknowledged when a TCP connection dies are retransmitted after
   reconnect; duplicates from replays are suppressed by the receiver's
   per-session state (exactly-once FIFO within a session, at-least-once
@@ -25,11 +27,12 @@ Layering, top to bottom:
 * failure detector — heartbeats and send/ack progress feed a per-peer
   ``alive / suspect / down`` estimate (:mod:`repro.net.failure_detector`).
 
-Every frame on the wire is a length-prefixed canonical tuple:
+Every frame on the wire is a canonical tuple behind a length prefix
+(:func:`write_frame` / :func:`read_frame`, which the client endpoints share):
 
 * ``("hlo", sender, session, tag)`` — first frame on every connection;
   binds the connection to ``sender`` and announces the data session;
-* ``("dat", session, seq, payload, tag)`` / ``("ack", session, cum, tag)``
+* ``("dat", session, seq, body, tag)`` / ``("ack", session, cum, tag)``
   — the sliding-window datagrams (see :mod:`repro.net.sliding_window`);
 * ``("hb", sender, counter, tag)`` — monotone authenticated heartbeat.
 
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import functools
 import logging
 import socket
 import struct
@@ -66,10 +70,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common import rng as rng_mod
 from repro.common.encoding import decode, encode
-from repro.common.errors import EncodingError, ReproError, TransportError
+from repro.common.errors import EncodingError, TransportError
 from repro.core.protocol import Context, Router
 from repro.crypto.dealer import GroupConfig
-from repro.net import links
 from repro.net.failure_detector import FailureDetector
 from repro.net.message import pack_body, unpack_body
 from repro.net.sliding_window import (
@@ -92,6 +95,23 @@ KIND_HEARTBEAT = "hb"
 SESSION_BYTES = 16
 
 
+def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
+    """Queue ``payload`` on the stream behind its length prefix."""
+    writer.write(_LEN.pack(len(payload)) + payload)
+
+
+async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The stream's next length-prefixed payload; ``None`` once it is of
+    no further use (EOF, a reset, a length above :data:`MAX_FRAME`)."""
+    try:
+        (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+        if length > MAX_FRAME:
+            return None
+        return await reader.readexactly(length)
+    except (asyncio.IncompleteReadError, ConnectionError, OSError):
+        return None
+
+
 class AsyncFuture:
     """asyncio-backed future with the SimFuture interface (awaitable)."""
 
@@ -109,6 +129,11 @@ class AsyncFuture:
     def resolve(self, value: Any = None) -> None:
         if not self._fut.done():
             self._fut.set_result(value)
+
+    def reject(self, error: BaseException) -> None:
+        """Fail the future: awaiting it raises ``error``."""
+        if not self._fut.done():
+            self._fut.set_exception(error)
 
     def add_done_callback(self, cb: Callable) -> None:
         self._fut.add_done_callback(lambda f: cb(self))
@@ -255,9 +280,7 @@ class TcpContext(Context):
         self._node = node
 
     def send(self, dst: int, pid: str, mtype: str, payload: Any) -> None:
-        body = pack_body(pid, mtype, payload)
-        frame = links.seal(self.crypto, dst, body)
-        self._node.send_frame(dst, frame)
+        self._node.send_frame(dst, pack_body(pid, mtype, payload))
 
     def effect(self, fn: Callable, *args: Any) -> None:
         asyncio.get_running_loop().call_soon(fn, *args)
@@ -415,22 +438,19 @@ class TcpNode:
 
     # -- sending ----------------------------------------------------------------
 
-    def send_frame(self, dst: int, frame: bytes) -> None:
+    def send_frame(self, dst: int, body: bytes) -> None:
         if self.obs.enabled:
             self.obs.count("tcp.frames_sent")
-            self.obs.count("tcp.bytes_sent", len(frame))
+            self.obs.count("tcp.bytes_sent", len(body))
         if dst == self.index:
             # Local loop: deliver asynchronously like any other message.
-            asyncio.get_running_loop().call_soon(self._deliver, frame)
+            asyncio.get_running_loop().call_soon(self._deliver, dst, body)
             return
         link = self._links[dst]
         now = asyncio.get_running_loop().time()
-        for datagram in link.sender.send(frame, now):
+        for datagram in link.sender.send(body, now):
             link.outbox.put(datagram)
         self._schedule_poll(dst)
-
-    def _framed(self, frame: bytes) -> bytes:
-        return _LEN.pack(len(frame)) + frame
 
     def _hello_frame(self, peer: int) -> bytes:
         link = self._links[peer]
@@ -458,7 +478,7 @@ class TcpNode:
             try:
                 # Announce the session first, then retransmit whatever was
                 # unacknowledged at disconnect (session resumption).
-                writer.write(self._framed(self._hello_frame(peer)))
+                write_frame(writer, self._hello_frame(peer))
                 if link.connects > 1 or link.outbox.dropped:
                     now = asyncio.get_running_loop().time()
                     for datagram in link.sender.resume(now):
@@ -468,7 +488,7 @@ class TcpNode:
                 while True:
                     frame = pending if pending is not None else await link.outbox.get()
                     pending = frame
-                    writer.write(self._framed(frame))
+                    write_frame(writer, frame)
                     await writer.drain()
                     pending = None
             except (ConnectionError, OSError):
@@ -534,15 +554,8 @@ class TcpNode:
         self._incoming.add(writer)
         peer: Optional[int] = None  # bound by the first valid hello
         try:
-            while True:
-                header = await reader.readexactly(4)
-                (length,) = _LEN.unpack(header)
-                if length > MAX_FRAME:
-                    raise TransportError("oversized frame")
-                frame = await reader.readexactly(length)
+            while (frame := await read_frame(reader)) is not None:
                 peer = self._handle_frame(peer, frame)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
         except TransportError:
             # Malformed or unauthenticated framing: drop the connection so
             # the peer's supervisor re-dials with fresh, aligned framing
@@ -636,7 +649,9 @@ class TcpNode:
             return  # resumed connection: receive state (dedup) is intact
         restarted = link.rx_session is not None
         link.rx_session = session
-        link.receiver = SlidingWindowReceiver(link.auth, session, self._deliver)
+        link.receiver = SlidingWindowReceiver(
+            link.auth, session, functools.partial(self._deliver, sender)
+        )
         if restarted:
             # The peer instance restarted (its receive state is gone):
             # renumber our unacknowledged traffic under a fresh session,
@@ -650,11 +665,11 @@ class TcpNode:
                 link.outbox.put(datagram)
             self._schedule_poll(sender)
 
-    def _deliver(self, frame: bytes) -> None:
+    def _deliver(self, sender: int, body: bytes) -> None:
+        """Route one body from ``sender``: the link's peer, or this node."""
         try:
-            sender, body = links.open_sealed(self.ctx.crypto, frame)
             msg = unpack_body(sender, body)
-        except (ReproError, TransportError):
+        except TransportError:
             self.auth_failures += 1
             if self.obs.enabled:
                 self.obs.count("tcp.auth_failures")

@@ -1,25 +1,5 @@
-"""Abstract transport interface.
-
-A transport moves sealed wire frames (see :mod:`repro.net.links`) between
-parties.  Two implementations exist: the discrete-event simulator
-(:mod:`repro.net.runtime`) and real TCP via asyncio
-(:mod:`repro.net.tcp`) — the paper's prototype likewise ran the reliable
-point-to-point links over TCP streams (Sec. 3).
+"""Empty on purpose: the ``Transport`` ABC that lived here had no
+implementer and no caller.  The file stays only because ``bench/layers.py``
+names it in ``MODULE_SLICES`` (its self-check fails on a row matching no
+file) and ``bench/`` is frozen; delete it together with that row.
 """
-
-from __future__ import annotations
-
-import abc
-from typing import Callable
-
-
-class Transport(abc.ABC):
-    """Reliable FIFO delivery of opaque frames between parties."""
-
-    @abc.abstractmethod
-    def send(self, dst: int, frame: bytes) -> None:
-        """Queue ``frame`` for delivery to party ``dst`` (non-blocking)."""
-
-    @abc.abstractmethod
-    def set_receiver(self, callback: Callable[[bytes], None]) -> None:
-        """Register the local delivery callback for incoming frames."""

@@ -4,7 +4,10 @@ Models the adversary's power over up to ``t`` *compromised* parties at
 the network boundary: a corrupted party knows its own pairwise link keys,
 so it can drop, replay, duplicate, corrupt or equivocate on **its own**
 frames — but it cannot forge frames from honest parties (it lacks their
-keys), exactly matching the paper's trust model.
+keys), exactly matching the paper's trust model.  That limit is enforced
+by the runtime, not by this module: whatever sender a tapped frame
+claims, :func:`repro.net.links.open_sealed` opens it only under the key
+of the link it left on, as that link's party.
 
 The mutator plugs into :attr:`repro.net.runtime.SimRuntime.wire_taps` and
 works purely on the wire format (``encode((sender, tag, body))`` with a

@@ -19,10 +19,10 @@ import pytest
 
 from repro.client.dedup import DedupStateMachine
 from repro.client.protocol import MSG_HELLO, MSG_REPLY, MSG_REQUEST, STATUS_OK
-from repro.client.tcpnet import TcpClient, _framed
+from repro.client.tcpnet import TcpClient
 from repro.common.encoding import decode, encode
 from repro.net.faults import SocketChaosPlan
-from repro.net.tcp import _LEN, local_endpoints
+from repro.net.tcp import local_endpoints, read_frame, write_frame
 from repro.obs import MemoryRecorder, bench_dir_from_env, make_record, write_record
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
@@ -55,13 +55,10 @@ async def _raw_resubmit(endpoint, client_id, seq, command, timeout=10.0):
     """Replay one request frame over a fresh connection; return the reply."""
     reader, writer = await asyncio.open_connection(*endpoint)
     try:
-        writer.write(_framed(encode((MSG_HELLO, client_id))))
-        writer.write(_framed(encode((MSG_REQUEST, client_id, seq, command))))
+        write_frame(writer, encode((MSG_HELLO, client_id)))
+        write_frame(writer, encode((MSG_REQUEST, client_id, seq, command)))
         await writer.drain()
-        header = await asyncio.wait_for(reader.readexactly(_LEN.size), timeout)
-        (length,) = _LEN.unpack(header)
-        payload = await asyncio.wait_for(reader.readexactly(length), timeout)
-        return decode(payload)
+        return decode(await asyncio.wait_for(read_frame(reader), timeout))
     finally:
         writer.close()
 

@@ -3,13 +3,16 @@ crash tolerance, API contract."""
 
 import pytest
 
+from repro.common.encoding import encode
 from repro.common.errors import ProtocolError
 from repro.core.broadcast import ReliableBroadcast
+from repro.net import links
 from repro.net.faults import CrashFault, FaultPlan
+from repro.net.message import pack_body
 
 from tests.conftest import cached_group
 from tests.core.byz import EquivocatingBroadcastSender, GarbageSpammer, SilentParty
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, print_repro, sim_runtime
 
 
 def _rbcs(rt, basepid="rbc", sender=0, parties=None):
@@ -97,6 +100,34 @@ def test_agreement_under_equivocating_sender(group4):
             r.payload for r in honest.values() if r.payload is not None
         ]
         assert len(set(delivered)) <= 1, "agreement violated"
+
+
+@pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
+def test_forged_self_ready_delivers_nothing(n, t, fuzz_seed):
+    """The sender never sends.  Each of the t intruders hands every honest
+    party a "ready" claiming to be that party's own, next to its genuine
+    one: if the claim counted, t + 1 readies would make every honest party
+    amplify and then deliver a payload nobody broadcast."""
+    group = cached_group(n, t)
+    rt = sim_runtime(group, seed=fuzz_seed)
+    honest = _rbcs(rt, parties=range(n - t))
+    body = pack_body(honest[0].pid, "ready", b"never sent by party 0")
+
+    def attack(intruder):
+        for v in honest:
+            rt.nodes[intruder].emit(v, encode((v, b"", body)))
+            rt.nodes[intruder].emit(v, links.seal(group.party(intruder), v, body))
+
+    for intruder in range(n - t, n):
+        rt.run_on_node(intruder, lambda i=intruder: attack(i))
+    rt.run(until=5.0)
+    try:
+        assert [r.payload for r in honest.values()] == [None] * (n - t)
+        assert rt.auth_failures == t * (n - t)
+        no_errors(rt)
+    except AssertionError:
+        print_repro(fuzz_seed)
+        raise
 
 
 def test_garbage_messages_ignored(group4):

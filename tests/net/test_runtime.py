@@ -100,6 +100,35 @@ def test_corrupted_wire_counted_not_crashing():
     assert rt.auth_failures == 1
 
 
+def test_forged_sender_refused_and_counted():
+    """Party 3 hands party 0 a frame "from 0" and one "from 1": both are
+    refused on the link they arrived on, and 0's router never sees them."""
+    from repro.common.encoding import encode
+    from repro.net.message import pack_body
+    from repro.obs.recorder import MemoryRecorder
+
+    recorder = MemoryRecorder()
+    rt = _runtime(recorder=recorder)
+    protos = [Echo(ctx) for ctx in rt.contexts]
+    off_link = []  # senders router 0 saw; its own are local-loop traffic
+    rt.routers[0].observers.append(lambda sender, *_: off_link.append(sender))
+    body = pack_body("echo", "ping", b"forged")
+    tag = rt.group.party(3).link_auth(0).tag(body)
+
+    def attack():
+        rt.nodes[3].emit(0, encode((0, b"", body)))  # untagged, as the local loop's
+        rt.nodes[3].emit(0, encode((0, tag, body)))
+        rt.nodes[3].emit(0, encode((1, tag, body)))
+        protos[3].unicast(0, "ping", b"honest")  # the link itself still works
+
+    rt.run_on_node(3, attack)
+    rt.run()
+    assert rt.auth_failures == 3
+    assert recorder.snapshot()["counters"]["net.auth_failures"] == 3
+    assert off_link == [3]
+    assert [m[1:] for m in protos[0].seen] == [(3, "ping", b"honest")]
+
+
 def test_host_count_validated():
     from repro.net.costmodel import LAN_HOSTS
 

@@ -106,6 +106,58 @@ def test_auth_failures_counted():
     assert failures == 1
 
 
+def test_forged_sender_refused_and_counted():
+    """Node 3 writes node 0 the envelope the local loop used to carry — a
+    vote "from 0" — down its own authenticated link: nothing a peer writes
+    names a sender, so it is a malformed body from 3 and is counted."""
+    from repro.common.encoding import encode
+    from repro.core.protocol import Protocol
+    from repro.net.message import pack_body
+    from repro.obs.recorder import MemoryRecorder
+
+    class Sink(Protocol):
+        def __init__(self, ctx):
+            super().__init__(ctx, "sink")
+            self.seen = []
+            self.got = ctx.new_future()
+
+        def on_message(self, sender, mtype, payload):
+            self.seen.append((sender, mtype, payload))
+            self.got.resolve()
+
+    recorder = MemoryRecorder()
+
+    async def body(nodes):
+        sinks = [Sink(node.ctx) for node in nodes]
+        off_link = []
+        nodes[0].ctx.router.observers.append(lambda sender, *_: off_link.append(sender))
+        forged = pack_body("sink", "ping", b"forged")
+        nodes[3].send_frame(0, encode((0, b"", forged)))
+        sinks[3].unicast(0, "ping", b"honest")  # FIFO: arrives after the forgery
+        await sinks[0].got
+        return nodes[0].auth_failures, off_link, sinks[0].seen
+
+    failures, off_link, seen = _run(_with_nodes(body, recorder=recorder))
+    assert failures == 1
+    assert recorder.snapshot()["counters"]["tcp.auth_failures"] == 1
+    assert off_link == [3]
+    assert seen == [(3, "ping", b"honest")]
+
+
+def test_async_future_reject_raises_on_await():
+    from repro.net.tcp import AsyncFuture
+
+    async def body():
+        fut = AsyncFuture()
+        fut.reject(TransportError("gone"))
+        fut.resolve("late")  # first outcome wins, as with resolve
+        assert fut.done
+        with pytest.raises(TransportError):
+            await fut
+
+    _run(body())
+
+
 def test_async_queue_interface():
     async def body():
         q = AsyncQueue()
