@@ -195,7 +195,7 @@ def test_sliding_window_links_under_loss(benchmark):
         group = fast_group(4, 1, SecurityParams.small(), seed=("sw", seed))
         rt = LossyLinkRuntime(
             group, latency=LAN_SETUP.latency(), hosts=LAN_SETUP.hosts,
-            seed=("sw", seed), loss=loss, duplicate=0.02, rto=0.1,
+            seed=("sw", seed), loss=loss, duplicate=0.02,
         )
         parties = make_parties(rt)
         chans = [p.atomic_channel("sw") for p in parties]

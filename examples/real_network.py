@@ -32,7 +32,7 @@ async def main() -> None:
     fabric = ChaosFabric(4, plan, seed=0xC4405)
     await fabric.start()
     nodes = fabric.make_nodes(
-        group, connect_retry_s=0.02, rto=0.15, backoff_cap=0.3, heartbeat_s=0.1
+        group, connect_retry_s=0.02, backoff_cap=0.3, heartbeat_s=0.1
     )
     await asyncio.gather(*(node.start() for node in nodes))
     print("4 servers behind chaos proxies on",

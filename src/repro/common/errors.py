@@ -100,12 +100,3 @@ class RetriesExhausted(ClientError):
 
 class TransportError(ReproError):
     """A network-transport-level failure."""
-
-
-class LinkOverflow(TransportError):
-    """A bounded point-to-point link's send backlog is full.
-
-    Raised only under the strict ``overflow="raise"`` policy; the default
-    degradation policy drops the oldest backlogged frame and counts it
-    instead, so one unresponsive peer cannot exhaust memory while the
-    remaining ``n - t`` parties make progress."""

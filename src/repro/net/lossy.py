@@ -7,81 +7,77 @@ loss and duplication per datagram — and runs
 configuration the paper planned ("replace TCP by SINTRA's own
 sliding-window implementation").  The SINTRA protocols themselves are
 untouched: they still see reliable FIFO authenticated links.
+
+It speaks the TCP mesh's datagram: each party drives one
+:class:`~repro.net.sliding_window.SlidingWindowLink` per peer, the
+``dat`` payload is the packed message body, MACed once under the pairwise
+key, and its sender is the link it arrived on (:mod:`repro.net.links`).
+The simulator's sealed ``(sender, tag, body)`` envelope is not used here.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import functools
+from typing import Any, Dict, Tuple
 
+from repro.common.encoding import decode
+from repro.common.errors import EncodingError
 from repro.net.runtime import SimRuntime
-from repro.net.sliding_window import SlidingWindowEndpoint
+from repro.net.sliding_window import SlidingWindowLink
 
 
 class LossyLinkRuntime(SimRuntime):
     """A :class:`SimRuntime` whose links are sliding-window over loss.
 
-    ``loss`` and ``duplicate`` are per-datagram probabilities; ``rto`` is
-    the links' retransmission timeout in (simulated) seconds.
+    ``loss`` and ``duplicate`` are per-datagram probabilities.
     """
 
-    def __init__(
-        self,
-        *args,
-        loss: float = 0.05,
-        duplicate: float = 0.0,
-        rto: float = 0.3,
-        **kwargs,
-    ):
+    def __init__(self, *args, loss: float = 0.05, duplicate: float = 0.0, **kwargs):
         super().__init__(*args, **kwargs)
         self.loss = loss
         self.duplicate = duplicate
-        self.rto = rto
-        #: directed pair -> (sending endpoint at src, receiving at dst)
-        self._links: Dict[Tuple[int, int], Tuple[SlidingWindowEndpoint, SlidingWindowEndpoint]] = {}
-        self._poll_scheduled: Dict[Tuple[int, int], float] = {}
         self.datagrams_sent = 0
         self.datagrams_lost = 0
+        n = self.group.n
+        #: (party, peer) -> the party's end of its link to the peer
+        self._links: Dict[Tuple[int, int], SlidingWindowLink] = {}
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    link = SlidingWindowLink(
+                        self.group.party(a).link_auth(b),
+                        b"link-%d-%d" % (a, b),
+                        transmit=functools.partial(self._datagram, a, b),
+                        deliver=functools.partial(self._arrive_body, a, b),
+                        clock=lambda: self.sim.now,
+                        call_at=self.sim.schedule_at,
+                    )
+                    link.listen(b"link-%d-%d" % (b, a))
+                    self._links[(a, b)] = link
 
-    # -- link construction ---------------------------------------------------------
-
-    def _link(self, src: int, dst: int):
-        key = (src, dst)
-        if key not in self._links:
-            session = b"link-%d-%d" % (src, dst)
-            auth = self.group.party(src).link_auth(dst)
-
-            tx = SlidingWindowEndpoint(
-                auth, session,
-                transmit=lambda d, k=key: self._datagram(k[0], k[1], d),
-                deliver=lambda p: None,
-                rto=self.rto,
-            )
-            rx = SlidingWindowEndpoint(
-                auth, session,
-                transmit=lambda d, k=key: self._datagram(k[1], k[0], d),
-                deliver=lambda frame, k=key: self._arrive(k[1], frame, k[0]),
-                rto=self.rto,
-            )
-            self._links[key] = (tx, rx)
-        return self._links[key]
+    @property
+    def retransmissions(self) -> int:
+        """Data datagrams re-sent by the links' timers, over all links."""
+        return sum(link.sender.retransmissions for link in self._links.values())
 
     # -- frame path ---------------------------------------------------------------------
 
+    def seal(self, crypto: Any, dst: int, body: bytes) -> bytes:
+        return body  # the link's data tag is the message's one MAC
+
     def _dispatch(self, src: int, depart: float, send_tuple) -> None:
-        dst, wire = send_tuple
+        dst, body = send_tuple
         if self.faults.drops(src, depart):
             return
         self.messages_sent += 1
-        self.bytes_sent += len(wire)
+        self.bytes_sent += len(body)
         if dst == src:
-            self.sim.schedule_at(depart, self._arrive, dst, wire, src)
-            return
-        tx, _ = self._link(src, dst)
-        self.sim.schedule_at(depart, self._link_send, src, dst, tx, wire)
+            self.sim.schedule_at(depart, self._arrive_body, dst, src, body)
+        else:
+            self.sim.schedule_at(depart, self._links[(src, dst)].send, body)
 
-    def _link_send(self, src: int, dst: int, tx: SlidingWindowEndpoint, wire: bytes) -> None:
-        tx.send(wire, self.sim.now)
-        self._schedule_poll(src, dst)
+    def _arrive_body(self, dst: int, src: int, body: bytes) -> None:
+        self.nodes[dst].process(lambda: self._route(dst, src, body), self._dispatch)
 
     # -- the unreliable datagram service -----------------------------------------------------
 
@@ -100,44 +96,10 @@ class LossyLinkRuntime(SimRuntime):
             self.sim.schedule(delay, self._datagram_arrive, src, dst, datagram)
 
     def _datagram_arrive(self, src: int, dst: int, datagram: bytes) -> None:
-        # Data datagrams land at the receiving endpoint of (src, dst);
-        # ACK datagrams land at the sending endpoint.  Both endpoints
-        # ignore frames that are not theirs, so dispatch to both is safe,
-        # but we can route exactly by direction:
-        tx_fwd = self._links.get((src, dst))
-        tx_rev = self._links.get((dst, src))
-        if tx_fwd is not None:
-            tx_fwd[1].on_datagram(datagram, self.sim.now)  # data for dst
-        if tx_rev is not None:
-            tx_rev[0].on_datagram(datagram, self.sim.now)  # ACKs for dst's sender
-        self._schedule_poll(dst, src)
-        self._schedule_poll(src, dst)
-
-    # -- retransmission timers ----------------------------------------------------------------
-
-    def _schedule_poll(self, src: int, dst: int) -> None:
-        key = (src, dst)
-        link = self._links.get(key)
-        if link is None:
+        """One datagram off the wire from ``src``, at ``dst``'s end."""
+        try:
+            fields = decode(datagram)
+        except EncodingError:
             return
-        deadline = link[0].sender.next_timeout
-        if deadline is None:
-            return
-        pending = self._poll_scheduled.get(key)
-        if pending is not None and pending <= deadline + 1e-9 and pending > self.sim.now:
-            return
-        # never schedule at the current instant: a zero-delay reschedule
-        # loop would freeze simulated time
-        when = max(deadline, self.sim.now + 1e-6)
-        self._poll_scheduled[key] = when
-        self.sim.schedule_at(when, self._poll, src, dst, when)
-
-    def _poll(self, src: int, dst: int, when: float) -> None:
-        key = (src, dst)
-        if self._poll_scheduled.get(key) == when:
-            self._poll_scheduled.pop(key, None)
-        link = self._links.get(key)
-        if link is None:
-            return
-        link[0].poll(self.sim.now)
-        self._schedule_poll(src, dst)
+        if isinstance(fields, tuple):
+            self._links[(dst, src)].on_datagram(fields)

@@ -36,9 +36,13 @@ def pack_body(pid: str, mtype: str, payload: Any) -> bytes:
 def unpack_body(sender: int, data: bytes) -> Message:
     """Parse a message body received from ``sender``."""
     try:
-        pid, mtype, payload = decode(data)
-    except (EncodingError, ValueError, TypeError) as exc:
+        fields = decode(data)
+    except EncodingError as exc:
         raise TransportError("malformed message body") from exc
+    # a tuple or list only: a 3-character string would unpack too
+    if not isinstance(fields, (tuple, list)) or len(fields) != 3:
+        raise TransportError("malformed message body")
+    pid, mtype, payload = fields
     if not isinstance(pid, str) or not isinstance(mtype, str):
         raise TransportError("malformed message header")
     return Message(sender=sender, pid=pid, mtype=mtype, payload=payload)

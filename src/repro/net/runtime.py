@@ -54,7 +54,7 @@ class SimContext(Context):
 
     def send(self, dst: int, pid: str, mtype: str, payload: Any) -> None:
         body = pack_body(pid, mtype, payload)
-        wire = links.seal(self.crypto, dst, body)
+        wire = self.runtime.seal(self.crypto, dst, body)
         self.runtime.record_protocol_message(pid, mtype, len(wire), self.node_id)
         self.node.emit(dst, wire)
 
@@ -269,27 +269,42 @@ class SimRuntime:
             self._fifo_last[(src, dst)] = arrival
         self.sim.schedule_at(arrival, self._arrive, dst, wire, src)
 
-    def _arrive(self, dst: int, wire: bytes, src: Optional[int] = None) -> None:
-        self.nodes[dst].process(lambda: self._handle_wire(dst, wire, src), self._dispatch)
+    #: frame ``body`` for the link to ``dst``: the sealed
+    #: ``(sender, tag, body)`` envelope (:mod:`repro.net.links`)
+    seal = staticmethod(links.seal)
 
-    def _handle_wire(self, dst: int, wire: bytes, src: Optional[int]) -> None:
-        """Route a frame as sent by ``src``, the link it arrived on at
-        ``dst``, whatever sender it claims (:mod:`repro.net.links`)."""
+    def _arrive(self, dst: int, wire: bytes, src: Optional[int] = None) -> None:
+        self.nodes[dst].process(lambda: self._open(dst, wire, src), self._dispatch)
+
+    def _open(self, dst: int, wire: bytes, src: Optional[int]) -> None:
+        """Open a sealed frame that arrived at ``dst`` on the link from
+        ``src``, whatever sender it claims (:mod:`repro.net.links`)."""
         crypto = self.group.party(dst)
         try:
             if src == dst:
                 body = links.open_local(crypto, wire)
             else:
                 body = links.open_sealed(crypto, src, wire)
+        except ReproError:
+            self._refuse()
+            return
+        self._route(dst, src, body)
+
+    def _route(self, dst: int, src: Optional[int], body: bytes) -> None:
+        """Hand an authenticated ``body`` from ``src`` to ``dst``'s router."""
+        try:
             msg = unpack_body(src, body)
         except ReproError:
-            self.auth_failures += 1
-            if self.obs.enabled:
-                self.obs.count("net.auth_failures")
+            self._refuse()
             return
         self.routers[dst].dispatch(msg.sender, msg.pid, msg.mtype, msg.payload)
         for cb in self.delivery_listeners:
             cb(dst)
+
+    def _refuse(self) -> None:
+        self.auth_failures += 1
+        if self.obs.enabled:
+            self.obs.count("net.auth_failures")
 
     # -- driving the simulation -------------------------------------------------------
 

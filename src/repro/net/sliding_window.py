@@ -4,41 +4,61 @@ The paper (Sec. 3) notes that SINTRA's point-to-point links ran over plain
 TCP "and are therefore subject to a denial-of-service attack by sending
 forged TCP acknowledgements.  It is planned to replace TCP by SINTRA's own
 sliding-window implementation, which will provide authenticated
-acknowledgments."  This module implements that planned component.
+acknowledgments."  This module implements that planned component, and it
+is the one link layer both carriers run: :class:`SlidingWindowLink`
+drives it for :class:`~repro.net.tcp.TcpNode` (over TCP framing) and for
+:class:`~repro.net.lossy.LossyLinkRuntime` (over simulated datagrams).
 
-A :class:`SlidingWindowEndpoint` turns an *unreliable* datagram service
-(loss, duplication, reordering — but not forgery-resistance) into the
-reliable FIFO link the protocol stack assumes:
+It turns an *unreliable* datagram service (loss, duplication, reordering
+— but not forgery-resistance) into the reliable FIFO link the protocol
+stack assumes:
 
-* data datagrams carry ``(session, seq, payload)`` and an HMAC under the
-  pairwise link key, so an attacker who can inject datagrams cannot forge
-  payloads;
+* data datagrams carry ``(session, seq, body)`` and an HMAC under the
+  pairwise link key — the only MAC a message pays.  ``body`` is the
+  packed ``(pid, mtype, payload)``; its sender is the link's peer
+  (:mod:`repro.net.links` states the rule), never a field of the body;
 * acknowledgments are *cumulative and authenticated*: a forged ACK cannot
   advance the sender's window, closing exactly the DoS the paper calls
   out (a TCP sender tricked by forged ACKs discards data the receiver
   never got — here the sender keeps retransmitting until a genuine ACK
   arrives);
-* a fixed-size window bounds the data in flight; retransmission is driven
-  by an explicit ``poll(now)`` so the implementation stays sans-I/O and
-  runs under the simulator, asyncio, or direct-drive tests alike.
+* at most :data:`WINDOW` datagrams are in flight and :data:`MAX_BACKLOG`
+  more wait behind them (drop-oldest beyond that, counted), so one dead
+  peer cannot exhaust memory;
+* the retransmission timeout is measured, per RFC 6298: SRTT and RTTVAR
+  follow the delay of every cumulative ACK that covers a sequence sent
+  once (Karn's rule: a re-sent sequence gives no sample), the timeout is
+  ``SRTT + 4 * RTTVAR`` clamped to [:data:`RTO_MIN`, :data:`RTO_MAX`],
+  starts at :data:`RTO_INITIAL` and doubles on every expiry.
 
-The endpoint is one *direction* of a link; a full duplex link is two
-endpoints per side sharing the datagram service.
+:class:`SlidingWindowSender` and :class:`SlidingWindowReceiver` are
+sans-I/O (every call takes ``now``); :class:`SlidingWindowLink` adds the one
+datagram dispatch and the one retransmit timer, armed through the
+carrier's ``call_at``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.encoding import decode, encode
-from repro.common.errors import EncodingError, LinkOverflow, ProtocolError
+from repro.common.encoding import encode
+from repro.common.errors import ProtocolError
 from repro.crypto.hmac_auth import LinkAuthenticator
 
 KIND_DATA = "dat"
 KIND_ACK = "ack"
 
-DEFAULT_WINDOW = 32
-DEFAULT_RTO = 0.25
+#: data datagrams in flight per directed link
+WINDOW = 64
+#: payloads queued behind the window before the oldest is dropped
+MAX_BACKLOG = 4096
+#: how far ahead of the next expected sequence a receiver buffers
+REORDER_LIMIT = 4 * WINDOW
+#: the timeout before the first RTT sample, in seconds
+RTO_INITIAL = 0.25
+#: bounds of the measured (and backed-off) timeout, in seconds
+RTO_MIN = 0.25
+RTO_MAX = 1.0
 
 
 def _data_tag(auth: LinkAuthenticator, session: bytes, seq: int, payload: bytes) -> bytes:
@@ -60,32 +80,22 @@ def make_ack_datagram(auth: LinkAuthenticator, session: bytes, cumulative: int) 
 
 
 class SlidingWindowSender:
-    """Send side: window, retransmission, authenticated-ACK validation."""
+    """Send side: window, retransmission, authenticated-ACK validation,
+    and the measured retransmission timeout (:attr:`rto`)."""
 
-    def __init__(
-        self,
-        auth: LinkAuthenticator,
-        session: bytes,
-        window: int = DEFAULT_WINDOW,
-        rto: float = DEFAULT_RTO,
-        max_backlog: Optional[int] = None,
-        overflow: str = "drop-oldest",
-    ):
-        if window < 1:
-            raise ProtocolError("window must be at least 1")
-        if overflow not in ("drop-oldest", "raise"):
-            raise ProtocolError("overflow policy is 'drop-oldest' or 'raise'")
+    def __init__(self, auth: LinkAuthenticator, session: bytes):
         self._auth = auth
         self.session = session
-        self.window = window
-        self.rto = rto
-        self.max_backlog = max_backlog
-        self.overflow = overflow
         self._next_seq = 0
         self._base = 0  # lowest unacknowledged sequence number
         self._backlog: List[bytes] = []
-        self._inflight: Dict[int, Tuple[bytes, float]] = {}  # seq -> (payload, last tx)
+        # seq -> (payload, last transmission, re-sent since the first?)
+        self._inflight: Dict[int, Tuple[bytes, float, bool]] = {}
+        self.srtt: Optional[float] = None
+        self.rttvar = 0.0
+        self.rto = RTO_INITIAL
         self.retransmissions = 0
+        self.acks = 0  # authentic ACKs of the current session
         self.forged_acks = 0
         self.overflow_dropped = 0
 
@@ -94,19 +104,13 @@ class SlidingWindowSender:
     def send(self, payload: bytes, now: float) -> List[bytes]:
         """Queue ``payload``; returns datagrams to transmit now.
 
-        A bounded sender (``max_backlog``) degrades under a peer that never
-        acknowledges: ``drop-oldest`` discards the oldest backlog entry
-        (counted in :attr:`overflow_dropped`) so one dead peer cannot
-        exhaust memory, while ``raise`` surfaces :class:`LinkOverflow` to
-        the caller.
+        A full backlog drops its oldest entry (counted in
+        :attr:`overflow_dropped`): a peer that never acknowledges costs
+        bounded memory, and the rest of the group makes progress.
         """
         if not isinstance(payload, (bytes, bytearray)):
             raise ProtocolError("payloads are byte strings")
-        if self.max_backlog is not None and len(self._backlog) >= self.max_backlog:
-            if self.overflow == "raise":
-                raise LinkOverflow(
-                    f"link backlog full ({self.max_backlog} frames unacknowledged)"
-                )
+        if len(self._backlog) >= MAX_BACKLOG:
             self._backlog.pop(0)
             self.overflow_dropped += 1
         self._backlog.append(bytes(payload))
@@ -114,27 +118,37 @@ class SlidingWindowSender:
 
     def _fill_window(self, now: float) -> List[bytes]:
         out: List[bytes] = []
-        while self._backlog and len(self._inflight) < self.window:
+        while self._backlog and len(self._inflight) < WINDOW:
             payload = self._backlog.pop(0)
             seq = self._next_seq
             self._next_seq += 1
-            self._inflight[seq] = (payload, now)
+            self._inflight[seq] = (payload, now, False)
+            out.append(make_data_datagram(self._auth, self.session, seq, payload))
+        return out
+
+    def _resend(self, seqs: List[int], now: float) -> List[bytes]:
+        out: List[bytes] = []
+        for seq in seqs:
+            payload = self._inflight[seq][0]
+            self._inflight[seq] = (payload, now, True)
+            self.retransmissions += 1
             out.append(make_data_datagram(self._auth, self.session, seq, payload))
         return out
 
     def poll(self, now: float) -> List[bytes]:
-        """Retransmit everything in flight whose RTO expired.
+        """Retransmit everything in flight whose timeout expired, and
+        double the timeout (up to :data:`RTO_MAX`) if anything did.
 
         The comparison carries a small slack so a timer firing exactly at
         the deadline retransmits despite floating-point rounding.
         """
-        out: List[bytes] = []
-        for seq, (payload, last) in sorted(self._inflight.items()):
-            if now - last >= self.rto - 1e-9:
-                self._inflight[seq] = (payload, now)
-                self.retransmissions += 1
-                out.append(make_data_datagram(self._auth, self.session, seq, payload))
-        return out
+        expired = [
+            seq for seq, (_, last, _) in sorted(self._inflight.items())
+            if now - last >= self.rto - 1e-9
+        ]
+        if expired:
+            self.rto = min(RTO_MAX, 2 * self.rto)
+        return self._resend(expired, now)
 
     # -- session resumption ----------------------------------------------------------
 
@@ -142,16 +156,10 @@ class SlidingWindowSender:
         """Retransmit everything in flight immediately (same session).
 
         Called after the carrier reconnects: frames unacknowledged at
-        disconnect are re-sent without waiting for the RTO, and the
+        disconnect are re-sent without waiting for the timeout, and the
         receiver's intact per-session state suppresses any duplicates.
         """
-        out: List[bytes] = []
-        for seq, (payload, _) in sorted(self._inflight.items()):
-            self._inflight[seq] = (payload, now)
-            self.retransmissions += 1
-            out.append(make_data_datagram(self._auth, self.session, seq, payload))
-        out.extend(self._fill_window(now))
-        return out
+        return self._resend(sorted(self._inflight), now) + self._fill_window(now)
 
     def rebind(self, session: bytes, now: float) -> List[bytes]:
         """Renumber all unacknowledged traffic under a fresh ``session``.
@@ -163,7 +171,7 @@ class SlidingWindowSender:
         at-least-once — a payload whose ACK was lost may be delivered
         again — while within a session it is exactly-once FIFO.
         """
-        pending = [payload for _, (payload, _) in sorted(self._inflight.items())]
+        pending = [payload for _, (payload, _, _) in sorted(self._inflight.items())]
         self.session = session
         self._next_seq = 0
         self._base = 0
@@ -188,11 +196,26 @@ class SlidingWindowSender:
         ):
             self.forged_acks += 1  # the authenticated-ACK property
             return []
-        if cumulative > self._base:
-            for seq in range(self._base, min(cumulative, self._next_seq)):
-                self._inflight.pop(seq, None)
-            self._base = min(cumulative, self._next_seq)
+        self.acks += 1
+        top = min(cumulative, self._next_seq)
+        sample: Optional[float] = None
+        for seq in range(self._base, top):
+            _, last, resent = self._inflight.pop(seq)
+            if not resent:  # Karn: a re-sent sequence's ACK is ambiguous
+                sample = now - last
+        self._base = max(self._base, top)
+        if sample is not None:
+            self._measure(sample)
         return self._fill_window(now)
+
+    def _measure(self, rtt: float) -> None:
+        """RFC 6298, Sec. 2: fold one sample in; the backoff resets."""
+        if self.srtt is None:
+            self.srtt, self.rttvar = rtt, rtt / 2
+        else:
+            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
+            self.srtt = 0.875 * self.srtt + 0.125 * rtt
+        self.rto = min(RTO_MAX, max(RTO_MIN, self.srtt + 4 * self.rttvar))
 
     @property
     def idle(self) -> bool:
@@ -202,25 +225,20 @@ class SlidingWindowSender:
     def next_timeout(self) -> Optional[float]:
         if not self._inflight:
             return None
-        return min(last for _, last in self._inflight.values()) + self.rto
+        return min(last for _, last, _ in self._inflight.values()) + self.rto
 
 
 class SlidingWindowReceiver:
     """Receive side: verification, reordering buffer, cumulative ACKs."""
 
     def __init__(
-        self,
-        auth: LinkAuthenticator,
-        session: bytes,
-        deliver: Callable[[bytes], None],
-        reorder_limit: int = 4 * DEFAULT_WINDOW,
+        self, auth: LinkAuthenticator, session: bytes, deliver: Callable[[bytes], None]
     ):
         self._auth = auth
         self.session = session
         self._deliver = deliver
         self._expected = 0
         self._buffer: Dict[int, bytes] = {}
-        self._reorder_limit = reorder_limit
         self.forged_data = 0
         self.duplicates = 0
 
@@ -236,7 +254,7 @@ class SlidingWindowReceiver:
             return []
         if seq < self._expected or seq in self._buffer:
             self.duplicates += 1
-        elif seq < self._expected + self._reorder_limit:
+        elif seq < self._expected + REORDER_LIMIT:
             self._buffer[seq] = payload
             while self._expected in self._buffer:
                 self._deliver(self._buffer.pop(self._expected))
@@ -245,11 +263,20 @@ class SlidingWindowReceiver:
         return [make_ack_datagram(self._auth, self.session, self._expected)]
 
 
-class SlidingWindowEndpoint:
-    """One direction of a link: a sender and the peer's receiver glue.
+class SlidingWindowLink:
+    """This party's end of the link to one peer, driven for a carrier.
 
-    ``transmit`` is the unreliable datagram service; ``deliver`` receives
-    in-order payloads on the receiving side.
+    It owns the sender of our data to the peer (session ``session``), the
+    receiver of the peer's data (:meth:`listen` opens it on the session
+    the peer announced), one dispatch of inbound datagrams by kind, and
+    one retransmit timer.  The carrier supplies ``transmit`` (one
+    datagram to the peer, unreliably), ``deliver`` (one in-order body
+    from the peer), ``clock`` and ``call_at(when, fn, *args)`` — the
+    simulator's ``schedule_at`` or the asyncio loop's ``call_at``.
+
+    While :attr:`connected` is false (a TCP carrier between connections)
+    the timer retransmits nothing; the carrier calls :meth:`resume` once
+    it is back.
     """
 
     def __init__(
@@ -258,32 +285,94 @@ class SlidingWindowEndpoint:
         session: bytes,
         transmit: Callable[[bytes], None],
         deliver: Callable[[bytes], None],
-        window: int = DEFAULT_WINDOW,
-        rto: float = DEFAULT_RTO,
+        clock: Callable[[], float],
+        call_at: Callable[..., object],
     ):
-        self.sender = SlidingWindowSender(auth, session, window=window, rto=rto)
-        self.receiver = SlidingWindowReceiver(auth, session, deliver)
+        self._auth = auth
         self._transmit = transmit
+        self._deliver = deliver
+        self._clock = clock
+        self._call_at = call_at
+        self.sender = SlidingWindowSender(auth, session)
+        self.receiver: Optional[SlidingWindowReceiver] = None
+        self.connected = True
+        self._timer_at: Optional[float] = None  # the one live timer's deadline
+        self._closed = False
 
-    def send(self, payload: bytes, now: float) -> None:
-        for datagram in self.sender.send(payload, now):
+    def listen(self, session: bytes) -> None:
+        """Receive the peer's data on ``session`` (fresh receive state)."""
+        self.receiver = SlidingWindowReceiver(self._auth, session, self._deliver)
+
+    # -- outbound -------------------------------------------------------------------
+
+    def send(self, body: bytes) -> None:
+        self._emit(self.sender.send(body, self._clock()))
+
+    def resume(self) -> None:
+        """The carrier is back: re-send everything in flight now."""
+        self._emit(self.sender.resume(self._clock()))
+
+    def rebind(self, session: bytes) -> None:
+        """The peer restarted: renumber unacknowledged traffic."""
+        self._emit(self.sender.rebind(session, self._clock()))
+
+    def _emit(self, datagrams: List[bytes]) -> None:
+        for datagram in datagrams:
             self._transmit(datagram)
+        self._arm()
 
-    def poll(self, now: float) -> None:
-        for datagram in self.sender.poll(now):
-            self._transmit(datagram)
+    # -- inbound --------------------------------------------------------------------
 
-    def on_datagram(self, datagram: bytes, now: float) -> None:
-        """Dispatch one raw datagram (data or ACK); malformed ones drop."""
-        try:
-            fields = decode(datagram)
-        except EncodingError:
-            return
-        if not isinstance(fields, tuple) or not fields:
-            return
-        if fields[0] == KIND_DATA and len(fields) == 5:
-            for ack in self.receiver.on_data(fields):
+    def on_datagram(self, fields: tuple) -> Optional[bool]:
+        """Dispatch one decoded datagram from the peer by kind.
+
+        Returns whether it was an authentic datagram of the current
+        sessions (proof the peer is alive), or ``None`` if it is no
+        window datagram at all.
+        """
+        kind = fields[0] if fields else None
+        if kind == KIND_DATA and len(fields) == 5:
+            if self.receiver is None:
+                return False
+            acks = self.receiver.on_data(fields)
+            for ack in acks:
                 self._transmit(ack)
-        elif fields[0] == KIND_ACK and len(fields) == 4:
-            for datagram_out in self.sender.on_ack(fields, now):
-                self._transmit(datagram_out)
+            return bool(acks)
+        if kind == KIND_ACK and len(fields) == 4:
+            acks = self.sender.acks
+            self._emit(self.sender.on_ack(fields, self._clock()))
+            return self.sender.acks > acks
+        return None
+
+    # -- the retransmit timer -------------------------------------------------------
+
+    def _arm(self) -> None:
+        deadline = self.sender.next_timeout
+        if deadline is None or self._closed:
+            return
+        now = self._clock()
+        pending = self._timer_at
+        if pending is not None and now < pending <= deadline + 1e-9:
+            return  # the live timer fires first and re-arms
+        # never at the current instant: a zero-delay loop would freeze
+        # simulated time
+        self._start_timer(max(deadline, now + 1e-4))
+
+    def _start_timer(self, when: float) -> None:
+        self._timer_at = when
+        self._call_at(when, self._expire, when)
+
+    def _expire(self, when: float) -> None:
+        if when != self._timer_at or self._closed:
+            return  # superseded by an earlier deadline
+        self._timer_at = None
+        if not self.connected:
+            # no carrier: look again later (resume() covers the reconnect)
+            self._start_timer(self._clock() + self.sender.rto)
+            return
+        self._emit(self.sender.poll(self._clock()))
+
+    def close(self) -> None:
+        """Stop the timer for good (the carrier shuts down)."""
+        self._closed = True
+        self._timer_at = None

@@ -5,22 +5,23 @@ with HMAC authentication (Sec. 3) and explicitly flags plain TCP as a
 liability — forged TCP acknowledgments can make a sender discard data the
 receiver never got — planning to replace it with SINTRA's own
 sliding-window links with *authenticated* acknowledgments.  This module
-realizes that plan for the real network: the sans-I/O
-:mod:`repro.net.sliding_window` endpoints run **over** TCP framing, and a
-connection supervisor per directed peer link keeps the carrier alive.
+realizes that plan for the real network: one
+:class:`~repro.net.sliding_window.SlidingWindowLink` per peer runs
+**over** TCP framing, and a connection supervisor per directed peer link
+keeps the carrier alive.
 
 Layering, top to bottom:
 
 * protocol stack — unchanged sans-I/O classes, driven via :class:`TcpContext`;
 * sliding-window session — authenticated data + cumulative authenticated
-  ACKs, bounded in-flight window, RTO retransmission.  The payload is
-  the packed message body, MACed once; its sender is the peer the
-  connection's authenticated hello bound (:mod:`repro.net.links` states
-  the rule), and self-sends take the local loop.  Frames
-  unacknowledged when a TCP connection dies are retransmitted after
-  reconnect; duplicates from replays are suppressed by the receiver's
-  per-session state (exactly-once FIFO within a session, at-least-once
-  across a peer *restart*);
+  ACKs, bounded in-flight window, retransmission after a measured
+  timeout.  The payload is the packed message body, MACed once; its
+  sender is the peer the connection's authenticated hello bound
+  (:mod:`repro.net.links` states the rule), and self-sends take the
+  local loop.  Frames unacknowledged when a TCP connection dies are
+  retransmitted after reconnect; duplicates from replays are suppressed
+  by the receiver's per-session state (exactly-once FIFO within a
+  session, at-least-once across a peer *restart*);
 * connection supervisor — one outgoing TCP connection per directed link,
   re-dialled forever with capped exponential backoff and deterministic
   jitter (seeded via :mod:`repro.common.rng`);
@@ -36,12 +37,13 @@ Every frame on the wire is a canonical tuple behind a length prefix
   — the sliding-window datagrams (see :mod:`repro.net.sliding_window`);
 * ``("hb", sender, counter, tag)`` — monotone authenticated heartbeat.
 
-Degradation policy: all per-peer queues are bounded (window backlog and
-outbox, drop-oldest with counters), so one dead peer cannot exhaust
-memory while the other ``n - t`` make progress; dropped data frames are
-recovered by RTO retransmission if the peer returns.  Per-peer counters
-(reconnects, retransmissions, backlog depth, auth failures, …) are
-exposed via :meth:`TcpNode.link_stats` / :meth:`TcpNode.stats`.
+Degradation policy: all per-peer queues are bounded (the window's
+backlog and :data:`OUTBOX_LIMIT`, drop-oldest with counters), so one dead
+peer cannot exhaust memory while the other ``n - t`` make progress;
+dropped data frames are recovered by retransmission if the peer returns.
+Per-peer counters (reconnects, retransmissions, backlog depth, auth
+failures, …) are exposed via :meth:`TcpNode.link_stats` /
+:meth:`TcpNode.stats`.
 
 Sessions are unique per node *instance* (derived from ``seed`` when one
 is given — restart tests must use a distinct seed — and from OS entropy
@@ -75,12 +77,7 @@ from repro.core.protocol import Context, Router
 from repro.crypto.dealer import GroupConfig
 from repro.net.failure_detector import FailureDetector
 from repro.net.message import pack_body, unpack_body
-from repro.net.sliding_window import (
-    KIND_ACK,
-    KIND_DATA,
-    SlidingWindowReceiver,
-    SlidingWindowSender,
-)
+from repro.net.sliding_window import SlidingWindowLink
 from repro.obs.recorder import NULL as NULL_RECORDER
 from repro.obs.recorder import Recorder
 
@@ -93,6 +90,8 @@ KIND_HELLO = "hlo"
 KIND_HEARTBEAT = "hb"
 
 SESSION_BYTES = 16
+#: wire frames queued per peer for the writer (drop-oldest beyond)
+OUTBOX_LIMIT = 8192
 
 
 def write_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
@@ -213,17 +212,16 @@ class _Outbox:
     """Bounded FIFO of wire frames for one peer (drop-oldest on overflow).
 
     Dropping is safe at this layer: ACKs and heartbeats are regenerated,
-    and data datagrams are re-sent by the window's RTO retransmission.
+    and data datagrams are re-sent by the window's retransmission.
     """
 
-    def __init__(self, limit: int):
+    def __init__(self) -> None:
         self._items: Deque[bytes] = collections.deque()
-        self._limit = limit
         self._ready = asyncio.Event()
         self.dropped = 0
 
     def put(self, item: bytes) -> None:
-        if len(self._items) >= self._limit:
+        if len(self._items) >= OUTBOX_LIMIT:
             self._items.popleft()
             self.dropped += 1
         self._items.append(item)
@@ -243,28 +241,26 @@ class _PeerLink:
     """Everything one :class:`TcpNode` keeps per directed peer link."""
 
     def __init__(self, node: "TcpNode", peer: int):
+        loop = asyncio.get_running_loop()
         self.peer = peer
         self.auth = node.ctx.crypto.link_auth(peer)
         self.epoch = 0
-        self.sender = SlidingWindowSender(
+        self.outbox = _Outbox()
+        # its receiver opens on the session the peer's hello announces
+        self.window = SlidingWindowLink(
             self.auth,
             node._new_session(peer, 0),
-            window=node.window,
-            rto=node.rto,
-            max_backlog=node.max_backlog,
+            transmit=self.outbox.put,
+            deliver=functools.partial(node._deliver, peer),
+            clock=loop.time,
+            call_at=loop.call_at,
         )
-        self.outbox = _Outbox(node.outbox_limit)
+        self.window.connected = False
         self.task: Optional[asyncio.Task] = None
-        self.connected = False
         self.connects = 0
-        # inbound direction: session announced by the peer's hello
-        self.rx_session: Optional[bytes] = None
-        self.receiver: Optional[SlidingWindowReceiver] = None
         self.hb_next = 0  # next heartbeat counter to send
         self.hb_seen = -1  # highest heartbeat counter accepted
         self.heartbeats_seen = 0
-        self.poll_handle: Optional[asyncio.TimerHandle] = None
-        self.poll_when: Optional[float] = None
 
 
 class TcpContext(Context):
@@ -332,14 +328,10 @@ class TcpNode:
         *,
         seed: Optional[object] = None,
         listen_endpoint: Optional[Tuple[str, int]] = None,
-        window: int = 64,
-        rto: float = 0.25,
         backoff_cap: float = 2.0,
         heartbeat_s: float = 0.5,
         suspect_after: float = 2.0,
         down_after: float = 6.0,
-        max_backlog: int = 4096,
-        outbox_limit: int = 8192,
         recorder: Optional[Recorder] = None,
     ):
         if len(endpoints) != group.n:
@@ -350,14 +342,10 @@ class TcpNode:
         self.listen_endpoint = listen_endpoint or endpoints[index]
         self.connect_retry_s = connect_retry_s
         self.seed = seed
-        self.window = window
-        self.rto = rto
         self.backoff_cap = backoff_cap
         self.heartbeat_s = heartbeat_s
         self.suspect_after = suspect_after
         self.down_after = down_after
-        self.max_backlog = max_backlog
-        self.outbox_limit = outbox_limit
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.ctx = TcpContext(self)
         self.failure_detector: Optional[FailureDetector] = None
@@ -419,9 +407,7 @@ class TcpNode:
             handle.cancel()
         self._timers.clear()
         for link in self._links.values():
-            if link.poll_handle is not None:
-                link.poll_handle.cancel()
-                link.poll_handle = None
+            link.window.close()
         for task in self._tasks:
             task.cancel()
         results = await asyncio.gather(*self._tasks, return_exceptions=True)
@@ -446,15 +432,9 @@ class TcpNode:
             # Local loop: deliver asynchronously like any other message.
             asyncio.get_running_loop().call_soon(self._deliver, dst, body)
             return
-        link = self._links[dst]
-        now = asyncio.get_running_loop().time()
-        for datagram in link.sender.send(body, now):
-            link.outbox.put(datagram)
-        self._schedule_poll(dst)
+        self._links[dst].window.send(body)
 
-    def _hello_frame(self, peer: int) -> bytes:
-        link = self._links[peer]
-        session = link.sender.session
+    def _hello_frame(self, link: _PeerLink, session: bytes) -> bytes:
         tag = link.auth.tag(encode((KIND_HELLO, self.index, session)))
         return encode((KIND_HELLO, self.index, session, tag))
 
@@ -474,16 +454,13 @@ class TcpNode:
                 continue
             attempt = 0
             link.connects += 1
-            link.connected = True
+            link.window.connected = True
             try:
                 # Announce the session first, then retransmit whatever was
                 # unacknowledged at disconnect (session resumption).
-                write_frame(writer, self._hello_frame(peer))
+                write_frame(writer, self._hello_frame(link, link.window.sender.session))
                 if link.connects > 1 or link.outbox.dropped:
-                    now = asyncio.get_running_loop().time()
-                    for datagram in link.sender.resume(now):
-                        link.outbox.put(datagram)
-                    self._schedule_poll(peer)
+                    link.window.resume()
                 await writer.drain()
                 while True:
                     frame = pending if pending is not None else await link.outbox.get()
@@ -494,7 +471,7 @@ class TcpNode:
             except (ConnectionError, OSError):
                 pass
             finally:
-                link.connected = False
+                link.window.connected = False
                 writer.close()
             await asyncio.sleep(backoff.delay(attempt))
             attempt += 1
@@ -507,44 +484,6 @@ class TcpNode:
                 link.hb_next += 1
                 tag = link.auth.tag(encode((KIND_HEARTBEAT, self.index, counter)))
                 link.outbox.put(encode((KIND_HEARTBEAT, self.index, counter, tag)))
-
-    # -- retransmission timers ---------------------------------------------------
-
-    def _schedule_poll(self, peer: int) -> None:
-        link = self._links[peer]
-        deadline = link.sender.next_timeout
-        if deadline is None:
-            return
-        loop = asyncio.get_running_loop()
-        if (
-            link.poll_when is not None
-            and link.poll_when <= deadline + 1e-9
-            and link.poll_when > loop.time()
-        ):
-            return
-        if link.poll_handle is not None:
-            link.poll_handle.cancel()
-        when = max(deadline, loop.time() + 1e-4)
-        link.poll_when = when
-        link.poll_handle = loop.call_later(when - loop.time(), self._poll, peer, when)
-
-    def _poll(self, peer: int, when: float) -> None:
-        link = self._links[peer]
-        if link.poll_when == when:
-            link.poll_handle = None
-            link.poll_when = None
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        if not link.connected:
-            # No carrier: check again one RTO from now (the supervisor's
-            # resume() covers the reconnect itself).
-            when = now + self.rto
-            link.poll_when = when
-            link.poll_handle = loop.call_later(self.rto, self._poll, peer, when)
-            return
-        for datagram in link.sender.poll(now):
-            link.outbox.put(datagram)
-        self._schedule_poll(peer)
 
     # -- receiving -----------------------------------------------------------------
 
@@ -605,22 +544,10 @@ class TcpNode:
             raise TransportError("frame before hello")
         link = self._links[bound]
 
-        if kind == KIND_DATA and len(fields) == 5:
-            if link.receiver is not None:
-                acks = link.receiver.on_data(fields)
-                if acks:
-                    for ack in acks:
-                        link.outbox.put(ack)
-                    self.failure_detector.touch(bound, now)
-            return bound
-
-        if kind == KIND_ACK and len(fields) == 4:
-            forged_before = link.sender.forged_acks
-            for datagram in link.sender.on_ack(fields, now):
-                link.outbox.put(datagram)
-            if link.sender.forged_acks == forged_before:
+        authentic = link.window.on_datagram(fields)
+        if authentic is not None:
+            if authentic:
                 self.failure_detector.touch(bound, now)
-            self._schedule_poll(bound)
             return bound
 
         if kind == KIND_HEARTBEAT and len(fields) == 4:
@@ -645,25 +572,18 @@ class TcpNode:
     def _on_hello(self, sender: int, session: bytes, now: float) -> None:
         link = self._links[sender]
         self.failure_detector.touch(sender, now)
-        if link.rx_session == session:
+        receiver = link.window.receiver
+        if receiver is not None and receiver.session == session:
             return  # resumed connection: receive state (dedup) is intact
-        restarted = link.rx_session is not None
-        link.rx_session = session
-        link.receiver = SlidingWindowReceiver(
-            link.auth, session, functools.partial(self._deliver, sender)
-        )
-        if restarted:
+        link.window.listen(session)
+        if receiver is not None:
             # The peer instance restarted (its receive state is gone):
             # renumber our unacknowledged traffic under a fresh session,
             # announced before the renumbered data (the outbox is FIFO).
             link.epoch += 1
-            datagrams = link.sender.rebind(
-                self._new_session(sender, link.epoch), now
-            )
-            link.outbox.put(self._hello_frame(sender))
-            for datagram in datagrams:
-                link.outbox.put(datagram)
-            self._schedule_poll(sender)
+            fresh = self._new_session(sender, link.epoch)
+            link.outbox.put(self._hello_frame(link, fresh))
+            link.window.rebind(fresh)
 
     def _deliver(self, sender: int, body: bytes) -> None:
         """Route one body from ``sender``: the link's peer, or this node."""
@@ -684,7 +604,7 @@ class TcpNode:
     def link_stats(self, peer: int) -> LinkStats:
         """Current counters for the directed link to/from ``peer``."""
         link = self._links[peer]
-        receiver = link.receiver
+        sender, receiver = link.window.sender, link.window.receiver
         state = "alive"
         if self.failure_detector is not None:
             state = self.failure_detector.state(
@@ -692,10 +612,10 @@ class TcpNode:
             )
         return LinkStats(
             reconnects=max(0, link.connects - 1),
-            retransmissions=link.sender.retransmissions,
-            backlog=link.sender.backlog_depth + len(link.outbox),
-            overflow_dropped=link.sender.overflow_dropped + link.outbox.dropped,
-            auth_failures=link.sender.forged_acks
+            retransmissions=sender.retransmissions,
+            backlog=sender.backlog_depth + len(link.outbox),
+            overflow_dropped=sender.overflow_dropped + link.outbox.dropped,
+            auth_failures=sender.forged_acks
             + (receiver.forged_data if receiver is not None else 0),
             duplicates=receiver.duplicates if receiver is not None else 0,
             heartbeats=link.heartbeats_seen,

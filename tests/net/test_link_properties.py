@@ -6,7 +6,8 @@ Random ``(claimed, tag, body)`` frames are injected on the link from
 every honest sender — and the router at ``dst`` must see either nothing
 or ``sender == src``, whoever the frame claims to be and whichever
 pairwise key its tag was made under.  Only the local loop delivers a
-party's messages to itself.
+party's messages to itself.  On the lossy runtime the frames ride in
+window datagrams, as on the TCP mesh.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ import pytest
 from repro.common.encoding import encode
 from repro.common.errors import TransportError
 from repro.core.protocol import Protocol
+from repro.net import links
+from repro.net.lossy import LossyLinkRuntime
 from repro.net.message import pack_body
-from repro.net.sliding_window import KIND_DATA
+from repro.net.sliding_window import KIND_DATA, make_data_datagram
 from repro.net.tcp import KIND_HELLO, TcpNode, local_endpoints
 from repro.testing.mutator import random_value
 
@@ -32,8 +35,8 @@ N = 4
 
 
 class Sink(Protocol):
-    def __init__(self, ctx):
-        super().__init__(ctx, "sink")
+    def __init__(self, ctx, pid="sink"):
+        super().__init__(ctx, pid)
 
     def on_message(self, sender, mtype, payload):
         pass
@@ -58,6 +61,24 @@ def _frames(label: str, group, src: int, dst: int, count: int = CASES):
         if src != dst and rng.random() < 0.3:
             tag = group.party(src).link_auth(dst).tag(body)  # the link's own key
         yield claimed, tag, body, body_ok
+
+
+def _window_datagrams(label: str, group, src: int, dst: int, session: bytes):
+    """``(datagram, genuine, refused)``: window datagrams on the link from
+    ``src`` to ``dst`` carrying each frame as a bare body and inside the
+    simulator's envelope; a third keep a forged window tag.  ``genuine``:
+    the router must see ``src``; ``refused``: the body is counted as an
+    auth failure."""
+    auth = group.party(src).link_auth(dst)
+    seq = 0
+    for k, (claimed, tag, msg, body_ok) in enumerate(_frames(label, group, src, dst, 100)):
+        for payload, ok in ((msg, body_ok), (encode((claimed, tag, msg)), False)):
+            dat = (KIND_DATA, session, seq, payload)
+            window_tag = auth.tag(encode(dat))
+            accepted = tag == window_tag or k % 3 != 2
+            seq += accepted
+            datagram = encode(dat + (window_tag if accepted else tag,))
+            yield datagram, accepted and ok, accepted and not ok
 
 
 def _probe(router):
@@ -89,6 +110,51 @@ def test_sim_router_sees_the_link_or_nothing():
                 refused += not genuine
             assert delivered and refused  # the generator reaches both sides
     assert not rt.router_errors()
+    _lossy_router_sees_the_link_or_nothing(group)
+
+
+def _lossy_router_sees_the_link_or_nothing(group):
+    """The lossy runtime: window datagrams on ``(src, dst)`` carry a bare
+    body (or an envelope naming anyone) and reach ``dst``'s router as
+    ``sender == src`` or not at all."""
+    rt = LossyLinkRuntime(group, seed="link-prop", loss=0.0)
+    for ctx in rt.contexts:
+        Sink(ctx)
+    seen = [_probe(router) for router in rt.routers]
+    for src in range(N):
+        for dst in (p for p in range(N) if p != src):
+            delivered = 0
+            session = b"link-%d-%d" % (src, dst)
+            for datagram, genuine, refused in _window_datagrams(
+                "lossy", group, src, dst, session
+            ):
+                before, failures = len(seen[dst]), rt.auth_failures
+                rt._datagram_arrive(src, dst, datagram)
+                assert seen[dst][before:] == ([src] if genuine else [])
+                assert rt.auth_failures - failures == refused
+                delivered += genuine
+            assert delivered
+    assert not rt.router_errors()
+
+
+def test_string_body_is_refused():
+    """``encode("abc")`` unpacks into three characters; a correctly
+    sealed one from a peer still reaches no router, on either simulator
+    runtime (a :class:`Sink` listens as pid ``"a"``)."""
+    group = cached_group(N, 1)
+    body = encode("abc")
+    rt = sim_runtime(group)
+    lossy = LossyLinkRuntime(group, seed="abc", loss=0.0)
+    for runtime in (rt, lossy):
+        for ctx in runtime.contexts:
+            Sink(ctx, "a")
+    seen = [_probe(router) for router in rt.routers + lossy.routers]
+    rt._arrive(1, links.seal(group.party(0), 1, body), 0)
+    lossy._datagram_arrive(
+        0, 1, make_data_datagram(group.party(0).link_auth(1), b"link-0-1", 0, body)
+    )
+    assert seen == [[]] * (2 * N)
+    assert rt.auth_failures == lossy.auth_failures == 1
 
 
 def test_sim_frame_from_no_link_is_refused():
@@ -125,25 +191,15 @@ def test_tcp_router_sees_the_link_or_nothing():
                     None, encode(hello + (auth.tag(encode(hello)),))
                 )
                 assert bound == src
-                seq = delivered = 0
-                frames = _frames("tcp", group, src, dst, 100)
-                for k, (claimed, tag, msg, body_ok) in enumerate(frames):
-                    # as a bare body, and inside the simulator's envelope
-                    for payload, ok in (
-                        (msg, body_ok), (encode((claimed, tag, msg)), False),
-                    ):
-                        before, failures = len(seen), node.auth_failures
-                        dat = (KIND_DATA, session, seq, payload)
-                        window_tag = auth.tag(encode(dat))
-                        accepted = tag == window_tag or k % 3 != 2
-                        node._handle_frame(
-                            bound, encode(dat + (window_tag if accepted else tag,))
-                        )
-                        seq += accepted
-                        genuine = accepted and ok
-                        assert seen[before:] == ([src] if genuine else [])
-                        assert node.auth_failures - failures == (accepted and not ok)
-                        delivered += genuine
+                delivered = 0
+                for datagram, genuine, refused in _window_datagrams(
+                    "tcp", group, src, dst, session
+                ):
+                    before, failures = len(seen), node.auth_failures
+                    node._handle_frame(bound, datagram)
+                    assert seen[before:] == ([src] if genuine else [])
+                    assert node.auth_failures - failures == refused
+                    delivered += genuine
                 assert delivered
                 assert node.link_stats(src).auth_failures  # the forged window tags
         finally:

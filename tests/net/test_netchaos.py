@@ -117,7 +117,7 @@ def test_atomic_broadcast_survives_socket_chaos(fuzz_seed):
         await fabric.start()
         group = cached_group(4, 1)
         nodes = fabric.make_nodes(
-            group, connect_retry_s=0.02, rto=0.15, backoff_cap=0.3,
+            group, connect_retry_s=0.02, backoff_cap=0.3,
             heartbeat_s=0.1, suspect_after=1.0, down_after=3.0,
         )
         await asyncio.gather(*(node.start() for node in nodes))
@@ -160,7 +160,7 @@ def test_recovery_after_peer_connections_killed_midrun(fuzz_seed):
         await fabric.start()
         group = cached_group(4, 1)
         nodes = fabric.make_nodes(
-            group, connect_retry_s=0.02, rto=0.15, backoff_cap=0.3,
+            group, connect_retry_s=0.02, backoff_cap=0.3,
             heartbeat_s=0.1,
         )
         await asyncio.gather(*(node.start() for node in nodes))
@@ -214,7 +214,7 @@ def test_remaining_three_deliver_after_one_peer_dies(fuzz_seed):
         await fabric.start()
         group = cached_group(4, 1)
         nodes = fabric.make_nodes(
-            group, connect_retry_s=0.02, rto=0.15, backoff_cap=0.3,
+            group, connect_retry_s=0.02, backoff_cap=0.3,
             heartbeat_s=0.1, suspect_after=0.5, down_after=1.5,
         )
         await asyncio.gather(*(node.start() for node in nodes))

@@ -207,7 +207,7 @@ def test_writer_survives_peer_listener_restart():
         group = cached_group(2, 0)
         endpoints = local_endpoints(2)
         nodes = [
-            TcpNode(group, i, endpoints, connect_retry_s=0.02, rto=0.1, seed=i)
+            TcpNode(group, i, endpoints, connect_retry_s=0.02, seed=i)
             for i in range(2)
         ]
         await asyncio.gather(*(node.start() for node in nodes))

@@ -27,7 +27,7 @@ from tests.recovery.test_service_sim import RCounter
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
 
 NODE_KWARGS = dict(
-    connect_retry_s=0.02, rto=0.15, backoff_cap=0.3,
+    connect_retry_s=0.02, backoff_cap=0.3,
     heartbeat_s=0.1, suspect_after=1.0, down_after=3.0,
 )
 #: checkpoints every 4 slots + the batched channel configuration — the

@@ -30,7 +30,7 @@ def test_optimistic_channel_over_lossy_links():
     links over a lossy datagram network."""
     rt = LossyLinkRuntime(
         cached_group(), latency=lan_latency(), seed=2,
-        loss=0.15, duplicate=0.05, rto=0.05,
+        loss=0.15, duplicate=0.05,
     )
     chans = [
         OptimisticAtomicChannel(ctx, "xo", suspect_timeout=5.0)
