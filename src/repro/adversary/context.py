@@ -10,8 +10,10 @@ unmodified on top of it, and hands every outbound protocol message —
 rewrite, redirect, multiply or fabricate messages.  Because interception
 happens above the authenticated link layer, everything the strategy emits
 is sealed with the compromised party's own keys: the receivers see
-*validly authenticated* Byzantine protocol traffic, the semantic layer the
-wire-level :class:`~repro.testing.mutator.ByzantineMutator` cannot reach.
+*validly authenticated* Byzantine protocol traffic, and a frame the party
+could not seal — one claiming another sender — is beyond it, as in the
+paper's model.  This is the only place a party's traffic is altered: the
+blind fuzzer of a ``compromise`` fault is the ``mutate`` strategy too.
 
 Inbound traffic is observed (not filtered) by registering the strategy on
 the party's :class:`~repro.core.protocol.Router` observer hook — a

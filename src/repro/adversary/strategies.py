@@ -27,6 +27,9 @@ absorb with up to ``t`` intrusions:
 ``replay``    re-send stale messages across rounds and protocol instances
 ``forgecert`` replace certificate-sized byte strings (threshold
               signatures, proofs) with garbage or transplanted bytes
+``mutate``    blind structural fuzzing: drop, duplicate, corrupt, equivocate
+              and replay the party's own messages, batch vectors included —
+              the ``compromise:<p>`` fault of a seeded case
 ============  ==============================================================
 
 All strategies are safe-by-construction *claims*, not guarantees — the
@@ -59,6 +62,60 @@ Action = Tuple[int, str, str, Any]
 
 #: message types that carry a threshold share as (part of) their payload
 SHARE_MTYPES = ("pre-vote", "main-vote", "coin", "echo", "dec", "avail")
+
+#: Alphabet for generated strings (covers the protocols' mtype/pid space).
+_CHARS = "abcdefghijklmnopqrstuvwxyz-0123456789"
+
+
+def random_value(rng: random.Random, depth: int = 2) -> Any:
+    """A random canonically-encodable value, for payload fabrication."""
+    kinds = ["none", "bool", "int", "bytes", "str"]
+    if depth > 0:
+        kinds += ["tuple", "list"]
+    kind = rng.choice(kinds)
+    if kind == "none":
+        return None
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "int":
+        return rng.choice([0, 1, -1, rng.randrange(-(2 ** 40), 2 ** 40)])
+    if kind == "bytes":
+        return bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 24)))
+    if kind == "str":
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(0, 12)))
+    items = [random_value(rng, depth - 1) for _ in range(rng.randrange(0, 4))]
+    return tuple(items) if kind == "tuple" else items
+
+
+def mutate_value(rng: random.Random, value: Any, depth: int = 3) -> Any:
+    """A structural mutation of ``value`` (same shape, corrupted content).
+
+    Prefers small, targeted edits — off-by-one on integers, truncated or
+    bit-flipped byte strings, one corrupted element of a sequence — since
+    those probe protocol validation more sharply than wholesale garbage.
+    """
+    if depth <= 0 or rng.random() < 0.15:
+        return random_value(rng)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + rng.choice([-1, 1, 2 ** 16, -(2 ** 63)])
+    if isinstance(value, bytes):
+        if not value or rng.random() < 0.3:
+            return value + b"\x00"
+        data = bytearray(value)
+        if rng.random() < 0.5:
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            return bytes(data)
+        return bytes(data[: rng.randrange(len(data))])
+    if isinstance(value, str):
+        return value + rng.choice(_CHARS) if rng.random() < 0.5 else value[:-1]
+    if isinstance(value, (tuple, list)) and value:
+        items = list(value)
+        k = rng.randrange(len(items))
+        items[k] = mutate_value(rng, items[k], depth - 1)
+        return tuple(items) if isinstance(value, tuple) else items
+    return random_value(rng)
 
 
 class Strategy:
@@ -481,6 +538,131 @@ class DoubleVoteAdversary(Strategy):
         return None  # never relay the real decide to the opposite half
 
 
+class MutateAdversary(Strategy):
+    """Blind structural fuzzing of the party's own messages.
+
+    The one strategy that knows nothing of the protocols it attacks.  Each
+    outbound copy is, with small probabilities, dropped; corrupted (a
+    structural mutation of the payload, or the message retargeted at
+    another instance or message type); swapped for an earlier, different
+    payload of the same ``(pid, mtype)`` (equivocation); sent twice; or
+    followed by a replay of an earlier message.  What it emits is sealed
+    with the party's own keys, so receivers see validly authenticated
+    garbage — the hardest case for handlers.
+
+    Payloads of the atomic channel's vector-carrying types — ``queue``
+    candidates ``(round, vector, proof)`` and offloaded ``body``/``bodyr``
+    frames ``(round, vector)`` / ``(round, signer, vector)`` — are
+    corrupted in the batch shapes the channel's validator must reject,
+    which generic mutation rarely hits: a record repeated inside the
+    vector, two records swapped, records dropped down to the empty
+    vector, one record corrupted, or the frame spliced onto a
+    neighbouring round.
+    """
+
+    name = "mutate"
+    #: per-copy probability of each action; the rest pass through
+    drop_rate = 0.05
+    corrupt_rate = 0.10
+    equivocate_rate = 0.05
+    duplicate_rate = 0.05
+    replay_rate = 0.05
+    history_limit = 64
+    #: message types of the atomic channel whose payload carries a vector
+    VECTOR_TYPES = frozenset({"queue", "body", "bodyr"})
+
+    def __init__(self, rng: Optional[random.Random] = None):
+        super().__init__(rng)
+        self._history: List[Tuple[str, str, Any]] = []
+        self._by_type: Dict[Tuple[str, str], List[Any]] = {}
+
+    def outbound(self, dst: int, pid: str, mtype: str, payload: Any) -> List[Action]:
+        self._remember(pid, mtype, payload)
+        r = self.rng
+        if r.random() < self.drop_rate:
+            self.did("drop")
+            return []
+        sent: Action = (dst, pid, mtype, payload)
+        if r.random() < self.corrupt_rate:
+            sent = (dst, *self._corrupt(pid, mtype, payload))
+            self.did("mutate")
+        elif r.random() < self.equivocate_rate:
+            others = [p for p in self._by_type[(pid, mtype)] if p != payload]
+            if others:
+                sent = (dst, pid, mtype, r.choice(others))
+                self.did("equivocate")
+        acts = [sent]
+        if r.random() < self.duplicate_rate:
+            acts.append(sent)
+            self.did("duplicate")
+        if r.random() < self.replay_rate:
+            acts.append((dst, *r.choice(self._history)))
+            self.did("replay")
+        return acts
+
+    def _remember(self, pid: str, mtype: str, payload: Any) -> None:
+        self._history.append((pid, mtype, payload))
+        same_type = self._by_type.setdefault((pid, mtype), [])
+        same_type.append(payload)
+        for past in (self._history, same_type):
+            if len(past) > self.history_limit:
+                del past[0]
+
+    def _corrupt(self, pid: str, mtype: str, payload: Any) -> Tuple[str, str, Any]:
+        r = self.rng
+        if mtype in self.VECTOR_TYPES:
+            corrupted = self._corrupt_vector(payload)
+            if corrupted is not None:
+                self.did("batch-frame")
+                return pid, mtype, corrupted
+        # Mostly corrupt the payload; occasionally retarget the message at
+        # another protocol instance or message type.
+        if r.random() < 0.8:
+            return pid, mtype, mutate_value(r, payload)
+        if r.random() < 0.5:
+            return pid, self._retarget(mtype), payload
+        return self._retarget(pid), mtype, payload
+
+    def _retarget(self, header: str) -> str:
+        # a header that is no string is refused by the receiver's parser,
+        # which is only a drop: keep it a string
+        value = mutate_value(self.rng, header)
+        return value if isinstance(value, str) else header[:-1]
+
+    def _corrupt_vector(self, payload: Any) -> Optional[Tuple]:
+        """A batch-specific corruption of one vector-carrying payload."""
+        if not isinstance(payload, (tuple, list)) or not payload:
+            return None
+        parts = list(payload)
+        vec_at = next(
+            (k for k, v in enumerate(parts) if isinstance(v, (tuple, list))),
+            None,
+        )
+        if vec_at is None:
+            return None  # e.g. an offloaded digest candidate: no vector
+        vector = list(parts[vec_at])
+        r = self.rng
+        action = r.choice(
+            ["duplicate", "reorder", "truncate", "record", "round", "empty"]
+        )
+        if action == "duplicate" and vector:
+            vector.insert(r.randrange(len(vector) + 1), r.choice(vector))
+        elif action == "reorder" and len(vector) >= 2:
+            i, j = r.sample(range(len(vector)), 2)
+            vector[i], vector[j] = vector[j], vector[i]
+        elif action == "truncate" and len(vector) >= 2:
+            vector = vector[: r.randrange(1, len(vector))]
+        elif action == "record" and vector:
+            k = r.randrange(len(vector))
+            vector[k] = mutate_value(r, vector[k])
+        elif action == "round" and isinstance(parts[0], int):
+            parts[0] = parts[0] + r.choice([-1, 1, 7])
+        else:
+            vector = []
+        parts[vec_at] = vector
+        return tuple(parts)
+
+
 STRATEGIES: Dict[str, type] = {
     cls.name: cls
     for cls in (
@@ -491,6 +673,7 @@ STRATEGIES: Dict[str, type] = {
         ReplayAdversary,
         ForgeCertAdversary,
         DoubleVoteAdversary,
+        MutateAdversary,
     )
 }
 

@@ -37,23 +37,18 @@ RequestTap = Callable[[int, str, int, bytes], Any]
 #: ``tap(replica, client_id, seq, status, result)`` -> None | DROP | (status, result)
 ReplyTap = Callable[[int, str, int, int, bytes], Any]
 
+#: one-way client <-> replica latency bounds (seconds), drawn uniformly
+MIN_LATENCY = 0.002
+MAX_LATENCY = 0.01
+
 
 class SimClientNetwork:
     """The client-facing edge of a simulated group."""
 
-    def __init__(
-        self,
-        runtime: SimRuntime,
-        min_latency: float = 0.002,
-        max_latency: float = 0.01,
-    ):
-        if not 0 <= min_latency <= max_latency:
-            raise ValueError("need 0 <= min_latency <= max_latency")
+    def __init__(self, runtime: SimRuntime):
         self.runtime = runtime
         self.n = runtime.group.n
         self.t = runtime.group.t
-        self.min_latency = min_latency
-        self.max_latency = max_latency
         self._rng = runtime.sim.derive("clientnet")
         self._servers: Dict[int, RequestServer] = {}
         self._links: List["SimClientLink"] = []
@@ -97,7 +92,7 @@ class SimClientNetwork:
     # -- frame transfer --------------------------------------------------------------
 
     def _delay(self) -> float:
-        return self._rng.uniform(self.min_latency, self.max_latency)
+        return self._rng.uniform(MIN_LATENCY, MAX_LATENCY)
 
     def _deliver_request(self, replica: int, client_id: str, seq: int,
                          command: bytes) -> None:

@@ -1,14 +1,14 @@
 """Seed derivation: every random stream from one root seed.
 
-The simulator, the fault plan, the schedule fuzzer and the Byzantine
-mutator each need their own :class:`random.Random` stream — sharing one
-stream would make every component's draws depend on every other
+The simulator, the fault plan, the schedule fuzzer and each faulty
+party's intrusion strategy need their own :class:`random.Random` stream
+— sharing one would make every component's draws depend on every other
 component's call order, so adding or removing a fault directive would
 perturb unrelated latency samples and a shrunk counterexample would stop
 reproducing.  Instead all streams are *derived*: a root seed plus a label
 path determines each stream independently and deterministically.
 
-``derive(seed, "faults")`` and ``derive(seed, "mutator", 3)`` are
+``derive(seed, "faults")`` and ``derive(seed, "strategy", 3)`` are
 independent streams, both reproducible from ``seed`` alone.
 """
 

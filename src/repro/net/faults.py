@@ -13,9 +13,9 @@ kinds of adversaries are provided:
   time; Byzantine *protocol* behaviours (equivocation, bogus shares, wrong
   votes) are implemented as malicious protocol subclasses next to the
   protocols they attack (see ``repro.core``'s tests), since they need the
-  protocol's own message vocabulary.  Wire-level Byzantine behaviour
-  (corrupting/replaying a corrupted party's own frames) lives in
-  :mod:`repro.testing.mutator` and plugs into the runtime's wire taps.
+  protocol's own message vocabulary.  A seeded case's Byzantine parties
+  (blind corruption and replay of their own messages included) run an
+  intrusion strategy from :mod:`repro.adversary.strategies`.
 
 Determinism: adversaries never own an RNG.  Every ``extra_delay`` call
 receives the runtime's dedicated fault stream (``SimRuntime.fault_rng``,

@@ -117,7 +117,6 @@ class SimRuntime:
         seed: object = 0,
         faults: Optional[FaultPlan] = None,
         overhead_s: Optional[float] = None,
-        model_crypto_cost: bool = True,
         trace: bool = False,
         recorder: Optional[Recorder] = None,
     ):
@@ -138,7 +137,7 @@ class SimRuntime:
         self.nodes: List[SimNode] = []
         for i in range(n):
             host = hosts[i] if hosts is not None else None
-            cost_model = CostModel(host) if (host and model_crypto_cost) else None
+            cost_model = CostModel(host) if host else None
             node_overhead = (
                 overhead_s
                 if overhead_s is not None
@@ -166,7 +165,9 @@ class SimRuntime:
         #: to every outbound frame after the crash filter: return ``None``
         #: to pass the frame through unchanged, or a list of
         #: ``(dst, wire)`` replacement deliveries (empty list = drop).
-        #: This is the hook the Byzantine wire mutator plugs into.
+        #: Tests and the layer benchmarks capture frames here; a faulty
+        #: party's traffic is altered above the link, by its strategy
+        #: (:func:`repro.adversary.context.infect`).
         self.wire_taps: List[
             Callable[[int, int, bytes, float], Optional[List[Tuple[int, bytes]]]]
         ] = []

@@ -4,12 +4,11 @@ Everything a test needs to fuzz the SINTRA stack from one integer seed:
 
 * :mod:`repro.testing.schedule` — seeded fault plans, protocol workload
   scenarios (the :mod:`repro.heal` closed repair loop among them), the
-  single-case runner (schedule chaos, crashes, wire mutation and
+  single-case runner (schedule chaos, crashes and
   :mod:`repro.adversary` strategies in one case), the campaign driver
   (also a CLI: ``python -m repro.testing.schedule``) and the failure
   report with its ``REPRO:`` lines and state-dump artifacts;
 * :mod:`repro.testing.invariants` — live protocol safety checkers;
-* :mod:`repro.testing.mutator` — the wire-level Byzantine mutator;
 * :mod:`repro.testing.netchaos` — seeded socket-level chaos proxies for
   the real asyncio TCP runtime;
 * :mod:`repro.testing.shrink` — greedy fault-plan minimization.
@@ -36,7 +35,6 @@ _EXPORTS = {
         "StabilityInvariant",
         "TotalOrderInvariant",
     ],
-    "mutator": ["BatchFrameMutator", "ByzantineMutator", "MutationRates"],
     "netchaos": ["ChaosFabric", "ChaosProxy"],
     "schedule": [
         "AgreementScenario",

@@ -4,26 +4,26 @@ One integer *case seed* determines an entire adversarial run:
 
 * a **fault plan** — random delivery-order exploration (per-message delay
   spikes), slow links, healing partitions, crash timings and the set of
-  wire-compromised parties, generated as a list of :class:`Directive`
-  records by :func:`plan_from_seed`;
-* the **wire mutation stream** of the compromised parties (a
-  :class:`~repro.testing.mutator.ByzantineMutator`);
-* optionally a **protocol-level intrusion**: with ``strategy=...`` a set
-  of replicas runs the real stack behind a seeded
-  :class:`~repro.adversary.strategies.Strategy`, and a
-  :class:`~repro.adversary.watchdog.LivenessWatchdog` turns stalls of the
-  non-faulty parties into typed failures with a protocol-state dump;
+  compromised parties, generated as a list of :class:`Directive` records
+  by :func:`plan_from_seed`;
+* the **intrusions**: each compromised party runs the real stack behind
+  the seeded ``mutate`` :class:`~repro.adversary.strategies.Strategy`,
+  and with ``strategy=...`` a set of replicas runs the real stack behind
+  that strategy instead — a faulty party is crashed or runs one
+  strategy, put in place by :func:`~repro.adversary.context.infect`;
 * the protocol **workload** of a chosen :class:`Scenario` (which channel
   or agreement protocol to run and what the honest parties send).
 
 Everything stays within the paper's model: at most ``t`` parties are
-faulty — strategy adversaries spend that budget first, crashes and wire
+faulty — strategy adversaries spend that budget first, crashes and
 compromises get the remainder (:func:`within_budget`) — honest links
 remain reliable FIFO, and partitions heal.  ``allow_excess`` lifts the
 bound so the test suite can show where ``t + 1`` intrusions break
 agreement.  Protocol invariant checkers (:mod:`repro.testing.invariants`)
-run after every delivery: a violation is a *safety* failure; the
-watchdog firing, the simulator going idle or the time limit passing is a
+run after every delivery: a violation is a *safety* failure.  A
+:class:`~repro.adversary.watchdog.LivenessWatchdog` turns a stall of the
+non-faulty parties into a typed failure with a protocol-state dump; it
+firing, the simulator going idle or the time limit passing is a
 *liveness* failure.
 
 Replaying is exact: :func:`run_case` with the same arguments reproduces
@@ -80,7 +80,6 @@ from repro.testing.invariants import (
     StabilityInvariant,
     TotalOrderInvariant,
 )
-from repro.testing.mutator import BatchFrameMutator, ByzantineMutator
 
 
 # --- fault plans ------------------------------------------------------------------
@@ -107,7 +106,7 @@ DIRECTIVE_PARAMS: Dict[str, Tuple[Callable[[str], Any], ...]] = {
     "slow-link": (int, int, float),    # src, dst, delay (s)
     "partition": (_party_set, float),  # one side, heal time (s)
     "crash": (int, float),             # victim, crash time (s)
-    "compromise": (int,),              # wire-mutated party
+    "compromise": (int,),              # party running the mutate strategy
 }
 
 #: the kinds that make their first parameter a faulty party
@@ -258,9 +257,9 @@ class Scenario:
 
     ``setup`` builds all protocol instances on ``runtime``, injects the
     workload (parties in ``crashed`` stay passive; parties in
-    ``compromised`` run the honest stack too — a wire mutator corrupts
-    their traffic or an intrusion strategy mediates it — and are outside
-    every invariant), and returns the invariant suite plus the futures
+    ``compromised`` run the honest stack too, behind an intrusion
+    strategy that mediates their traffic, and are outside every
+    invariant), and returns the invariant suite plus the futures
     whose resolution defines a live run.  ``deadline`` and ``time_limit``
     are the case's budgets, for a scenario that paces its own workload.
     """
@@ -272,12 +271,6 @@ class Scenario:
     #: whole run's limit
     deadline = 30.0
     time_limit = 300.0
-
-    #: wire-mutator class for compromised parties; ``None`` means the
-    #: generic :class:`~repro.testing.mutator.ByzantineMutator`.  Scenarios
-    #: whose wire format has structure worth targeting (e.g. the batched
-    #: atomic channel) install a specialized subclass here.
-    mutator_factory: Optional[Callable[..., ByzantineMutator]] = None
 
     def setup(
         self,
@@ -319,7 +312,6 @@ class ChannelScenario(Scenario):
         kind: str,
         messages_per_party: int = 2,
         channel_overrides: Optional[Dict[int, Callable[[Party], Any]]] = None,
-        mutator_factory: Optional[Callable[..., ByzantineMutator]] = None,
     ):
         if kind not in self.KINDS:
             raise ValueError(f"unknown channel kind {kind!r}")
@@ -327,8 +319,6 @@ class ChannelScenario(Scenario):
         self.kind = kind
         self.messages_per_party = messages_per_party
         self.channel_overrides = channel_overrides or {}
-        if mutator_factory is not None:
-            self.mutator_factory = mutator_factory
 
     def _make_channel(self, party: Party) -> Any:
         override = self.channel_overrides.get(party.id)
@@ -479,12 +469,8 @@ def _heal_scenario() -> Scenario:
 
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "atomic": lambda: ChannelScenario("atomic"),
-    "batched": lambda: ChannelScenario(
-        "batched", messages_per_party=4, mutator_factory=BatchFrameMutator
-    ),
-    "offload": lambda: ChannelScenario(
-        "offload", messages_per_party=4, mutator_factory=BatchFrameMutator
-    ),
+    "batched": lambda: ChannelScenario("batched", messages_per_party=4),
+    "offload": lambda: ChannelScenario("offload", messages_per_party=4),
     "secure": lambda: ChannelScenario("secure"),
     "optimistic": lambda: ChannelScenario("optimistic"),
     "stability": lambda: ChannelScenario("stability"),
@@ -652,12 +638,14 @@ def run_case(
     ``extra`` appends fixed, pinned directives (e.g. the slow links a
     bound-tightness demonstration relies on).  ``strategy`` puts
     ``adversaries`` (default: ``t`` seed-derived parties) behind that
-    intrusion strategy and arms a liveness watchdog with ``deadline``
-    simulated seconds — unless the scenario brings its own: a case has
-    exactly one.  ``deadline`` and ``time_limit`` default to the
-    scenario's.  ``allow_excess`` permits more than ``t`` pinned faulty
-    parties — only ever set by tests that *want* to watch the protocol
-    break past its fault bound.
+    intrusion strategy; every ``compromise`` directive puts its party
+    behind ``mutate``, and one party runs one strategy.  Every case arms
+    a liveness watchdog with ``deadline`` simulated seconds — the
+    scenario's own, if it brings one: a case has exactly one.
+    ``deadline`` and ``time_limit`` default to the scenario's.
+    ``allow_excess`` permits more than ``t`` pinned faulty parties — only
+    ever set by tests that *want* to watch the protocol break past its
+    fault bound.
     """
     group = group or default_group(n, t)
     if deadline is None:
@@ -673,6 +661,12 @@ def run_case(
     else:
         advs = sorted(set(adversaries))
     extra = list(extra)
+    doubled = set(advs) & {d.params[0] for d in extra if d.kind == "compromise"}
+    if doubled:
+        raise ValueError(
+            f"parties {sorted(doubled)} run {strategy!r} and cannot also be "
+            "compromised: one party runs one strategy"
+        )
     pinned = pinned_faulty(advs, extra)
     if any(not 0 <= p < n for p in pinned):
         raise ValueError(f"faulty party ids {sorted(pinned)} out of range for n={n}")
@@ -691,41 +685,34 @@ def run_case(
         )
     kept = within_budget(plan, requested, pinned, t)
     directives = [plan[i] for i in kept] + extra
-    faults, mutated = build_fault_plan(directives)
+    faults, compromised = build_fault_plan(directives)
     crashed = {c.victim for c in faults.crashes}
-    colluders = frozenset(advs)
-    # Two seed labels, keyed on whether the case carries a strategy: the
-    # seeds pinned in tests, CI and docs replay bit-identically only so.
+    colluders = frozenset(advs) | compromised
+    # The "adv" label (and "adv-case" in case_seed_for) is the one the
+    # strategy cases always used, so every pinned strategy case — the
+    # bound-tightness and heal tests, ROADMAP item 6's replays — still
+    # replays bit-identically.
     runtime = SimRuntime(
         group,
         latency=lan_latency(),
-        seed=("fuzz" if strategy is None else "adv", case_seed),
+        seed=("adv", case_seed),
         faults=faults,
         recorder=recorder,
     )
-    if mutated:
-        factory = scenario.mutator_factory or ByzantineMutator
-        mutator = factory(
-            group, mutated, rng_mod.derive(case_seed, "mutator"),
-            recorder=runtime.obs,
-        )
-        runtime.wire_taps.append(mutator)
-    strategies = (
-        []
-        if strategy is None
-        else [infect(runtime, i, strategy, case_seed, colluders) for i in advs]
-    )
+    strategies = [
+        infect(runtime, i, name, case_seed, colluders)
+        for name, parties in ((strategy, advs), ("mutate", sorted(compromised)))
+        for i in parties
+    ]
     setup = scenario.setup(
-        runtime, group, crashed=crashed, compromised=mutated | colluders,
+        runtime, group, crashed=crashed, compromised=set(colluders),
         deadline=deadline, time_limit=time_limit,
     )
     setup.suite.attach(runtime)
     watchdog = setup.watchdog
-    if watchdog is None and strategy is not None:
-        # Armed only here: its recurring check is a simulator timer, which
-        # would shift the schedule of every pinned strategy-free seed.
+    if watchdog is None:
         watchdog = LivenessWatchdog(deadline=deadline, recorder=runtime.obs)
-        for i in sorted(set(setup.probes) - colluders - crashed - mutated):
+        for i in sorted(set(setup.probes) - colluders - crashed):
             watchdog.watch(sentinel_for(f"{scenario.name}[{i}]", i, setup.probes[i]))
         watchdog.attach(runtime)
         watchdog.arm()
@@ -761,14 +748,11 @@ def run_case(
     except LivenessViolation as exc:
         fail("liveness", f"liveness violated: {exc.detail}", exc.dump)
     except SimError as exc:
-        # The simulator went idle or over the time limit.  Under a
-        # watchdog that is the same bug caught before a deadline fired,
-        # wrapped so it still carries the protocol-state dump.
-        if watchdog is None:
-            fail("liveness", f"liveness: {exc}")
-        else:
-            violation = watchdog.diagnose(str(exc))
-            fail("liveness", f"liveness violated: {violation.detail}", violation.dump)
+        # The simulator went idle or over the time limit: the same bug
+        # caught before a deadline fired, wrapped so it still carries the
+        # watchdog's protocol-state dump.
+        violation = watchdog.diagnose(str(exc))
+        fail("liveness", f"liveness violated: {violation.detail}", violation.dump)
     result.checks_run = setup.suite.checks_run
     for s in strategies:
         for action, count in s.actions.items():
@@ -787,13 +771,7 @@ def case_seed_for(
     i: int,
     strategy: Optional[str] = None,
 ) -> int:
-    """The i-th case seed of a campaign (stable across versions).
-
-    Campaigns with a strategy draw from their own label; seeds pinned in
-    tests, CI and docs depend on both.
-    """
-    if strategy is None:
-        return rng_mod.derive_int(root_seed, "case", scenario_name, n, t, i)
+    """The i-th case seed of a campaign (stable across versions)."""
     return rng_mod.derive_int(
         root_seed, "adv-case", scenario_name, strategy, n, t, i
     )
@@ -860,8 +838,8 @@ def write_failure_dumps(failures: Sequence[CaseResult]) -> List[str]:
     watchdog saw when the run stalled — sentinel fingerprints, stall
     ages, failure-detector suspects — or what a scenario knows about a
     run that never got there.  That goes into one timestamped JSON file
-    per failure.  Failures without a dump (safety failures, cases run
-    without a watchdog) are skipped.  Returns the written paths — empty
+    per failure.  Failures without a dump (safety failures) are
+    skipped.  Returns the written paths — empty
     when the variable is unset or nothing carried a dump.
     """
     dump_dir = os.environ.get("ADV_DUMP_DIR")
@@ -967,8 +945,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--deadline", type=float, default=None,
-        help="liveness-watchdog deadline with --strategy (simulated "
-        "seconds; default: the scenario's)",
+        help="liveness-watchdog deadline (simulated seconds without "
+        "progress; default: the scenario's)",
     )
     parser.add_argument(
         "--time-limit", type=float, default=None,

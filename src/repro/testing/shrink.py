@@ -3,7 +3,8 @@
 A failure of :func:`repro.testing.schedule.run_case` is identified by its
 arguments plus the subset of fault-plan directives in force.  Because the
 fault plan draws from its own RNG stream (``SimRuntime.fault_rng``) and
-the mutation and strategy streams are keyed only by the case seed,
+each faulty party's strategy stream (``mutate`` included) is keyed only
+by the case seed and the party,
 *removing* directives leaves everything else about the run deterministic
 — so a directive subset either still fails or it doesn't, repeatably.
 

@@ -1,10 +1,11 @@
-"""The first cells of the fault product: strategy × crash, strategy × wire mutation.
+"""The first cells of the fault product: strategy × crash, strategy × compromise.
 
 The fault budget ``t`` is spent on strategy adversaries first and the
 seed plan's crashes and compromises get the remainder.  With ``t``
 adversaries that drops every crash/compromise directive — the cases the
 adversary suite always ran — and with fewer (n=7/t=2: one adversary plus
-one crashed or wire-mutated party) it composes them in one seeded case.
+one crashed party, or one running ``mutate``) it composes them in one
+seeded case.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ PRODUCT_SEEDS = {
 
 def _product_cells():
     for (scenario, kind), seeds in PRODUCT_SEEDS.items():
-        if scenario == "binary":  # ~0.1 s a case: the whole catalog, seeds alternating
-            pairs = [(s, seeds[i % 2]) for i, s in enumerate(sorted(STRATEGIES))]
+        if scenario == "binary":  # ~0.1 s a case: the whole catalog, both seeds
+            pairs = [(s, seed) for s in sorted(STRATEGIES) for seed in seeds]
         else:  # ~1 s a case: one attack on agreement, one on dissemination
             pairs = list(zip(("doublevote", "equivocate"), seeds))
         for strategy, seed in pairs:
@@ -65,6 +66,7 @@ def test_one_adversary_plus_one_plan_fault(scenario, kind, strategy, seed, group
     assert faulty[0].params[0] != ADVERSARY
     assert result.ok, result.repro_line()
     assert result.checks_run > 0
+    assert result.actions, "no faulty party acted"
 
 
 def test_pinned_crash_through_extra_is_a_crashed_party(group7):
@@ -106,6 +108,17 @@ def test_pinned_faults_count_against_t(group7):
         )
     with pytest.raises(ValueError, match="need a strategy"):
         run_case(make_scenario("binary"), 7, 2, 0, adversaries=[1], group=group7)
+
+
+def test_one_party_runs_one_strategy(group7):
+    """A compromised party runs ``mutate``, so compromising a strategy
+    adversary would stack two strategies on one party."""
+    with pytest.raises(ValueError, match="one party runs one strategy"):
+        run_case(
+            make_scenario("binary"), 7, 2, 0x51,
+            strategy="silence", adversaries=[ADVERSARY],
+            extra=[Directive("compromise", (ADVERSARY,))], group=group7,
+        )
 
 
 def _plans_with_faults(n, t, count):

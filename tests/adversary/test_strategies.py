@@ -15,7 +15,13 @@ import pytest
 
 from repro.adversary import STRATEGIES, make_strategy
 from repro.obs.recorder import MemoryRecorder
-from repro.testing.schedule import default_group, main, make_scenario, run_case
+from repro.testing.schedule import (
+    default_group,
+    main,
+    make_scenario,
+    parse_directive,
+    run_case,
+)
 
 #: three pinned case seeds per strategy (acceptance criterion: >= 3)
 PINNED_SEEDS = [0x51, 0xA7, 0x1234]
@@ -69,6 +75,7 @@ def test_strategies_actually_act(group4):
         "replay": "replayed",
         "forgecert": "forged",
         "doublevote": "split-pre-vote",
+        "mutate": "mutate",
     }
     for strategy, action in expected.items():
         result = run("atomic", strategy, 0x1234, group=group4)
@@ -112,3 +119,22 @@ def test_cli_replays_a_case(capsys, group4):
     out = capsys.readouterr().out
     assert code == 0
     assert "OK:" in out and "strategy=withhold" in out
+
+
+def test_compromised_party_runs_the_mutate_strategy(capsys, group4):
+    """``compromise:<p>`` puts ``p`` behind ``mutate``: its actions show on
+    the OK line and in the result, and a replay repeats them exactly."""
+    argv = ["--scenario", "atomic", "--case", "0x1234", "--extra", "compromise:2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert ", mutate=" in out and ", drop=" in out
+
+    extra = [parse_directive("compromise:2")]
+    results = [
+        run("atomic", None, 0x1234, extra=extra, group=group4) for _ in range(2)
+    ]
+    assert results[0].ok, results[0].repro_line()
+    assert results[0].actions.get("mutate", 0) > 0
+    assert results[0].actions == results[1].actions

@@ -3,9 +3,9 @@
 The ``batched`` and ``offload`` scenarios run the atomic channel with
 ``max_batch=4, pipeline_depth=2`` (the latter with payload offloading),
 under the full adversarial envelope: schedule exploration, crashes,
-partitions and wire-mutating compromised parties.  Compromised traffic
-goes through :class:`~repro.testing.mutator.BatchFrameMutator`, which
-targets the batched wire frames specifically — malformed vectors,
+partitions and compromised parties.  A compromised party runs the
+``mutate`` strategy (:class:`~repro.adversary.strategies.MutateAdversary`),
+which targets the batch vectors specifically — malformed vectors,
 duplicate payloads inside a batch, cross-round splices — on top of the
 generic equivocation/replay arsenal.
 
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adversary.strategies import MutateAdversary
 from repro.common import rng as rng_mod
-from repro.common.encoding import decode, encode
+from repro.common.encoding import encode
 from repro.core.channel.atomic import AtomicChannel
 from repro.testing import (
-    BatchFrameMutator,
     ChannelScenario,
     case_seed_for,
     fuzz,
@@ -58,17 +58,9 @@ def test_fuzz_batched_n7(kind, group7, fuzz_seed, fuzz_iterations):
     assert not failures, "\n" + report_failures(failures)
 
 
-def test_batched_scenarios_install_batch_mutator():
-    for kind in BATCHED_KINDS:
-        scenario = make_scenario(kind)
-        assert scenario.mutator_factory is BatchFrameMutator
-    # The plain channels keep the generic mutator (factory unset).
-    assert make_scenario("atomic").mutator_factory is None
-
-
 def _first_compromise_case(kind: str, n: int, t: int) -> int:
-    """First fixed-seed case whose fault plan compromises a party, so the
-    batch-frame mutator is guaranteed to be on the wire."""
+    """First fixed-seed case whose fault plan compromises a party, so a
+    party is guaranteed to run ``mutate``."""
     for i in range(200):
         seed = case_seed_for(BATCH_SEED, kind, n, t, i)
         if any(d.kind == "compromise" for d in plan_from_seed(seed, n, t)):
@@ -83,29 +75,34 @@ def test_batched_survives_compromised_party(kind, group4):
     assert result.ok, result.error
 
 
-# --- the mutator really targets batch frames ----------------------------------------
+# --- the mutate strategy really targets batch vectors ------------------------------
 
 
 def _record(origin: int, seq: int) -> tuple:
     return (origin, seq, 0, encode(("payload", origin, seq)))
 
 
-def test_batch_frame_mutator_produces_batch_shapes(group4):
-    mutator = BatchFrameMutator(
-        group4, {0}, rng_mod.derive(BATCH_SEED, "unit-mutator")
-    )
+def _corrupted(adversary, payload, mtype: str, sends: int):
+    """The payloads ``adversary`` sends instead of ``payload``, over
+    ``sends`` copies (equal resends — pass, duplicate, replay — left out)."""
+    out = []
+    for _ in range(sends):
+        for _dst, _pid, kind, sent in adversary.outbound(1, "chan", mtype, payload):
+            if (kind, sent) != (mtype, payload):
+                out.append((kind, sent))
+    return out
+
+
+def test_batch_frame_mutator_produces_batch_shapes():
+    adversary = MutateAdversary(rng_mod.derive(BATCH_SEED, "unit-mutator"))
     vector = [_record(0, k) for k in range(4)]
-    body = encode(("chan", "queue", (3, tuple(vector), b"sig")))
+    payload = (3, tuple(vector), b"sig")
     shapes = set()
-    for _ in range(300):
-        out = mutator._mutate_body(body)
-        if out is None:
-            continue
-        _pid, mtype, payload = decode(out)
-        if mtype != "queue" or len(payload) != 3:
+    for mtype, sent in _corrupted(adversary, payload, "queue", 3000):
+        if mtype != "queue" or len(sent) != 3:
             shapes.add("reshaped")
             continue
-        r, vec, _sig = payload
+        r, vec, _sig = sent
         if r != 3:
             shapes.add("round-spliced")
         if not vec:
@@ -134,18 +131,15 @@ def test_batch_frame_mutator_produces_batch_shapes(group4):
         "duplicate-payload",
         "malformed-record",
     } <= shapes, f"missing batch mutation shapes, saw {sorted(shapes)}"
-    assert mutator.actions.get("batch-frame", 0) > 0
+    assert adversary.actions.get("batch-frame", 0) > 0
 
 
-def test_batch_frame_mutator_falls_back_on_other_frames(group4):
-    mutator = BatchFrameMutator(
-        group4, {0}, rng_mod.derive(BATCH_SEED, "unit-fallback")
-    )
-    # A non-channel frame type: must take the generic mutation path.
-    body = encode(("chan", "vote", (2, True, b"closing")))
-    outs = [mutator._mutate_body(body) for _ in range(50)]
-    assert any(o is not None and o != body for o in outs)
-    assert mutator.actions.get("batch-frame", 0) == 0
+def test_batch_frame_mutator_falls_back_on_other_frames():
+    adversary = MutateAdversary(rng_mod.derive(BATCH_SEED, "unit-fallback"))
+    # A non-channel message type: must take the generic mutation path.
+    assert _corrupted(adversary, (2, True, b"closing"), "vote", 500)
+    assert adversary.actions.get("mutate", 0) > 0
+    assert adversary.actions.get("batch-frame", 0) == 0
 
 
 # --- planted batch-sub-order bug ----------------------------------------------------

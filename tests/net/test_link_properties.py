@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.adversary.strategies import random_value
 from repro.common.encoding import encode
 from repro.common.errors import TransportError
 from repro.core.protocol import Protocol
@@ -25,7 +26,6 @@ from repro.net.lossy import LossyLinkRuntime
 from repro.net.message import pack_body
 from repro.net.sliding_window import KIND_DATA, make_data_datagram
 from repro.net.tcp import KIND_HELLO, TcpNode, local_endpoints
-from repro.testing.mutator import random_value
 
 from tests.conftest import cached_group
 from tests.helpers import sim_runtime

@@ -1,12 +1,13 @@
 """Property-based round-trip tests for the canonical encoding and wire
 message format.
 
-These are the guarantees the wire-level Byzantine mutator
-(:mod:`repro.testing.mutator`) leans on: random TLV payloads survive an
-encode→decode round trip unchanged, while truncated or bit-flipped
-buffers raise :class:`~repro.common.errors.EncodingError` (and, one layer
-up, :class:`~repro.common.errors.TransportError`) instead of crashing or
-silently mis-parsing.  The payload generator is the mutator's own.
+These are the guarantees the ``mutate`` intrusion strategy
+(:class:`~repro.adversary.strategies.MutateAdversary`) leans on: random
+TLV payloads survive an encode→decode round trip unchanged, while
+truncated or bit-flipped buffers raise
+:class:`~repro.common.errors.EncodingError` (and, one layer up,
+:class:`~repro.common.errors.TransportError`) instead of crashing or
+silently mis-parsing.  The payload generator is the strategy's own.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import random
 
 import pytest
 
+from repro.adversary.strategies import mutate_value, random_value
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, TransportError
 from repro.net.message import pack_body, unpack_body
-from repro.testing.mutator import mutate_value, random_value
 
 CASES = 200
 
@@ -40,7 +41,7 @@ def test_round_trip_preserves_container_types():
 
 
 def test_mutated_values_still_round_trip():
-    """Structural mutations stay in the encodable domain (the mutator
+    """Structural mutations stay in the encodable domain (the strategy
     must produce *well-formed* garbage to get past the link layer)."""
     rng = random.Random("mutate")
     for value in _values("mutate-base", 100):
