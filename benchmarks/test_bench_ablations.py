@@ -130,59 +130,6 @@ def test_reliable_vs_consistent_tradeoff(benchmark):
 
 
 @pytest.mark.benchmark(group="ablations")
-def test_optimistic_atomic_broadcast(benchmark):
-    """The paper's Sec. 6 prediction: an optimistic sequencer-based mode
-    "will reduce the cost of atomic broadcast essentially to a single
-    reliable broadcast per delivered message".  Compare the optimistic
-    channel extension against the randomized protocol and the reliable
-    channel on both setups."""
-    from repro.experiments.runner import ExperimentResult, _payload
-
-    def one(setup, kind, seed=12):
-        group = fast_group(setup.n, setup.t, SecurityParams.small(), seed=("ob", seed))
-        rt = SimRuntime(group, latency=setup.latency(), hosts=setup.hosts, seed=("ob", seed))
-        parties = make_parties(rt)
-        if kind == "optimistic":
-            chans = [p.optimistic_atomic_channel("ob", suspect_timeout=30.0) for p in parties]
-        elif kind == "atomic":
-            chans = [p.atomic_channel("ob") for p in parties]
-        else:
-            chans = [p.reliable_channel("ob") for p in parties]
-        total = bench_messages(0.5, minimum=8)
-        for k in range(total):
-            chans[0].send(_payload(0, k))
-        result = ExperimentResult(setup=setup.name, channel=kind, senders=(0,), messages=total)
-
-        def reader():
-            while len(result.deliveries) < total:
-                payload = yield chans[0].receive()
-                result.deliveries.append((rt.now, payload))
-
-        proc = rt.spawn(reader())
-        rt.run_until(proc.future, limit=50_000)
-        return result.mean_delivery_s
-
-    def run():
-        return {
-            (s.name, kind): one(s, kind)
-            for s in (LAN_SETUP, INTERNET_SETUP)
-            for kind in ("optimistic", "atomic", "reliable")
-        }
-
-    means = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(f"Extension, optimistic atomic broadcast vs baselines: "
-         + ", ".join(f"{k}={v:.3f}s" for k, v in means.items()))
-    for setup in ("LAN", "Internet"):
-        opt = means[(setup, "optimistic")]
-        base = means[(setup, "atomic")]
-        rel = means[(setup, "reliable")]
-        # far cheaper than full agreement...
-        assert opt < base / 2, (setup, opt, base)
-        # ...and within a small factor of a bare reliable broadcast
-        assert opt < 4 * rel, (setup, opt, rel)
-
-
-@pytest.mark.benchmark(group="ablations")
 def test_sliding_window_links_under_loss(benchmark):
     """Extension (paper Sec. 3's planned TCP replacement): the stack over
     SINTRA's own sliding-window links with authenticated ACKs, on an

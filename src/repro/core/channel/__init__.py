@@ -12,7 +12,6 @@ from repro.core.channel.atomic import AtomicChannel
 from repro.core.channel.secure import SecureAtomicChannel
 from repro.core.channel.reliable_channel import ReliableChannel
 from repro.core.channel.consistent_channel import ConsistentChannel
-from repro.core.channel.optimistic import OptimisticAtomicChannel
 from repro.core.channel.stability import StabilizedConsistentChannel
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "SecureAtomicChannel",
     "ReliableChannel",
     "ConsistentChannel",
-    "OptimisticAtomicChannel",
     "StabilizedConsistentChannel",
 ]

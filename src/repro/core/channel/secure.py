@@ -107,16 +107,14 @@ class SecureAtomicChannel(AtomicChannel):
     def _handle_delivered_payload(
         self, origin: int, seq: int, kind: int, data: bytes
     ) -> None:
-        if kind != KIND_CIPHER:
-            # Plain payloads (e.g. from a misbehaving sender using the app
-            # kind) pass straight through, preserving channel liveness.
-            self.deliveries.append((origin, seq, data))
-            self._emit_output(data)
-            return
+        # Only a valid ciphertext for this channel delivers anything.  Every
+        # record takes its release index in ordering order, so a record from
+        # a misbehaving sender (a plain payload, say) cannot overtake a
+        # ciphertext still waiting for decryption shares on some parties.
         index = self._dec_order
         self._dec_order += 1
         try:
-            ctxt = Ciphertext.from_bytes(data)
+            ctxt = Ciphertext.from_bytes(data) if kind == KIND_CIPHER else None
         except InvalidCiphertext:
             ctxt = None
         scheme = self.ctx.crypto.enc
@@ -125,8 +123,8 @@ class SecureAtomicChannel(AtomicChannel):
         if ctxt is not None and ctxt.label != encode(("sac", self.pid)):
             ctxt = None
         if ctxt is None or not self.ctx.crypto.accel.ciphertext_ok(scheme, ctxt):
-            # An invalid ciphertext is delivered as nothing; mark the slot
-            # so in-order release does not stall on it.
+            # Anything else is delivered as nothing; mark the slot so
+            # in-order release does not stall on it.
             self._plain[index] = None
             self._release_in_order()
             return

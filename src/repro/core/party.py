@@ -22,7 +22,6 @@ from repro.core.broadcast import (
 from repro.core.channel import (
     AtomicChannel,
     ConsistentChannel,
-    OptimisticAtomicChannel,
     ReliableChannel,
     SecureAtomicChannel,
     StabilizedConsistentChannel,
@@ -98,10 +97,6 @@ class Party:
 
     def secure_atomic_channel(self, pid: str, **kwargs) -> SecureAtomicChannel:
         return SecureAtomicChannel(self.ctx, pid, **kwargs)
-
-    def optimistic_atomic_channel(self, pid: str, **kwargs) -> OptimisticAtomicChannel:
-        """Atomic broadcast with the sequencer-based fast path (Sec. 6)."""
-        return OptimisticAtomicChannel(self.ctx, pid, **kwargs)
 
     def reliable_channel(self, pid: str) -> ReliableChannel:
         return ReliableChannel(self.ctx, pid)

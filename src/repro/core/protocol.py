@@ -98,9 +98,8 @@ class Context(abc.ABC):
         """Schedule ``fn`` as node work after ``delay`` seconds.
 
         SINTRA's safety never depends on timers (the model is fully
-        asynchronous); they exist for *liveness-only* mechanisms such as
-        the optimistic channel's sequencer suspicion, following the
-        optimistic protocols the paper's conclusion points to.
+        asynchronous); they serve retries only: client request retries
+        and the recovering replica's state-transfer pull retry.
         """
         raise NotImplementedError("this context provides no timers")
 

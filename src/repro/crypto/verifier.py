@@ -141,9 +141,9 @@ class ShareVerifier:
     ) -> bool:
         """Verify party ``signer``'s ordinary RSA signature (cached).
 
-        Batch vectors and wedge statements are signed once but re-checked
-        on every validity predicate evaluation; caching the verdict turns
-        all but the first check into a replay.
+        Batch vectors are signed once but re-checked on every validity
+        predicate evaluation; caching the verdict turns all but the first
+        check into a replay.
         """
         return self._memo(
             ("rsa", domain, signer, bytes(message), sig),

@@ -186,11 +186,11 @@ class ChaosFabric:
     ):
         self.n = n
         self.seed = seed
-        #: where the nodes really listen (ephemeral, collision-free)
-        self.real_endpoints = local_endpoints(n)
+        #: where the nodes really listen; filled by ``start``
+        self.real_endpoints: List[Tuple[str, int]] = []
         self.proxies = [
             ChaosProxy(
-                self.real_endpoints[i],
+                ("", 0),
                 plan,
                 rng=rng_mod.derive(seed, "netchaos", i),
                 host=host,
@@ -202,6 +202,11 @@ class ChaosFabric:
 
     async def start(self) -> List[Tuple[str, int]]:
         self.endpoints = [await proxy.start() for proxy in self.proxies]
+        # Picked only once every proxy is listening: a port released by
+        # ``local_endpoints`` could otherwise come back as a proxy's port.
+        self.real_endpoints = local_endpoints(self.n)
+        for proxy, target in zip(self.proxies, self.real_endpoints):
+            proxy.target = target
         return self.endpoints
 
     async def stop(self) -> None:

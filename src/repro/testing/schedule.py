@@ -303,7 +303,6 @@ class ChannelScenario(Scenario):
             {"max_batch": 4, "pipeline_depth": 2, "offload": True},
         ),
         "secure": ("secure_atomic_channel", {}),
-        "optimistic": ("optimistic_atomic_channel", {"suspect_timeout": 2.0}),
         "stability": ("stabilized_consistent_channel", {}),
     }
 
@@ -472,7 +471,6 @@ SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "batched": lambda: ChannelScenario("batched", messages_per_party=4),
     "offload": lambda: ChannelScenario("offload", messages_per_party=4),
     "secure": lambda: ChannelScenario("secure"),
-    "optimistic": lambda: ChannelScenario("optimistic"),
     "stability": lambda: ChannelScenario("stability"),
     "binary": lambda: AgreementScenario("binary"),
     "mvba": lambda: AgreementScenario("mvba"),
@@ -785,19 +783,19 @@ def fuzz(
     iterations: int,
     *,
     shrink_failures: bool = True,
-    fail_fast: bool = True,
     strategy: Optional[str] = None,
     **case_kwargs: Any,
 ) -> List[CaseResult]:
-    """Run ``iterations`` seeded cases; returns the (shrunk) failures.
+    """Run up to ``iterations`` seeded cases, stopping at the first failure.
 
+    Returns that failure (shrunk if ``shrink_failures``) as a one-element
+    list, or ``[]``.
     ``case_kwargs`` (group, time_limit, adversaries, extra, ...) go to
     :func:`run_case` unchanged, for the first run and for the shrinker's.
     """
     from repro.testing.shrink import shrink_case
 
     case_kwargs.setdefault("group", default_group(n, t))
-    failures: List[CaseResult] = []
     for i in range(iterations):
         case_seed = case_seed_for(root_seed, scenario.name, n, t, i, strategy)
         result = run_case(
@@ -810,10 +808,8 @@ def fuzz(
                 scenario, n, t, case_seed,
                 first_failure=result, strategy=strategy, **case_kwargs,
             )
-        failures.append(result)
-        if fail_fast:
-            break
-    return failures
+        return [result]
+    return []
 
 
 def dump_artifact_path(dump_dir: str, result: CaseResult) -> str:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.agreement import ArrayAgreement, BinaryAgreement
 from repro.core.broadcast import ReliableBroadcast
-from repro.core.channel import AtomicChannel, OptimisticAtomicChannel
+from repro.core.channel import AtomicChannel
 from repro.net.faults import FaultPlan, TargetedDelayAdversary
 
 from tests.conftest import cached_group
@@ -100,33 +100,6 @@ def test_atomic_channel_total_order(seed, sends):
         rt.run_until(p.future, limit=5000)
     assert all(got[i] == got[0] for i in range(4))
     assert len(got[0]) == len(sends)
-    assert not rt.router_errors()
-
-
-@given(
-    seed=st.integers(0, 10 ** 6),
-    sends=st.lists(st.integers(0, 3), min_size=1, max_size=6),
-)
-@SLOW
-def test_optimistic_channel_total_order(seed, sends):
-    rt = sim_runtime(cached_group(), seed=("prop-opt", seed))
-    chans = [
-        OptimisticAtomicChannel(ctx, "prop-opt", suspect_timeout=10.0)
-        for ctx in rt.contexts
-    ]
-    for k, sender in enumerate(sends):
-        chans[sender].send(b"m-%d-%d" % (sender, k))
-    got = {i: [] for i in range(4)}
-
-    def reader(i):
-        while len(got[i]) < len(sends):
-            payload = yield chans[i].receive()
-            got[i].append(payload)
-
-    procs = [rt.spawn(reader(i)) for i in range(4)]
-    for p in procs:
-        rt.run_until(p.future, limit=5000)
-    assert all(got[i] == got[0] for i in range(4))
     assert not rt.router_errors()
 
 

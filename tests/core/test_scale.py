@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.agreement import ArrayAgreement, BinaryAgreement
 from repro.core.broadcast import ReliableBroadcast
-from repro.core.channel import AtomicChannel, OptimisticAtomicChannel
+from repro.core.channel import AtomicChannel
 from repro.net.faults import CrashFault, FaultPlan
 
 from tests.conftest import cached_group
@@ -55,42 +55,38 @@ def test_mvba_n10(group10):
     assert len(decisions) == 1
 
 
-def test_atomic_channel_n10(group10):
-    rt = sim_runtime(group10, seed=5)
-    chans = [AtomicChannel(ctx, "s-at") for ctx in rt.contexts]
-    for s in (0, 4, 9):
+def _atomic_channel_n10(group, seed, crashed, senders):
+    rt = sim_runtime(
+        group, seed=seed,
+        faults=FaultPlan(crashes=tuple(CrashFault(i) for i in crashed)),
+    )
+    chans = {
+        i: AtomicChannel(rt.contexts[i], "s-at")
+        for i in range(10) if i not in crashed
+    }
+    for s in senders:
         chans[s].send(b"from-%d" % s)
-    got = {i: [] for i in range(10)}
+    got = {i: [] for i in chans}
 
     def reader(i):
         while len(got[i]) < 3:
             payload = yield chans[i].receive()
             got[i].append(payload)
 
-    procs = [rt.spawn(reader(i)) for i in range(10)]
-    for p in procs:
-        rt.run_until(p.future, limit=3000)
-    assert all(got[i] == got[0] for i in range(10))
-    # batch size defaults to t+1 = 4
-    assert chans[0].batch_size == 4
-    no_errors(rt)
-
-
-def test_optimistic_channel_n10_with_crashed_sequencer(group10):
-    rt = sim_runtime(group10, seed=6, faults=FaultPlan(crashes=(CrashFault(0),)))
-    chans = {
-        i: OptimisticAtomicChannel(rt.contexts[i], "s-opt", suspect_timeout=1.0)
-        for i in range(1, 10)
-    }
-    chans[5].send(b"big group")
-    got = {i: [] for i in chans}
-
-    def reader(i):
-        while len(got[i]) < 1:
-            payload = yield chans[i].receive()
-            got[i].append(payload)
-
     procs = [rt.spawn(reader(i)) for i in chans]
     for p in procs:
         rt.run_until(p.future, limit=3000)
-    assert all(g == [b"big group"] for g in got.values())
+    first = got[min(chans)]
+    assert all(g == first for g in got.values())
+    assert sorted(first) == sorted(b"from-%d" % s for s in senders)
+    # batch size defaults to t+1 = 4
+    assert chans[min(chans)].batch_size == 4
+    no_errors(rt)
+
+
+def test_atomic_channel_n10(group10):
+    _atomic_channel_n10(group10, seed=5, crashed=(), senders=(0, 4, 9))
+
+
+def test_atomic_channel_n10_with_crashed_party(group10):
+    _atomic_channel_n10(group10, seed=6, crashed=(0,), senders=(4, 5, 9))

@@ -2,8 +2,12 @@
 
 import random
 
-from repro.core.channel import SecureAtomicChannel
+import pytest
+
+from repro.core.channel import AtomicChannel, SecureAtomicChannel
 from repro.core.protocol import Protocol
+from repro.experiments import INTERNET_SETUP
+from repro.net.runtime import SimRuntime
 
 from tests.helpers import no_errors, sim_runtime
 
@@ -90,3 +94,32 @@ def test_mauled_ciphertext_discarded(group4):
     chans[1].send(b"after the maul")
     got = _drain(rt, chans, 1)
     assert all(g == [b"after the maul"] for g in got.values())
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_plain_records_cannot_reorder_honest_outputs(group4, seed):
+    """Party 2 runs a plain atomic channel on the secure channel's pid, so
+    its records are ordered as cleartext.  A ciphertext ordered just
+    before one of them waits for ``t + 1`` decryption shares; a party
+    already holding shares from faster peers would release it before the
+    plain record, every other party after.  Only a valid ciphertext
+    delivers anything: the honest outputs agree, and the plain records
+    are delivered as nothing."""
+    rt = SimRuntime(
+        group4, latency=INTERNET_SETUP.latency(), hosts=INTERNET_SETUP.hosts,
+        seed=seed,
+    )
+    chans = {
+        i: (AtomicChannel if i == 2 else SecureAtomicChannel)(rt.contexts[i], "sec")
+        for i in range(4)
+    }
+    for i, ch in chans.items():
+        for k in range(6):
+            ch.send(b"p%d-%d" % (i, k))
+    honest = {i: chans[i] for i in (0, 1, 3)}
+    _drain(rt, honest, 18)
+    rt.run(until=rt.now + 60.0)  # room for anything delivered past the 18th
+    outputs = [[data for _, _, data in ch.deliveries] for ch in honest.values()]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert sorted(outputs[0]) == sorted(b"p%d-%d" % (i, k) for i in honest for k in range(6))
+    no_errors(rt)

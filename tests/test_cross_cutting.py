@@ -2,12 +2,7 @@
 
 import asyncio
 
-import pytest
-
-from repro.core.channel import OptimisticAtomicChannel
 from repro.crypto import config_io
-from repro.net.latency import lan_latency
-from repro.net.lossy import LossyLinkRuntime
 
 from tests.conftest import cached_group
 from tests.helpers import sim_runtime
@@ -23,33 +18,6 @@ def test_shoup_group_end_to_end_atomic():
     values = rt.run_all([ch.receive() for ch in chans], limit=3000)
     assert set(values) == {b"with shoup sigs"}
     assert not rt.router_errors()
-
-
-def test_optimistic_channel_over_lossy_links():
-    """Both extensions composed: the optimistic channel on sliding-window
-    links over a lossy datagram network."""
-    rt = LossyLinkRuntime(
-        cached_group(), latency=lan_latency(), seed=2,
-        loss=0.15, duplicate=0.05,
-    )
-    chans = [
-        OptimisticAtomicChannel(ctx, "xo", suspect_timeout=5.0)
-        for ctx in rt.contexts
-    ]
-    for k in range(3):
-        chans[k % 4].send(b"lx%d" % k)
-    got = {i: [] for i in range(4)}
-
-    def reader(i):
-        while len(got[i]) < 3:
-            payload = yield chans[i].receive()
-            got[i].append(payload)
-
-    procs = [rt.spawn(reader(i)) for i in range(4)]
-    for p in procs:
-        rt.run_until(p.future, limit=5000)
-    assert all(got[i] == got[0] for i in range(4))
-    assert rt.datagrams_lost > 0
 
 
 def test_group_from_config_files_runs_over_tcp(tmp_path):
