@@ -31,9 +31,7 @@ async def main() -> None:
     )
     fabric = ChaosFabric(4, plan, seed=0xC4405)
     await fabric.start()
-    nodes = fabric.make_nodes(
-        group, connect_retry_s=0.02, backoff_cap=0.3, heartbeat_s=0.1
-    )
+    nodes = fabric.make_nodes(group, connect_retry_s=0.02, backoff_cap=0.3)
     await asyncio.gather(*(node.start() for node in nodes))
     print("4 servers behind chaos proxies on",
           ", ".join(f"{h}:{p}" for h, p in fabric.endpoints))
@@ -66,7 +64,6 @@ async def main() -> None:
     print(f"Absorbed by    : {sum(s['reconnects'] for s in stats)} reconnects, "
           f"{sum(s['retransmissions'] for s in stats)} retransmissions "
           f"(zero frames lost at the channel layer)")
-    print("Peer liveness  :", nodes[0].peer_states())
 
     await asyncio.gather(*(node.stop() for node in nodes))
     await fabric.stop()

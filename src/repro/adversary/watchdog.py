@@ -18,10 +18,9 @@ seed-reproducible like everything else in the harness.
 
 Stalled parties feed a :class:`~repro.net.failure_detector.FailureDetector`
 instance: a sentinel's progress events ``touch`` its party, so a party
-whose instances stop contributing drifts ``alive -> suspect -> down``
-exactly like a silent peer does on the real TCP runtime, and the
-``fd.suspect.entered`` / ``fd.suspect.cleared`` transition counters show
-detection latency in exported BENCH records.
+whose instances stop contributing drifts ``alive -> suspect -> down``,
+and the ``fd.suspect.entered`` / ``fd.suspect.cleared`` transition
+counters show detection latency in exported BENCH records.
 
 Beyond the original raise-on-stall test harness mode, the watchdog is
 also the stall *sensor* of the recovery orchestrator (:mod:`repro.heal`):

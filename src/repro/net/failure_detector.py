@@ -1,20 +1,21 @@
-"""Per-peer liveness estimation for the real-network runtime.
+"""Per-party liveness estimation for the liveness watchdog.
 
-SINTRA's asynchronous protocols never *need* a failure detector for
-safety — that is the point of the randomized protocol stack — but an
-operator of a real deployment does: the runtime must report which peers
-are reachable, degrade bounded resources for unresponsive ones, and give
-reconnection supervision a signal to expose.  This module is the sans-I/O
-core: a clock-driven state estimator fed by *progress events* (a verified
-heartbeat, a delivered frame, an authenticated acknowledgment) that
-classifies every peer as ``alive``, ``suspect`` or ``down``.
+SINTRA's asynchronous protocols never *need* a failure detector — that
+is the point of the randomized protocol stack — but the recovery
+orchestrator needs evidence of which replicas stopped contributing.
+This module is the sans-I/O core: a clock-driven state estimator fed by
+*progress events* that classifies every party as ``alive``, ``suspect``
+or ``down``.  Its one owner is
+:class:`~repro.adversary.watchdog.LivenessWatchdog`, whose sentinels
+``touch`` a party whenever one of its watched instances moves; the
+transitions become :mod:`repro.heal`'s ``fd-suspect`` / ``fd-down``
+evidence.
 
 The estimator is deliberately crude (fixed timeouts, no adaptive RTT
 estimation a la Chen/Toueg): under asynchrony any detector is unreliable,
-and nothing in the protocol stack trusts it.  It only drives reporting
-and degradation policy in :mod:`repro.net.tcp`.
+and nothing in the protocol stack trusts it.
 
-State machine (ages are ``now - last_progress``)::
+State machine (ages are ``now - last progress``)::
 
     ALIVE --(age >= suspect_after)--> SUSPECT --(age >= down_after)--> DOWN
       ^                                  |                              |
@@ -42,8 +43,8 @@ class FailureDetector:
     """Progress-driven ``alive / suspect / down`` classification.
 
     ``suspect_after`` and ``down_after`` are seconds of silence; the clock
-    is whatever the caller passes as ``now`` (the asyncio loop clock under
-    :class:`~repro.net.tcp.TcpNode`, a synthetic float in tests).
+    is whatever the caller passes as ``now`` (the runtime clock under the
+    watchdog, a synthetic float in tests).
 
     When a ``recorder`` is given, suspicion *transitions* are surfaced as
     counters — ``fd.suspect.entered`` / ``fd.suspect.cleared`` (and
@@ -56,10 +57,9 @@ class FailureDetector:
     Consumers that need to *react* to a classification change register a
     callback with :meth:`on_transition` and receive ``(peer, old, new)``
     the first time the change is observed.  This is the supported signal
-    path for degradation policy and the recovery orchestrator
-    (:mod:`repro.heal`); polling :meth:`states` (or the TCP runtime's
-    ``peer_states()`` mirror) for edge detection is deprecated — pollers
-    race the estimator and double-count transitions.
+    path for the recovery orchestrator (:mod:`repro.heal`); polling
+    :meth:`states` for edge detection races the estimator and
+    double-counts transitions.
     """
 
     def __init__(
@@ -78,10 +78,6 @@ class FailureDetector:
         self._last: Dict[int, float] = {peer: now for peer in peers}
         self._noted: Dict[int, str] = {peer: ALIVE for peer in self._last}
         self._listeners: List[Callable[[int, str, str], None]] = []
-
-    @property
-    def peers(self) -> List[int]:
-        return sorted(self._last)
 
     def on_transition(self, callback: Callable[[int, str, str], None]) -> None:
         """Register ``callback(peer, old, new)`` for state transitions.
@@ -109,9 +105,6 @@ class FailureDetector:
         if now > self._last[peer]:
             self._last[peer] = now
         self._note(peer, self.state(peer, now))
-
-    def last_progress(self, peer: int) -> float:
-        return self._last[peer]
 
     def state(self, peer: int, now: float) -> str:
         age = now - self._last[peer]
@@ -142,22 +135,3 @@ class FailureDetector:
 
     def states(self, now: float) -> Dict[int, str]:
         return {peer: self.state(peer, now) for peer in self._last}
-
-    def alive(self, now: float) -> List[int]:
-        """Peers currently classified ``alive``, sorted."""
-        return [p for p in self.peers if self.state(p, now) == ALIVE]
-
-    def next_transition(self, now: float) -> Optional[float]:
-        """Earliest future time at which some peer's state can worsen.
-
-        ``None`` when every peer is already ``down``; used by pollers to
-        sleep exactly until the next possible state change.
-        """
-        deadlines = []
-        for peer, last in self._last.items():
-            age = now - last
-            if age < self.suspect_after:
-                deadlines.append(last + self.suspect_after)
-            elif age < self.down_after:
-                deadlines.append(last + self.down_after)
-        return min(deadlines) if deadlines else None

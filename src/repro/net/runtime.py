@@ -55,7 +55,7 @@ class SimContext(Context):
     def send(self, dst: int, pid: str, mtype: str, payload: Any) -> None:
         body = pack_body(pid, mtype, payload)
         wire = self.runtime.seal(self.crypto, dst, body)
-        self.runtime.record_protocol_message(pid, mtype, len(wire), self.node_id)
+        self.runtime.record_protocol_message(pid, mtype, len(wire))
         self.node.emit(dst, wire)
 
     # -- effects / scheduling ---------------------------------------------------
@@ -117,7 +117,6 @@ class SimRuntime:
         seed: object = 0,
         faults: Optional[FaultPlan] = None,
         overhead_s: Optional[float] = None,
-        trace: bool = False,
         recorder: Optional[Recorder] = None,
     ):
         self.group = group
@@ -183,16 +182,8 @@ class SimRuntime:
         #: network — the data behind the message-complexity tests.
         self.protocol_messages: Dict[Tuple[str, str], int] = {}
         self.protocol_bytes: Dict[str, int] = {}
-        #: optional full message trace: (time, sender, pid, mtype, nbytes).
-        #: The per-delivery timelines of the paper's Figures 4/5 come from
-        #: exactly this kind of log.
-        self.trace: Optional[List[Tuple[float, int, str, str, int]]] = (
-            [] if trace else None
-        )
 
-    def record_protocol_message(
-        self, pid: str, mtype: str, nbytes: int, sender: int = -1
-    ) -> None:
+    def record_protocol_message(self, pid: str, mtype: str, nbytes: int) -> None:
         key = (pid, mtype)
         self.protocol_messages[key] = self.protocol_messages.get(key, 0) + 1
         self.protocol_bytes[pid] = self.protocol_bytes.get(pid, 0) + nbytes
@@ -200,22 +191,6 @@ class SimRuntime:
             self.obs.count("net.messages")
             self.obs.count("net.bytes", nbytes)
             self.obs.count(f"net.msg.{mtype}")
-        if self.trace is not None:
-            self.trace.append((self.sim.now, sender, pid, mtype, nbytes))
-
-    def dump_trace(self, path: str) -> int:
-        """Write the trace as JSON lines; returns the record count."""
-        import json
-
-        if self.trace is None:
-            raise ReproError("runtime was created without trace=True")
-        with open(path, "w") as f:
-            for when, sender, pid, mtype, nbytes in self.trace:
-                f.write(json.dumps({
-                    "t": round(when, 6), "from": sender, "pid": pid,
-                    "type": mtype, "bytes": nbytes,
-                }) + "\n")
-        return len(self.trace)
 
     def messages_for_prefix(self, prefix: str) -> int:
         """Total messages sent for protocol ids starting with ``prefix``."""

@@ -95,7 +95,6 @@ class SlidingWindowSender:
         self.rttvar = 0.0
         self.rto = RTO_INITIAL
         self.retransmissions = 0
-        self.acks = 0  # authentic ACKs of the current session
         self.forged_acks = 0
         self.overflow_dropped = 0
 
@@ -196,7 +195,6 @@ class SlidingWindowSender:
         ):
             self.forged_acks += 1  # the authenticated-ACK property
             return []
-        self.acks += 1
         top = min(cumulative, self._next_seq)
         sample: Optional[float] = None
         for seq in range(self._base, top):
@@ -323,26 +321,19 @@ class SlidingWindowLink:
 
     # -- inbound --------------------------------------------------------------------
 
-    def on_datagram(self, fields: tuple) -> Optional[bool]:
-        """Dispatch one decoded datagram from the peer by kind.
-
-        Returns whether it was an authentic datagram of the current
-        sessions (proof the peer is alive), or ``None`` if it is no
-        window datagram at all.
-        """
+    def on_datagram(self, fields: tuple) -> bool:
+        """Dispatch one decoded datagram from the peer by kind; returns
+        whether it was a window datagram at all."""
         kind = fields[0] if fields else None
         if kind == KIND_DATA and len(fields) == 5:
-            if self.receiver is None:
-                return False
-            acks = self.receiver.on_data(fields)
-            for ack in acks:
-                self._transmit(ack)
-            return bool(acks)
+            if self.receiver is not None:
+                for ack in self.receiver.on_data(fields):
+                    self._transmit(ack)
+            return True
         if kind == KIND_ACK and len(fields) == 4:
-            acks = self.sender.acks
             self._emit(self.sender.on_ack(fields, self._clock()))
-            return self.sender.acks > acks
-        return None
+            return True
+        return False
 
     # -- the retransmit timer -------------------------------------------------------
 

@@ -24,9 +24,9 @@ Layering, top to bottom:
   session, at-least-once across a peer *restart*);
 * connection supervisor — one outgoing TCP connection per directed link,
   re-dialled forever with capped exponential backoff and deterministic
-  jitter (seeded via :mod:`repro.common.rng`);
-* failure detector — heartbeats and send/ack progress feed a per-peer
-  ``alive / suspect / down`` estimate (:mod:`repro.net.failure_detector`).
+  jitter (seeded via :mod:`repro.common.rng`).  A dead link is noticed
+  when a write into it fails; the supervisor re-dials and resumes the
+  window, whose measured timeout re-sends what was never acknowledged.
 
 Every frame on the wire is a canonical tuple behind a length prefix
 (:func:`write_frame` / :func:`read_frame`, which the client endpoints share):
@@ -34,8 +34,9 @@ Every frame on the wire is a canonical tuple behind a length prefix
 * ``("hlo", sender, session, tag)`` — first frame on every connection;
   binds the connection to ``sender`` and announces the data session;
 * ``("dat", session, seq, body, tag)`` / ``("ack", session, cum, tag)``
-  — the sliding-window datagrams (see :mod:`repro.net.sliding_window`);
-* ``("hb", sender, counter, tag)`` — monotone authenticated heartbeat.
+  — the sliding-window datagrams (see :mod:`repro.net.sliding_window`).
+
+Any other kind drops the connection.
 
 Degradation policy: all per-peer queues are bounded (the window's
 backlog and :data:`OUTBOX_LIMIT`, drop-oldest with counters), so one dead
@@ -75,7 +76,6 @@ from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, TransportError
 from repro.core.protocol import Context, Router
 from repro.crypto.dealer import GroupConfig
-from repro.net.failure_detector import FailureDetector
 from repro.net.message import pack_body, unpack_body
 from repro.net.sliding_window import SlidingWindowLink
 from repro.obs.recorder import NULL as NULL_RECORDER
@@ -87,7 +87,6 @@ _LEN = struct.Struct(">I")
 MAX_FRAME = 16 * 1024 * 1024
 
 KIND_HELLO = "hlo"
-KIND_HEARTBEAT = "hb"
 
 SESSION_BYTES = 16
 #: wire frames queued per peer for the writer (drop-oldest beyond)
@@ -204,15 +203,13 @@ class LinkStats:
     overflow_dropped: int = 0  # frames degraded-dropped by bounded queues
     auth_failures: int = 0  # forged/garbled window datagrams on this link
     duplicates: int = 0  # replayed data frames suppressed by the receiver
-    heartbeats: int = 0  # authenticated heartbeats accepted
-    state: str = "alive"  # failure-detector classification
 
 
 class _Outbox:
     """Bounded FIFO of wire frames for one peer (drop-oldest on overflow).
 
-    Dropping is safe at this layer: ACKs and heartbeats are regenerated,
-    and data datagrams are re-sent by the window's retransmission.
+    Dropping is safe at this layer: ACKs are regenerated, and data
+    datagrams are re-sent by the window's retransmission.
     """
 
     def __init__(self) -> None:
@@ -258,9 +255,6 @@ class _PeerLink:
         self.window.connected = False
         self.task: Optional[asyncio.Task] = None
         self.connects = 0
-        self.hb_next = 0  # next heartbeat counter to send
-        self.hb_seen = -1  # highest heartbeat counter accepted
-        self.heartbeats_seen = 0
 
 
 class TcpContext(Context):
@@ -329,9 +323,6 @@ class TcpNode:
         seed: Optional[object] = None,
         listen_endpoint: Optional[Tuple[str, int]] = None,
         backoff_cap: float = 2.0,
-        heartbeat_s: float = 0.5,
-        suspect_after: float = 2.0,
-        down_after: float = 6.0,
         recorder: Optional[Recorder] = None,
     ):
         if len(endpoints) != group.n:
@@ -343,12 +334,8 @@ class TcpNode:
         self.connect_retry_s = connect_retry_s
         self.seed = seed
         self.backoff_cap = backoff_cap
-        self.heartbeat_s = heartbeat_s
-        self.suspect_after = suspect_after
-        self.down_after = down_after
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.ctx = TcpContext(self)
-        self.failure_detector: Optional[FailureDetector] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._links: Dict[int, _PeerLink] = {}
         self._tasks: List[asyncio.Task] = []
@@ -381,26 +368,13 @@ class TcpNode:
         if self.obs.enabled:
             # Wall-clock runtime: durations come from the event loop clock.
             self.obs.bind_clock(loop.time)
-        peers = [p for p in range(self.group.n) if p != self.index]
-        self.failure_detector = FailureDetector(
-            peers,
-            self.suspect_after,
-            self.down_after,
-            now=loop.time(),
-            recorder=self.obs,
-        )
-        # Event-driven mirror of the per-peer classification: the gauge
-        # updates on every observed transition, so consumers (and BENCH
-        # exports) never need to poll peer_states() for edge detection.
-        self.failure_detector.on_transition(self._on_fd_transition)
         host, port = self.listen_endpoint
         self._server = await asyncio.start_server(self._on_peer, host, port)
-        for peer in peers:
+        for peer in (p for p in range(self.group.n) if p != self.index):
             link = _PeerLink(self, peer)
             self._links[peer] = link
             link.task = asyncio.ensure_future(self._supervise(peer))
             self._tasks.append(link.task)
-        self._tasks.append(asyncio.ensure_future(self._heartbeat_loop()))
 
     async def stop(self) -> None:
         for handle in list(self._timers):
@@ -413,7 +387,7 @@ class TcpNode:
         results = await asyncio.gather(*self._tasks, return_exceptions=True)
         for task, result in zip(self._tasks, results):
             # CancelledError is the expected outcome; anything else is a
-            # real supervisor/heartbeat failure worth surfacing.
+            # real supervisor failure worth surfacing.
             if isinstance(result, Exception):
                 logger.warning("task %r failed during stop: %r", task, result)
         for writer in list(self._incoming):
@@ -476,15 +450,6 @@ class TcpNode:
             await asyncio.sleep(backoff.delay(attempt))
             attempt += 1
 
-    async def _heartbeat_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.heartbeat_s)
-            for peer, link in self._links.items():
-                counter = link.hb_next
-                link.hb_next += 1
-                tag = link.auth.tag(encode((KIND_HEARTBEAT, self.index, counter)))
-                link.outbox.put(encode((KIND_HEARTBEAT, self.index, counter, tag)))
-
     # -- receiving -----------------------------------------------------------------
 
     async def _on_peer(
@@ -519,7 +484,6 @@ class TcpNode:
             self.auth_failures += 1
             raise TransportError("malformed frame")
         kind = fields[0]
-        now = asyncio.get_running_loop().time()
 
         if kind == KIND_HELLO and len(fields) == 4:
             _, sender, session, tag = fields
@@ -536,42 +500,20 @@ class TcpNode:
             if not link.auth.verify(encode((KIND_HELLO, sender, session)), tag):
                 self.auth_failures += 1
                 raise TransportError("unauthenticated hello")
-            self._on_hello(sender, session, now)
+            self._on_hello(sender, session)
             return sender
 
         if bound is None:
             self.auth_failures += 1
             raise TransportError("frame before hello")
-        link = self._links[bound]
-
-        authentic = link.window.on_datagram(fields)
-        if authentic is not None:
-            if authentic:
-                self.failure_detector.touch(bound, now)
-            return bound
-
-        if kind == KIND_HEARTBEAT and len(fields) == 4:
-            _, sender, counter, tag = fields
-            if (
-                sender != bound
-                or not isinstance(counter, int)
-                or not isinstance(tag, bytes)
-                or not link.auth.verify(encode((KIND_HEARTBEAT, sender, counter)), tag)
-            ):
-                self.auth_failures += 1
-                return bound
-            if counter > link.hb_seen:  # replays keep nobody alive
-                link.hb_seen = counter
-                link.heartbeats_seen += 1
-                self.failure_detector.touch(bound, now)
+        if self._links[bound].window.on_datagram(fields):
             return bound
 
         self.auth_failures += 1
         raise TransportError(f"unknown frame kind {kind!r}")
 
-    def _on_hello(self, sender: int, session: bytes, now: float) -> None:
+    def _on_hello(self, sender: int, session: bytes) -> None:
         link = self._links[sender]
-        self.failure_detector.touch(sender, now)
         receiver = link.window.receiver
         if receiver is not None and receiver.session == session:
             return  # resumed connection: receive state (dedup) is intact
@@ -605,11 +547,6 @@ class TcpNode:
         """Current counters for the directed link to/from ``peer``."""
         link = self._links[peer]
         sender, receiver = link.window.sender, link.window.receiver
-        state = "alive"
-        if self.failure_detector is not None:
-            state = self.failure_detector.state(
-                peer, asyncio.get_running_loop().time()
-            )
         return LinkStats(
             reconnects=max(0, link.connects - 1),
             retransmissions=sender.retransmissions,
@@ -618,8 +555,6 @@ class TcpNode:
             auth_failures=sender.forged_acks
             + (receiver.forged_data if receiver is not None else 0),
             duplicates=receiver.duplicates if receiver is not None else 0,
-            heartbeats=link.heartbeats_seen,
-            state=state,
         )
 
     def stats(self) -> Dict[str, Any]:
@@ -638,11 +573,11 @@ class TcpNode:
         return aggregate
 
     def publish_obs(self, per_peer: Optional[Dict[int, LinkStats]] = None) -> None:
-        """Mirror the link/failure-detector counters into the recorder.
+        """Mirror the link counters into the recorder.
 
-        Gauges are named ``tcp.link.<field>`` (aggregated across peers) and
-        ``tcp.peer.<peer>.state`` so the TCP runtime's health shows up in
-        the same registry (and BENCH export) as the protocol metrics.
+        Gauges are named ``tcp.link.<field>`` (aggregated across peers) so
+        the TCP runtime's health shows up in the same registry (and BENCH
+        export) as the protocol metrics.
         """
         if not self.obs.enabled:
             return
@@ -661,28 +596,6 @@ class TcpNode:
             "tcp.link.auth_failures", sum(s.auth_failures for s in stats)
         )
         self.obs.set_gauge("tcp.link.duplicates", sum(s.duplicates for s in stats))
-        self.obs.set_gauge("tcp.link.heartbeats", sum(s.heartbeats for s in stats))
-        for peer, link_stats in per_peer.items():
-            self.obs.set_gauge(f"tcp.peer.{peer}.state", link_stats.state)
-
-    def _on_fd_transition(self, peer: int, old: str, new: str) -> None:
-        if self.obs.enabled:
-            self.obs.set_gauge(f"tcp.peer.{peer}.state", new)
-
-    def peer_states(self) -> Dict[int, str]:
-        """Failure-detector classification of every peer, right now.
-
-        A point-in-time snapshot for reporting.  Do not poll this to
-        *detect* state changes — register a callback with
-        ``failure_detector.on_transition`` instead (pollers race the
-        estimator and miss or double-count edges)."""
-        if self.failure_detector is None:
-            return {}
-        states = self.failure_detector.states(asyncio.get_running_loop().time())
-        if self.obs.enabled:
-            for peer, state in states.items():
-                self.obs.set_gauge(f"tcp.peer.{peer}.state", state)
-        return states
 
 
 def local_endpoints(

@@ -96,9 +96,15 @@ def validate_record(record: Mapping[str, Any]) -> None:
             raise ValueError(f"bench record field {key!r} missing or mistyped")
     if not record["name"]:
         raise ValueError("bench record has an empty name")
-    for metric, value in record["metrics"].items():
-        if not isinstance(value, (int, float)):
-            raise ValueError(f"metric {metric!r} is not numeric: {value!r}")
+    gauges = record.get("gauges", {})
+    if not isinstance(gauges, Mapping):
+        raise ValueError("bench record field 'gauges' mistyped")
+    for section, values in (("metric", record["metrics"]),
+                            ("counter", record["counters"]),
+                            ("gauge", gauges)):
+        for key, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{section} {key!r} is not numeric: {value!r}")
     for phase, summary in record["phases"].items():
         if not isinstance(summary, Mapping) or "mean" not in summary:
             raise ValueError(f"phase {phase!r} lacks a histogram summary")

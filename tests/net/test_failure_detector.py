@@ -15,7 +15,6 @@ def _fd(**kwargs):
 def test_initial_state_is_alive():
     fd = _fd()
     assert fd.states(0.0) == {1: ALIVE, 2: ALIVE, 3: ALIVE}
-    assert fd.alive(0.0) == [1, 2, 3]
 
 
 def test_alive_suspect_down_progression():
@@ -40,25 +39,14 @@ def test_touch_is_monotone():
     fd = _fd()
     fd.touch(1, 10.0)
     fd.touch(1, 4.0)  # stale event must not rewind liveness
-    assert fd.last_progress(1) == 10.0
+    assert fd.state(1, 10.5) == ALIVE
+    assert fd.state(1, 11.0) == SUSPECT
 
 
 def test_per_peer_independence():
     fd = _fd()
     fd.touch(2, 2.5)
     assert fd.states(3.0) == {1: DOWN, 2: ALIVE, 3: DOWN}
-    assert fd.alive(3.0) == [2]
-
-
-def test_next_transition_tracks_earliest_deadline():
-    fd = _fd()
-    fd.touch(1, 2.0)
-    # peers 2 and 3 (last=0) hit suspect at 1.0; from now=0.5 that's next
-    assert fd.next_transition(0.5) == pytest.approx(1.0)
-    # at 2.5: peers 2,3 are suspect (down at 3.0); peer 1 suspect at 3.0
-    assert fd.next_transition(2.5) == pytest.approx(3.0)
-    # once everything is down, there is nothing left to wait for
-    assert fd.next_transition(50.0) is None
 
 
 def test_unknown_peer_rejected():
@@ -122,7 +110,6 @@ def test_add_peer_starts_alive_and_is_idempotent():
     seen = _edges(fd)
     fd.add_peer(9, now=5.0)
     assert fd.state(9, 5.5) == ALIVE
-    fd.add_peer(9, now=50.0)  # no-op: must not rewind last-progress
-    assert fd.last_progress(9) == 5.0
+    fd.add_peer(9, now=50.0)  # no-op: must not move last progress
     assert fd.state(9, 6.5) == SUSPECT
     assert (9, ALIVE, SUSPECT) in seen

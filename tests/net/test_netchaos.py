@@ -116,10 +116,7 @@ def test_atomic_broadcast_survives_socket_chaos(fuzz_seed):
         fabric = ChaosFabric(4, plan, seed=fuzz_seed)
         await fabric.start()
         group = cached_group(4, 1)
-        nodes = fabric.make_nodes(
-            group, connect_retry_s=0.02, backoff_cap=0.3,
-            heartbeat_s=0.1, suspect_after=1.0, down_after=3.0,
-        )
+        nodes = fabric.make_nodes(group, connect_retry_s=0.02, backoff_cap=0.3)
         await asyncio.gather(*(node.start() for node in nodes))
         try:
             channels = [AtomicChannel(node.ctx, "chaos") for node in nodes]
@@ -159,10 +156,7 @@ def test_recovery_after_peer_connections_killed_midrun(fuzz_seed):
         fabric = ChaosFabric(4, SocketChaosPlan(), seed=fuzz_seed)
         await fabric.start()
         group = cached_group(4, 1)
-        nodes = fabric.make_nodes(
-            group, connect_retry_s=0.02, backoff_cap=0.3,
-            heartbeat_s=0.1,
-        )
+        nodes = fabric.make_nodes(group, connect_retry_s=0.02, backoff_cap=0.3)
         await asyncio.gather(*(node.start() for node in nodes))
         try:
             channels = [AtomicChannel(node.ctx, "kill") for node in nodes]
@@ -213,12 +207,8 @@ def test_remaining_three_deliver_after_one_peer_dies(fuzz_seed):
         fabric = ChaosFabric(4, SocketChaosPlan(), seed=fuzz_seed)
         await fabric.start()
         group = cached_group(4, 1)
-        nodes = fabric.make_nodes(
-            group, connect_retry_s=0.02, backoff_cap=0.3,
-            heartbeat_s=0.1, suspect_after=0.5, down_after=1.5,
-        )
+        nodes = fabric.make_nodes(group, connect_retry_s=0.02, backoff_cap=0.3)
         await asyncio.gather(*(node.start() for node in nodes))
-        survivors = nodes[:3]
         try:
             channels = [AtomicChannel(node.ctx, "die") for node in nodes]
             # the victim dies before contributing anything
@@ -227,21 +217,17 @@ def test_remaining_three_deliver_after_one_peer_dies(fuzz_seed):
             fabric.proxies[3].kill_connections()
 
             await _send_spaced(channels[:3], total, b"alive")
-            sequences = await asyncio.gather(
+            return await asyncio.gather(
                 *(_drain(ch, total) for ch in channels[:3])
             )
-            await asyncio.sleep(1.6)  # let the detector classify the corpse
-            states = [n.peer_states()[3] for n in survivors]
-            return sequences, states
         finally:
-            await asyncio.gather(*(node.stop() for node in survivors))
+            await asyncio.gather(*(node.stop() for node in nodes[:3]))
             await fabric.stop()
 
     try:
-        sequences, states = _run(body())
+        sequences = _run(body())
     except (AssertionError, asyncio.TimeoutError):
         print_repro(fuzz_seed)
         raise
     assert all(seq == sequences[0] for seq in sequences)
     assert sorted(sequences[0]) == sorted(b"alive-%d" % k for k in range(total))
-    assert all(state in ("suspect", "down") for state in states)

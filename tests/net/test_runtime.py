@@ -144,24 +144,3 @@ def test_api_call_outside_handler_is_scheduled():
     rt.run()
     assert any(m[3] == b"via-api" for m in protos[1].seen)
 
-
-def test_trace_records_messages(tmp_path):
-    import json
-
-    rt = SimRuntime(cached_group(), latency=lan_latency(), seed=5, trace=True)
-    protos = [Echo(ctx) for ctx in rt.contexts]
-    rt.run_on_node(0, lambda: protos[0].unicast(1, "ping", b"x"))
-    rt.run()
-    assert rt.trace and rt.trace[0][2] == "echo" and rt.trace[0][3] == "ping"
-    path = tmp_path / "trace.jsonl"
-    count = rt.dump_trace(str(path))
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == count == len(rt.trace)
-    assert lines[0]["type"] == "ping" and lines[0]["from"] == 0
-
-
-def test_trace_disabled_by_default():
-    rt = _runtime()
-    assert rt.trace is None
-    with pytest.raises(Exception):
-        rt.dump_trace("/tmp/never.jsonl")

@@ -73,6 +73,20 @@ def test_validate_rejects_malformed_records():
         export.validate_record(bad)
 
 
+def test_validate_rejects_non_numeric_gauges_and_counters(tmp_path):
+    path = tmp_path / "BENCH_x.json"
+    for section in ("gauges", "counters"):
+        for value in ("alive", True, None):
+            bad = export.make_record("x", recorder=_recorder_with_data())
+            bad[section]["tcp.peer.1.state"] = value
+            with pytest.raises(ValueError, match=r"'tcp\.peer\.1\.state' is not numeric"):
+                export.validate_record(bad)
+            # the same check guards records read back from disk
+            path.write_text(json.dumps(bad))
+            with pytest.raises(ValueError, match="BENCH_x.json"):
+                export.load_source(str(path))
+
+
 def test_load_source_names_bad_files(tmp_path):
     bad = tmp_path / "BENCH_bad.json"
     bad.write_text("{not json")

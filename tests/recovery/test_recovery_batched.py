@@ -26,10 +26,7 @@ from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
 
-NODE_KWARGS = dict(
-    connect_retry_s=0.02, backoff_cap=0.3,
-    heartbeat_s=0.1, suspect_after=1.0, down_after=3.0,
-)
+NODE_KWARGS = dict(connect_retry_s=0.02, backoff_cap=0.3)
 #: checkpoints every 4 slots + the batched channel configuration — the
 #: extra kwargs flow through RecoverableService into the atomic channel.
 SERVICE_KWARGS = dict(
