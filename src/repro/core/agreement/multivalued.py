@@ -218,7 +218,12 @@ class ArrayAgreement(Agreement):
         if mtype == MSG_ORDER_COIN:
             self._on_order_coin(sender, payload)
             return
-        if mtype != MSG_VOTE:
+        if mtype != MSG_VOTE or not (
+            isinstance(payload, tuple)
+            and len(payload) == 3
+            and isinstance(payload[0], int)
+            and payload[0] >= 0
+        ):
             return
         if self.order is None:
             # votes cannot be attributed to a candidate before the
@@ -226,8 +231,6 @@ class ArrayAgreement(Agreement):
             self._early_votes.append((sender, payload))
             return
         iteration, has, closing = payload
-        if not isinstance(iteration, int) or iteration < 0:
-            return
         votes = self._votes.setdefault(iteration, {})
         if sender in votes:
             return

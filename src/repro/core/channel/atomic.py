@@ -90,6 +90,8 @@ FROZEN = "frozen"
 Record = Tuple[int, int, int, bytes]
 #: one candidate entry: (signer, body, proof) — see ``dissemination``
 Entry = Tuple[int, Any, Any]
+#: a parsed entry: (signer, body, proof, the statement ``proof`` covers)
+Parsed = Tuple[int, Any, Any, bytes]
 
 
 @dataclass
@@ -104,6 +106,9 @@ class _Round:
     mvba: Optional[ArrayAgreement] = None
     #: the agreed batch, awaiting strictly in-order delivery
     decided: Optional[List[Entry]] = None
+    #: proposal bytes -> its parsed entries, once it fully validated; at
+    #: most ``n`` (VCBC consistency: one valid proposal per sender)
+    parsed: Dict[bytes, List[Parsed]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -454,7 +459,29 @@ class AtomicChannel(Channel):
         local delivery frontier — under pipelining that frontier differs
         between parties while a later round validates, so duplicate
         records are instead filtered deterministically at delivery time.
+
+        The agreement asks about the same few proposals many times a
+        round.  A value that fully validated keeps its parsed entries on
+        the round, so a repeat skips the codec — but never the crypto:
+        every entry's proof is verified again on every call.
         """
+        rnd = self._rounds.get(r)
+        parsed = rnd.parsed.get(value) if rnd is not None else None
+        if parsed is None:
+            parsed = self._parse_batch(r, value)
+            if parsed is None:
+                return None
+            if rnd is not None and len(rnd.parsed) < self.ctx.n:
+                rnd.parsed[value] = parsed
+        else:
+            for signer, _, proof, statement in parsed:
+                if not self._dissem.verify(signer, statement, proof):
+                    return None
+        return [(signer, body, proof) for signer, body, proof, _ in parsed]
+
+    def _parse_batch(self, r: int, value: bytes) -> Optional[List[Parsed]]:
+        """Decode ``value`` and ``check`` each entry, parse then verify,
+        stopping at the first that fails."""
         try:
             entries = decode(value)
         except EncodingError:
@@ -462,7 +489,7 @@ class AtomicChannel(Channel):
         if not isinstance(entries, list) or len(entries) != self.batch_size:
             return None
         signers: Set[int] = set()
-        out: List[Entry] = []
+        out: List[Parsed] = []
         for entry in entries:
             if not (isinstance(entry, tuple) and len(entry) == 3):
                 return None
@@ -473,10 +500,10 @@ class AtomicChannel(Channel):
                 or not 0 <= signer < self.ctx.n
             ):
                 return None
-            body = self._dissem.check(r, signer, body, proof)
-            if body is None:
+            parsed = self._dissem.parse(r, signer, body, proof)
+            if parsed is None or not self._dissem.verify(signer, parsed[1], proof):
                 return None
-            out.append((signer, body, proof))
+            out.append((signer, parsed[0], proof, parsed[1]))
             signers.add(signer)
         return out
 

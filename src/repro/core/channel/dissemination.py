@@ -4,13 +4,21 @@ The atomic channel (:mod:`repro.core.channel.atomic`) agrees, round by
 round, on ``n - f + 1`` candidate entries ``(signer, body, proof)``.  What
 a ``body`` and its ``proof`` *are* is decided here and nowhere else; the
 channel has exactly one of the two objects below, chosen once from its
-``offload`` flag, and talks to it through six calls: ``announce`` the own
-vector, ``check`` one entry (the single validity of an entry — used when
-a candidate arrives *and* by the agreement's external-validity
-predicate, so the two cannot drift apart), look the ``vector`` behind an
+``offload`` flag, and talks to it through these calls: ``announce`` the
+own vector; ``check`` one entry, the single validity of an entry — used
+when a candidate arrives *and* by the agreement's external-validity
+predicate, so the two cannot drift apart; look the ``vector`` behind an
 entry up, ``fetch`` one that is missing, ``forget`` behind a delivered
 round, and ``on_message`` for every message type that is not the
 candidate announcement itself.
+
+``check`` is two halves, also callable apart: ``parse`` is codec only
+(shape-check and normalize the body, build the statement its proof must
+cover) and ``verify`` is the one crypto call on that statement.  The
+agreement evaluates its predicate many times per round on a handful of
+distinct proposals, so the channel keeps each round's ``parse`` results
+and calls ``verify`` again on every evaluation: a signature is never
+taken on trust from an earlier verdict.
 
 :class:`Inline` is the paper's form (Sec. 2.5): the body is the vector,
 the proof its signer's RSA signature over ``(channel, round, digest)``.
@@ -84,15 +92,25 @@ class Inline:
     def check(self, r: int, signer: int, body: Any, proof: Any) -> Optional[List[Record]]:
         """The normalized vector if the entry is valid for round ``r``,
         else ``None``.  Pure: reads no channel state."""
+        parsed = self.parse(r, signer, body, proof)
+        if parsed is None or not self.verify(signer, parsed[1], proof):
+            return None
+        return parsed[0]
+
+    def parse(
+        self, r: int, signer: int, body: Any, proof: Any
+    ) -> Optional[Tuple[List[Record], bytes]]:
+        """The normalized vector and the statement its signer must have
+        signed, or ``None`` if the entry is malformed.  Codec only."""
         ch = self._ch
         vector = ch._check_vector(body)
         if vector is None or not isinstance(proof, int):
             return None
-        if not ch.ctx.crypto.verify_party(
-            signer, SIGN_DOMAIN, sign_string(ch.pid, r, vector_digest(vector)), proof
-        ):
-            return None
-        return vector
+        return vector, sign_string(ch.pid, r, vector_digest(vector))
+
+    def verify(self, signer: int, statement: bytes, proof: Any) -> bool:
+        """Whether ``proof`` is ``signer``'s signature on ``statement``."""
+        return self._ch.ctx.crypto.verify_party(signer, SIGN_DOMAIN, statement, proof)
 
     def vector(self, r: int, signer: int, body: List[Record]) -> List[Record]:
         return body
@@ -160,14 +178,23 @@ class Offloaded:
     def check(self, r: int, signer: int, body: Any, proof: Any) -> Optional[bytes]:
         """The digest if ``proof`` certifies it for ``(r, signer)``, else
         ``None``.  Pure: reads no channel state."""
+        parsed = self.parse(r, signer, body, proof)
+        if parsed is None or not self.verify(signer, parsed[1], proof):
+            return None
+        return parsed[0]
+
+    def parse(
+        self, r: int, signer: int, body: Any, proof: Any
+    ) -> Optional[Tuple[bytes, bytes]]:
+        """The digest and the availability statement its certificate must
+        cover, or ``None`` if the entry is malformed.  Codec only."""
         if not (isinstance(body, bytes) and isinstance(proof, bytes)):
             return None
-        ch = self._ch
-        if not ch.ctx.crypto.accel.sig_ok(
-            self._scheme, avail_string(ch.pid, r, signer, body), proof
-        ):
-            return None
-        return body
+        return body, avail_string(self._ch.pid, r, signer, body)
+
+    def verify(self, signer: int, statement: bytes, proof: Any) -> bool:
+        """Whether ``proof`` is an ``n - t`` certificate on ``statement``."""
+        return self._ch.ctx.crypto.accel.sig_ok(self._scheme, statement, proof)
 
     def vector(self, r: int, signer: int, body: bytes) -> Optional[List[Record]]:
         held = self._rounds.get(r)

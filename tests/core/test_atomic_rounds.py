@@ -1,6 +1,6 @@
 """The atomic channel holds what is in flight and nothing else.
 
-Three checks the one-record-per-round shape makes possible:
+Four checks the one-record-per-round shape makes possible:
 
 * **quiescence** — once everything has delivered, no round-keyed state is
   left behind (the leak regressions: ``_reserved`` kept one key per
@@ -8,11 +8,14 @@ Three checks the one-record-per-round shape makes possible:
 * **one validity** — a candidate entry is judged by the same ``check`` on
   arrival and inside the agreement's external-validity predicate, for
   both dissemination modes;
-* **wire pins** — messages, bytes, rounds, per-type counts and delivery
-  order of four closing runs in configuration cells no
-  ``benchmarks/baseline.json`` record covers, pinned to the values
-  commit ``20c3dbd`` produced (the pipelined cells re-pinned with the
-  full-vector rule, see ``test_round_rule.py``).
+* **the parse memo** — a round parses each valid proposal once, keeps at
+  most ``n`` of them, and still verifies every proof on every call;
+* **wire pins** — messages, bytes, rounds, per-type counts, delivery
+  order and modular exponentiations of four closing runs in
+  configuration cells no ``benchmarks/baseline.json`` record covers,
+  pinned to the values commit ``20c3dbd`` produced (the pipelined cells
+  re-pinned with the full-vector rule, see ``test_round_rule.py``; the
+  exponentiations taken at ``5e24813``).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 
 from repro.common.encoding import encode
 from repro.core.channel import AtomicChannel, SecureAtomicChannel
-from repro.core.channel.atomic import KIND_APP, VECTOR_LIMIT
+from repro.core.channel.atomic import KIND_APP, VECTOR_LIMIT, _Round
 from repro.core.channel.dissemination import (
     BODY_KEEP_ROUNDS,
     SIGN_DOMAIN,
@@ -32,6 +35,7 @@ from repro.core.channel.dissemination import (
     vector_digest,
 )
 from repro.crypto.dealer import fast_group
+from repro.obs import MemoryRecorder
 from tests.helpers import MockContext, no_errors, sim_runtime
 
 # -- quiescence ------------------------------------------------------------------
@@ -54,6 +58,8 @@ def _assert_nothing_left(ch):
     assert len(ch._rounds) <= ch.pipeline_depth
     assert all(rnd.mvba is None for rnd in ch._rounds.values())
     assert ch._reserved == set()
+    # a round with a parse memo ran an agreement, which decided and delivered
+    assert all(not rnd.parsed for rnd in ch._rounds.values())
 
 
 @pytest.mark.parametrize("offload", [False, True])
@@ -176,31 +182,103 @@ def test_one_validity_on_arrival_and_in_agreement(group4, offload):
     assert list(ch._rounds[ROUND].candidates) == [SIGNER]
 
 
+# -- the parse memo ------------------------------------------------------------------
+
+
+def _counted(ch):
+    """Count the channel's ``parse``/``verify`` calls, ``check``'s included."""
+    calls = {"parse": 0, "verify": 0}
+    for name in calls:
+        inner = getattr(ch._dissem, name)
+
+        def wrapped(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        setattr(ch._dissem, name, wrapped)
+    return calls
+
+
+def _memo_channel(group, offload):
+    chans = _channels(group, offload)
+    ch = chans[0]
+    ch._rounds[ROUND] = _Round()
+    companion = _entry(chans, ROUND, 0, [(0, 0, KIND_APP, b"c")])
+    return chans, ch, companion
+
+
+@pytest.mark.parametrize("offload", [False, True])
+def test_a_proposal_is_parsed_once_and_verified_every_time(group4, offload):
+    chans, ch, companion = _memo_channel(group4, offload)
+    value = encode([companion, _entry(chans, ROUND, SIGNER, VECTOR)])
+    calls = _counted(ch)
+    k = 5
+    batches = [ch._decode_batch(ROUND, value) for _ in range(k)]
+    assert batches[0] is not None and all(b == batches[0] for b in batches)
+    assert calls == {"parse": ch.batch_size, "verify": k * ch.batch_size}
+    assert list(ch._rounds[ROUND].parsed) == [value]
+
+
+@pytest.mark.parametrize("offload", [False, True])
+def test_a_memo_hit_never_answers_the_verdict(group4, offload):
+    chans, ch, companion = _memo_channel(group4, offload)
+    value = encode([companion, _entry(chans, ROUND, SIGNER, VECTOR)])
+    assert ch._decode_batch(ROUND, value) is not None
+    ch._dissem.verify = lambda signer, statement, proof: False
+    assert ch._decode_batch(ROUND, value) is None
+
+
+@pytest.mark.parametrize("offload", [False, True])
+def test_a_value_that_fails_verify_is_not_kept(group4, offload):
+    chans, ch, companion = _memo_channel(group4, offload)
+    _good, bad = _bad_entries(chans)
+    calls = _counted(ch)
+    # the entry parses at ROUND, but its proof covers ROUND + 1
+    assert ch._decode_batch(ROUND, encode([companion, bad["wrong round"]])) is None
+    assert calls == {"parse": 2, "verify": 2}
+    assert ch._rounds[ROUND].parsed == {}
+
+
+@pytest.mark.parametrize("offload", [False, True])
+def test_the_memo_holds_at_most_n_values(group4, offload):
+    chans, ch, companion = _memo_channel(group4, offload)
+    values = [
+        encode([companion, _entry(chans, ROUND, SIGNER, [(SIGNER, k, KIND_APP, b"v")])])
+        for k in range(group4.n + 2)
+    ]
+    for value in values:
+        assert ch._decode_batch(ROUND, value) is not None
+    assert list(ch._rounds[ROUND].parsed) == values[: group4.n]
+
+
 # -- wire pins ------------------------------------------------------------------------
 
 #: config -> (messages, bytes, rounds, payloads delivered before the close
-#: round, per-mtype counts on the channel's own pid, delivery-order digest),
-#: computed at commit 20c3dbd; the two ``b4-d2`` cells moved once since, when
-#: a partial vector began to wait for the lowest round (one round fewer each:
-#: 656 / 450380 / 4 rounds offloaded, 528 / 359932 / 4 inline before)
+#: round, per-mtype counts on the channel's own pid, delivery-order digest,
+#: modular exponentiations), computed at commit 20c3dbd; the two ``b4-d2``
+#: cells moved once since, when a partial vector began to wait for the
+#: lowest round (one round fewer each: 656 / 450380 / 4 rounds offloaded,
+#: 528 / 359932 / 4 inline before).  The exponentiations, taken at
+#: ``5e24813``, pin every proof verification of the validity predicate:
+#: a memo that answered a verdict would lower them.
 WIRE_PINS = [
     (
         dict(max_batch=4, pipeline_depth=2, offload=True),
-        (624, 428252, 3, 14, {"avail": 64, "body": 64, "queue": 64}, "c980363d3c6d0c73"),
+        (624, 428252, 3, 14, {"avail": 64, "body": 64, "queue": 64}, "c980363d3c6d0c73", 2604),
     ),
     (
         dict(max_batch=4, pipeline_depth=2),
-        (496, 367468, 3, 14, {"queue": 64}, "3818c77d55638ad9"),
+        (496, 367468, 3, 14, {"queue": 64}, "3818c77d55638ad9", 1500),
     ),
     (
         dict(),
-        (1280, 724663, 10, 18, {"queue": 160}, "0b8dd6474036b30a"),
+        (1280, 724663, 10, 18, {"queue": 160}, "0b8dd6474036b30a", 4040),
     ),
     # the paper's one record per signer, pipelined: a vector of one is
     # always full, so the rule is a no-op (values of commit 27fba93)
     (
         dict(max_batch=1, pipeline_depth=4),
-        (1072, 590011, 8, 14, {"queue": 176}, "306fcbd0896248df"),
+        (1072, 590011, 8, 14, {"queue": 176}, "306fcbd0896248df", 3256),
     ),
 ]
 
@@ -215,8 +293,10 @@ def default_group4():
 )
 def test_wire_is_pinned_where_no_baseline_record_looks(default_group4, kwargs, pinned):
     """24 payloads from four senders and an immediate close: the close
-    round cuts the run short with rounds still in flight."""
-    rt = sim_runtime(default_group4, seed=20)
+    round cuts the run short with rounds still in flight.  The recorder
+    counts the run's exponentiations; it does not perturb the run."""
+    rec = MemoryRecorder()
+    rt = sim_runtime(default_group4, seed=20, recorder=rec)
     chans = [AtomicChannel(rt.contexts[i], "pin", **kwargs) for i in range(4)]
     for k in range(6):
         for s in range(4):
@@ -240,4 +320,5 @@ def test_wire_is_pinned_where_no_baseline_record_looks(default_group4, kwargs, p
         len(orders[0]),
         by_type,
         hashlib.sha256(encode(orders[0])).hexdigest()[:16],
+        rec.counters["crypto.modexp"],
     ) == pinned

@@ -6,10 +6,17 @@ import pytest
 from repro.common.encoding import decode, encode
 from repro.common.errors import ProtocolError
 from repro.core.agreement import ArrayAgreement
-from repro.core.agreement.multivalued import ORDER_FIXED, ORDER_RANDOM, candidate_order
+from repro.core.agreement.multivalued import (
+    MSG_ORDER_COIN,
+    MSG_VOTE,
+    ORDER_COIN,
+    ORDER_FIXED,
+    ORDER_RANDOM,
+    candidate_order,
+)
 from repro.net.faults import CrashFault, FaultPlan, TargetedDelayAdversary
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import MockContext, no_errors, sim_runtime
 
 
 def _mvbas(rt, pid="mv", parties=None, **kwargs):
@@ -191,3 +198,18 @@ def test_permutation_from_seed_deterministic():
     assert a == permutation_from_seed(b"seed", 7)
     assert sorted(a) == list(range(7))
     assert a != permutation_from_seed(b"other", 7) or True
+
+
+def test_malformed_vote_does_not_cut_the_coin_order_replay_short(group4):
+    """Votes that arrive before the ordering coin are replayed once it
+    assembles; a faulty party's junk vote among them is ignored, and the
+    honest votes buffered behind it still count."""
+    mvba = ArrayAgreement(MockContext(group4, 0), "junk", order=ORDER_COIN)
+    mvba.on_message(1, MSG_VOTE, (0, False, None, b"junk"))
+    mvba.on_message(2, MSG_VOTE, (0, False, None))
+    mvba.on_message(3, MSG_VOTE, (0, False, None))
+    name = mvba._order_coin_name()
+    for i in range(group4.n):
+        mvba.on_message(i, MSG_ORDER_COIN, group4.party(i).coin_holder.release(name))
+    assert mvba.order is not None
+    assert mvba._votes[0] == {2: False, 3: False}
