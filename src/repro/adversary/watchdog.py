@@ -269,11 +269,7 @@ class LivenessWatchdog:
         parties = sorted({s.party for s in self.sentinels})
         if parties:
             self.detector = FailureDetector(
-                parties,
-                suspect_after=self.deadline / 2.0,
-                down_after=self.deadline,
-                now=now,
-                recorder=self.obs,
+                parties, self.deadline, now=now, recorder=self.obs
             )
         if self.detector is not None:
             self.detector.on_transition(self._on_fd_transition)

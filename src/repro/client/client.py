@@ -212,8 +212,7 @@ class SintraClient:
     # -- replies ---------------------------------------------------------------------
 
     def on_reply(self, replica: int, seq: int, status: int,
-                 result: bytes, epoch: int = 0,
-                 roster_digest: bytes = b"") -> None:
+                 result: bytes, epoch: int, roster_digest: bytes) -> None:
         """Feed one reply from ``replica`` (transport-authenticated id)."""
         self._note_membership(replica, epoch, roster_digest)
         request = self._pending.get(seq)

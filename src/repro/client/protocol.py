@@ -142,22 +142,17 @@ def check_reply_frame(fields: Any) -> Optional[Tuple[int, int, bytes, int, bytes
     Replies advertise the replica's membership view as a trailing
     ``(epoch, roster_digest)`` pair so a client can notice — from any
     single honest replica — that the group has reconfigured and refresh
-    its contact set (:meth:`repro.client.client.SintraClient`).  The
-    pre-membership 4-field frame is still accepted and reads as the
-    static view ``(0, b"")``.
+    its contact set (:meth:`repro.client.client.SintraClient`).  Every
+    replica sends this one shape.
     """
-    if not (isinstance(fields, tuple) and len(fields) in (4, 6)
+    if not (isinstance(fields, tuple) and len(fields) == 6
             and fields[0] == MSG_REPLY):
         return None
-    _kind, seq, status, result = fields[:4]
+    _kind, seq, status, result, epoch, digest = fields
     if not (isinstance(seq, int) and seq >= 0
             and status in (STATUS_OK, STATUS_OVERLOADED)
-            and isinstance(result, bytes)):
+            and isinstance(result, bytes)
+            and isinstance(epoch, int) and epoch >= 0
+            and isinstance(digest, bytes)):
         return None
-    epoch, digest = 0, b""
-    if len(fields) == 6:
-        epoch, digest = fields[4], fields[5]
-        if not (isinstance(epoch, int) and epoch >= 0
-                and isinstance(digest, bytes)):
-            return None
     return seq, status, result, epoch, digest

@@ -146,7 +146,7 @@ class SimClientLink:
 
     def _register_on(self, replica: int, server: RequestServer) -> None:
         def send_reply(seq: int, status: int, result: bytes,
-                       epoch: int = 0, digest: bytes = b"",
+                       epoch: int, digest: bytes,
                        _replica: int = replica) -> None:
             self.net._deliver_reply(self, _replica, seq, status, result,
                                     epoch, digest)

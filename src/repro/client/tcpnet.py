@@ -10,9 +10,8 @@ the same length-prefixed canonical encoding the mesh uses:
   on that replica (latest connection wins);
 * ``("crq", client_id, seq, command)`` — a request;
 * ``("crp", seq, status, result, epoch, roster_digest)`` — a pushed
-  reply, trailing the replica's membership view (clients of static
-  pre-membership replicas still parse: the 4-field form reads as epoch
-  0 — see :func:`repro.client.protocol.check_reply_frame`).
+  reply, trailing the replica's membership view (see
+  :func:`repro.client.protocol.check_reply_frame`).
 
 Clients are deliberately **unauthenticated** (the paper's clients hold no
 group keys): a replica will execute any well-formed request, and a client
@@ -96,7 +95,7 @@ class TcpRequestListener:
             client_id = hello[1]
 
             def send_reply(seq: int, status: int, result: bytes,
-                           epoch: int = 0, digest: bytes = b"") -> None:
+                           epoch: int, digest: bytes) -> None:
                 try:
                     write_frame(writer, encode(
                         (MSG_REPLY, seq, status, result, epoch, digest)))

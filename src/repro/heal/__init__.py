@@ -6,7 +6,14 @@ equivocation at the router tap) is fused into per-replica suspicion
 scores, a guardrailed planner chooses typed repair actions, and the
 orchestrator executes them through epoch reconfiguration — refresh,
 drain-and-replace, restart, quarantine — with retries, timeouts and
-rollback.  See docs/SELFHEALING.md.
+rollback.
+
+The loop runs one policy, stated as module constants where it is used:
+the evidence weights and half-life in :mod:`repro.heal.evidence`, the
+thresholds, refresh cadence and cooldown in :mod:`repro.heal.planner`,
+the tick, timeouts and retry backoff in :mod:`repro.heal.orchestrator`.
+The silence threshold is four deadlines of the orchestrator's watchdog.
+See docs/SELFHEALING.md.
 """
 
 from repro.heal.evidence import (
@@ -24,14 +31,12 @@ from repro.heal.evidence import (
 )
 from repro.heal.orchestrator import (
     HealOrchestrator,
-    OrchestratorConfig,
     ServiceFactory,
 )
 from repro.heal.planner import (
     Action,
     DrainAndReplace,
     GroupView,
-    PlannerConfig,
     Quarantine,
     RecoveryPlanner,
     RefreshShares,
@@ -60,11 +65,9 @@ __all__ = [
     "DrainAndReplace",
     "RestartReplica",
     "Quarantine",
-    "PlannerConfig",
     "GroupView",
     "RecoveryPlanner",
     "HealOrchestrator",
-    "OrchestratorConfig",
     "ServiceFactory",
     "CounterMachine",
     "HealScenario",

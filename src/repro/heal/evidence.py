@@ -9,9 +9,9 @@ candidate for surgery.  This module turns the heterogeneous evidence
 streams into one comparable quantity per replica:
 
 * :class:`Evidence` — a typed observation (``kind``, accused ``party``,
-  timestamp, weight);
+  timestamp), weighted by its kind alone (:data:`WEIGHTS`);
 * :class:`SuspicionScorer` — fuses evidence into a per-replica score
-  with exponential half-life decay, so one flaky link fades away while
+  with exponential :data:`HALF_LIFE` decay, so one flaky link fades away while
   sustained Byzantine behaviour accumulates past the planner's
   thresholds.  Byzantine evidence (equivocation, bad shares, rejected
   certificates) is tracked separately from liveness evidence (failure
@@ -31,7 +31,7 @@ streams into one comparable quantity per replica:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.recorder import NULL as NULL_RECORDER
@@ -49,11 +49,12 @@ EV_EQUIVOCATION = "equivocation"
 #: protocol violations) rather than mere unresponsiveness.
 BYZANTINE_KINDS = frozenset({EV_BAD_SHARE, EV_BAD_CERT, EV_EQUIVOCATION})
 
-#: default weight per observation, by kind.  Equivocation is close to a
-#: cryptographic proof of compromise and lands above any sane replace
-#: threshold in two observations; failure-detector suspicion is cheap
-#: noise that needs corroboration or persistence.
-DEFAULT_WEIGHTS: Dict[str, float] = {
+#: weight per observation, by kind; a kind not listed here is refused.
+#: Equivocation is close to a cryptographic proof of compromise and
+#: lands above any sane replace threshold in two observations;
+#: failure-detector suspicion is cheap noise that needs corroboration or
+#: persistence.
+WEIGHTS: Dict[str, float] = {
     EV_FD_SUSPECT: 1.0,
     EV_FD_DOWN: 3.0,
     EV_STALL: 2.0,
@@ -63,6 +64,9 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
     EV_EQUIVOCATION: 6.0,
 }
 
+#: seconds after which an observation counts half
+HALF_LIFE = 60.0
+
 
 @dataclass(frozen=True)
 class Evidence:
@@ -71,11 +75,11 @@ class Evidence:
     kind: str
     party: int
     at: float
-    weight: float = 0.0
     detail: str = ""
 
-    def effective_weight(self) -> float:
-        return self.weight if self.weight > 0 else DEFAULT_WEIGHTS.get(self.kind, 1.0)
+    def __post_init__(self) -> None:
+        if self.kind not in WEIGHTS:
+            raise ValueError(f"unknown evidence kind {self.kind!r}")
 
     @property
     def byzantine(self) -> bool:
@@ -85,7 +89,7 @@ class Evidence:
 class SuspicionScorer:
     """Per-replica health scoring with exponential half-life decay.
 
-    Each piece of evidence contributes ``weight * 0.5 ** (age / half_life)``
+    Each piece of evidence contributes ``WEIGHTS[kind] * 0.5 ** (age / HALF_LIFE)``
     to its party's score at query time — an isolated failure-detector
     blip decays to irrelevance within a few half-lives, while a replica
     under active intrusion keeps its score pinned above threshold.
@@ -93,21 +97,12 @@ class SuspicionScorer:
     (replaced, restarted) so the successor starts with a clean slate.
     """
 
-    def __init__(
-        self,
-        half_life: float = 30.0,
-        recorder: Optional[Recorder] = None,
-    ):
-        if half_life <= 0:
-            raise ValueError("scorer half_life must be positive")
-        self.half_life = half_life
+    def __init__(self, recorder: Optional[Recorder] = None):
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self._evidence: Dict[int, List[Evidence]] = {}
-        self.total_observations = 0
 
     def add(self, evidence: Evidence) -> None:
         self._evidence.setdefault(evidence.party, []).append(evidence)
-        self.total_observations += 1
         if self.obs.enabled:
             self.obs.count(f"heal.evidence.{evidence.kind}")
 
@@ -116,7 +111,7 @@ class SuspicionScorer:
 
     def _decayed(self, evidence: Evidence, now: float) -> float:
         age = max(0.0, now - evidence.at)
-        return evidence.effective_weight() * 0.5 ** (age / self.half_life)
+        return WEIGHTS[evidence.kind] * 0.5 ** (age / HALF_LIFE)
 
     def score(self, party: int, now: float) -> float:
         return sum(self._decayed(e, now) for e in self._evidence.get(party, []))
@@ -211,21 +206,18 @@ class EquivocationMonitor:
         #: key -> digest -> observer parties that saw it
         self._seen: Dict[Tuple[int, str, str, int], Dict[str, Set[int]]] = {}
         self._flagged: Set[Tuple[int, str, str, int]] = set()
-        self.last_seen: Dict[int, float] = {}
         #: observer -> sender -> last time the observer heard the sender
         self._heard: Dict[int, Dict[int, float]] = {}
         self.equivocations = 0
 
-    def install(self, runtime: Any, parties: Optional[List[int]] = None) -> None:
-        """Register one observer per router (all routers by default)."""
-        targets = parties if parties is not None else list(range(len(runtime.routers)))
+    def install(self, runtime: Any) -> None:
+        """Register one observer on every router."""
+        parties = range(len(runtime.routers))
         now = self.clock()
-        for i in targets:
+        for i in parties:
             runtime.routers[i].observers.append(self.observer_for(i))
-        for i in targets:
-            self.last_seen.setdefault(i, now)
             inbox = self._heard.setdefault(i, {})
-            for j in targets:
+            for j in parties:
                 if j != i:
                     inbox.setdefault(j, now)
 
@@ -239,9 +231,6 @@ class EquivocationMonitor:
         self, observer: int, sender: int, pid: str, mtype: str, payload: Any
     ) -> None:
         now = self.clock()
-        prev = self.last_seen.get(sender)
-        if prev is None or now > prev:
-            self.last_seen[sender] = now
         if sender != observer:
             inbox = self._heard.setdefault(observer, {})
             if now > inbox.get(sender, -1.0):
@@ -292,7 +281,6 @@ class EquivocationMonitor:
     def forget(self, party: int) -> None:
         """Reset a party's activity clocks (evicted/replaced slot)."""
         now = self.clock()
-        self.last_seen[party] = now
         for inbox in self._heard.values():
             if party in inbox:
                 inbox[party] = now
@@ -314,5 +302,6 @@ __all__ = [
     "EV_BAD_CERT",
     "EV_EQUIVOCATION",
     "BYZANTINE_KINDS",
-    "DEFAULT_WEIGHTS",
+    "WEIGHTS",
+    "HALF_LIFE",
 ]

@@ -63,12 +63,14 @@ from repro.heal.evidence import (
     SuspicionScorer,
 )
 from repro.heal.planner import (
+    REPLACE_THRESHOLD,
+    RESTART_THRESHOLD,
+    SLOT_COOLDOWN,
     Action,
     DrainAndReplace,
     GroupView,
     Quarantine,
     RecoveryPlanner,
-    RefreshShares,
     RestartReplica,
 )
 from repro.net.failure_detector import DOWN, SUSPECT
@@ -91,31 +93,17 @@ ROLLED_BACK = "rolled-back"
 #: intrusion may survive it, which is what escalation is for).
 ServiceFactory = Callable[[int, str, int, str], RecoverableService]
 
-
-class OrchestratorConfig:
-    """Execution knobs: tick cadence, timeouts, backoff (docs/SELFHEALING.md)."""
-
-    def __init__(
-        self,
-        tick_interval: float = 5.0,
-        commit_timeout: float = 120.0,
-        onboard_timeout: float = 600.0,
-        retry_base: float = 2.0,
-        retry_cap: float = 60.0,
-        max_retries: int = 8,
-        silence_after: Optional[float] = None,
-    ):
-        if tick_interval <= 0:
-            raise ConfigError("tick_interval must be positive")
-        if retry_base <= 0 or retry_cap < retry_base:
-            raise ConfigError("need 0 < retry_base <= retry_cap")
-        self.tick_interval = tick_interval
-        self.commit_timeout = commit_timeout
-        self.onboard_timeout = onboard_timeout
-        self.retry_base = retry_base
-        self.retry_cap = retry_cap
-        self.max_retries = max_retries
-        self.silence_after = silence_after
+#: control-loop cadence, in seconds
+TICK_INTERVAL = 5.0
+#: submitted -> committed deadline; expiry rolls the execution back
+COMMIT_TIMEOUT = 200.0
+#: state-transfer deadline for a restarted or replacement replica
+ONBOARD_TIMEOUT = 600.0
+#: a refused submission is retried after ``RETRY_BASE * 2 ** k`` seconds,
+#: at most ``RETRY_CAP``, and abandoned after ``MAX_RETRIES`` retries
+RETRY_BASE = 2.0
+RETRY_CAP = 30.0
+MAX_RETRIES = 8
 
 
 class _Execution:
@@ -145,13 +133,9 @@ class HealOrchestrator:
         runtime: Any,
         services: Dict[int, Optional[RecoverableService]],
         *,
-        scorer: Optional[SuspicionScorer] = None,
-        planner: Optional[RecoveryPlanner] = None,
         watchdog: Optional[LivenessWatchdog] = None,
-        monitor: Optional[EquivocationMonitor] = None,
         spares: Optional[List[str]] = None,
         service_factory: Optional[ServiceFactory] = None,
-        config: Optional[OrchestratorConfig] = None,
         recorder: Optional[Recorder] = None,
     ):
         if watchdog is not None and watchdog.raise_on_stall:
@@ -162,13 +146,14 @@ class HealOrchestrator:
         self.runtime = runtime
         self.services = services
         self.obs = recorder if recorder is not None else NULL_RECORDER
-        self.scorer = scorer if scorer is not None else SuspicionScorer(recorder=self.obs)
-        self.planner = planner if planner is not None else RecoveryPlanner(recorder=self.obs)
+        self.scorer = SuspicionScorer(recorder=self.obs)
+        self.planner = RecoveryPlanner(recorder=self.obs)
+        self.monitor = EquivocationMonitor(
+            self.ingest, lambda: runtime.now, recorder=self.obs
+        )
         self.watchdog = watchdog
-        self.monitor = monitor
         self.spares: List[str] = list(spares or [])
         self.service_factory = service_factory
-        self.config = config or OrchestratorConfig()
         self.active = False
         self.ticks = 0
         self.stats: Dict[str, int] = {
@@ -200,8 +185,7 @@ class HealOrchestrator:
         if self.watchdog is not None:
             self.watchdog.stall_listeners.append(self._on_stall)
             self.watchdog.transition_listeners.append(self._on_fd_transition)
-        if self.monitor is not None:
-            self.monitor.install(self.runtime)
+        self.monitor.install(self.runtime)
         self._last_refresh = self.runtime.now
         return self
 
@@ -261,10 +245,13 @@ class HealOrchestrator:
             self._err_seen[i] = len(errors)
 
     def _check_silence(self) -> None:
-        if self.monitor is None or self.config.silence_after is None:
+        # A sender is accused once it starved an otherwise fresh observer
+        # for four watchdog deadlines: a few multiples of the deadline, so
+        # ordinary scheduling jitter never reads as muting.
+        if self.watchdog is None:
             return
         now = self.runtime.now
-        for party in self.monitor.silent_parties(now, self.config.silence_after):
+        for party in self.monitor.silent_parties(now, 4.0 * self.watchdog.deadline):
             if party in self.services and self.services[party] is not None:
                 self.ingest(Evidence(EV_SILENCE, party, now))
 
@@ -306,7 +293,7 @@ class HealOrchestrator:
         self.active = False
 
     def _schedule_tick(self) -> None:
-        self.runtime.sim.schedule(self.config.tick_interval, self._tick)
+        self.runtime.sim.schedule(TICK_INTERVAL, self._tick)
 
     def _tick(self) -> None:
         if not self.active:
@@ -335,12 +322,10 @@ class HealOrchestrator:
         byzantine = {
             slot: self.scorer.byzantine_score(slot, now) for slot in self.services
         }
-        replace_at = self.planner.config.replace_threshold
-        restart_at = self.planner.config.restart_threshold
         healthy = {
             slot
             for slot in live
-            if byzantine[slot] < replace_at and scores[slot] < restart_at
+            if byzantine[slot] < REPLACE_THRESHOLD and scores[slot] < RESTART_THRESHOLD
         }
         t = 0
         vacancies = 0
@@ -467,21 +452,18 @@ class HealOrchestrator:
             self.obs.count("heal.submitted")
         token = exec_.submit_token
         self.runtime.sim.schedule(
-            self.config.commit_timeout, self._commit_timeout, exec_, token
+            COMMIT_TIMEOUT, self._commit_timeout, exec_, token
         )
 
     def _retry(self, exec_: _Execution, why: str) -> None:
         exec_.attempts += 1
-        if exec_.attempts > self.config.max_retries:
+        if exec_.attempts > MAX_RETRIES:
             self._abort(exec_, f"retries exhausted: {why}")
             return
         self.stats["retries"] += 1
         if self.obs.enabled:
             self.obs.count("heal.retry")
-        delay = min(
-            self.config.retry_cap,
-            self.config.retry_base * 2.0 ** (exec_.attempts - 1),
-        )
+        delay = min(RETRY_CAP, RETRY_BASE * 2.0 ** (exec_.attempts - 1))
         self.runtime.sim.schedule(delay, self._submit, exec_)
 
     def _commit_timeout(self, exec_: _Execution, token: int) -> None:
@@ -529,7 +511,7 @@ class HealOrchestrator:
 
         self.runtime.spawn(waiter())
         self.runtime.sim.schedule(
-            self.config.onboard_timeout, self._onboard_timeout, exec_
+            ONBOARD_TIMEOUT, self._onboard_timeout, exec_
         )
 
     def _onboard_done(self, exec_: _Execution, slot: int) -> None:
@@ -541,8 +523,7 @@ class HealOrchestrator:
         self._fenced.discard(slot)
         self._hook_service(slot, successor)
         self.scorer.clear(slot)
-        if self.monitor is not None:
-            self.monitor.forget(slot)
+        self.monitor.forget(slot)
         if self.watchdog is not None:
             self.watchdog.watch(sentinel_for(f"svc[{slot}]", slot, successor))
         if isinstance(exec_.action, RestartReplica):
@@ -617,7 +598,7 @@ class HealOrchestrator:
             )
         slot = self._slot_of(exec_.action)
         if slot is not None:
-            self._cooldowns[slot] = self.runtime.now + self.planner.config.slot_cooldown
+            self._cooldowns[slot] = self.runtime.now + SLOT_COOLDOWN
         if self.obs.enabled:
             self.obs.count("heal.rollback")
             self.obs.phase_end(self._scope(exec_.action))
@@ -641,7 +622,7 @@ class HealOrchestrator:
         self._return_spare(exec_)
         slot = self._slot_of(exec_.action)
         if slot is not None:
-            self._cooldowns[slot] = self.runtime.now + self.planner.config.slot_cooldown
+            self._cooldowns[slot] = self.runtime.now + SLOT_COOLDOWN
         if self.obs.enabled:
             self.obs.count("heal.abort")
             self.obs.phase_end(self._scope(exec_.action))
@@ -682,8 +663,13 @@ class HealOrchestrator:
 
 __all__ = [
     "HealOrchestrator",
-    "OrchestratorConfig",
     "ServiceFactory",
+    "TICK_INTERVAL",
+    "COMMIT_TIMEOUT",
+    "ONBOARD_TIMEOUT",
+    "RETRY_BASE",
+    "RETRY_CAP",
+    "MAX_RETRIES",
     "PENDING",
     "SUBMITTED",
     "COMMITTED",

@@ -14,7 +14,7 @@ rollback).  Actions, strongest first:
   re-onboard it by certified state transfer; chosen for sustained
   *liveness* evidence with no Byzantine proof;
 * :class:`RefreshShares` — rotate shares without touching the roster;
-  scheduled proactively every ``refresh_interval`` seconds regardless
+  scheduled proactively every :data:`REFRESH_INTERVAL` seconds regardless
   of suspicion, and reactively as the fallback when surgery is vetoed.
 
 Guardrails (each veto is counted, never silent):
@@ -67,27 +67,20 @@ class Quarantine:
 
 Action = Union[RefreshShares, DrainAndReplace, RestartReplica, Quarantine]
 
-
-@dataclass
-class PlannerConfig:
-    """Tuning knobs (see docs/SELFHEALING.md for guidance).
-
-    ``replace_threshold`` applies to the *Byzantine* component of a
-    replica's score; ``restart_threshold`` to the total score of a
-    replica with no Byzantine evidence.  ``refresh_interval`` is the
-    proactive cadence R; ``None`` disables proactive refresh.
-    """
-
-    replace_threshold: float = 5.0
-    restart_threshold: float = 6.0
-    refresh_interval: Optional[float] = 300.0
-    #: refractory period after a failed/vetoed action on the same slot,
-    #: so the planner does not re-propose surgery every tick.
-    slot_cooldown: float = 60.0
-    #: escalate to replacement once a slot has been restarted this many
-    #: times and crosses threshold again — restarting did not cure it,
-    #: so treat the box as compromised rather than merely crashed.
-    escalate_after: int = 1
+#: Byzantine score (equivocation, bad shares, rejected certificates)
+#: that forces eviction
+REPLACE_THRESHOLD = 5.0
+#: total score that forces a restart of a replica with no Byzantine
+#: evidence
+RESTART_THRESHOLD = 10.0
+#: proactive share-refresh cadence R, in seconds
+REFRESH_INTERVAL = 600.0
+#: refractory period after a failed action on a slot, so the planner does
+#: not re-propose surgery every tick
+SLOT_COOLDOWN = 60.0
+#: restarts after which a slot that crosses threshold again is replaced:
+#: restarting did not cure it, so the box is compromised, not crashed
+ESCALATE_AFTER = 1
 
 
 @dataclass
@@ -126,12 +119,7 @@ class GroupView:
 class RecoveryPlanner:
     """Pure decision logic: :meth:`plan` maps a view to at most one action."""
 
-    def __init__(
-        self,
-        config: Optional[PlannerConfig] = None,
-        recorder: Optional[Recorder] = None,
-    ):
-        self.config = config or PlannerConfig()
+    def __init__(self, recorder: Optional[Recorder] = None):
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.vetoes = 0
         self.fallbacks = 0
@@ -168,9 +156,9 @@ class RecoveryPlanner:
                 continue
             byz = view.byzantine.get(slot, 0.0)
             total = view.scores.get(slot, 0.0)
-            if byz >= self.config.replace_threshold:
+            if byz >= REPLACE_THRESHOLD:
                 over.append((byz + total, slot))
-            elif total >= self.config.restart_threshold:
+            elif total >= RESTART_THRESHOLD:
                 over.append((total, slot))
         return [slot for _rank, slot in sorted(over, reverse=True)]
 
@@ -180,10 +168,10 @@ class RecoveryPlanner:
             return None  # guardrail 1: one epoch change at a time
         for slot in self._suspects(view):
             byzantine = (
-                view.byzantine.get(slot, 0.0) >= self.config.replace_threshold
+                view.byzantine.get(slot, 0.0) >= REPLACE_THRESHOLD
                 # a restart that did not cure the slot means the fault
                 # survives process recycling — surgical path from here on
-                or view.restarts.get(slot, 0) >= self.config.escalate_after
+                or view.restarts.get(slot, 0) >= ESCALATE_AFTER
             )
             if not self._fence_allowed(view, slot):
                 self._veto(view, slot, "quorum")
@@ -225,8 +213,7 @@ class RecoveryPlanner:
                 if self.obs.enabled:
                     self.obs.count("heal.plan.replace")
                 return DrainAndReplace(slot=slot)
-        interval = self.config.refresh_interval
-        if interval is not None and view.now - view.last_refresh >= interval:
+        if view.now - view.last_refresh >= REFRESH_INTERVAL:
             if self.obs.enabled:
                 self.obs.count("heal.plan.refresh")
             return RefreshShares()
@@ -239,7 +226,11 @@ __all__ = [
     "DrainAndReplace",
     "RestartReplica",
     "Quarantine",
-    "PlannerConfig",
     "GroupView",
     "RecoveryPlanner",
+    "REPLACE_THRESHOLD",
+    "RESTART_THRESHOLD",
+    "REFRESH_INTERVAL",
+    "SLOT_COOLDOWN",
+    "ESCALATE_AFTER",
 ]

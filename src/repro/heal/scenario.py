@@ -36,9 +36,7 @@ from repro.app.replication import StateMachine
 from repro.common.errors import ReproError
 from repro.core.party import make_parties
 from repro.crypto.dealer import GroupConfig
-from repro.heal.evidence import EquivocationMonitor, SuspicionScorer
-from repro.heal.orchestrator import HealOrchestrator, OrchestratorConfig
-from repro.heal.planner import PlannerConfig, RecoveryPlanner
+from repro.heal.orchestrator import HealOrchestrator
 from repro.membership.epoch import EpochKeychain
 from repro.membership.service import Membership
 from repro.net.runtime import SimRuntime
@@ -190,7 +188,6 @@ class HealScenario(Scenario):
         watchdog = LivenessWatchdog(
             deadline=deadline, recorder=obs, raise_on_stall=False
         )
-        scorer = SuspicionScorer(half_life=60.0, recorder=obs)
         spawned = 0
 
         def factory(
@@ -213,32 +210,10 @@ class HealScenario(Scenario):
         orchestrator = HealOrchestrator(
             runtime,
             services,
-            scorer=scorer,
-            planner=RecoveryPlanner(
-                PlannerConfig(
-                    replace_threshold=5.0,
-                    restart_threshold=10.0,
-                    refresh_interval=600.0,
-                ),
-                recorder=obs,
-            ),
             watchdog=watchdog,
             spares=[f"spare-{i}" for i in range(t)],
             service_factory=factory,
-            config=OrchestratorConfig(
-                tick_interval=5.0,
-                commit_timeout=200.0,
-                onboard_timeout=600.0,
-                retry_base=2.0,
-                retry_cap=30.0,
-                silence_after=4.0 * deadline,
-            ),
             recorder=obs,
-        )
-        # the monitor's sink is the orchestrator, so it is built second and
-        # slotted in before attach() installs the router taps
-        orchestrator.monitor = EquivocationMonitor(
-            orchestrator.ingest, lambda: runtime.now, recorder=obs
         )
         orchestrator.attach()
         orchestrator.watch_services()
@@ -334,7 +309,7 @@ class HealScenario(Scenario):
                 roster = post[0].membership.roster if post else None
                 facts.update(
                     detected=all(
-                        scorer.score(v, runtime.now) > 0
+                        orchestrator.scorer.score(v, runtime.now) > 0
                         or any(h["slot"] == v for h in orchestrator.heals)
                         for v in intruders
                     ),

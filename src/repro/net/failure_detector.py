@@ -11,13 +11,13 @@ or ``down``.  Its one owner is
 transitions become :mod:`repro.heal`'s ``fd-suspect`` / ``fd-down``
 evidence.
 
-The estimator is deliberately crude (fixed timeouts, no adaptive RTT
-estimation a la Chen/Toueg): under asynchrony any detector is unreliable,
-and nothing in the protocol stack trusts it.
+The estimator is deliberately crude (timeouts fixed by the watchdog's
+deadline, no adaptive RTT estimation a la Chen/Toueg): under asynchrony
+any detector is unreliable, and nothing in the protocol stack trusts it.
 
 State machine (ages are ``now - last progress``)::
 
-    ALIVE --(age >= suspect_after)--> SUSPECT --(age >= down_after)--> DOWN
+    ALIVE --(age >= deadline / 2)--> SUSPECT --(age >= deadline)--> DOWN
       ^                                  |                              |
       +-------- progress event ----------+------------------------------+
 
@@ -42,8 +42,9 @@ DOWN = "down"
 class FailureDetector:
     """Progress-driven ``alive / suspect / down`` classification.
 
-    ``suspect_after`` and ``down_after`` are seconds of silence; the clock
-    is whatever the caller passes as ``now`` (the runtime clock under the
+    A peer is suspected after half of ``deadline`` seconds without
+    progress and marked down after the full ``deadline``; the clock is
+    whatever the caller passes as ``now`` (the runtime clock under the
     watchdog, a synthetic float in tests).
 
     When a ``recorder`` is given, suspicion *transitions* are surfaced as
@@ -65,15 +66,13 @@ class FailureDetector:
     def __init__(
         self,
         peers: Iterable[int],
-        suspect_after: float = 2.0,
-        down_after: float = 6.0,
+        deadline: float,
         now: float = 0.0,
         recorder: Optional[Recorder] = None,
     ):
-        if suspect_after <= 0 or down_after <= suspect_after:
-            raise ConfigError("need 0 < suspect_after < down_after")
-        self.suspect_after = suspect_after
-        self.down_after = down_after
+        if deadline <= 0:
+            raise ConfigError("the failure detector needs a positive deadline")
+        self.deadline = deadline
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self._last: Dict[int, float] = {peer: now for peer in peers}
         self._noted: Dict[int, str] = {peer: ALIVE for peer in self._last}
@@ -108,9 +107,9 @@ class FailureDetector:
 
     def state(self, peer: int, now: float) -> str:
         age = now - self._last[peer]
-        if age >= self.down_after:
+        if age >= self.deadline:
             state = DOWN
-        elif age >= self.suspect_after:
+        elif age >= self.deadline / 2.0:
             state = SUSPECT
         else:
             state = ALIVE

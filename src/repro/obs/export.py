@@ -16,6 +16,7 @@ wall-clock fields are informational and never gated (see
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from typing import Any, Dict, Mapping, Optional
@@ -105,6 +106,8 @@ def validate_record(record: Mapping[str, Any]) -> None:
         for key, value in values.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{section} {key!r} is not numeric: {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{section} {key!r} is not finite: {value!r}")
     for phase, summary in record["phases"].items():
         if not isinstance(summary, Mapping) or "mean" not in summary:
             raise ValueError(f"phase {phase!r} lacks a histogram summary")

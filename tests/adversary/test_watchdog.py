@@ -189,9 +189,7 @@ def test_violation_message_carries_stall_and_suspects():
 
 def test_fd_transition_counters():
     recorder = MemoryRecorder()
-    fd = FailureDetector(
-        [0, 1], suspect_after=1.0, down_after=3.0, now=0.0, recorder=recorder
-    )
+    fd = FailureDetector([0, 1], deadline=3.0, now=0.0, recorder=recorder)
     assert fd.state(0, 0.5) == "alive"
     assert fd.state(0, 1.5) == "suspect"
     assert fd.state(0, 3.5) == "down"
@@ -205,9 +203,7 @@ def test_fd_transition_counters():
 
 def test_fd_counters_count_transitions_not_observations():
     recorder = MemoryRecorder()
-    fd = FailureDetector(
-        [0], suspect_after=1.0, down_after=3.0, now=0.0, recorder=recorder
-    )
+    fd = FailureDetector([0], deadline=3.0, now=0.0, recorder=recorder)
     for _ in range(5):
         assert fd.state(0, 2.0) == "suspect"  # repeated observation, one entry
     counters = recorder.snapshot()["counters"]
@@ -215,7 +211,7 @@ def test_fd_counters_count_transitions_not_observations():
 
 
 def test_fd_without_recorder_still_classifies():
-    fd = FailureDetector([0], suspect_after=1.0, down_after=3.0, now=0.0)
+    fd = FailureDetector([0], deadline=3.0, now=0.0)
     assert fd.state(0, 2.0) == "suspect"
     fd.touch(0, 2.5)
     assert fd.state(0, 2.6) == "alive"

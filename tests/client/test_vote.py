@@ -88,11 +88,11 @@ def test_frame_validators_reject_malformed_input():
     assert check_request_frame(("crq", "c", -1, b"x")) is None
     assert check_request_frame(("crq", 3, 0, b"x")) is None
     assert check_request_frame(("nope", "c", 0, b"x")) is None
-    # Legacy 4-field reply frames read as the static membership view.
-    assert check_reply_frame(("crp", 0, STATUS_OK, b"r")) == (
-        0, STATUS_OK, b"r", 0, b"")
-    assert check_reply_frame(("crp", 0, 99, b"r")) is None
-    assert check_reply_frame(("crp", "x", STATUS_OK, b"r")) is None
+    # Every reply carries the membership view; the pre-membership
+    # 4-field frame is refused.
+    assert check_reply_frame(("crp", 0, STATUS_OK, b"r")) is None
+    assert check_reply_frame(("crp", 0, 99, b"r", 0, b"")) is None
+    assert check_reply_frame(("crp", "x", STATUS_OK, b"r", 0, b"")) is None
     # Membership-tagged replies carry (epoch, roster digest).
     assert check_reply_frame(("crp", 1, STATUS_OK, b"r", 3, b"d" * 8)) == (
         1, STATUS_OK, b"r", 3, b"d" * 8)

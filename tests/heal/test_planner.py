@@ -7,9 +7,10 @@ guardrail is provable with hand-built views — no simulator needed.
 import pytest
 
 from repro.heal.planner import (
+    REFRESH_INTERVAL,
+    RESTART_THRESHOLD,
     DrainAndReplace,
     GroupView,
-    PlannerConfig,
     Quarantine,
     RecoveryPlanner,
     RefreshShares,
@@ -42,15 +43,8 @@ def view(**overrides):
     return GroupView(**base)
 
 
-def planner(recorder=None, **config):
-    defaults = dict(
-        replace_threshold=5.0,
-        restart_threshold=6.0,
-        refresh_interval=300.0,
-        slot_cooldown=60.0,
-    )
-    defaults.update(config)
-    return RecoveryPlanner(PlannerConfig(**defaults), recorder=recorder)
+def planner(recorder=None):
+    return RecoveryPlanner(recorder=recorder)
 
 
 def byzantine_suspect(slot=3, score=8.0, **overrides):
@@ -90,7 +84,7 @@ def test_no_spare_no_vacancy_degrades_to_refresh_only():
 
 def test_liveness_suspect_is_restarted_not_replaced():
     action = planner().plan(
-        view(healthy={0, 1, 2}, scores={3: 7.0}, byzantine={})
+        view(healthy={0, 1, 2}, scores={3: RESTART_THRESHOLD + 1}, byzantine={})
     )
     assert action == RestartReplica(slot=3)
 
@@ -177,21 +171,11 @@ def test_restart_escalates_to_replacement():
     compromised: process recycling did not cure it."""
     v = view(
         healthy={0, 1, 2},
-        scores={3: 7.0},
+        scores={3: RESTART_THRESHOLD + 1},
         byzantine={},  # still no Byzantine proof — only persistence
         restarts={3: 1},
     )
     assert planner().plan(v) == DrainAndReplace(slot=3)
-
-
-def test_escalation_threshold_is_configurable():
-    v = view(
-        healthy={0, 1, 2},
-        scores={3: 7.0},
-        byzantine={},
-        restarts={3: 1},
-    )
-    assert planner(escalate_after=2).plan(v) == RestartReplica(slot=3)
 
 
 def test_dark_slot_is_replaced_after_cooldown():
@@ -217,23 +201,18 @@ def test_dark_slot_is_replaced_after_cooldown():
 
 
 def test_proactive_refresh_cadence():
-    p = planner(refresh_interval=300.0)
-    assert p.plan(view(last_refresh=0.0, now=299.0)) is None
-    action = p.plan(view(last_refresh=0.0, now=300.0))
+    p = planner()
+    assert p.plan(view(last_refresh=0.0, now=REFRESH_INTERVAL - 1)) is None
+    action = p.plan(view(last_refresh=0.0, now=REFRESH_INTERVAL))
     assert action == RefreshShares(fallback=False)
-
-
-def test_proactive_refresh_can_be_disabled():
-    p = planner(refresh_interval=None)
-    assert p.plan(view(last_refresh=0.0, now=10_000.0)) is None
 
 
 def test_plan_counters_by_kind():
     obs = MemoryRecorder()
     p = planner(recorder=obs)
     p.plan(byzantine_suspect())
-    p.plan(view(healthy={0, 1, 2}, scores={3: 7.0}))
-    p.plan(view(last_refresh=0.0, now=500.0))
+    p.plan(view(healthy={0, 1, 2}, scores={3: RESTART_THRESHOLD + 1}))
+    p.plan(view(last_refresh=0.0, now=REFRESH_INTERVAL))
     counters = obs.snapshot()["counters"]
     assert counters["heal.plan.replace"] == 1
     assert counters["heal.plan.restart"] == 1

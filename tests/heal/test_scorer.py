@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import pytest
 
 from repro.heal.evidence import (
-    DEFAULT_WEIGHTS,
     EV_BAD_SHARE,
     EV_EQUIVOCATION,
     EV_FD_SUSPECT,
     EV_STALL,
+    HALF_LIFE,
+    WEIGHTS,
     EquivocationMonitor,
     Evidence,
     SuspicionScorer,
@@ -23,16 +24,16 @@ pytestmark = pytest.mark.heal
 
 
 def test_score_decays_with_half_life():
-    scorer = SuspicionScorer(half_life=10.0)
+    scorer = SuspicionScorer()
     scorer.add(Evidence(EV_STALL, 1, at=0.0))
-    w = DEFAULT_WEIGHTS[EV_STALL]
+    w = WEIGHTS[EV_STALL]
     assert scorer.score(1, 0.0) == pytest.approx(w)
-    assert scorer.score(1, 10.0) == pytest.approx(w / 2)
-    assert scorer.score(1, 20.0) == pytest.approx(w / 4)
+    assert scorer.score(1, HALF_LIFE) == pytest.approx(w / 2)
+    assert scorer.score(1, 2 * HALF_LIFE) == pytest.approx(w / 4)
 
 
 def test_sustained_evidence_accumulates_past_single_blip():
-    scorer = SuspicionScorer(half_life=30.0)
+    scorer = SuspicionScorer()
     scorer.add(Evidence(EV_FD_SUSPECT, 1, at=0.0))  # one blip
     for at in range(5):
         scorer.add(Evidence(EV_FD_SUSPECT, 2, at=float(at)))
@@ -40,21 +41,18 @@ def test_sustained_evidence_accumulates_past_single_blip():
 
 
 def test_byzantine_score_counts_only_byzantine_kinds():
-    scorer = SuspicionScorer(half_life=30.0)
+    scorer = SuspicionScorer()
     scorer.add(Evidence(EV_STALL, 1, at=0.0))
     scorer.add(Evidence(EV_EQUIVOCATION, 1, at=0.0))
-    assert scorer.byzantine_score(1, 0.0) == pytest.approx(
-        DEFAULT_WEIGHTS[EV_EQUIVOCATION]
-    )
+    assert scorer.byzantine_score(1, 0.0) == pytest.approx(WEIGHTS[EV_EQUIVOCATION])
     assert scorer.score(1, 0.0) == pytest.approx(
-        DEFAULT_WEIGHTS[EV_STALL] + DEFAULT_WEIGHTS[EV_EQUIVOCATION]
+        WEIGHTS[EV_STALL] + WEIGHTS[EV_EQUIVOCATION]
     )
 
 
-def test_explicit_weight_overrides_default():
-    scorer = SuspicionScorer()
-    scorer.add(Evidence(EV_STALL, 1, at=0.0, weight=7.5))
-    assert scorer.score(1, 0.0) == pytest.approx(7.5)
+def test_unknown_evidence_kind_is_refused():
+    with pytest.raises(ValueError, match="unknown evidence kind"):
+        Evidence("rumour", 1, at=0.0)
 
 
 def test_clear_forgets_a_healed_party():
@@ -66,11 +64,12 @@ def test_clear_forgets_a_healed_party():
 
 
 def test_compact_drops_fully_decayed_evidence():
-    scorer = SuspicionScorer(half_life=1.0)
+    scorer = SuspicionScorer()
     scorer.add(Evidence(EV_STALL, 1, at=0.0))
-    scorer.compact(100.0)  # 100 half-lives later: contribution ~ 0
+    later = 100 * HALF_LIFE  # contribution ~ 0
+    scorer.compact(later)
     assert scorer.evidence_for(1) == []
-    assert 1 not in scorer.scores(100.0)
+    assert 1 not in scorer.scores(later)
 
 
 def test_scorer_counts_evidence_by_kind():
@@ -80,11 +79,6 @@ def test_scorer_counts_evidence_by_kind():
     scorer.add(Evidence(EV_BAD_SHARE, 2, at=0.0))
     counters = obs.snapshot()["counters"]
     assert counters["heal.evidence.bad-share"] == 2
-
-
-def test_half_life_must_be_positive():
-    with pytest.raises(ValueError):
-        SuspicionScorer(half_life=0.0)
 
 
 # -- EquivocationMonitor ---------------------------------------------------------------
@@ -136,11 +130,12 @@ def test_same_payload_different_rounds_is_not_equivocation():
 
 def test_unwatched_mtypes_feed_activity_but_not_equivocation():
     monitor, runtime, sink, clock = _monitor()
-    clock[0] = 5.0
+    clock[0] = 50.0
     runtime.routers[0].observers[0](2, "bin", "echo", b"x")
     runtime.routers[0].observers[0](2, "bin", "echo", b"y")
     assert sink == []
-    assert monitor.last_seen[2] == 5.0
+    # observer 0 heard 2 at 50 s, so it accuses the senders it did not hear
+    assert monitor.silent_parties(60.0, silence_after=50.0) == [1, 3]
 
 
 def test_selective_silence_is_caught_by_its_victim():

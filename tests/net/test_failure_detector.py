@@ -6,10 +6,8 @@ from repro.common.errors import ConfigError
 from repro.net.failure_detector import ALIVE, DOWN, SUSPECT, FailureDetector
 
 
-def _fd(**kwargs):
-    defaults = dict(suspect_after=1.0, down_after=3.0, now=0.0)
-    defaults.update(kwargs)
-    return FailureDetector([1, 2, 3], **defaults)
+def _fd():
+    return FailureDetector([1, 2, 3], deadline=2.0, now=0.0)
 
 
 def test_initial_state_is_alive():
@@ -20,9 +18,9 @@ def test_initial_state_is_alive():
 def test_alive_suspect_down_progression():
     fd = _fd()
     assert fd.state(1, 0.5) == ALIVE
-    assert fd.state(1, 1.0) == SUSPECT  # boundary: age >= suspect_after
-    assert fd.state(1, 2.9) == SUSPECT
-    assert fd.state(1, 3.0) == DOWN
+    assert fd.state(1, 1.0) == SUSPECT  # boundary: age >= deadline / 2
+    assert fd.state(1, 1.9) == SUSPECT
+    assert fd.state(1, 2.0) == DOWN  # boundary: age >= deadline
     assert fd.state(1, 100.0) == DOWN
 
 
@@ -57,9 +55,9 @@ def test_unknown_peer_rejected():
 
 def test_parameter_validation():
     with pytest.raises(ConfigError):
-        FailureDetector([1], suspect_after=2.0, down_after=1.0)
+        FailureDetector([1], deadline=0.0)
     with pytest.raises(ConfigError):
-        FailureDetector([1], suspect_after=0.0, down_after=1.0)
+        FailureDetector([1], deadline=-1.0)
 
 
 # -- transition callbacks (the supported edge-detection path) --------------------------

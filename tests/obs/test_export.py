@@ -1,6 +1,7 @@
 """BENCH_*.json: record assembly, validation, files and set round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -75,11 +76,13 @@ def test_validate_rejects_malformed_records():
 
 def test_validate_rejects_non_numeric_gauges_and_counters(tmp_path):
     path = tmp_path / "BENCH_x.json"
-    for section in ("gauges", "counters"):
-        for value in ("alive", True, None):
+    bad_values = [("alive", "numeric"), (True, "numeric"), (None, "numeric"),
+                  (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite")]
+    for section in ("metrics", "gauges", "counters"):
+        for value, why in bad_values:
             bad = export.make_record("x", recorder=_recorder_with_data())
             bad[section]["tcp.peer.1.state"] = value
-            with pytest.raises(ValueError, match=r"'tcp\.peer\.1\.state' is not numeric"):
+            with pytest.raises(ValueError, match=rf"'tcp\.peer\.1\.state' is not {why}"):
                 export.validate_record(bad)
             # the same check guards records read back from disk
             path.write_text(json.dumps(bad))
