@@ -210,6 +210,11 @@ class AtomicChannel(Channel):
         #: allocated for an own send, with the *next* unused sequence number
         #: (persist it before the signed record can reach any peer).
         self.on_own_enqueue: Optional[Callable[[int], None]] = None
+        #: recovery hook: the durability barrier for what the two hooks
+        #: above appended.  Called once at the end of a round's delivery
+        #: (before any of its payloads is applied, answered or acted on)
+        #: and just before an own candidate is announced.
+        self.on_sync: Optional[Callable[[], None]] = None
         #: membership hook: a *pure* predicate on delivered application
         #: payloads (every honest party evaluates it identically at the
         #: same slot).  When it fires, the record just delivered is the
@@ -250,9 +255,10 @@ class AtomicChannel(Channel):
         record: Record = (self.ctx.node_id, self._own_next_seq, kind, data)
         self._own_next_seq += 1
         if self.on_own_enqueue is not None:
-            # Durability barrier: the allocated sequence number must hit the
-            # log before the signed record can leave this process, or a
-            # restarted replica could reuse it for a different payload.
+            # The allocated sequence number must hit the log (and, through
+            # ``on_sync`` in ``_try_emit``, the disk) before the signed
+            # record can leave this process, or a restarted replica could
+            # reuse it for a different payload.
             self.on_own_enqueue(self._own_next_seq)
         self._own_queue.append(record)
         self._pump()
@@ -296,6 +302,8 @@ class AtomicChannel(Channel):
         if self.obs.enabled:
             # Phase 1 of a round: collecting signed candidates from peers.
             self.obs.phase((self.obs_scope, r), "atomic.collect")
+        if self.on_sync is not None:
+            self.on_sync()  # the own-send mark is durable before this leaves
         self._dissem.announce(r, vector)
 
     def _pick_vector(self) -> Optional[List[Record]]:
@@ -565,6 +573,8 @@ class AtomicChannel(Channel):
             for record in vector:
                 if self._ordering():
                     delivered_now += self._deliver_record(record, r)
+        if self.on_sync is not None:
+            self.on_sync()  # one barrier for the round's slots (group commit)
         self.rounds_completed += 1
         if self.obs.enabled:
             self.obs.count("atomic.batch_entries", len(batch))

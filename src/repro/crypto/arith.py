@@ -57,13 +57,14 @@ def invmod(a: int, m: int) -> int:
         raise CryptoError(f"{a} is not invertible modulo {m}") from None
 
 
-def crt_pair(r_p: int, p: int, r_q: int, q: int) -> int:
+def crt_pair(r_p: int, p: int, r_q: int, q: int, q_inv: int) -> int:
     """Chinese remaindering for two coprime moduli.
 
     Returns the unique ``x`` modulo ``p*q`` with ``x = r_p (mod p)`` and
-    ``x = r_q (mod q)``.  Used by the RSA-CRT signing fast path.
+    ``x = r_q (mod q)``, given the coefficient ``q_inv = q^-1 mod p``.
+    Used by the RSA-CRT signing fast path, whose key derives ``q_inv``
+    once.
     """
-    q_inv = invmod(q, p)
     h = (q_inv * (r_p - r_q)) % p
     return (r_q + h * q) % (p * q)
 

@@ -52,13 +52,16 @@ class RSAKeyPair:
     d: int
     p: int
     q: int
-    #: CRT exponents ``d mod (p-1)`` and ``d mod (q-1)``, derived once per key
+    #: CRT exponents ``d mod (p-1)`` and ``d mod (q-1)`` and coefficient
+    #: ``q^-1 mod p``, derived once per key
     d_p: int = field(init=False, repr=False, compare=False)
     d_q: int = field(init=False, repr=False, compare=False)
+    q_inv: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d_p", self.d % (self.p - 1))
         object.__setattr__(self, "d_q", self.d % (self.q - 1))
+        object.__setattr__(self, "q_inv", arith.invmod(self.q, self.p))
 
     @property
     def public(self) -> RSAPublicKey:
@@ -77,7 +80,7 @@ class RSAKeyPair:
         """Raw RSA private-key operation on ``x`` (CRT path)."""
         s_p = arith.mexp(x % self.p, self.d_p, self.p)
         s_q = arith.mexp(x % self.q, self.d_q, self.q)
-        return arith.crt_pair(s_p, self.p, s_q, self.q)
+        return arith.crt_pair(s_p, self.p, s_q, self.q, self.q_inv)
 
 
 def keypair_from_primes(p: int, q: int, e: int = DEFAULT_E) -> RSAKeyPair:

@@ -254,6 +254,7 @@ class RecoverableService(ReplicatedService):
         channel = super()._open_channel(resume)
         channel.on_slot = self._on_slot
         channel.on_own_enqueue = self._on_own_enqueue
+        channel.on_sync = self.wal.sync
         channel.barrier_predicate = self.membership.is_barrier
         channel.on_barrier = self.membership.on_barrier
         return channel

@@ -19,11 +19,20 @@ Record kinds (canonically encoded tuples inside each frame):
 * ``("b", base)`` — log base marker written by compaction: slots below
   ``base`` are covered by a certified checkpoint and have been dropped.
 
-Fsync policy trades durability for latency: ``always`` syncs after every
-append (survives power loss), ``batch`` syncs on ``flush()`` and
-compaction only (survives process crash — the file is opened unbuffered,
-so every append reaches the OS page cache immediately), ``never`` leaves
-syncing to the OS.
+Appends only write; durability is one barrier, :meth:`DeliveryLog.sync`,
+which the service calls through the channel's ``on_sync`` hook at the two
+points where an append becomes visible outside the process: at the end of
+a round's delivery (before any command of the round is applied or
+answered) and just before an own candidate is announced (so the ``("s",
+next_seq)`` mark is on disk before the signed record leaves).  A round is
+the unit of agreement, so it is also the unit of durability: group
+commit.
+
+The fsync policy decides what the barrier does: ``always`` fsyncs once if
+anything was appended since the last barrier (survives power loss),
+``batch`` syncs on ``flush()`` and compaction only (survives process
+crash — the file is opened unbuffered, so every append reaches the OS
+page cache immediately), ``never`` leaves syncing to the OS.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ReproError
@@ -71,7 +80,9 @@ class DeliveryLog:
         #: bytes discarded from a torn tail during the last open
         self.torn_bytes = 0
         self.appended_bytes = 0
-        self._fh: Optional[object] = None
+        self._fh: Optional[BinaryIO] = None
+        #: an append since the last fsync (what ``sync()`` waits for)
+        self._unsynced = False
         self._open_and_replay()
 
     # -- open / replay -----------------------------------------------------------
@@ -135,13 +146,23 @@ class DeliveryLog:
         frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
         self._fh.write(frame)
         self.appended_bytes += len(frame)
-        if self.fsync_policy == FSYNC_ALWAYS:
-            os.fsync(self._fh.fileno())
+        self._unsynced = True
+
+    def sync(self) -> None:
+        """The durability barrier: under ``always``, fsync once if anything
+        was appended since the last barrier (a no-op otherwise)."""
+        if self.fsync_policy == FSYNC_ALWAYS and self._unsynced:
+            self._fsync()
 
     def flush(self) -> None:
         """Sync to disk under the ``batch`` policy (no-op for ``never``)."""
-        if self._fh is not None and self.fsync_policy != FSYNC_NEVER:
+        if self.fsync_policy != FSYNC_NEVER:
+            self._fsync()
+
+    def _fsync(self) -> None:
+        if self._fh is not None:
             os.fsync(self._fh.fileno())
+            self._unsynced = False
 
     # -- compaction ------------------------------------------------------------------
 
@@ -163,21 +184,28 @@ class DeliveryLog:
         self._rewrite()
 
     def _rewrite(self) -> None:
-        """Atomically rewrite the file from in-memory state (tmp + rename)."""
+        """Atomically rewrite the file from in-memory state (tmp + rename).
+
+        If anything fails before the rename, the old file stays in place
+        and appendable (the handle is reopened either way)."""
         if self._fh is not None:
             self._fh.close()
+            self._fh = None
         tmp = self.path + ".tmp"
-        with open(tmp, "wb") as fh:
-            for record in self._records():
-                body = encode(record)
-                fh.write(_HEADER.pack(len(body), zlib.crc32(body)) + body)
-            fh.flush()
-            if self.fsync_policy != FSYNC_NEVER:
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "ab", buffering=0)
+        try:
+            with open(tmp, "wb") as fh:
+                for record in self._records():
+                    body = encode(record)
+                    fh.write(_HEADER.pack(len(body), zlib.crc32(body)) + body)
+                fh.flush()
+                if self.fsync_policy != FSYNC_NEVER:
+                    os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+            self._unsynced = False  # the new file holds every append
+        finally:
+            self._fh = open(self.path, "ab", buffering=0)
 
-    def _records(self):
+    def _records(self) -> Iterator[tuple]:
         yield ("b", self.base)
         for index in sorted(self.slots):
             origin, oseq, kind, data, round_ = self.slots[index]

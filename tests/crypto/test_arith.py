@@ -54,7 +54,7 @@ def test_invmod_composite():
 def test_crt_pair(rp_seed, rq_seed):
     p, q = 101, 257
     r_p, r_q = rp_seed % p, rq_seed % q
-    x = arith.crt_pair(r_p, p, r_q, q)
+    x = arith.crt_pair(r_p, p, r_q, q, arith.invmod(q, p))
     assert 0 <= x < p * q
     assert x % p == r_p and x % q == r_q
 

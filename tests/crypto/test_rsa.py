@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.common.errors import CryptoError, InvalidSignature
-from repro.crypto import hashing, opcount, rsa
+from repro.crypto import arith, hashing, opcount, rsa
 
 RNG = random.Random(11)
 KP = rsa.generate_keypair(256, RNG)
@@ -46,6 +46,23 @@ def test_check_raises():
 def test_crt_consistent_with_plain_pow():
     x = 0x1234567890ABCDEF
     assert KP.sign_raw(x) == pow(x, KP.d, KP.n)
+
+
+def test_crt_coefficient_is_derived_once_per_key(monkeypatch):
+    assert KP.q_inv == pow(KP.q, -1, KP.p)
+    calls = []
+    real_invmod = arith.invmod
+
+    def invmod(a, m):
+        calls.append((a, m))
+        return real_invmod(a, m)
+
+    monkeypatch.setattr(arith, "invmod", invmod)
+    rng = random.Random(32)
+    edges = [0, 1, KP.p, KP.q, KP.n - 1]
+    for x in edges + [rng.randrange(KP.n) for _ in range(200)]:
+        assert KP.sign_raw(x) == pow(x, KP.d, KP.n)
+    assert calls == []  # the coefficient comes from the key
 
 
 def test_sign_is_the_raw_operation_on_the_full_domain_hash():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.recovery.wal import (
     FSYNC_ALWAYS,
+    FSYNC_BATCH,
     FSYNC_NEVER,
     DeliveryLog,
     WalError,
@@ -150,3 +151,69 @@ def test_append_after_close_raises(tmp_path):
 def test_unknown_fsync_policy_rejected(tmp_path):
     with pytest.raises(WalError):
         DeliveryLog(_path(tmp_path), fsync="sometimes")
+
+
+def _count_fsyncs(monkeypatch):
+    calls = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr("repro.recovery.wal.os.fsync", fsync)
+    return calls
+
+
+def test_sync_is_one_fsync_per_barrier(tmp_path, monkeypatch):
+    calls = _count_fsyncs(monkeypatch)
+    log = DeliveryLog(_path(tmp_path), fsync=FSYNC_ALWAYS)
+    for i in range(3):
+        log.append_slot(i, 0, i, 0, b"s%d" % i, 1)
+    log.append_sent(3)
+    assert calls == []  # appends only write
+    log.sync()
+    assert len(calls) == 1
+    log.sync()
+    assert len(calls) == 1  # nothing appended since the last barrier
+    log.append_slot(3, 0, 3, 0, b"s3", 2)
+    log.truncate_through(1)  # compaction syncs the file it writes...
+    synced = len(calls)
+    log.sync()
+    assert len(calls) == synced  # ...which already holds the append
+    log.close()
+
+
+@pytest.mark.parametrize("policy", [FSYNC_BATCH, FSYNC_NEVER])
+def test_sync_is_a_no_op_below_always(tmp_path, monkeypatch, policy):
+    calls = _count_fsyncs(monkeypatch)
+    log = DeliveryLog(_path(tmp_path), fsync=policy)
+    log.append_slot(0, 0, 0, 0, b"x", 1)
+    log.sync()
+    assert calls == []
+    log.close()
+
+
+def test_failed_compaction_leaves_the_old_log_appendable(tmp_path, monkeypatch):
+    path = _path(tmp_path)
+    log = DeliveryLog(path, fsync=FSYNC_ALWAYS)
+    for i in range(4):
+        log.append_slot(i, 0, i, 0, b"s%d" % i, 1)
+
+    def replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("repro.recovery.wal.os.replace", replace)
+    with pytest.raises(OSError):
+        log.truncate_through(1)
+    monkeypatch.undo()
+    calls = _count_fsyncs(monkeypatch)
+    log.append_slot(4, 0, 4, 0, b"s4", 2)
+    log.sync()
+    assert len(calls) == 1  # the failed rewrite synced nothing of this file
+    log.close()
+
+    replayed = DeliveryLog(path)
+    assert replayed.base == 0  # the old file, with the later append
+    assert sorted(replayed.slots) == [0, 1, 2, 3, 4]
+    replayed.close()
