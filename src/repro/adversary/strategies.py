@@ -550,10 +550,8 @@ class MutateAdversary(Strategy):
     with the party's own keys, so receivers see validly authenticated
     garbage — the hardest case for handlers.
 
-    Payloads of the atomic channel's vector-carrying types — ``queue``
-    candidates ``(round, vector, proof)`` and offloaded ``body``/``bodyr``
-    frames ``(round, vector)`` / ``(round, signer, vector)`` — are
-    corrupted in the batch shapes the channel's validator must reject,
+    The atomic channel's ``queue`` candidates ``(round, vector, sig)``
+    are corrupted in the batch shapes the channel's validator must reject,
     which generic mutation rarely hits: a record repeated inside the
     vector, two records swapped, records dropped down to the empty
     vector, one record corrupted, or the frame spliced onto a
@@ -569,7 +567,7 @@ class MutateAdversary(Strategy):
     replay_rate = 0.05
     history_limit = 64
     #: message types of the atomic channel whose payload carries a vector
-    VECTOR_TYPES = frozenset({"queue", "body", "bodyr"})
+    VECTOR_TYPES = frozenset({"queue"})
 
     def __init__(self, rng: Optional[random.Random] = None):
         super().__init__(rng)
@@ -639,7 +637,7 @@ class MutateAdversary(Strategy):
             None,
         )
         if vec_at is None:
-            return None  # e.g. an offloaded digest candidate: no vector
+            return None  # a malformed candidate: no vector to corrupt
         vector = list(parts[vec_at])
         r = self.rng
         action = r.choice(

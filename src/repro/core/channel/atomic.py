@@ -49,26 +49,37 @@ signer can waste its own batch slot on stale records, but each batch
 carries at least ``batch_size - t >= 1`` honest vectors, so liveness and
 fairness are preserved.
 
-**Payload offloading** (``offload=True``): agreement runs on vector
-digests under availability certificates instead of on the vectors.  What
-a candidate's body and proof are, and the traffic that produces them, is
-the business of :mod:`repro.core.channel.dissemination`; this module is
-the round loop — pick, announce, collect, agree, deliver in order, close
-— and holds one :class:`_Round` record per round in flight.
+A candidate entry is ``(signer, vector, sig)``: the vector under its
+signer's RSA signature over ``(channel, round, digest)``, sent inline
+(``MSG_QUEUE``, the channel's one message type).  One ``_check`` judges
+an entry, on arrival *and* inside the agreement's external-validity
+predicate, so the two cannot drift apart.  It is two halves, also called
+apart: ``_parse`` is codec only (shape-check and normalize the vector,
+build the statement the signature must cover) and ``_verify`` is the one
+crypto call on that statement.  The agreement evaluates its predicate
+many times per round on a handful of distinct proposals, so each round
+keeps its ``_parse`` results and calls ``_verify`` again on every
+evaluation: a signature is never taken on trust from an earlier verdict.
+The round loop — pick, announce, collect, agree, deliver in order, close
+— holds one :class:`_Round` record per round in flight.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError, ProtocolError
 from repro.common.runs import Runs
 from repro.core.agreement.multivalued import ORDER_RANDOM, ArrayAgreement
 from repro.core.channel.base import Channel
-from repro.core.channel.dissemination import MSG_QUEUE, Inline, Offloaded
 from repro.core.protocol import Context
+
+MSG_QUEUE = "queue"  # candidate announcement: (r, vector, sig)
+
+SIGN_DOMAIN = "sintra.atomic"
 
 KIND_APP = 0
 KIND_CLOSE = 1
@@ -81,25 +92,35 @@ VECTOR_LIMIT = 1024
 
 #: why ordering stopped (``AtomicChannel._stopped``, ``None`` while it has
 #: not): CLOSED by ``t + 1`` delivered close requests — decryptions may
-#: still drain, fetches are still answered; FROZEN by an epoch barrier or
-#: ``abort()`` — superseded, answers nothing
+#: still drain; FROZEN by an epoch barrier or ``abort()`` — superseded,
+#: answers nothing
 CLOSED = "closed"
 FROZEN = "frozen"
 
 #: a candidate record: (origin, seq, kind, data)
 Record = Tuple[int, int, int, bytes]
-#: one candidate entry: (signer, body, proof) — see ``dissemination``
-Entry = Tuple[int, Any, Any]
-#: a parsed entry: (signer, body, proof, the statement ``proof`` covers)
-Parsed = Tuple[int, Any, Any, bytes]
+#: one candidate entry: (signer, vector, sig)
+Entry = Tuple[int, List[Record], int]
+#: a parsed entry: (signer, vector, sig, the statement ``sig`` covers)
+Parsed = Tuple[int, List[Record], int, bytes]
+
+
+def vector_digest(vector: List[Record]) -> bytes:
+    """Collision-resistant digest of a candidate vector."""
+    return hashlib.sha256(encode(list(vector))).digest()
+
+
+def sign_string(pid: str, r: int, digest: bytes) -> bytes:
+    """The string a party signs to put a vector forward in round ``r``."""
+    return encode(("atomic-batch", pid, r, digest))
 
 
 @dataclass
 class _Round:
     """What one round in flight holds; dropped whole when it delivers."""
 
-    #: signer -> (body, proof), checked, in arrival order
-    candidates: Dict[int, Tuple[Any, Any]] = field(default_factory=dict)
+    #: signer -> (vector, sig), checked, in arrival order
+    candidates: Dict[int, Tuple[List[Record], int]] = field(default_factory=dict)
     #: keys riding this party's own candidate; empty until it is out
     own_keys: Set[Tuple[int, int]] = field(default_factory=set)
     #: the round's agreement instance while it runs
@@ -148,7 +169,6 @@ class AtomicChannel(Channel):
         max_pending: Optional[int] = None,
         max_batch: int = 1,
         pipeline_depth: int = 1,
-        offload: bool = False,
         resume: ChannelResume = ChannelResume(),
     ):
         super().__init__(ctx, pid, max_pending=max_pending)
@@ -166,9 +186,6 @@ class AtomicChannel(Channel):
         if pipeline_depth < 1:
             raise ProtocolError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         self.pipeline_depth = pipeline_depth
-        self.offload = bool(offload)
-        #: what a candidate's body and proof are, and how bodies travel
-        self._dissem: Union[Inline, Offloaded] = Offloaded(self) if self.offload else Inline(self)
         self.order = order
         self.round = resume.round
         #: messages this party has sent but that are not yet delivered
@@ -304,7 +321,12 @@ class AtomicChannel(Channel):
             self.obs.phase((self.obs_scope, r), "atomic.collect")
         if self.on_sync is not None:
             self.on_sync()  # the own-send mark is durable before this leaves
-        self._dissem.announce(r, vector)
+        self._announce(r, vector)
+
+    def _announce(self, r: int, vector: List[Record]) -> None:
+        """Sign ``vector`` as this party's round-``r`` candidate and send it."""
+        sig = self.ctx.crypto.sign(SIGN_DOMAIN, sign_string(self.pid, r, vector_digest(vector)))
+        self.send_all(MSG_QUEUE, (r, vector, sig))
 
     def _pick_vector(self) -> Optional[List[Record]]:
         """Up to ``max_batch`` undelivered records: own queue first, then
@@ -336,32 +358,48 @@ class AtomicChannel(Channel):
     # -- candidate handling ------------------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted or self._stopped == FROZEN:
+        if self.halted or self._terminated or self._stopped == FROZEN:
             return
-        if mtype != MSG_QUEUE:
-            self._dissem.on_message(sender, mtype, payload)
-        elif not self._terminated:
+        if mtype == MSG_QUEUE:
             self._on_candidate(sender, payload)
 
     def _on_candidate(self, sender: int, payload: Any) -> None:
         if not (isinstance(payload, tuple) and len(payload) == 3):
             return
-        r, body, proof = payload
+        r, body, sig = payload
         if not isinstance(r, int) or r < self.round:
             return  # stale
         rnd = self._rounds.get(r)
         if rnd is not None and (rnd.decided is not None or sender in rnd.candidates):
             return  # already agreed, or one candidate per signer per round
-        body = self._dissem.check(r, sender, body, proof)
-        if body is None:
+        vector = self._check(r, sender, body, sig)
+        if vector is None:
             return
         if rnd is None:
             rnd = self._rounds[r] = _Round()
-        rnd.candidates[sender] = (body, proof)
-        vector = self._dissem.vector(r, sender, body)
-        if vector is not None:
-            self._absorb(vector)
+        rnd.candidates[sender] = (vector, sig)
+        self._absorb(vector)
         self._pump()
+
+    def _check(self, r: int, signer: int, body: Any, sig: Any) -> Optional[List[Record]]:
+        """The normalized vector if ``(signer, body, sig)`` is a valid
+        round-``r`` entry, else ``None``.  Pure: reads no channel state."""
+        parsed = self._parse(r, body, sig)
+        if parsed is None or not self._verify(signer, parsed[1], sig):
+            return None
+        return parsed[0]
+
+    def _parse(self, r: int, body: Any, sig: Any) -> Optional[Tuple[List[Record], bytes]]:
+        """The normalized vector and the statement its signer must have
+        signed, or ``None`` if the entry is malformed.  Codec only."""
+        vector = self._check_vector(body)
+        if vector is None or not isinstance(sig, int):
+            return None
+        return vector, sign_string(self.pid, r, vector_digest(vector))
+
+    def _verify(self, signer: int, statement: bytes, sig: Any) -> bool:
+        """Whether ``sig`` is ``signer``'s signature on ``statement``."""
+        return self.ctx.crypto.verify_party(signer, SIGN_DOMAIN, statement, sig)
 
     def _absorb(self, vector: List[Record]) -> None:
         """Merge a seen vector into the adoption pool (fairness)."""
@@ -426,32 +464,30 @@ class AtomicChannel(Channel):
             self.obs.set_gauge("atomic.pipeline.inflight", self._inflight())
         mvba.propose(encode(batch))
 
-    def _assemble(self, candidates: Dict[int, Tuple[Any, Any]]) -> List[Entry]:
+    def _assemble(self, candidates: Dict[int, Tuple[List[Record], int]]) -> List[Entry]:
         """Pick ``batch_size`` candidate entries from distinct signers.
 
-        Inline vectors are chosen preferring entries that contribute at
-        least one new undelivered key — two signers may have adopted the
-        same records, and delivery deduplicates by (origin, seq), so
-        distinct entries maximize throughput per agreement round.
-        Offloaded candidates are opaque digests; arrival order is used.
+        Entries that contribute at least one new undelivered key come
+        first — two signers may have adopted the same records, and
+        delivery deduplicates by (origin, seq), so distinct entries
+        maximize throughput per agreement round; arrival order fills up.
         """
         chosen: List[Entry] = []
-        if not self.offload:
-            covered: Set[Tuple[int, int]] = set()
-            for signer, (vector, proof) in candidates.items():
-                keys = {(rec[0], rec[1]) for rec in vector} - covered
-                keys = {key for key in keys if key not in self._delivered}
-                if not keys:
-                    continue
-                covered.update(keys)
-                chosen.append((signer, vector, proof))
-                if len(chosen) == self.batch_size:
-                    return chosen
+        covered: Set[Tuple[int, int]] = set()
+        for signer, (vector, sig) in candidates.items():
+            keys = {(rec[0], rec[1]) for rec in vector} - covered
+            keys = {key for key in keys if key not in self._delivered}
+            if not keys:
+                continue
+            covered.update(keys)
+            chosen.append((signer, vector, sig))
+            if len(chosen) == self.batch_size:
+                return chosen
         picked = {signer for signer, _, _ in chosen}
-        for signer, (body, proof) in candidates.items():
+        for signer, (vector, sig) in candidates.items():
             if signer in picked:
                 continue
-            chosen.append((signer, body, proof))
+            chosen.append((signer, vector, sig))
             picked.add(signer)
             if len(chosen) == self.batch_size:
                 break
@@ -462,7 +498,7 @@ class AtomicChannel(Channel):
 
         The external validity condition: exactly ``batch_size`` entries
         from distinct signers, each a valid round-``r`` entry by the same
-        ``check`` a candidate passes on arrival.  Unlike the paper's
+        ``_check`` a candidate passes on arrival.  Unlike the paper's
         strictly sequential protocol, the predicate does *not* consult the
         local delivery frontier — under pipelining that frontier differs
         between parties while a later round validates, so duplicate
@@ -482,13 +518,13 @@ class AtomicChannel(Channel):
             if rnd is not None and len(rnd.parsed) < self.ctx.n:
                 rnd.parsed[value] = parsed
         else:
-            for signer, _, proof, statement in parsed:
-                if not self._dissem.verify(signer, statement, proof):
+            for signer, _, sig, statement in parsed:
+                if not self._verify(signer, statement, sig):
                     return None
-        return [(signer, body, proof) for signer, body, proof, _ in parsed]
+        return [(signer, vector, sig) for signer, vector, sig, _ in parsed]
 
     def _parse_batch(self, r: int, value: bytes) -> Optional[List[Parsed]]:
-        """Decode ``value`` and ``check`` each entry, parse then verify,
+        """Decode ``value`` and ``_check`` each entry, parse then verify,
         stopping at the first that fails."""
         try:
             entries = decode(value)
@@ -501,17 +537,17 @@ class AtomicChannel(Channel):
         for entry in entries:
             if not (isinstance(entry, tuple) and len(entry) == 3):
                 return None
-            signer, body, proof = entry
+            signer, body, sig = entry
             if (
                 not isinstance(signer, int)
                 or signer in signers
                 or not 0 <= signer < self.ctx.n
             ):
                 return None
-            parsed = self._dissem.parse(r, signer, body, proof)
-            if parsed is None or not self._dissem.verify(signer, parsed[1], proof):
+            parsed = self._parse(r, body, sig)
+            if parsed is None or not self._verify(signer, parsed[1], sig):
                 return None
-            out.append((signer, parsed[0], proof, parsed[1]))
+            out.append((signer, parsed[0], sig, parsed[1]))
             signers.add(signer)
         return out
 
@@ -528,11 +564,9 @@ class AtomicChannel(Channel):
         if batch is None:  # cannot happen: the MVBA validated it
             raise ProtocolError("agreed batch failed validation")
         rnd.decided = batch
-        for signer, body, _ in batch:
-            vector = self._dissem.vector(r, signer, body)
-            if vector is not None:
-                for record in vector:
-                    self._reserved.add((record[0], record[1]))
+        for _signer, vector, _sig in batch:
+            for record in vector:
+                self._reserved.add((record[0], record[1]))
         if self.obs.enabled:
             self.obs.phase_end((self.obs_scope, r))  # closes "atomic.agree"
             self.obs.count("atomic.rounds")
@@ -546,30 +580,15 @@ class AtomicChannel(Channel):
             rnd = self._rounds.get(r)
             if rnd is None or rnd.decided is None:
                 break
-            resolved: List[Tuple[int, List[Record]]] = []
-            for signer, body, _ in rnd.decided:
-                vector = self._dissem.vector(r, signer, body)
-                if vector is None:
-                    self._dissem.fetch(r, signer, body)
-                else:
-                    resolved.append((signer, vector))
-            if len(resolved) < len(rnd.decided):
-                return  # waiting on missing bodies; resumed on arrival
             del self._rounds[r]  # the round's state dies with the round
-            self._dissem.forget(r)
-            self._deliver_round(r, rnd.decided, resolved)
+            self._deliver_round(r, rnd.decided)
         self._pump()
 
-    def _deliver_round(
-        self,
-        r: int,
-        batch: List[Entry],
-        resolved: List[Tuple[int, List[Record]]],
-    ) -> None:
+    def _deliver_round(self, r: int, batch: List[Entry]) -> None:
         delivered_now = 0
         # Fixed delivery order within the batch: by signer index, then by
         # position inside the signer's vector, up to a barrier record.
-        for signer, vector in sorted(resolved, key=lambda e: e[0]):
+        for _signer, vector, _sig in sorted(batch, key=lambda e: e[0]):
             for record in vector:
                 if self._ordering():
                     delivered_now += self._deliver_record(record, r)
@@ -593,7 +612,7 @@ class AtomicChannel(Channel):
             # e+1 channel, which delivers them under its own (fresh)
             # round numbering.  The round is deliberately not advanced:
             # this channel is done.
-            for _signer, vector in resolved:
+            for _signer, vector, _sig in batch:
                 self._absorb(vector)
             self._stop(FROZEN)
             if self.obs.enabled:
@@ -686,8 +705,3 @@ class AtomicChannel(Channel):
     def _finish(self) -> None:
         """Termination after the round in which t+1 close requests arrived."""
         self._terminate()
-
-    def halt(self) -> None:
-        # closed, but still answering for the bodies it holds
-        if not (self._dissem.serves_closed and self._terminated and self._stopped == CLOSED):
-            super().halt()

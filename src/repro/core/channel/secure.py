@@ -47,7 +47,8 @@ class SecureAtomicChannel(AtomicChannel):
         self._dec_order = 0  # index assigned to the next delivered ciphertext
         self._pending_ctxt: Dict[int, Ciphertext] = {}
         self._dec_shares: Dict[int, Dict[int, bytes]] = {}
-        self._plain: Dict[int, bytes] = {}
+        #: index -> cleartext, ``None`` for an invalid ciphertext slot
+        self._plain: Dict[int, Optional[bytes]] = {}
         self._next_release = 0
         self._sent_count = 0
         #: ciphertext-delivery time per index, for the decrypt-phase lag
@@ -145,7 +146,7 @@ class SecureAtomicChannel(AtomicChannel):
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
         if mtype == MSG_DEC_SHARE:
-            if self.halted:
+            if self.halted or not (isinstance(payload, tuple) and len(payload) == 2):
                 return
             index, share = payload
             if not (isinstance(index, int) and isinstance(share, bytes)):

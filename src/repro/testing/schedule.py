@@ -298,10 +298,6 @@ class ChannelScenario(Scenario):
     KINDS: Dict[str, Tuple[str, Dict[str, Any]]] = {
         "atomic": ("atomic_channel", {}),
         "batched": ("atomic_channel", {"max_batch": 4, "pipeline_depth": 2}),
-        "offload": (
-            "atomic_channel",
-            {"max_batch": 4, "pipeline_depth": 2, "offload": True},
-        ),
         "secure": ("secure_atomic_channel", {}),
         "stability": ("stabilized_consistent_channel", {}),
     }
@@ -469,7 +465,6 @@ def _heal_scenario() -> Scenario:
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "atomic": lambda: ChannelScenario("atomic"),
     "batched": lambda: ChannelScenario("batched", messages_per_party=4),
-    "offload": lambda: ChannelScenario("offload", messages_per_party=4),
     "secure": lambda: ChannelScenario("secure"),
     "stability": lambda: ChannelScenario("stability"),
     "binary": lambda: AgreementScenario("binary"),

@@ -73,30 +73,14 @@ def test_pinned_crash_through_extra_is_a_crashed_party(group7):
     """A crash pinned through ``extra`` reaches the scenario and the
     watchdog as a crashed party.  The adversary runner used to build the
     crash into the fault plan and still tell both that nobody crashed, so
-    this case failed on the dead party's own stall (``offload[5]``)."""
+    this case failed on the dead party's own stall."""
     result = run_case(
-        make_scenario("offload"), 7, 2, 0xA7,
+        make_scenario("batched"), 7, 2, 0xA7,
         strategy="silence", adversaries=[ADVERSARY],
         extra=[Directive("crash", (5, 0.0))], group=group7,
     )
     assert result.ok, result.repro_line()
     assert "--extra crash:5,0.0" in result.replay_command()
-
-
-def test_closed_offload_channel_still_serves_fetches(group7):
-    """The silence adversary leaves party 6 exactly ``n - t``
-    correspondents.  Once those four close, party 6 can still be missing a
-    decided body; a terminated offload channel used to unregister and stop
-    answering ``MSG_FETCH``, so party 6 never delivered (``no progress for
-    30.0s at: offload[6]``).  Replay: ``python -m repro.testing.schedule
-    --scenario offload --strategy silence --n 7 --t 2 --case 0x51
-    --adversaries 3 --keep none --extra crash:5,0.0``."""
-    result = run_case(
-        make_scenario("offload"), 7, 2, 0x51, keep=[],
-        strategy="silence", adversaries=[ADVERSARY],
-        extra=[Directive("crash", (5, 0.0))], group=group7,
-    )
-    assert result.ok, result.repro_line()
 
 
 def test_pinned_faults_count_against_t(group7):

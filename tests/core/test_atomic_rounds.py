@@ -5,13 +5,12 @@ Four checks the one-record-per-round shape makes possible:
 * **quiescence** — once everything has delivered, no round-keyed state is
   left behind (the leak regressions: ``_reserved`` kept one key per
   duplicate-adopted record, ``_dec_shares`` one dict per late share);
-* **one validity** — a candidate entry is judged by the same ``check`` on
-  arrival and inside the agreement's external-validity predicate, for
-  both dissemination modes;
+* **one validity** — a candidate entry is judged by the same ``_check``
+  on arrival and inside the agreement's external-validity predicate;
 * **the parse memo** — a round parses each valid proposal once, keeps at
   most ``n`` of them, and still verifies every proof on every call;
 * **wire pins** — messages, bytes, rounds, per-type counts, delivery
-  order and modular exponentiations of four closing runs in
+  order and modular exponentiations of three closing runs in
   configuration cells no ``benchmarks/baseline.json`` record covers,
   pinned to the values commit ``20c3dbd`` produced (the pipelined cells
   re-pinned with the full-vector rule, see ``test_round_rule.py``; the
@@ -26,11 +25,11 @@ import pytest
 
 from repro.common.encoding import encode
 from repro.core.channel import AtomicChannel, SecureAtomicChannel
-from repro.core.channel.atomic import KIND_APP, VECTOR_LIMIT, _Round
-from repro.core.channel.dissemination import (
-    BODY_KEEP_ROUNDS,
+from repro.core.channel.atomic import (
+    KIND_APP,
     SIGN_DOMAIN,
-    avail_string,
+    VECTOR_LIMIT,
+    _Round,
     sign_string,
     vector_digest,
 )
@@ -62,17 +61,10 @@ def _assert_nothing_left(ch):
     assert all(not rnd.parsed for rnd in ch._rounds.values())
 
 
-@pytest.mark.parametrize("offload", [False, True])
-def test_quiescent_channel_holds_no_round_state(group4, offload):
-    chans = _run_to_quiescence(
-        group4, AtomicChannel, 36, max_batch=2, pipeline_depth=2, offload=offload
-    )
+def test_quiescent_channel_holds_no_round_state(group4):
+    chans = _run_to_quiescence(group4, AtomicChannel, 36, max_batch=2, pipeline_depth=2)
     for ch in chans:
         _assert_nothing_left(ch)
-        if offload:
-            # enough rounds that the keep horizon had something to drop
-            assert ch.rounds_completed > BODY_KEEP_ROUNDS + ch.pipeline_depth
-            assert len(ch._dissem._rounds) <= BODY_KEEP_ROUNDS + ch.pipeline_depth
 
 
 def test_quiescent_secure_channel_holds_no_shares(group4):
@@ -94,6 +86,15 @@ def test_early_decryption_share_is_still_buffered(group4):
     assert ch._dec_shares == {0: {2: b"share"}}
 
 
+@pytest.mark.parametrize("payload", [5, None, (1, 2, 3)], ids=["int", "none", "3-tuple"])
+def test_malformed_decryption_share_is_dropped(group4, payload):
+    """A share frame that is not an ``(index, share)`` pair is dropped
+    like any other malformed input, not raised into the router."""
+    ch = SecureAtomicChannel(MockContext(group4, 0), "s")
+    ch.on_message(1, "dec", payload)
+    assert ch._dec_shares == {}
+
+
 # -- one validity -------------------------------------------------------------------
 
 ROUND = 3
@@ -101,27 +102,16 @@ SIGNER = 1
 PID = "v"
 
 
-def _channels(group, offload):
-    return [
-        AtomicChannel(MockContext(group, i), PID, offload=offload)
-        for i in range(group.n)
-    ]
+def _channels(group):
+    return [AtomicChannel(MockContext(group, i), PID) for i in range(group.n)]
 
 
 def _entry(chans, r, signer, vector):
-    """A properly proved ``(signer, body, proof)`` for ``vector`` —
-    whatever its shape — in the channels' dissemination mode."""
+    """A properly signed ``(signer, vector, sig)`` for ``vector``,
+    whatever its shape."""
     digest = vector_digest(vector)
-    if not chans[0].offload:
-        sig = chans[signer].ctx.crypto.sign(SIGN_DOMAIN, sign_string(PID, r, digest))
-        return (signer, vector, sig)
-    statement = avail_string(PID, r, signer, digest)
-    scheme = chans[0]._dissem._scheme
-    shares = {
-        i + 1: chans[i]._dissem._signer.sign_share(statement)
-        for i in range(scheme.k)
-    }
-    return (signer, digest, scheme.combine(statement, shares))
+    sig = chans[signer].ctx.crypto.sign(SIGN_DOMAIN, sign_string(PID, r, digest))
+    return (signer, vector, sig)
 
 
 VECTOR = [(SIGNER, 0, KIND_APP, b"x"), (SIGNER, 1, KIND_APP, b"y")]
@@ -131,49 +121,37 @@ OTHER = [(SIGNER, 7, KIND_APP, b"z")]
 def _bad_entries(chans):
     """name -> an entry that must be refused at (ROUND, SIGNER)."""
     good = _entry(chans, ROUND, SIGNER, VECTOR)
+    malformed = [(SIGNER, 0, KIND_APP, "not bytes")]
+    duplicate = [VECTOR[0], VECTOR[0]]
+    too_long = [(SIGNER, k, KIND_APP, b"") for k in range(VECTOR_LIMIT + 1)]
     bad = {
         "wrong round": _entry(chans, ROUND + 1, SIGNER, VECTOR),
         "wrong signer": (SIGNER,) + _entry(chans, ROUND, SIGNER + 1, VECTOR)[1:],
+        "malformed vector": _entry(chans, ROUND, SIGNER, malformed),
+        "duplicate key inside a vector": _entry(chans, ROUND, SIGNER, duplicate),
+        "over VECTOR_LIMIT": _entry(chans, ROUND, SIGNER, too_long),
+        "empty vector": _entry(chans, ROUND, SIGNER, []),
+        "non-int signature": (SIGNER, VECTOR, b"sig"),
+        "signature on another vector": (
+            SIGNER, VECTOR, _entry(chans, ROUND, SIGNER, OTHER)[2]
+        ),
     }
-    if chans[0].offload:
-        bad.update({
-            "non-bytes digest": (SIGNER, list(good[1]), good[2]),
-            "non-bytes certificate": (SIGNER, good[1], 7),
-            "certificate for another digest": (
-                SIGNER, good[1], _entry(chans, ROUND, SIGNER, OTHER)[2]
-            ),
-        })
-    else:
-        malformed = [(SIGNER, 0, KIND_APP, "not bytes")]
-        duplicate = [VECTOR[0], VECTOR[0]]
-        too_long = [(SIGNER, k, KIND_APP, b"") for k in range(VECTOR_LIMIT + 1)]
-        bad.update({
-            "malformed vector": _entry(chans, ROUND, SIGNER, malformed),
-            "duplicate key inside a vector": _entry(chans, ROUND, SIGNER, duplicate),
-            "over VECTOR_LIMIT": _entry(chans, ROUND, SIGNER, too_long),
-            "empty vector": _entry(chans, ROUND, SIGNER, []),
-            "non-int signature": (SIGNER, VECTOR, b"sig"),
-            "signature on another vector": (
-                SIGNER, VECTOR, _entry(chans, ROUND, SIGNER, OTHER)[2]
-            ),
-        })
     return good, bad
 
 
-@pytest.mark.parametrize("offload", [False, True])
-def test_one_validity_on_arrival_and_in_agreement(group4, offload):
-    chans = _channels(group4, offload)
+def test_one_validity_on_arrival_and_in_agreement(group4):
+    chans = _channels(group4)
     ch = chans[0]
     assert ch.batch_size == 2
     companion = _entry(chans, ROUND, 0, [(0, 0, KIND_APP, b"c")])
     good, bad = _bad_entries(chans)
 
-    assert ch._dissem.check(ROUND, *good) is not None
+    assert ch._check(ROUND, *good) is not None
     assert ch._decode_batch(ROUND, encode([companion, good])) is not None
     for name, entry in bad.items():
         signer, body, proof = entry
         assert signer == SIGNER
-        assert ch._dissem.check(ROUND, signer, body, proof) is None, name
+        assert ch._check(ROUND, signer, body, proof) is None, name
         assert ch._decode_batch(ROUND, encode([companion, entry])) is None, name
         # ... and on arrival nothing of it is kept
         ch._on_candidate(signer, (ROUND, body, proof))
@@ -186,30 +164,29 @@ def test_one_validity_on_arrival_and_in_agreement(group4, offload):
 
 
 def _counted(ch):
-    """Count the channel's ``parse``/``verify`` calls, ``check``'s included."""
+    """Count the channel's ``_parse``/``_verify`` calls, ``_check``'s included."""
     calls = {"parse": 0, "verify": 0}
     for name in calls:
-        inner = getattr(ch._dissem, name)
+        inner = getattr(ch, "_" + name)
 
         def wrapped(*args, _name=name, _inner=inner):
             calls[_name] += 1
             return _inner(*args)
 
-        setattr(ch._dissem, name, wrapped)
+        setattr(ch, "_" + name, wrapped)
     return calls
 
 
-def _memo_channel(group, offload):
-    chans = _channels(group, offload)
+def _memo_channel(group):
+    chans = _channels(group)
     ch = chans[0]
     ch._rounds[ROUND] = _Round()
     companion = _entry(chans, ROUND, 0, [(0, 0, KIND_APP, b"c")])
     return chans, ch, companion
 
 
-@pytest.mark.parametrize("offload", [False, True])
-def test_a_proposal_is_parsed_once_and_verified_every_time(group4, offload):
-    chans, ch, companion = _memo_channel(group4, offload)
+def test_a_proposal_is_parsed_once_and_verified_every_time(group4):
+    chans, ch, companion = _memo_channel(group4)
     value = encode([companion, _entry(chans, ROUND, SIGNER, VECTOR)])
     calls = _counted(ch)
     k = 5
@@ -219,18 +196,16 @@ def test_a_proposal_is_parsed_once_and_verified_every_time(group4, offload):
     assert list(ch._rounds[ROUND].parsed) == [value]
 
 
-@pytest.mark.parametrize("offload", [False, True])
-def test_a_memo_hit_never_answers_the_verdict(group4, offload):
-    chans, ch, companion = _memo_channel(group4, offload)
+def test_a_memo_hit_never_answers_the_verdict(group4):
+    chans, ch, companion = _memo_channel(group4)
     value = encode([companion, _entry(chans, ROUND, SIGNER, VECTOR)])
     assert ch._decode_batch(ROUND, value) is not None
-    ch._dissem.verify = lambda signer, statement, proof: False
+    ch._verify = lambda signer, statement, sig: False
     assert ch._decode_batch(ROUND, value) is None
 
 
-@pytest.mark.parametrize("offload", [False, True])
-def test_a_value_that_fails_verify_is_not_kept(group4, offload):
-    chans, ch, companion = _memo_channel(group4, offload)
+def test_a_value_that_fails_verify_is_not_kept(group4):
+    chans, ch, companion = _memo_channel(group4)
     _good, bad = _bad_entries(chans)
     calls = _counted(ch)
     # the entry parses at ROUND, but its proof covers ROUND + 1
@@ -239,9 +214,8 @@ def test_a_value_that_fails_verify_is_not_kept(group4, offload):
     assert ch._rounds[ROUND].parsed == {}
 
 
-@pytest.mark.parametrize("offload", [False, True])
-def test_the_memo_holds_at_most_n_values(group4, offload):
-    chans, ch, companion = _memo_channel(group4, offload)
+def test_the_memo_holds_at_most_n_values(group4):
+    chans, ch, companion = _memo_channel(group4)
     values = [
         encode([companion, _entry(chans, ROUND, SIGNER, [(SIGNER, k, KIND_APP, b"v")])])
         for k in range(group4.n + 2)
@@ -255,17 +229,12 @@ def test_the_memo_holds_at_most_n_values(group4, offload):
 
 #: config -> (messages, bytes, rounds, payloads delivered before the close
 #: round, per-mtype counts on the channel's own pid, delivery-order digest,
-#: modular exponentiations), computed at commit 20c3dbd; the two ``b4-d2``
-#: cells moved once since, when a partial vector began to wait for the
-#: lowest round (one round fewer each: 656 / 450380 / 4 rounds offloaded,
-#: 528 / 359932 / 4 inline before).  The exponentiations, taken at
-#: ``5e24813``, pin every proof verification of the validity predicate:
-#: a memo that answered a verdict would lower them.
+#: modular exponentiations), computed at commit 20c3dbd; the ``b4-d2``
+#: cell moved once since, when a partial vector began to wait for the
+#: lowest round (one round fewer: 528 / 359932 / 4 before).  The
+#: exponentiations, taken at ``5e24813``, pin every proof verification of
+#: the validity predicate: a memo that answered a verdict would lower them.
 WIRE_PINS = [
-    (
-        dict(max_batch=4, pipeline_depth=2, offload=True),
-        (624, 428252, 3, 14, {"avail": 64, "body": 64, "queue": 64}, "c980363d3c6d0c73", 2604),
-    ),
     (
         dict(max_batch=4, pipeline_depth=2),
         (496, 367468, 3, 14, {"queue": 64}, "3818c77d55638ad9", 1500),
@@ -289,7 +258,7 @@ def default_group4():
 
 
 @pytest.mark.parametrize(
-    "kwargs,pinned", WIRE_PINS, ids=["offload-b4-d2", "inline-b4-d2", "defaults", "b1-d4"]
+    "kwargs,pinned", WIRE_PINS, ids=["inline-b4-d2", "defaults", "b1-d4"]
 )
 def test_wire_is_pinned_where_no_baseline_record_looks(default_group4, kwargs, pinned):
     """24 payloads from four senders and an immediate close: the close

@@ -18,33 +18,18 @@ from repro.common.encoding import encode
 from repro.core.channel import AtomicChannel
 from tests.helpers import no_errors, sim_runtime
 
-#: (pipeline_depth, max_batch, offload) — the ISSUE's matrix plus one
-#: offloaded configuration, which shares the delivery path.
-CONFIGS = [
-    (1, 1, False),
-    (1, 8, False),
-    (1, 64, False),
-    (4, 1, False),
-    (4, 8, False),
-    (4, 64, False),
-    (4, 8, True),
-]
+#: (pipeline_depth, max_batch)
+CONFIGS = [(1, 1), (1, 8), (1, 64), (4, 1), (4, 8), (4, 64)]
 
 SENDS_PER_PARTY = 6
 SEED = 0xD37E12
 
 
-def _run_config(group4, depth: int, batch: int, offload: bool):
+def _run_config(group4, depth: int, batch: int):
     """One seeded run; returns (delivery order, state digest) per party."""
     rt = sim_runtime(group4, seed=SEED)
     chans = {
-        i: AtomicChannel(
-            rt.contexts[i],
-            "det",
-            max_batch=batch,
-            pipeline_depth=depth,
-            offload=offload,
-        )
+        i: AtomicChannel(rt.contexts[i], "det", max_batch=batch, pipeline_depth=depth)
         for i in range(4)
     }
     for k in range(SENDS_PER_PARTY):
@@ -73,16 +58,16 @@ def _run_config(group4, depth: int, batch: int, offload: bool):
     return orders, digests
 
 
-@pytest.mark.parametrize("depth,batch,offload", CONFIGS)
-def test_same_seed_is_byte_identical(group4, depth, batch, offload):
-    first_orders, first_digests = _run_config(group4, depth, batch, offload)
+@pytest.mark.parametrize("depth,batch", CONFIGS)
+def test_same_seed_is_byte_identical(group4, depth, batch):
+    first_orders, first_digests = _run_config(group4, depth, batch)
     # All four parties agree within one run (total order + equal digests).
     reference = first_orders[0]
     assert all(order == reference for order in first_orders.values())
     assert len(set(first_digests.values())) == 1
 
     # A rerun with the same seed is byte-identical, party by party.
-    second_orders, second_digests = _run_config(group4, depth, batch, offload)
+    second_orders, second_digests = _run_config(group4, depth, batch)
     assert second_orders == first_orders
     assert second_digests == first_digests
 
@@ -94,9 +79,9 @@ def test_payload_set_identical_across_matrix(group4):
         encode(("cmd", s, k)) for s in range(4) for k in range(SENDS_PER_PARTY)
     )
     reference_digest = None
-    for depth, batch, offload in CONFIGS:
-        orders, digests = _run_config(group4, depth, batch, offload)
-        assert sorted(orders[0]) == expected, (depth, batch, offload)
-        if (depth, batch, offload) == (1, 1, False):
+    for depth, batch in CONFIGS:
+        orders, digests = _run_config(group4, depth, batch)
+        assert sorted(orders[0]) == expected, (depth, batch)
+        if (depth, batch) == (1, 1):
             reference_digest = digests[0]
     assert reference_digest is not None

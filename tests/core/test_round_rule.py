@@ -27,13 +27,13 @@ from tests.recovery.test_service_sim import RCounter
 def _watch_announcements(ch, log):
     """Record ``(round signed for, lowest round then, vector length)`` of
     every candidate ``ch`` puts out."""
-    announce = ch._dissem.announce
+    announce = ch._announce
 
     def watched(r, vector):
         log.append((r, ch.round, len(vector)))
         announce(r, vector)
 
-    ch._dissem.announce = watched
+    ch._announce = watched
 
 
 def _drain(rt, chans, expect):
@@ -84,17 +84,13 @@ def test_pipelined_burst_costs_at_most_one_round_more_than_depth_one(group4):
 MAX_BATCH = 4
 
 
-@pytest.mark.parametrize("offload", [False, True])
-def test_no_party_signs_a_partial_vector_above_its_lowest_round(group4, offload):
+def test_no_party_signs_a_partial_vector_above_its_lowest_round(group4):
     """Submits trickle in while rounds run, so every party sees backlogs of
     every size from 1 up; whatever it signs for a round above its lowest
     is full.  The window still opens: full vectors do go out ahead."""
     rt = sim_runtime(group4, seed=23)
     chans = [
-        AtomicChannel(
-            rt.contexts[i], "rule", max_batch=MAX_BATCH, pipeline_depth=4,
-            offload=offload,
-        )
+        AtomicChannel(rt.contexts[i], "rule", max_batch=MAX_BATCH, pipeline_depth=4)
         for i in range(4)
     ]
     logs = [[] for _ in chans]

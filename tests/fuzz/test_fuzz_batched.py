@@ -1,8 +1,7 @@
 """Fuzz-tier coverage for the batched + pipelined atomic channel.
 
-The ``batched`` and ``offload`` scenarios run the atomic channel with
-``max_batch=4, pipeline_depth=2`` (the latter with payload offloading),
-under the full adversarial envelope: schedule exploration, crashes,
+The ``batched`` scenario runs the atomic channel with
+``max_batch=4, pipeline_depth=2`` under the full adversarial envelope: schedule exploration, crashes,
 partitions and compromised parties.  A compromised party runs the
 ``mutate`` strategy (:class:`~repro.adversary.strategies.MutateAdversary`),
 which targets the batch vectors specifically — malformed vectors,
@@ -33,7 +32,7 @@ from repro.testing import (
     shrink_case,
 )
 
-BATCHED_KINDS = ("batched", "offload")
+BATCHED_KINDS = ("batched",)
 
 #: Fixed root seed for the deterministic (non-campaign) tests below.
 BATCH_SEED = 0xBA7C
@@ -154,11 +153,11 @@ class ReversedVectorChannel(AtomicChannel):
     so only the batched tier can catch it.
     """
 
-    def _deliver_round(self, r, batch, resolved):
+    def _deliver_round(self, r, batch):
         reversed_vectors = [
-            (signer, list(reversed(vector))) for signer, vector in resolved
+            (signer, list(reversed(vector)), sig) for signer, vector, sig in batch
         ]
-        super()._deliver_round(r, batch, reversed_vectors)
+        super()._deliver_round(r, reversed_vectors)
 
 
 def _buggy_batched_scenario() -> ChannelScenario:

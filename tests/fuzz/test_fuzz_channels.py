@@ -29,7 +29,6 @@ OPEN_CELLS = [
     # 3 reach round 2
     ("atomic", 4, 1, 0x5D9EACB83A66D0DF, [5, 6]),
     ("stability", 4, 1, 0x2DFFB7A7DA5B59CB, None),
-    ("offload", 4, 1, 0xB13B500C3D67DA7F, None),
 ]
 
 

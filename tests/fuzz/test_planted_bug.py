@@ -36,8 +36,8 @@ PLANTED_SEED = 0x5EED
 class ReversedOrderChannel(AtomicChannel):
     """Planted bug: delivers agreed batches in reversed signer order."""
 
-    def _deliver_round(self, r, batch, resolved):
-        super()._deliver_round(r, batch, [(-s, v) for s, v in resolved])  # BUG
+    def _deliver_round(self, r, batch):
+        super()._deliver_round(r, [(-s, v, sig) for s, v, sig in batch])  # BUG
 
 
 def _buggy_atomic_scenario() -> ChannelScenario:

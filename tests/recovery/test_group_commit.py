@@ -102,8 +102,8 @@ class DiskWatch:
 
     def watch_announces(self):
         for i, svc in enumerate(self.services):
-            dissem = svc.channel._dissem
-            announce = dissem.announce
+            channel = svc.channel
+            announce = channel._announce
 
             def checked(r, vector, i=i, announce=announce):
                 if self.synced[i] < self.mark_end[i]:
@@ -115,7 +115,7 @@ class DiskWatch:
                         self.announced_next[i] = max(self.announced_next[i], seq + 1)
                 announce(r, vector)
 
-            dissem.announce = checked
+            channel._announce = checked
 
 
 def test_power_loss_keeps_every_applied_slot(group4, tmp_path, monkeypatch):
