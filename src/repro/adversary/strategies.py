@@ -14,7 +14,7 @@ absorb with up to ``t`` intrusions:
 ============  ==============================================================
 ``silence``   drop all traffic toward a targeted honest minority (<= t)
 ``withhold``  suppress every threshold share (coin / echo / decryption /
-              vote / availability) — starve quorums without lying
+              vote) — starve quorums without lying
 ``badshare``  emit bit-flipped threshold shares — waste verifier work,
               trigger optimistic-combine eviction paths
 ``equivocate``broadcast different payloads of the same message type to the
@@ -61,7 +61,7 @@ from repro.crypto.threshold_sig import combine_optimistically
 Action = Tuple[int, str, str, Any]
 
 #: message types that carry a threshold share as (part of) their payload
-SHARE_MTYPES = ("pre-vote", "main-vote", "coin", "echo", "dec", "avail")
+SHARE_MTYPES = ("pre-vote", "main-vote", "coin", "echo", "dec")
 
 #: Alphabet for generated strings (covers the protocols' mtype/pid space).
 _CHARS = "abcdefghijklmnopqrstuvwxyz-0123456789"
@@ -239,8 +239,6 @@ class BadShareAdversary(Strategy):
             return payload[:-1] + (self._flip(payload[-1]),)
         if mtype in ("coin", "dec") and len(payload) == 2:
             return (payload[0], self._flip(payload[1]))
-        if mtype == "avail" and len(payload) == 3:
-            return (payload[0], payload[1], self._flip(payload[2]))
         return None
 
     def outbound(self, dst: int, pid: str, mtype: str, payload: Any) -> List[Action]:
@@ -322,7 +320,7 @@ class ReplayAdversary(Strategy):
 class ForgeCertAdversary(Strategy):
     """Forge certificate-sized byte strings in outgoing payloads.
 
-    Threshold signatures, availability certificates and checkpoint proofs
+    Threshold signatures, VCBC closing messages and checkpoint proofs
     all travel as opaque ``bytes``; this strategy replaces any such field
     with random garbage or bytes transplanted from observed traffic (a
     *real* certificate for the wrong statement).  Honest verifiers must

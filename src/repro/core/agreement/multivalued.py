@@ -28,12 +28,9 @@ consistent broadcast and biased validated binary agreement:
    data returned by the binary agreement.
 
 The loop takes ``O(t)`` iterations in expectation and ``O(t n^2)``
-messages, as stated in the paper.  All three candidate-order variants of
-Sec. 2.4 are provided: fixed, randomized from local information (SINTRA
-implements these two), and — as an extension beyond the prototype —
-coin-selected via an extra threshold-coin exchange in the proposal stage
-(the expected-constant-round guarantee additionally needs a
-vote-commitment step, which neither SINTRA nor this reproduction adds).
+messages, as stated in the paper.  Of the three candidate-order variants
+of Sec. 2.4, the two SINTRA implements are provided: fixed, and randomized
+from local information.
 """
 
 from __future__ import annotations
@@ -52,11 +49,9 @@ from repro.core.broadcast.verifiable import (
 from repro.core.protocol import Context
 
 MSG_VOTE = "vote"
-MSG_ORDER_COIN = "ocoin"
 
 ORDER_FIXED = "fixed"
 ORDER_RANDOM = "random"
-ORDER_COIN = "coin"
 
 #: ``validator(value) -> bool`` — the global external-validity predicate.
 ArrayValidator = Callable[[bytes], bool]
@@ -66,29 +61,20 @@ def _accept_all(value: bytes) -> bool:
     return True
 
 
-def candidate_order(pid: str, n: int, order: str) -> Optional[List[int]]:
+def candidate_order(pid: str, n: int, order: str) -> List[int]:
     """The candidate permutation ``Pi`` (common to all parties).
 
-    The paper's three variants (Sec. 2.4):
+    The two variants SINTRA implements (Sec. 2.4):
 
     * ``fixed`` — the identity permutation;
     * ``random`` — derived from the protocol identifier, i.e. from
       information locally available to every party; balances load but
-      offers no more security than a fixed order;
-    * ``coin`` — chosen at random with the threshold coin-tossing scheme
-      in an extra round of message exchanges during the proposal stage, so
-      the order is unpredictable until t+1 parties engage.  (The paper
-      notes this variant becomes expected-constant-round only when
-      combined with an additional vote-commitment step, which SINTRA does
-      not implement either.)  Returns ``None``: the permutation is only
-      known once the coin is assembled.
+      offers no more security than a fixed order.
     """
     if order == ORDER_FIXED:
         return list(range(n))
     if order == ORDER_RANDOM:
         return permutation_from_seed(encode(("mvba-order", pid)), n)
-    if order == ORDER_COIN:
-        return None
     raise ProtocolError(f"unknown candidate order {order!r}")
 
 
@@ -116,7 +102,6 @@ class ArrayAgreement(Agreement):
     ):
         super().__init__(ctx, pid)
         self.validator: ArrayValidator = validator or _accept_all
-        self.order_mode = order
         self.order = candidate_order(pid, ctx.n, order)
         self._vcbc: List[VerifiableConsistentBroadcast] = []
         for j in range(ctx.n):
@@ -131,8 +116,6 @@ class ArrayAgreement(Agreement):
         self._vba: Optional[ValidatedAgreement] = None
         self._vba_proposed = False
         self.rounds_used = 0  # candidate iterations consumed (for metrics)
-        self._order_coin_shares: Dict[int, bytes] = {}
-        self._early_votes: List[Tuple[int, Any]] = []
 
     # -- stage 1: proposals via VCBC ----------------------------------------------
 
@@ -146,14 +129,6 @@ class ArrayAgreement(Agreement):
 
     def _start(self, value: bytes, proof: Optional[bytes]) -> None:
         self._vcbc[self.ctx.node_id].send(value)
-        if self.order_mode == ORDER_COIN and self.order is None:
-            # The extra exchange of the paper's third variant: release a
-            # share of the ordering coin alongside the proposal stage.
-            share = self.ctx.crypto.coin_holder.release(self._order_coin_name())
-            self.send_all(MSG_ORDER_COIN, share)
-
-    def _order_coin_name(self) -> bytes:
-        return encode(("mvba-order-coin", self.pid))
 
     def _on_proposal_delivered(
         self, bc: VerifiableConsistentBroadcast, payload: bytes
@@ -164,14 +139,7 @@ class ArrayAgreement(Agreement):
         if j in self._proposals or not self.validator(payload):
             return
         self._proposals[j] = (payload, bc.get_closing())
-        self._maybe_enter_loop()
-
-    def _maybe_enter_loop(self) -> None:
-        if (
-            self._iteration < 0
-            and self.order is not None
-            and len(self._proposals) >= self.ctx.n - self.ctx.t
-        ):
+        if self._iteration < 0 and len(self._proposals) >= self.ctx.n - self.ctx.t:
             self._next_candidate()
 
     # -- stage 2: the candidate loop --------------------------------------------------
@@ -215,20 +183,12 @@ class ArrayAgreement(Agreement):
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
         if self.halted:
             return
-        if mtype == MSG_ORDER_COIN:
-            self._on_order_coin(sender, payload)
-            return
         if mtype != MSG_VOTE or not (
             isinstance(payload, tuple)
             and len(payload) == 3
             and isinstance(payload[0], int)
             and payload[0] >= 0
         ):
-            return
-        if self.order is None:
-            # votes cannot be attributed to a candidate before the
-            # ordering coin is assembled; keep them for replay
-            self._early_votes.append((sender, payload))
             return
         iteration, has, closing = payload
         votes = self._votes.setdefault(iteration, {})
@@ -252,22 +212,6 @@ class ArrayAgreement(Agreement):
             votes[sender] = False
         if iteration == self._iteration:
             self._check_votes()
-
-    def _on_order_coin(self, sender: int, share: Any) -> None:
-        if self.order is not None or not isinstance(share, bytes):
-            return
-        coin = self.ctx.crypto.coin
-        name = self._order_coin_name()
-        if not self.ctx.crypto.accel.coin_share_ok(coin, name, share):
-            return
-        self._order_coin_shares[sender + 1] = share
-        if len(self._order_coin_shares) >= coin.k:
-            seed = coin.assemble_bytes(name, self._order_coin_shares, 32)
-            self.order = permutation_from_seed(seed, self.ctx.n)
-            early, self._early_votes = self._early_votes, []
-            for early_sender, early_payload in early:
-                self.on_message(early_sender, MSG_VOTE, early_payload)
-            self._maybe_enter_loop()
 
     def _check_votes(self) -> None:
         if self._vba is None or self._vba_proposed or self.halted:

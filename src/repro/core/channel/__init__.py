@@ -12,7 +12,6 @@ from repro.core.channel.atomic import AtomicChannel
 from repro.core.channel.secure import SecureAtomicChannel
 from repro.core.channel.reliable_channel import ReliableChannel
 from repro.core.channel.consistent_channel import ConsistentChannel
-from repro.core.channel.stability import StabilizedConsistentChannel
 
 __all__ = [
     "Channel",
@@ -21,5 +20,4 @@ __all__ = [
     "SecureAtomicChannel",
     "ReliableChannel",
     "ConsistentChannel",
-    "StabilizedConsistentChannel",
 ]

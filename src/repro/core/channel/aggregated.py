@@ -62,6 +62,8 @@ class BroadcastChannel(Channel):
         #: this party's not-yet-sent backlog (one instance in flight at a time)
         self._backlog: List[bytes] = []
         self._in_flight = False
+        #: when our in-flight instance was sent (recorded only when observed)
+        self._in_flight_since: Optional[float] = None
         self._close_senders: set = set()
         self.deliveries: List[Tuple[int, bytes]] = []  # (sender, payload)
         for j in range(ctx.n):
@@ -97,7 +99,7 @@ class BroadcastChannel(Channel):
         if j == self.ctx.node_id:
             self._in_flight = False
             if self.obs.enabled:
-                started = getattr(self, "_in_flight_since", None)
+                started = self._in_flight_since
                 if started is not None:
                     # One full broadcast instance of our own, send to local
                     # delivery — the per-slot cost of this channel kind.

@@ -24,7 +24,6 @@ from repro.core.channel import (
     ConsistentChannel,
     ReliableChannel,
     SecureAtomicChannel,
-    StabilizedConsistentChannel,
 )
 from repro.core.protocol import Context
 
@@ -103,10 +102,6 @@ class Party:
 
     def consistent_channel(self, pid: str) -> ConsistentChannel:
         return ConsistentChannel(self.ctx, pid)
-
-    def stabilized_consistent_channel(self, pid: str) -> StabilizedConsistentChannel:
-        """Consistent channel + the Sec. 2.7 external stability mechanism."""
-        return StabilizedConsistentChannel(self.ctx, pid)
 
 
 def make_parties(runtime) -> "list[Party]":

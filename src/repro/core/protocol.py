@@ -145,11 +145,10 @@ class Router:
         self.dropped = 0
         #: passive observers ``obs(sender, pid, mtype, payload)`` called
         #: for every message handed to a protocol instance (including
-        #: buffered replays).  Used by the testing harness's invariant
-        #: checkers to watch protocol traffic — e.g. the stability
-        #: checker's acknowledgment-vector monotonicity — without touching
-        #: protocol internals.  Observer exceptions are *not* contained:
-        #: an invariant violation must abort the run.
+        #: buffered replays).  Used by the adversary strategies and the
+        #: heal loop's equivocation monitor to watch protocol traffic
+        #: without touching protocol internals.  Observer exceptions are
+        #: *not* contained: an invariant violation must abort the run.
         self.observers: List[Callable[[int, str, str, Any], None]] = []
 
     def register(self, protocol: "Protocol") -> None:

@@ -27,12 +27,12 @@ from typing import Any
 _EXPORTS = {
     "invariants": [
         "AgreementInvariant",
+        "ConsistencyInvariant",
         "Invariant",
         "InvariantSuite",
         "InvariantViolation",
         "LedgerInvariant",
         "SecureCausalityInvariant",
-        "StabilityInvariant",
         "TotalOrderInvariant",
     ],
     "netchaos": ["ChaosFabric", "ChaosProxy"],

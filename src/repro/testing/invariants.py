@@ -12,9 +12,8 @@ safety properties stop holding:
 * :class:`SecureCausalityInvariant` — the secure channel releases
   cleartexts only for already-ordered ciphertexts, strictly in order
   (Sec. 2.6);
-* :class:`StabilityInvariant` — acknowledgment vectors are monotone and
-  the stable stream is an in-order subset of the consistent stream
-  (Sec. 2.7);
+* :class:`ConsistencyInvariant` — per sender, the consistent channel's
+  honest delivery streams are prefixes of one another (Sec. 2.7);
 * :class:`LedgerInvariant` — replicas at equal command counts have equal
   state, and the total supply changes only by minting.
 
@@ -220,64 +219,43 @@ class SecureCausalityInvariant(Invariant):
             self._last_release[i] = released
 
 
-class StabilityInvariant(Invariant):
-    """Stability mechanism: monotone ack vectors, in-order stable subset.
+class ConsistencyInvariant(Invariant):
+    """Consistent channel: per sender, honest streams are prefix-related.
 
-    Watches each honest party's :class:`StabilizedConsistentChannel`:
-
-    * the per-acker acknowledgment vectors the channel accumulates must
-      never decrease (they are cumulative delivery counts);
-    * ``stable_next`` release cursors must be monotone;
-    * each party's stable stream, per sender, must be an in-order
-      subsequence of that party's own raw consistent deliveries (a slot
-      can be skipped when stability outruns local delivery, but never
-      reordered or invented).
+    Consistency gives one payload per broadcast instance ``(j, s)``, and
+    the channel allocates ``(j, s + 1)`` only after ``(j, s)`` delivers,
+    so for every sender ``j`` — Byzantine ones included — the payloads
+    any two honest parties delivered from ``j`` are prefixes of one
+    another.  Each party's new deliveries are compared against the
+    longest stream seen so far for their sender.
     """
 
-    name = "stability"
+    name = "consistency"
 
     def __init__(self, channels: Dict[int, Any], honest: Iterable[int]):
         self.channels = {i: channels[i] for i in sorted(honest) if i in channels}
-        self._ack_snapshot: Dict[int, Dict[int, Tuple[int, ...]]] = {
-            i: {} for i in self.channels
-        }
-        self._stable_snapshot: Dict[int, Dict[int, int]] = {
-            i: dict(ch._stable_next) for i, ch in self.channels.items()
-        }
+        self._checked: Dict[int, int] = {i: 0 for i in self.channels}
+        #: party -> sender -> how many payloads it delivered from that sender
+        self._counts: Dict[int, Dict[int, int]] = {i: {} for i in self.channels}
+        #: sender -> the longest stream seen, as (payload, first deliverer)
+        self._longest: Dict[int, List[Tuple[bytes, int]]] = {}
 
     def check(self) -> None:
         for i, ch in self.channels.items():
-            for acker, vector in ch._ack_vectors.items():
-                now = tuple(vector[j] for j in sorted(vector))
-                before = self._ack_snapshot[i].get(acker)
-                if before is not None and any(b > n for b, n in zip(before, now)):
+            log = ch.deliveries
+            for sender, payload in log[self._checked[i]:]:
+                k = self._counts[i].get(sender, 0)
+                self._counts[i][sender] = k + 1
+                longest = self._longest.setdefault(sender, [])
+                if k == len(longest):
+                    longest.append((payload, i))
+                elif longest[k][0] != payload:
+                    other, party = longest[k]
                     self.fail(
-                        f"party {i}: ack vector of {acker} decreased "
-                        f"{before} -> {now}"
+                        f"sender {sender} position {k}: party {i} delivered "
+                        f"{payload!r} but party {party} delivered {other!r}"
                     )
-                self._ack_snapshot[i][acker] = now
-            for sender, cursor in ch._stable_next.items():
-                if cursor < self._stable_snapshot[i].get(sender, 0):
-                    self.fail(f"party {i}: stable cursor for {sender} decreased")
-                self._stable_snapshot[i][sender] = cursor
-            self._stable_subset(i, ch)
-
-    def _stable_subset(self, i: int, ch) -> None:
-        raw: Dict[int, List[bytes]] = {}
-        for sender, payload in ch.deliveries:
-            raw.setdefault(sender, []).append(payload)
-        cursor: Dict[int, int] = {}
-        for sender, payload in ch.stable_deliveries:
-            seq = raw.get(sender, [])
-            k = cursor.get(sender, 0)
-            while k < len(seq) and seq[k] != payload:
-                k += 1
-            if k >= len(seq):
-                self.fail(
-                    f"party {i}: stable stream for sender {sender} is not an "
-                    f"in-order subset of its consistent deliveries"
-                )
-            cursor[sender] = k + 1
+            self._checked[i] = len(log)
 
 
 class LedgerInvariant(Invariant):

@@ -73,11 +73,11 @@ from repro.obs.export import bench_dir_from_env, make_record, write_record
 from repro.obs.recorder import MemoryRecorder, Recorder
 from repro.testing.invariants import (
     AgreementInvariant,
+    ConsistencyInvariant,
     InvariantSuite,
     InvariantViolation,
     LedgerInvariant,
     SecureCausalityInvariant,
-    StabilityInvariant,
     TotalOrderInvariant,
 )
 
@@ -299,7 +299,7 @@ class ChannelScenario(Scenario):
         "atomic": ("atomic_channel", {}),
         "batched": ("atomic_channel", {"max_batch": 4, "pipeline_depth": 2}),
         "secure": ("secure_atomic_channel", {}),
-        "stability": ("stabilized_consistent_channel", {}),
+        "consistent": ("consistent_channel", {}),
     }
 
     def __init__(
@@ -335,10 +335,10 @@ class ChannelScenario(Scenario):
         honest = set(channels) - compromised
         live = honest - crashed
         suite = InvariantSuite()
-        if self.kind == "stability":
-            # The consistent channel orders per sender only; the checkable
-            # properties are the stability mechanism's.
-            suite.add(StabilityInvariant(channels, honest))
+        if self.kind == "consistent":
+            # The consistent channel orders per sender only, and some
+            # honest parties may deliver less than others.
+            suite.add(ConsistencyInvariant(channels, honest))
         else:
             suite.add(TotalOrderInvariant(channels, honest, live=live))
         if self.kind == "secure":
@@ -466,7 +466,7 @@ SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "atomic": lambda: ChannelScenario("atomic"),
     "batched": lambda: ChannelScenario("batched", messages_per_party=4),
     "secure": lambda: ChannelScenario("secure"),
-    "stability": lambda: ChannelScenario("stability"),
+    "consistent": lambda: ChannelScenario("consistent"),
     "binary": lambda: AgreementScenario("binary"),
     "mvba": lambda: AgreementScenario("mvba"),
     "ledger": lambda: LedgerScenario(),

@@ -138,3 +138,23 @@ def test_compromised_party_runs_the_mutate_strategy(capsys, group4):
     assert results[0].ok, results[0].repro_line()
     assert results[0].actions.get("mutate", 0) > 0
     assert results[0].actions == results[1].actions
+
+
+def test_share_mtypes_are_protocol_message_types():
+    """``withhold`` and ``badshare`` act on ``SHARE_MTYPES``; each entry
+    must be a message type some protocol under ``repro.core`` sends."""
+    import importlib
+    import pkgutil
+
+    import repro.core
+    from repro.adversary.strategies import SHARE_MTYPES
+
+    sent = set()
+    for info in pkgutil.walk_packages(repro.core.__path__, "repro.core."):
+        module = importlib.import_module(info.name)
+        sent.update(
+            value
+            for name, value in vars(module).items()
+            if name.startswith("MSG_") and isinstance(value, str)
+        )
+    assert set(SHARE_MTYPES) <= sent, sorted(set(SHARE_MTYPES) - sent)

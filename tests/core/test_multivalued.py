@@ -3,20 +3,16 @@ crash tolerance, proposal recovery from validation data."""
 
 import pytest
 
-from repro.common.encoding import decode, encode
 from repro.common.errors import ProtocolError
 from repro.core.agreement import ArrayAgreement
 from repro.core.agreement.multivalued import (
-    MSG_ORDER_COIN,
-    MSG_VOTE,
-    ORDER_COIN,
     ORDER_FIXED,
     ORDER_RANDOM,
     candidate_order,
 )
 from repro.net.faults import CrashFault, FaultPlan, TargetedDelayAdversary
 
-from tests.helpers import MockContext, no_errors, sim_runtime
+from tests.helpers import no_errors, sim_runtime
 
 
 def _mvbas(rt, pid="mv", parties=None, **kwargs):
@@ -102,8 +98,11 @@ def test_candidate_order_permutations():
     # common information: same pid -> same permutation everywhere
     assert perm == candidate_order("x", 7, ORDER_RANDOM)
     assert perm != candidate_order("y", 7, ORDER_RANDOM) or True  # may collide
-    with pytest.raises(ProtocolError):
-        candidate_order("x", 4, "chaotic")
+    # unknown orders raise; "coin" (Sec. 2.4's third variant, which SINTRA
+    # never shipped) is one of them
+    for unknown in ("chaotic", "coin"):
+        with pytest.raises(ProtocolError):
+            candidate_order("x", 4, unknown)
 
 
 def test_terminates_with_crash(group4):
@@ -162,35 +161,6 @@ def test_rounds_used_reported(group4):
     assert all(1 <= m.rounds_used <= 8 for m in mvbas.values())
 
 
-def test_coin_order_variant(group4):
-    """The extension variant: Pi chosen by the threshold coin in an extra
-    exchange during the proposal stage."""
-    from repro.core.agreement.multivalued import ORDER_COIN
-
-    for seed in range(3):
-        rt = sim_runtime(group4, seed=20 + seed)
-        mvbas = _mvbas(rt, pid=f"coin-ord-{seed}", order=ORDER_COIN)
-        for i, m in mvbas.items():
-            m.propose(b"co%d" % i)
-        decisions = _decide_all(rt, mvbas, limit=2000)
-        assert len(set(decisions)) == 1
-        # all parties derived the same permutation from the coin
-        orders = {tuple(m.order) for m in mvbas.values()}
-        assert len(orders) == 1
-        no_errors(rt)
-
-
-def test_coin_order_with_crash(group4):
-    from repro.core.agreement.multivalued import ORDER_COIN
-
-    rt = sim_runtime(group4, seed=25, faults=FaultPlan(crashes=(CrashFault(1),)))
-    mvbas = _mvbas(rt, pid="coin-crash", order=ORDER_COIN, parties=[0, 2, 3])
-    for i, m in mvbas.items():
-        m.propose(b"cc%d" % i)
-    decisions = _decide_all(rt, mvbas, limit=2000)
-    assert len(set(decisions)) == 1
-
-
 def test_permutation_from_seed_deterministic():
     from repro.core.agreement.multivalued import permutation_from_seed
 
@@ -198,18 +168,3 @@ def test_permutation_from_seed_deterministic():
     assert a == permutation_from_seed(b"seed", 7)
     assert sorted(a) == list(range(7))
     assert a != permutation_from_seed(b"other", 7) or True
-
-
-def test_malformed_vote_does_not_cut_the_coin_order_replay_short(group4):
-    """Votes that arrive before the ordering coin are replayed once it
-    assembles; a faulty party's junk vote among them is ignored, and the
-    honest votes buffered behind it still count."""
-    mvba = ArrayAgreement(MockContext(group4, 0), "junk", order=ORDER_COIN)
-    mvba.on_message(1, MSG_VOTE, (0, False, None, b"junk"))
-    mvba.on_message(2, MSG_VOTE, (0, False, None))
-    mvba.on_message(3, MSG_VOTE, (0, False, None))
-    name = mvba._order_coin_name()
-    for i in range(group4.n):
-        mvba.on_message(i, MSG_ORDER_COIN, group4.party(i).coin_holder.release(name))
-    assert mvba.order is not None
-    assert mvba._votes[0] == {2: False, 3: False}

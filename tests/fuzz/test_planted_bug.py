@@ -1,11 +1,13 @@
 """The harness must catch deliberately planted protocol bugs.
 
-Two classic bug shapes are injected and must be (a) detected, (b) shrunk
+Three classic bug shapes are injected and must be (a) detected, (b) shrunk
 to a minimal fault plan, and (c) replayable from the reported seed line:
 
 * a **safety** bug — one replica delivers each agreed batch in *reversed*
   signer order, violating total order (the sort at the end of the atomic
   channel's round is exactly the kind of line a refactor breaks);
+* a **consistency** bug — one replica of the consistent channel swaps
+  the first payload it delivers from one sender for another;
 * a **liveness** bug — binary agreement waits for ``n - t + 1`` votes
   instead of ``n - t`` (the textbook quorum off-by-one), which deadlocks
   as soon as one party crashes.
@@ -16,6 +18,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.agreement.binary import BinaryAgreement
+from repro.core.channel import ConsistentChannel
+from repro.core.channel.aggregated import KIND_APP, _frame
 from repro.core.channel.atomic import AtomicChannel
 from repro.testing import (
     AgreementScenario,
@@ -73,6 +77,52 @@ def test_safety_bug_is_caught_shrunk_and_replayable(group4):
 
     # Sanity: the same case on the unmodified protocol stays green.
     assert run_case(ChannelScenario("atomic"), 4, 1, seed, group=group4).ok
+
+
+class SwappedPayloadChannel(ConsistentChannel):
+    """Planted bug: swaps the first payload delivered from sender 1."""
+
+    swapped = False
+
+    def _on_instance_delivered(self, bc, payload):
+        if bc.sender == 1 and not self.swapped:
+            self.swapped = True
+            payload = _frame(KIND_APP, b"forged")  # BUG
+        super()._on_instance_delivered(bc, payload)
+
+
+def _buggy_consistent_scenario() -> ChannelScenario:
+    return ChannelScenario(
+        "consistent",
+        channel_overrides={
+            0: lambda party: SwappedPayloadChannel(party.ctx, "consistent")
+        },
+    )
+
+
+def test_consistency_bug_is_caught_and_replayable(group4):
+    seed = case_seed_for(PLANTED_SEED, "consistent", 4, 1, 0)
+    result = run_case(_buggy_consistent_scenario(), 4, 1, seed, group=group4)
+    assert not result.ok
+    assert result.kind == "safety"
+    assert "invariant violated: [consistency] sender 1 position 0" in result.error
+
+    # Fault-independent again: the minimal counterexample is the bare seed,
+    # and the REPRO: line's (seed, keep) pair replays the exact failure.
+    shrunk = shrink_case(
+        _buggy_consistent_scenario(), 4, 1, seed, group=group4, first_failure=result
+    )
+    assert shrunk.kept == []
+    line = shrunk.repro_line()
+    assert line.startswith("REPRO:") and "kind=safety" in line
+    assert f"--case {hex(seed)} --keep none" in line
+    replay = run_case(
+        _buggy_consistent_scenario(), 4, 1, seed, keep=shrunk.kept, group=group4
+    )
+    assert (replay.ok, replay.kind, replay.error) == (False, "safety", result.error)
+
+    # Sanity: the same case on the unmodified protocol stays green.
+    assert run_case(ChannelScenario("consistent"), 4, 1, seed, group=group4).ok
 
 
 def _first_crash_case(n: int, t: int) -> int:
