@@ -3,13 +3,24 @@
 All modular exponentiations inside the crypto layer go through :func:`mexp`
 so the simulator's CPU cost model (see ``repro.net.costmodel``) can account
 for public-key work performed while handling a message.
+
+The exponentiation itself runs on one native kernel, :func:`powmod`:
+OpenSSL's ``BN_mod_exp_mont``, bound with :mod:`ctypes` through the
+``libcrypto`` that CPython's own ``_hashlib`` already links, so nothing
+is installed.  Builtin ``pow`` is the only other path; it runs where the
+symbols are missing or an operand is outside the kernel's domain, and
+every result equals builtin ``pow``'s.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import math
 import random
-from typing import Dict, Iterable, List, Sequence, Tuple
+import threading
+from collections import OrderedDict
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import CryptoError
 from repro.crypto import opcount
@@ -31,7 +42,152 @@ def mexp(base: int, exponent: int, modulus: int) -> int:
     if modulus <= 0:
         raise CryptoError("modulus must be positive")
     opcount.record(modulus.bit_length(), abs(exponent).bit_length())
-    return pow(base, exponent, modulus)
+    return powmod(base, exponent, modulus)
+
+
+# ---------------------------------------------------------------------------
+# The native kernel
+# ---------------------------------------------------------------------------
+
+#: process-wide bound on cached per-modulus Montgomery contexts
+MONT_CACHE = 64
+
+_P = ctypes.c_void_p
+_SIGNATURES: Tuple[Tuple[str, Any, Tuple[Any, ...]], ...] = (
+    ("BN_new", _P, ()),
+    ("BN_free", None, (_P,)),
+    ("BN_CTX_new", _P, ()),
+    ("BN_MONT_CTX_new", _P, ()),
+    ("BN_MONT_CTX_set", ctypes.c_int, (_P, _P, _P)),
+    ("BN_MONT_CTX_free", None, (_P,)),
+    ("BN_bin2bn", _P, (ctypes.c_char_p, ctypes.c_int, _P)),
+    ("BN_bn2binpad", ctypes.c_int, (_P, _P, ctypes.c_int)),
+    ("BN_mod_exp_mont", ctypes.c_int, (_P, _P, _P, _P, _P, _P)),
+)
+
+
+def _bind() -> Optional[ctypes.PyDLL]:
+    """The libcrypto CPython's ``_hashlib`` loaded, with the kernel's
+    symbols typed; ``None`` where it or one of them is missing.
+
+    ``PyDLL`` keeps the GIL across a call, as builtin ``pow`` does.
+    """
+    try:
+        path = importlib.import_module("_hashlib").__file__
+        if path is None:
+            return None
+        lib = ctypes.PyDLL(path)
+        for name, restype, argtypes in _SIGNATURES:
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
+
+
+class _Modulus:
+    """A cached modulus: byte size, ``BIGNUM``, Montgomery context and
+    output buffer."""
+
+    __slots__ = ("size", "bn", "mont", "out")
+
+    def __init__(self, size: int, bn: Optional[int], mont: Optional[int]):
+        self.size = size
+        self.bn = bn
+        self.mont = mont
+        self.out = ctypes.create_string_buffer(size)
+
+
+_lib = _bind()
+# One BN_CTX and four scratch BIGNUMs (base, exponent, result, one-off
+# modulus), used under _lock: a kernel call is several ctypes calls, and
+# another thread may run between any two of them.
+_lock = threading.Lock()
+_ctx: Optional[int] = None
+_base = _exp = _res = _mod = None
+_moduli: "OrderedDict[int, _Modulus]" = OrderedDict()
+if _lib is not None:
+    _ctx = _lib.BN_CTX_new()
+    _base, _exp, _res, _mod = (_lib.BN_new() for _ in range(4))
+    if not (_ctx and _base and _exp and _res and _mod):
+        _lib = None
+
+
+def native() -> bool:
+    """Is the native kernel bound?"""
+    return _lib is not None
+
+
+def _free(lib: ctypes.PyDLL, entry: _Modulus) -> None:
+    lib.BN_MONT_CTX_free(entry.mont)
+    lib.BN_free(entry.bn)
+
+
+def _cached(lib: ctypes.PyDLL, modulus: int) -> Optional[_Modulus]:
+    """The modulus's cache entry, built (and the least recent one evicted
+    and freed) on a miss; ``None`` if OpenSSL refuses it."""
+    entry = _moduli.get(modulus)
+    if entry is not None:
+        _moduli.move_to_end(modulus)
+        return entry
+    size = (modulus.bit_length() + 7) // 8
+    entry = _Modulus(size, lib.BN_bin2bn(modulus.to_bytes(size, "big"), size, None),
+                     lib.BN_MONT_CTX_new())
+    if not (entry.bn and entry.mont
+            and lib.BN_MONT_CTX_set(entry.mont, entry.bn, _ctx)):
+        _free(lib, entry)
+        return None
+    _moduli[modulus] = entry
+    if len(_moduli) > MONT_CACHE:
+        _free(lib, _moduli.popitem(last=False)[1])
+    return entry
+
+
+def _kernel(lib: ctypes.PyDLL, base: int, exponent: int, modulus: int,
+            cache: bool) -> Optional[int]:
+    """``BN_mod_exp_mont``; ``None`` when a BN call fails."""
+    with _lock:
+        if cache:
+            entry = _cached(lib, modulus)
+            if entry is None:
+                return None
+        else:
+            size = (modulus.bit_length() + 7) // 8
+            entry = _Modulus(size, _mod, None)
+            if not lib.BN_bin2bn(modulus.to_bytes(size, "big"), size, _mod):
+                return None
+        size = entry.size
+        exp = exponent.to_bytes((exponent.bit_length() + 7) // 8, "big")
+        if not (lib.BN_bin2bn(base.to_bytes(size, "big"), size, _base)
+                and lib.BN_bin2bn(exp, len(exp), _exp)
+                and lib.BN_mod_exp_mont(_res, _base, _exp, entry.bn, _ctx,
+                                        entry.mont)
+                and lib.BN_bn2binpad(_res, entry.out, size) == size):
+            return None
+        return int.from_bytes(entry.out.raw, "big")
+
+
+def _pow(base: int, exponent: int, modulus: int, cache: bool) -> int:
+    lib = _lib
+    if lib is None or exponent < 0 or modulus < 3 or not modulus & 1:
+        return pow(base, exponent, modulus)
+    if not 0 <= base < modulus:
+        base %= modulus
+    result = _kernel(lib, base, exponent, modulus, cache)
+    return pow(base, exponent, modulus) if result is None else result
+
+
+def powmod(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)`` on the native kernel, unbilled.
+
+    Builtin ``pow`` runs instead when the kernel is not bound, the
+    exponent is negative, the modulus is even or below 3, or a BN call
+    fails.  The modulus's Montgomery context is cached (:data:`MONT_CACHE`
+    moduli, least recently used evicted): the moduli of a dealt group
+    recur on every call.
+    """
+    return _pow(base, exponent, modulus, True)
 
 
 def egcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -83,7 +239,7 @@ def is_probable_prime(n: int, rng: random.Random, rounds: int = 40) -> bool:
         r += 1
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = _pow(a, d, n, False)  # one-off modulus: keep it out of the cache
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):

@@ -71,8 +71,9 @@ class ThresholdCoin:
         """Dealer-side generation: returns scheme and secret shares (1-based)."""
         secret = rng.randrange(group.q)
         shares = shamir.share_secret(secret, n, k, group.q, rng)
-        vks = tuple(pow(group.g, shares.shares[i], group.p) for i in range(1, n + 1))
-        global_vk = pow(group.g, secret, group.p)
+        vks = tuple(arith.powmod(group.g, shares.shares[i], group.p)
+                    for i in range(1, n + 1))
+        global_vk = arith.powmod(group.g, secret, group.p)
         public = CoinPublicKey(group=group, global_vk=global_vk, verification_keys=vks)
         return (
             ThresholdCoin(n, k, t, public, domain),

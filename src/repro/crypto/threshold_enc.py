@@ -104,8 +104,9 @@ class TDH2Scheme:
         """Dealer-side generation: returns scheme and secret shares (1-based)."""
         secret = rng.randrange(group.q)
         shares = shamir.share_secret(secret, n, k, group.q, rng)
-        vks = tuple(pow(group.g, shares.shares[i], group.p) for i in range(1, n + 1))
-        h = pow(group.g, secret, group.p)
+        vks = tuple(arith.powmod(group.g, shares.shares[i], group.p)
+                    for i in range(1, n + 1))
+        h = arith.powmod(group.g, secret, group.p)
         gbar = hashing.hash_to_group(
             "tdh2.gbar", encode((domain, h)), group.p, group.q
         )

@@ -162,8 +162,8 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
             r = rng.randrange(2, modulus)
             if math.gcd(r, modulus) == 1:
                 break
-        v = pow(r, 2, modulus)
-        vks = tuple(pow(v, s, modulus) for s in shares)
+        v = arith.powmod(r, 2, modulus)
+        vks = tuple(arith.powmod(v, s, modulus) for s in shares)
         public = ShoupPublicKey(modulus=modulus, e=e, v=v, verification_keys=vks)
         return ShoupThresholdScheme(n, k, t, public, domain), shares
 

@@ -1,13 +1,16 @@
-"""Modular arithmetic: egcd, inverses, CRT, primes, Lagrange."""
+"""Modular arithmetic: egcd, inverses, CRT, primes, Lagrange, and the
+native exponentiation kernel against builtin ``pow``."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CryptoError
-from repro.crypto import arith
+from repro.crypto import arith, opcount
 
 RNG = random.Random(7)
 SMALL_PRIMES = [101, 257, 7919, 104729]
@@ -122,6 +125,122 @@ def test_mexp_matches_pow():
     assert arith.mexp(3, 100, 1019) == pow(3, 100, 1019)
     with pytest.raises(CryptoError):
         arith.mexp(2, 2, 0)
+
+
+def _operands(rng, bits):
+    """An odd modulus of exactly ``bits`` bits, and bases and exponents at
+    the kernel's edges and at full size."""
+    m = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    bases = [0, 1, 2, m - 1, m, m + 1, 3 * m + 7, -1, -m - 5,
+             rng.randrange(m), rng.getrandbits(2 * bits)]
+    exponents = [0, 1, 2, 65537, rng.getrandbits(bits)]
+    if bits <= 256:
+        exponents.append(rng.getrandbits(3 * bits))
+    return m, bases, exponents
+
+
+@pytest.mark.parametrize("bits", [8, 9, 16, 64, 160, 256, 512, 1024, 2048])
+def test_powmod_equals_pow(bits):
+    rng = random.Random(bits)
+    for _ in range(3 if bits <= 512 else 1):
+        m, bases, exponents = _operands(rng, bits)
+        for b in bases:
+            for e in exponents:
+                want = pow(b, e, m)
+                assert arith.powmod(b, e, m) == want, (b, e, m)
+                assert arith.mexp(b, e, m) == want, (b, e, m)
+
+
+def test_miller_rabin_moduli_stay_out_of_the_cache():
+    arith.powmod(5, 7, 1019)  # one cached modulus
+    before = list(arith._moduli)
+    rng = random.Random(8)
+    assert arith.gen_prime(256, rng).bit_length() == 256
+    assert list(arith._moduli) == before
+
+
+@pytest.mark.parametrize("b,e,m", [
+    (3, -1, 1019), (5, -3, 2 ** 61 - 1),  # negative exponents: inverses
+    (3, 5, 1024), (7, 2 ** 70 + 1, 10 ** 20),  # even moduli
+    (9, 4, 1), (0, 0, 1), (3, 3, 2), (0, 0, 2), (-4, 3, 2),  # below 3
+])
+def test_mexp_outside_the_kernel_domain_is_builtin(b, e, m):
+    assert arith.mexp(b, e, m) == pow(b, e, m)
+    assert arith.powmod(b, e, m) == pow(b, e, m)
+
+
+def test_mexp_negative_exponent_not_invertible_raises_like_pow():
+    with pytest.raises(ValueError):
+        arith.mexp(4, -1, 10)
+
+
+def _billed(rng):
+    """Run a fixed operand mix through mexp; return it with its results and
+    the counter's ``(ops, units_full, units_short)``."""
+    calls = []
+    for bits in (16, 256, 512, 1024):
+        m, bases, exponents = _operands(rng, bits)
+        calls += [(b, e, m) for b in bases[:4] for e in exponents]
+    calls += [(3, -1, 1019), (3, 5, 1024), (9, 4, 1)]
+    with opcount.counting() as c:
+        results = [arith.mexp(*call) for call in calls]
+    return calls, results, (c.ops, c.units_full, c.units_short)
+
+
+def test_fallback_path_equals_pow_and_bills_identically(monkeypatch):
+    calls, native, native_bill = _billed(random.Random(11))
+    monkeypatch.setattr(arith, "_lib", None)
+    assert not arith.native()
+    calls_fb, fallback, fallback_bill = _billed(random.Random(11))
+    assert calls_fb == calls
+    assert native == fallback == [pow(*call) for call in calls]
+    assert native_bill == fallback_bill
+    assert native_bill[0] == len(calls)
+
+
+def test_modulus_cache_is_bounded_and_stays_correct():
+    rng = random.Random(12)
+    moduli = [rng.getrandbits(256) | (1 << 255) | 1
+              for _ in range(3 * arith.MONT_CACHE)]
+    for _ in range(2):
+        for m in moduli:
+            b, e = rng.randrange(m), rng.getrandbits(256)
+            assert arith.mexp(b, e, m) == pow(b, e, m)
+            assert len(arith._moduli) <= arith.MONT_CACHE
+    if arith.native():
+        assert list(arith._moduli) == moduli[-arith.MONT_CACHE:]
+
+
+def test_threads_on_distinct_moduli():
+    # a kernel call is several ctypes calls on shared scratch BIGNUMs;
+    # switching threads as often as possible exposes any unguarded step
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        moduli = [rng.getrandbits(512) | (1 << 511) | 1 for _ in range(3)]
+        try:
+            for i in range(300):
+                m = moduli[i % 3]
+                b, e = rng.getrandbits(600), rng.getrandbits(160)
+                got = arith.mexp(b, e, m)
+                if got != pow(b, e, m):
+                    errors.append((seed, b, e, m, got))
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
 
 
 def test_product_mod():
