@@ -305,6 +305,10 @@ class AtomicChannel(Channel):
         rnd = self._rounds.get(r)
         if rnd is not None and rnd.own_keys:
             return
+        if r > self.round and (
+            len(self._own_queue) + len(self._pending) < self.max_batch
+        ):
+            return  # at most a partial vector, which would wait (below)
         vector = self._pick_vector()
         if vector is None:
             return
@@ -332,13 +336,16 @@ class AtomicChannel(Channel):
         """Up to ``max_batch`` undelivered records: own queue first, then
         adoption of records first signed by other parties (fairness)."""
         out: List[Record] = []
+        # keys already riding one of our in-flight candidates, then the
+        # keys taken into ``out``
         taken: Set[Tuple[int, int]] = set()
+        for rnd in self._rounds.values():
+            taken |= rnd.own_keys
 
         def eligible(key: Tuple[int, int]) -> bool:
-            if key in self._delivered or key in self._reserved or key in taken:
-                return False
-            # skip keys already riding one of our in-flight candidates
-            return not any(key in rnd.own_keys for rnd in self._rounds.values())
+            return not (
+                key in taken or key in self._delivered or key in self._reserved
+            )
 
         for record in self._own_queue:
             key = (record[0], record[1])

@@ -6,16 +6,54 @@ DESIGN.md); the choice of hash function does not affect protocol behaviour.
 
 Domain separation: every oracle takes a ``domain`` string that is encoded
 into the hash input, so distinct uses of the hash can never collide.
+
+The two TLV framings every full-domain hash runs through, the oracle
+seed's ``encode(("repro.oracle", domain, data))`` and the FDH input
+``encode((data, counter))``, are built here by byte concatenation (the
+domain's part once per domain): the bytes are exactly what
+:func:`~repro.common.encoding.encode` produces, so every hash output is
+unchanged.  A party's verification path does not call :func:`fdh_to_zn`
+directly but through its :class:`~repro.crypto.verifier.ShareVerifier`'s
+digest memo: always on, one per party, bounded, and unbilled (hashing
+performs no exponentiation), unlike the verdict cache, which only the
+acceleration switch turns on.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
-from typing import Iterable
+import struct
+from typing import Callable, Iterable
 
 from repro.common.encoding import encode
 from repro.crypto import arith
+
+#: ``(domain, message, n) -> x``: :func:`fdh_to_zn` or a party's memo of it
+Digest = Callable[[str, bytes, int], int]
+
+_tlv_head = struct.Struct(">BI").pack  # the codec's tag + 4-byte length
+_int_head = struct.Struct(">BIB").pack  # tag, magnitude length, sign
+_TAG_B, _TAG_I, _TAG_U, _PLUS = b"BIU+"
+_PAIR_HEAD = _tlv_head(_TAG_U, 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _oracle_prefix(domain: str) -> bytes:
+    """``encode(("repro.oracle", domain, data))`` up to ``data``'s header."""
+    return encode(("repro.oracle", domain, b""))[:-5]
+
+
+def _counted(data: bytes, counter: int) -> bytes:
+    """``encode((data, counter))`` for a non-negative ``counter``."""
+    if type(data) is not bytes:
+        return encode((data, counter))
+    size = (counter.bit_length() + 7) >> 3
+    return b"".join((
+        _PAIR_HEAD, _tlv_head(_TAG_B, len(data)), data,
+        _int_head(_TAG_I, size, _PLUS), counter.to_bytes(size, "big"),
+    ))
 
 
 def sha256(data: bytes) -> bytes:
@@ -26,16 +64,19 @@ def sha256(data: bytes) -> bytes:
 def oracle_bytes(domain: str, data: bytes, length: int) -> bytes:
     """Expandable random oracle: ``length`` bytes derived from ``data``.
 
-    Implemented as SHA-256 in counter mode over the domain-separated input.
+    Implemented as SHA-256 in counter mode over the domain-separated input
+    ``encode(("repro.oracle", domain, data))``.
     """
-    seed = hashlib.sha256(encode(("repro.oracle", domain, data))).digest()
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+    if type(data) is bytes:
+        framed = _oracle_prefix(domain) + _tlv_head(_TAG_B, len(data)) + data
+    else:
+        framed = encode(("repro.oracle", domain, data))
+    seed = hashlib.sha256(framed).digest()
+    blocks = [
+        hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
+        for counter in range(-(-length // 32))
+    ]
+    return b"".join(blocks)[:length]
 
 
 def hash_to_int(domain: str, data: bytes, bound: int) -> int:
@@ -65,7 +106,7 @@ def hash_to_group(domain: str, data: bytes, p: int, q: int) -> int:
     cofactor = (p - 1) // q
     counter = 0
     while True:
-        x = hash_to_int(domain, encode((data, counter)), p - 2) + 2
+        x = hash_to_int(domain, _counted(data, counter), p - 2) + 2
         g = arith.mexp(x, cofactor, p)
         if g != 1:
             return g
@@ -76,11 +117,12 @@ def fdh_to_zn(domain: str, data: bytes, n: int) -> int:
     """Full-domain hash into Z_n* (for RSA-FDH signatures).
 
     Retries with a counter until the output is coprime to ``n``; for an
-    honest modulus a retry essentially never happens.
+    honest modulus a retry essentially never happens.  The hash input is
+    ``encode((data, counter))``.
     """
     counter = 0
     while True:
-        x = hash_to_int(domain, encode((data, counter)), n - 2) + 2
+        x = hash_to_int(domain, _counted(data, counter), n - 2) + 2
         if math.gcd(x, n) == 1:
             return x
         counter += 1

@@ -62,16 +62,24 @@ class ThresholdSignatureScheme(abc.ABC):
         """Bind party ``index`` (1-based) with its secret key material."""
 
     @abc.abstractmethod
-    def verify_share(self, message: bytes, share: bytes) -> bool:
-        """Check a single signature share against ``message``."""
+    def verify_share(
+        self, message: bytes, share: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
+    ) -> bool:
+        """Check a single signature share against ``message``.
+
+        ``fdh`` is the full-domain hash the check uses (see
+        :meth:`repro.crypto.verifier.ShareVerifier.fdh`).
+        """
 
     @abc.abstractmethod
     def combine(self, message: bytes, shares: Dict[int, bytes]) -> bytes:
         """Assemble ``k`` verified shares into a full signature."""
 
     @abc.abstractmethod
-    def verify(self, message: bytes, signature: bytes) -> bool:
-        """Check an assembled threshold signature."""
+    def verify(
+        self, message: bytes, signature: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
+    ) -> bool:
+        """Check an assembled threshold signature (``fdh`` as above)."""
 
     def share_index(self, share: bytes) -> int:
         """Extract the 1-based signer index from an encoded share."""
@@ -169,15 +177,19 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
 
     # -- helpers ------------------------------------------------------------
 
-    def _digest(self, message: bytes) -> int:
-        return hashing.fdh_to_zn(self.domain, message, self.public.modulus)
+    def _digest(
+        self, message: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
+    ) -> int:
+        return fdh(self.domain, message, self.public.modulus)
 
     def signer(self, index: int, secret: object) -> "ShoupSigner":
         return ShoupSigner(self, index, int(secret))  # type: ignore[arg-type]
 
     # -- share verification --------------------------------------------------
 
-    def verify_share(self, message: bytes, share: bytes) -> bool:
+    def verify_share(
+        self, message: bytes, share: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
+    ) -> bool:
         try:
             index = self.share_index(share)
             _, x_i, c, z = decode(share)
@@ -188,7 +200,7 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
         N = self.public.modulus
         if not 0 < x_i < N:
             return False
-        x = self._digest(message)
+        x = self._digest(message, fdh)
         x_tilde = arith.mexp(x, 4 * self._delta, N)
         v = self.public.v
         v_i = self.public.verification_keys[index - 1]
@@ -246,14 +258,16 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
             raise InvalidShare("combined signature invalid; a share was bad")
         return encode(y)
 
-    def verify(self, message: bytes, signature: bytes) -> bool:
+    def verify(
+        self, message: bytes, signature: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
+    ) -> bool:
         try:
             y = decode(signature)
         except EncodingError:
             return False
         if not isinstance(y, int) or not 0 < y < self.public.modulus:
             return False
-        x = self._digest(message)
+        x = self._digest(message, fdh)
         return arith.mexp(y, self.public.e, self.public.modulus) == x
 
 
@@ -333,15 +347,14 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
             raise CryptoError("multi-signature signer needs an RSAKeyPair")
         return MultiSigner(self, index, secret)
 
-    def verify_share(self, message: bytes, share: bytes) -> bool:
-        try:
-            index = self.share_index(share)
-            _, sig = decode(share)
-        except (InvalidShare, EncodingError, ValueError, TypeError):
+    def verify_share(
+        self, message: bytes, share: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
+    ) -> bool:
+        member = self.share_member(share)
+        if member is None:
             return False
-        if not isinstance(sig, int):
-            return False
-        return self.public_keys[index - 1].verify(self.domain, message, sig)
+        index, sig = member
+        return self.verify_member(index, message, sig, fdh)
 
     def combine(self, message: bytes, shares: Dict[int, bytes]) -> bytes:
         if len(shares) < self.k:
@@ -395,17 +408,25 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
             return None
         return index, sig
 
-    def verify_member(self, index: int, message: bytes, sig: int) -> bool:
+    def verify_member(
+        self,
+        index: int,
+        message: bytes,
+        sig: int,
+        fdh: hashing.Digest = hashing.fdh_to_zn,
+    ) -> bool:
         """Verify one member signature (one RSA verification)."""
-        return self.public_keys[index - 1].verify(self.domain, message, sig)
+        return self.public_keys[index - 1].verify(self.domain, message, sig, fdh)
 
-    def verify(self, message: bytes, signature: bytes) -> bool:
+    def verify(
+        self, message: bytes, signature: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
+    ) -> bool:
         """Check an assembled multi-signature (``k`` RSA verifications)."""
         entries = self.members(signature)
         if entries is None:
             return False
         return all(
-            self.verify_member(index, message, sig) for index, sig in entries
+            self.verify_member(index, message, sig, fdh) for index, sig in entries
         )
 
 

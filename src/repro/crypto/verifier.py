@@ -4,10 +4,11 @@ Protocol code routes every share/signature/ciphertext check through its
 party's :class:`ShareVerifier` (``ctx.crypto.accel``) instead of calling
 the schemes directly — it is the only verification path.  With
 acceleration off (:func:`repro.crypto.fastexp.enabled`, the default) every
-method is a plain scheme call: the paper's naive operation mix.  With it
-on, the verifier keeps a bounded **verdict cache**: a share, signature or
-ciphertext proof that verified (or failed) once is never re-verified by
-this party, and a hit performs and records no exponentiation.
+method is a plain scheme call, hashing through the digest memo below: the
+paper's naive operation mix.  With it on, the verifier keeps a bounded
+**verdict cache**: a share, signature or ciphertext proof that verified
+(or failed) once is never re-verified by this party, and a hit performs
+and records no exponentiation.
 
 The cache is **per party** and **per key epoch**: scheme objects are shared
 between the simulated parties of a run, so scheme-level memoization would
@@ -15,20 +16,46 @@ let one party ride on another's CPU time; and cache keys name the scheme's
 domain, not its verification keys, so a bundle with refreshed keys must
 get a fresh verifier (see :meth:`repro.membership.epoch.EpochKeychain.
 party_crypto`).
+
+Separately, and whatever the switch says, the verifier keeps a small
+**digest memo** (:meth:`ShareVerifier.fdh`): the RSA full-domain hash of a
+``(domain, message, modulus)`` this party has already hashed is not
+hashed again.  Hashing performs no exponentiation, so the memo changes no
+counter and bills nothing; it never answers a verdict — every signature
+it serves a digest to is still exponentiated, recorded and compared.  It
+is per party for the same reason as the verdict cache, and holds the
+last :data:`DIGEST_MEMO` digests it computed: a statement's signatures and
+shares arrive close together, so a short memory catches nearly every
+repeat.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Dict, Tuple
 
 from repro.crypto import fastexp, hashing
 
+#: per-party bound on memoized full-domain-hash digests
+DIGEST_MEMO = 32
+
 
 class ShareVerifier:
-    """Per-party verification front-end with a verdict cache (see module doc)."""
+    """Per-party verification front-end with a verdict cache and a digest
+    memo (see module doc)."""
 
     def __init__(self) -> None:
         self._results = fastexp.LRU(fastexp.SHARE_CACHE)
+        self._digests: Dict[Tuple[str, bytes, int], int] = {}
+
+    def fdh(self, domain: str, message: bytes, n: int) -> int:
+        """:func:`repro.crypto.hashing.fdh_to_zn`, memoized for this party."""
+        key = (domain, bytes(message), n)
+        x = self._digests.get(key)
+        if x is None:
+            x = self._digests[key] = hashing.fdh_to_zn(domain, message, n)
+            if len(self._digests) > DIGEST_MEMO:
+                del self._digests[next(iter(self._digests))]  # the oldest
+        return x
 
     def _memo(self, key: tuple, compute: Callable[[], Any]) -> Any:
         """``compute()``, at most once per ``key`` while acceleration is on."""
@@ -97,11 +124,11 @@ class ShareVerifier:
             index, sig = member
             return self._memo(
                 ("sig.m", scheme.domain, bytes(message), index, sig),
-                lambda: scheme.verify_member(index, message, sig),
+                lambda: scheme.verify_member(index, message, sig, self.fdh),
             )
         return self._memo(
             ("sig.share", scheme.domain, bytes(message), bytes(share)),
-            lambda: scheme.verify_share(message, share),
+            lambda: scheme.verify_share(message, share, self.fdh),
         )
 
     def sig_ok(self, scheme: Any, message: bytes, signature: bytes) -> bool:
@@ -123,7 +150,7 @@ class ShareVerifier:
                 verdict = self._memo(
                     ("sig.m", scheme.domain, bytes(message), index, sig),
                     lambda index=index, sig=sig: scheme.verify_member(
-                        index, message, sig
+                        index, message, sig, self.fdh
                     ),
                 )
                 if not verdict:
@@ -131,7 +158,7 @@ class ShareVerifier:
             return True
         return self._memo(
             ("sig", scheme.domain, bytes(message), bytes(signature)),
-            lambda: scheme.verify(message, signature),
+            lambda: scheme.verify(message, signature, self.fdh),
         )
 
     # -- ordinary per-party RSA signatures ---------------------------------------
@@ -147,7 +174,7 @@ class ShareVerifier:
         """
         return self._memo(
             ("rsa", domain, signer, bytes(message), sig),
-            lambda: pk.verify(domain, message, sig),
+            lambda: pk.verify(domain, message, sig, self.fdh),
         )
 
 

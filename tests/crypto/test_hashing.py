@@ -1,5 +1,6 @@
 """Random-oracle utilities: determinism, ranges, domain separation."""
 
+import hashlib
 import random
 
 import pytest
@@ -104,6 +105,55 @@ def test_fdh_retry_branch_is_exercised():
 def test_fdh_golden_values(domain, data, n, expected):
     assert hashing.fdh_to_zn(domain, data, n) == expected
     assert _fdh_reference(domain, data, n)[0] == expected
+
+
+def _oracle_reference(domain, data, length):
+    """``oracle_bytes`` as defined through the codec's framing."""
+    seed = hashlib.sha256(encode(("repro.oracle", domain, data))).digest()
+    out = b""
+    counter = 0
+    while len(out) < length:
+        out += hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
+        counter += 1
+    return out[:length]
+
+
+_DOMAINS = st.one_of(
+    st.just(""), st.text(alphabet=st.characters(max_codepoint=127)), st.text()
+)
+
+
+@given(_DOMAINS, st.binary(max_size=300), st.integers(min_value=1, max_value=200))
+@settings(max_examples=100)
+def test_oracle_framing_matches_the_codec(domain, data, length):
+    expected = _oracle_reference(domain, data, length)
+    assert hashing.oracle_bytes(domain, data, length) == expected
+    assert hashing.oracle_bytes(domain, bytearray(data), length) == expected
+    assert hashing.oracle_bytes(domain, memoryview(data), length) == expected
+
+
+@given(_DOMAINS, st.binary(max_size=300))
+@settings(max_examples=60)
+def test_fdh_framing_matches_the_reference(domain, data):
+    for n in (SMOOTH_N, DEALT_N):
+        expected = _fdh_reference(domain, data, n)[0]
+        assert hashing.fdh_to_zn(domain, data, n) == expected
+        assert hashing.fdh_to_zn(domain, bytearray(data), n) == expected
+        assert hashing.fdh_to_zn(domain, memoryview(data), n) == expected
+
+
+def test_fdh_framing_follows_the_retry_path():
+    """Counters past the first byte and retries still frame as the codec does."""
+    retried = [
+        data for data in (b"a%d" % i for i in range(30))
+        if _fdh_reference("t", data, SMOOTH_N)[1] > 0
+    ]
+    assert retried
+    for data in retried:
+        assert hashing.fdh_to_zn("t", data, SMOOTH_N) == _fdh_reference(
+            "t", data, SMOOTH_N)[0]
+    for counter in (0, 1, 255, 256, 1 << 40):
+        assert hashing._counted(b"x" * 7, counter) == encode((b"x" * 7, counter))
 
 
 def test_keystream_xor_roundtrip():
