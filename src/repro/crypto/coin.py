@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import CryptoError, EncodingError, InvalidShare
-from repro.crypto import arith, fastexp, hashing, shamir
+from repro.crypto import arith, hashing, shamir
 from repro.crypto.params import DLGroup
 
 _PROOF_DOMAIN = "coin.share-proof"
@@ -128,8 +128,8 @@ class ThresholdCoin:
         vk = self.public.verification_keys[index - 1]
         # Recompute the commitments a = g^z * vk^{-c}, b = g~^z * sigma^{-c}.
         a = (
-            fastexp.fb_pow(grp.g, z, grp.p)
-            * fastexp.fb_pow_neg(vk, c, grp.p, grp.q)
+            arith.mexp(grp.g, z, grp.p)
+            * arith.mexp(arith.invmod(vk, grp.p), c, grp.p)
         ) % grp.p
         b = (
             arith.mexp(g_tilde, z, grp.p)
@@ -195,7 +195,7 @@ class CoinShareHolder:
         r = hashing.hash_to_int(
             "coin.nonce", encode((self.index, self._share, name)), grp.q
         )
-        a = fastexp.fb_pow(grp.g, r, grp.p)
+        a = arith.mexp(grp.g, r, grp.p)
         b = arith.mexp(g_tilde, r, grp.p)
         vk = coin.public.verification_keys[self.index - 1]
         c = hashing.challenge(

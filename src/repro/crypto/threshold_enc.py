@@ -27,7 +27,7 @@ from repro.common.errors import (
     InvalidCiphertext,
     InvalidShare,
 )
-from repro.crypto import arith, fastexp, hashing, shamir
+from repro.crypto import arith, hashing, shamir
 from repro.crypto.params import DLGroup
 
 _CTXT_DOMAIN = "tdh2.ciphertext"
@@ -125,12 +125,11 @@ class TDH2Scheme:
         grp = self.public.group
         r = rng.randrange(1, grp.q)
         s = rng.randrange(1, grp.q)
-        # All five bases (g, gbar, h) are fixed for the scheme's lifetime.
-        u = fastexp.fb_pow(grp.g, r, grp.p)
-        w = fastexp.fb_pow(grp.g, s, grp.p)
-        ubar = fastexp.fb_pow(self.public.gbar, r, grp.p)
-        wbar = fastexp.fb_pow(self.public.gbar, s, grp.p)
-        hr = fastexp.fb_pow(self.public.h, r, grp.p)
+        u = arith.mexp(grp.g, r, grp.p)
+        w = arith.mexp(grp.g, s, grp.p)
+        ubar = arith.mexp(self.public.gbar, r, grp.p)
+        wbar = arith.mexp(self.public.gbar, s, grp.p)
+        hr = arith.mexp(self.public.h, r, grp.p)
         key = hashing.oracle_bytes(_KEY_DOMAIN, encode((self.domain, hr)), 32)
         c = hashing.xor_bytes(message, hashing.keystream(key, len(message)))
         e = hashing.challenge(
@@ -149,11 +148,11 @@ class TDH2Scheme:
         if not (0 <= ctxt.e < grp.q and 0 <= ctxt.f < grp.q):
             return False
         w = (
-            fastexp.fb_pow(grp.g, ctxt.f, grp.p)
+            arith.mexp(grp.g, ctxt.f, grp.p)
             * arith.mexp(arith.invmod(ctxt.u, grp.p), ctxt.e, grp.p)
         ) % grp.p
         wbar = (
-            fastexp.fb_pow(self.public.gbar, ctxt.f, grp.p)
+            arith.mexp(self.public.gbar, ctxt.f, grp.p)
             * arith.mexp(arith.invmod(ctxt.ubar, grp.p), ctxt.e, grp.p)
         ) % grp.p
         expected = hashing.challenge(
@@ -196,8 +195,8 @@ class TDH2Scheme:
         h_i = self.public.verification_keys[index - 1]
         # Proof of log_g(h_i) == log_u(u_i): recompute the commitments.
         a = (
-            fastexp.fb_pow(grp.g, z, grp.p)
-            * fastexp.fb_pow_neg(h_i, c, grp.p, grp.q)
+            arith.mexp(grp.g, z, grp.p)
+            * arith.mexp(arith.invmod(h_i, grp.p), c, grp.p)
         ) % grp.p
         b = (
             arith.mexp(ctxt.u, z, grp.p)
@@ -279,7 +278,7 @@ class TDH2ShareHolder:
             encode((self.index, self._share, ctxt.u, ctxt.c)),
             grp.q,
         )
-        a = fastexp.fb_pow(grp.g, r, grp.p)
+        a = arith.mexp(grp.g, r, grp.p)
         b = arith.mexp(ctxt.u, r, grp.p)
         h_i = scheme.public.verification_keys[self.index - 1]
         c = hashing.challenge(

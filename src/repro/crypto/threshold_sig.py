@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import CryptoError, EncodingError, InvalidShare, InvalidSignature
-from repro.crypto import arith, fastexp, hashing
+from repro.crypto import arith, hashing
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
 
 _PROOF_DOMAIN = "shoup.share-proof"
@@ -210,13 +210,8 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
             x_i_inv_2c = arith.mexp(arith.invmod(x_i_sq, N), c, N)
         except CryptoError:
             return False
-        # The verifier base v is fixed for the scheme's lifetime and
-        # x_tilde recurs across the whole quorum of shares on one message,
-        # so both big exponentiations benefit from fixed-base tables.  The
-        # negative-exponent trick is NOT available here: the group of
-        # squares mod N has secret order.
-        v_prime = (fastexp.fb_pow(v, z, N) * v_i_inv_c) % N
-        x_prime = (fastexp.fb_pow(x_tilde, z, N) * x_i_inv_2c) % N
+        v_prime = (arith.mexp(v, z, N) * v_i_inv_c) % N
+        x_prime = (arith.mexp(x_tilde, z, N) * x_i_inv_2c) % N
         expected = hashing.challenge(
             _PROOF_DOMAIN,
             (self.domain, index, v, x_tilde, v_i, x_i_sq, v_prime, x_prime),
@@ -296,8 +291,8 @@ class ShoupSigner(ThresholdSigner):
         r = hashing.hash_to_int(
             "shoup.nonce", encode((self.index, self._share, message)), bound
         )
-        v_prime = fastexp.fb_pow(scheme.public.v, r, N)
-        x_prime = fastexp.fb_pow(x_tilde, r, N)
+        v_prime = arith.mexp(scheme.public.v, r, N)
+        x_prime = arith.mexp(x_tilde, r, N)
         x_i_sq = (x_i * x_i) % N
         v_i = scheme.public.verification_keys[self.index - 1]
         c = hashing.challenge(

