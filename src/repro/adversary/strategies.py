@@ -435,7 +435,7 @@ class DoubleVoteAdversary(Strategy):
             scheme,
             string(pid, r, b),
             shares,
-            verifier=self.ctx.crypto.accel,
+            verifier=self.ctx.crypto.verifier,
         )
 
     def _sign(self, pid: str, kind: str, r: int, b: int) -> bytes:

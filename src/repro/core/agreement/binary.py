@@ -225,7 +225,7 @@ class BinaryAgreement(Agreement):
         # time) — except the one kept as the per-value example, which may
         # be embedded in an abstain justification and must be sound.
         if b not in state.example_prevote:
-            if not self.ctx.crypto.accel.sig_share_ok(
+            if not self.ctx.crypto.verifier.sig_share_ok(
                 scheme, prevote_string(self.pid, r, b), share
             ):
                 state.banned.add(sender)
@@ -246,15 +246,15 @@ class BinaryAgreement(Agreement):
         if r == 1:
             return just is None
         scheme = self._scheme()
-        accel = self.ctx.crypto.accel
+        verifier = self.ctx.crypto.verifier
         if isinstance(just, tuple) and len(just) == 2 and just[0] == "hard":
             sig = just[1]
-            return isinstance(sig, bytes) and accel.sig_ok(
+            return isinstance(sig, bytes) and verifier.sig_ok(
                 scheme, prevote_string(self.pid, r - 1, b), sig
             )
         if isinstance(just, tuple) and len(just) == 3 and just[0] == "soft":
             _, abstain_sig, coin_shares = just
-            if not isinstance(abstain_sig, bytes) or not accel.sig_ok(
+            if not isinstance(abstain_sig, bytes) or not verifier.sig_ok(
                 scheme, mainvote_string(self.pid, r - 1, ABSTAIN), abstain_sig
             ):
                 return False
@@ -287,7 +287,7 @@ class BinaryAgreement(Agreement):
         key = (r, share)
         if key in self._coin_ok:
             return True
-        if self.ctx.crypto.accel.coin_share_ok(self.ctx.crypto.coin, name, share):
+        if self.ctx.crypto.coin.verify_share(name, share):
             self._coin_ok.add(key)
             return True
         return False
@@ -305,7 +305,7 @@ class BinaryAgreement(Agreement):
                 scheme,
                 prevote_string(self.pid, r, b),
                 state.prevote_shares[b],
-                verifier=self.ctx.crypto.accel,
+                verifier=self.ctx.crypto.verifier,
             )
             if sig is None:
                 self._evict(state.prevotes, state.prevote_shares[b], b, state)
@@ -372,7 +372,7 @@ class BinaryAgreement(Agreement):
                 return False
             if not self.validator(v, proof):
                 return False
-            return isinstance(just, bytes) and self.ctx.crypto.accel.sig_ok(
+            return isinstance(just, bytes) and self.ctx.crypto.verifier.sig_ok(
                 scheme, prevote_string(self.pid, r, v), just
             )
         # Abstain: embed one justified pre-vote for 0 and one for 1.
@@ -388,7 +388,7 @@ class BinaryAgreement(Agreement):
             seen.add(b)
             if not self._valid_prevote(r, b, pv_just, pv_proof):
                 return False
-            if not isinstance(pv_share, bytes) or not self.ctx.crypto.accel.sig_share_ok(
+            if not isinstance(pv_share, bytes) or not self.ctx.crypto.verifier.sig_share_ok(
                 scheme, prevote_string(self.pid, r, b), pv_share
             ):
                 return False
@@ -406,7 +406,7 @@ class BinaryAgreement(Agreement):
                 self._scheme(),
                 mainvote_string(self.pid, r, b),
                 state.mainvote_shares[b],
-                verifier=self.ctx.crypto.accel,
+                verifier=self.ctx.crypto.verifier,
             )
             if sig is None:
                 self._evict(state.mainvotes, state.mainvote_shares[b], b, state)
@@ -461,7 +461,7 @@ class BinaryAgreement(Agreement):
                 self._scheme(),
                 mainvote_string(self.pid, r, ABSTAIN),
                 state.mainvote_shares[ABSTAIN],
-                verifier=self.ctx.crypto.accel,
+                verifier=self.ctx.crypto.verifier,
             )
             if abstain_sig is None:
                 self._evict(
@@ -499,7 +499,7 @@ class BinaryAgreement(Agreement):
             return
         if not self.validator(b, proof):
             return
-        if not isinstance(sig, bytes) or not self.ctx.crypto.accel.sig_ok(
+        if not isinstance(sig, bytes) or not self.ctx.crypto.verifier.sig_ok(
             self._scheme(), mainvote_string(self.pid, r, b), sig
         ):
             return

@@ -105,7 +105,7 @@ class ConsistentBroadcast(Broadcast):
         self._shares[index] = share
         if len(self._shares) >= self._quorum:
             signature = combine_optimistically(
-                scheme, bound, self._shares, verifier=self.ctx.crypto.accel
+                scheme, bound, self._shares, verifier=self.ctx.crypto.verifier
             )
             if signature is None:
                 return  # bad shares were evicted; wait for more echoes
@@ -119,7 +119,7 @@ class ConsistentBroadcast(Broadcast):
         if not isinstance(message, bytes) or not isinstance(signature, bytes):
             return
         scheme = self.ctx.crypto.cbc_scheme
-        if not self.ctx.crypto.accel.sig_ok(
+        if not self.ctx.crypto.verifier.sig_ok(
             scheme, _bound_message(self.pid, message), signature
         ):
             return

@@ -72,7 +72,7 @@ def parse_closing(
         return None
     if not isinstance(payload, bytes) or not isinstance(signature, bytes):
         return None
-    if not crypto.accel.sig_ok(
+    if not crypto.verifier.sig_ok(
         crypto.cbc_scheme, _bound_message(pid, payload), signature
     ):
         return None

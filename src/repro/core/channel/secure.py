@@ -123,7 +123,7 @@ class SecureAtomicChannel(AtomicChannel):
         # made for another context is invalid here even if its NIZK holds.
         if ctxt is not None and ctxt.label != encode(("sac", self.pid)):
             ctxt = None
-        if ctxt is None or not self.ctx.crypto.accel.ciphertext_ok(scheme, ctxt):
+        if ctxt is None or not scheme.check_ciphertext(ctxt):
             # Anything else is delivered as nothing; mark the slot so
             # in-order release does not stall on it.
             self._plain[index] = None
@@ -136,9 +136,7 @@ class SecureAtomicChannel(AtomicChannel):
             self._ctxt_times[index] = self.ctx.now()
             self.obs.count("secure.dec_shares_sent")
         self.ctx.effect(self.ciphertexts.put, data)
-        share = self.ctx.crypto.enc_holder.decryption_share(
-            ctxt, verifier=self.ctx.crypto.accel
-        )
+        share = self.ctx.crypto.enc_holder.decryption_share(ctxt)
         self.send_all(MSG_DEC_SHARE, (index, share))
         self._consume_shares(index)
 
@@ -164,17 +162,14 @@ class SecureAtomicChannel(AtomicChannel):
             return
         scheme = self.ctx.crypto.enc
         shares = self._dec_shares.get(index, {})
-        accel = self.ctx.crypto.accel
         valid = {
             index: share
             for index, share in sorted(shares.items())
-            if accel.enc_share_ok(scheme, ctxt, share)
+            if scheme.verify_share(ctxt, share)
         }
         if len(valid) < scheme.k:
             return
-        self._plain[index] = scheme.combine(
-            ctxt, valid, verifier=self.ctx.crypto.accel
-        )
+        self._plain[index] = scheme.combine(ctxt, valid)
         if self.obs.enabled:
             self.obs.count("secure.combined")
             started = self._ctxt_times.pop(index, None)

@@ -111,20 +111,14 @@ class ThresholdCoin:
             return None
         return index, sigma, c, z
 
-    def verify_share(
-        self, name: bytes, share: bytes, *, gtilde: Optional[int] = None
-    ) -> bool:
-        """Check a coin share (with its dlog-equality proof) for coin ``name``.
-
-        ``gtilde`` optionally passes in a precomputed ``H'(name)`` (the
-        per-party verifier caches it); when absent it is derived here.
-        """
+    def verify_share(self, name: bytes, share: bytes) -> bool:
+        """Check a coin share (with its dlog-equality proof) for coin ``name``."""
         fields = self._decode_share(share)
         if fields is None:
             return False
         index, sigma, c, z = fields
         grp = self.public.group
-        g_tilde = gtilde if gtilde is not None else self._name_to_group(name)
+        g_tilde = self._name_to_group(name)
         vk = self.public.verification_keys[index - 1]
         # Recompute the commitments a = g^z * vk^{-c}, b = g~^z * sigma^{-c}.
         a = (

@@ -70,23 +70,22 @@ class PartyCrypto:
     coin_holder: CoinShareHolder
     enc: TDH2Scheme
     enc_holder: TDH2ShareHolder
-    #: this party's verification front-end, verdict cache and digest
-    #: memo — one per party and key epoch, because scheme objects are
-    #: shared across parties and each simulated node must pay for its own
-    #: verification.
-    accel: ShareVerifier = field(default_factory=ShareVerifier)
+    #: this party's signature checks and digest memo — one per party and
+    #: key epoch, because scheme objects are shared across parties and
+    #: each simulated node must pay for its own hashing.
+    verifier: ShareVerifier = field(default_factory=ShareVerifier)
 
     def sign(self, domain: str, message: bytes) -> int:
         """Standard RSA signature with this party's personal key (its
         full-domain hash through the party's digest memo)."""
-        return self.rsa.sign_raw(self.accel.fdh(domain, message, self.rsa.n))
+        return self.rsa.sign_raw(self.verifier.fdh(domain, message, self.rsa.n))
 
     def verify_party(self, j: int, domain: str, message: bytes, sig: int) -> bool:
         """Verify a standard signature by party ``j`` (0-based)."""
         if not 0 <= j < self.n:
             return False
-        return self.accel.party_sig_ok(
-            self.party_public_keys[j], j, domain, message, sig
+        return self.verifier.party_sig_ok(
+            self.party_public_keys[j], domain, message, sig
         )
 
     def link_auth(self, peer: int) -> LinkAuthenticator:

@@ -14,9 +14,8 @@ domain's part once per domain): the bytes are exactly what
 :func:`~repro.common.encoding.encode` produces, so every hash output is
 unchanged.  A party's verification path does not call :func:`fdh_to_zn`
 directly but through its :class:`~repro.crypto.verifier.ShareVerifier`'s
-digest memo: always on, one per party, bounded, and unbilled (hashing
-performs no exponentiation), unlike the verdict cache, which only the
-acceleration switch turns on.
+digest memo: one per party, bounded, and unbilled (hashing performs no
+exponentiation).
 """
 
 from __future__ import annotations

@@ -13,10 +13,8 @@ multiply is linear in the exponent size, which matches the paper's remark
 that public-key operations are quadratic (modular multiplication) to cubic
 (full-size exponentiation) in the key size.
 
-Every exponentiation is :func:`repro.crypto.arith.mexp` and is billed the
-same way whatever the acceleration switch says.  A verification answered
-from a party's verdict cache (:mod:`repro.crypto.verifier`) performs no
-work and records nothing.
+Every exponentiation is :func:`repro.crypto.arith.mexp`, and every
+verification runs its scheme call, so each check bills its full work.
 """
 
 from __future__ import annotations

@@ -211,23 +211,9 @@ class TDH2Scheme:
 
     # -- combination -------------------------------------------------------------
 
-    def combine(
-        self,
-        ctxt: Ciphertext,
-        shares: Dict[int, bytes],
-        verifier: "Optional[object]" = None,
-    ) -> bytes:
-        """Combine ``k`` verified decryption shares into the plaintext.
-
-        ``verifier`` optionally routes the ciphertext validity re-check
-        through a party's :class:`repro.crypto.verifier.ShareVerifier`
-        (whose cache makes the recheck free after the first validation).
-        """
-        if verifier is not None:
-            ctxt_valid = verifier.ciphertext_ok(self, ctxt)
-        else:
-            ctxt_valid = self.check_ciphertext(ctxt)
-        if not ctxt_valid:
+    def combine(self, ctxt: Ciphertext, shares: Dict[int, bytes]) -> bytes:
+        """Combine ``k`` verified decryption shares into the plaintext."""
+        if not self.check_ciphertext(ctxt):
             raise InvalidCiphertext("refusing to decrypt an invalid ciphertext")
         if len(shares) < self.k:
             raise CryptoError(f"need {self.k} decryption shares, got {len(shares)}")
@@ -253,23 +239,15 @@ class TDH2ShareHolder:
         self.index = index
         self._share = share
 
-    def decryption_share(
-        self, ctxt: Ciphertext, verifier: "Optional[object]" = None
-    ) -> bytes:
+    def decryption_share(self, ctxt: Ciphertext) -> bytes:
         """Produce a decryption share ``u^{x_i}`` with its equality proof.
 
         Raises :class:`InvalidCiphertext` if the ciphertext NIZK does not
         verify — honest parties never assist in decrypting malformed
         ciphertexts (this is what defeats chosen-ciphertext attacks).
-        ``verifier`` optionally routes that check through the party's
-        cached :class:`repro.crypto.verifier.ShareVerifier`.
         """
         scheme = self.scheme
-        if verifier is not None:
-            ctxt_valid = verifier.ciphertext_ok(scheme, ctxt)
-        else:
-            ctxt_valid = scheme.check_ciphertext(ctxt)
-        if not ctxt_valid:
+        if not scheme.check_ciphertext(ctxt):
             raise InvalidCiphertext("ciphertext failed its validity proof")
         grp = scheme.public.group
         u_i = arith.mexp(ctxt.u, self._share, grp.p)

@@ -368,9 +368,7 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
         Returns ``None`` when the signature is structurally invalid (bad
         encoding, duplicate or out-of-range indices, fewer than ``k``
         entries) — exactly the cases :meth:`verify` rejects before
-        performing any exponentiation.  Verification strategies use this
-        to check members individually, so a certificate whose component
-        signatures were already verified as shares costs nothing extra.
+        performing any exponentiation.
         """
         try:
             entries = decode(signature)
@@ -443,7 +441,7 @@ def combine_optimistically(
     valid signature or ``None``.
 
     ``verifier`` optionally routes the signature/share checks through a
-    party's :class:`repro.crypto.verifier.ShareVerifier` (cached).
+    party's :class:`repro.crypto.verifier.ShareVerifier` (its digest memo).
     """
     def _verify(sig: bytes) -> bool:
         if verifier is not None:

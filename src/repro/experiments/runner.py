@@ -14,7 +14,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.core.party import make_parties
-from repro.crypto import fastexp
 from repro.crypto.dealer import SIG_MODE_MULTI, fast_group
 from repro.crypto.params import SecurityParams
 from repro.experiments.setups import Setup
@@ -116,7 +115,6 @@ def run_channel_experiment(
     seed: object = 0,
     time_limit: float = 50_000.0,
     recorder: Optional[Recorder] = None,
-    accel: bool = False,
 ) -> ExperimentResult:
     """Run one experiment and return the recipient's delivery timings.
 
@@ -125,29 +123,7 @@ def run_channel_experiment(
     ``recorder`` is given, the whole stack records into it (phase
     durations on the simulated clock) and per-node CPU gauges are set at
     the end of the run.
-
-    ``accel`` turns crypto acceleration (:mod:`repro.crypto.fastexp`: each
-    party's verdict cache) on for the run; off is the paper's naive
-    operation mix.
     """
-    with fastexp.accelerated(accel):
-        return _run_channel_experiment(
-            setup, channel, senders, messages, sig_mode, security,
-            seed, time_limit, recorder,
-        )
-
-
-def _run_channel_experiment(
-    setup: Setup,
-    channel: ChannelKind,
-    senders: Sequence[int],
-    messages: int,
-    sig_mode: str,
-    security: Optional[SecurityParams],
-    seed: object,
-    time_limit: float,
-    recorder: Optional[Recorder],
-) -> ExperimentResult:
     wall_start = time.perf_counter()
     security = security or SecurityParams.small()
     group = fast_group(

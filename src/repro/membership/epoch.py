@@ -197,10 +197,9 @@ class EpochKeychain:
             coin_holder=m.coin.holder(share_index, m.coin_shares[index0]),
             enc=m.enc,
             enc_holder=m.enc.holder(share_index, m.enc_shares[index0]),
-            # Verdict-cache keys name scheme domains, not verification
-            # keys: a verifier carried over from the previous epoch would
-            # accept that epoch's shares against the refreshed keys.
-            accel=ShareVerifier(),
+            # Each bundle owns its digest memo, as at epoch 0; a copied
+            # bundle would otherwise share the previous epoch's.
+            verifier=ShareVerifier(),
         )
         if self._shoup:
             assert m.cbc is not None and m.cbc_shares is not None

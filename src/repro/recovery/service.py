@@ -150,7 +150,7 @@ class RecoverableService(ReplicatedService):
         self.ckpt_store = CheckpointStore(os.path.join(directory, "checkpoint.bin"))
         self.scheme = checkpoint_scheme(party.ctx.crypto)
         self.signer = checkpoint_signer(party.ctx.crypto, self.scheme)
-        self.accel = party.ctx.crypto.accel
+        self.verifier = party.ctx.crypto.verifier
         #: sequence of the newest certified checkpoint this replica holds
         self.last_certified = 0
         self._last_proposed = 0
@@ -378,7 +378,7 @@ class RecoverableService(ReplicatedService):
         try:
             if self.scheme.share_index(share) != index:
                 raise CheckpointError("share signed under a different index")
-            if not self.accel.sig_share_ok(self.scheme, pending["statement"], share):
+            if not self.verifier.sig_share_ok(self.scheme, pending["statement"], share):
                 raise CheckpointError("share does not verify")
         except (ReproError, CheckpointError):
             # Either a corrupted share or an honest peer checkpointing a
@@ -393,7 +393,7 @@ class RecoverableService(ReplicatedService):
         if pending is None or len(pending["shares"]) < self.scheme.k:
             return
         signature = combine_optimistically(
-            self.scheme, pending["statement"], pending["shares"], verifier=self.accel
+            self.scheme, pending["statement"], pending["shares"], verifier=self.verifier
         )
         if signature is None:
             return
