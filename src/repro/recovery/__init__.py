@@ -12,7 +12,8 @@ destroyed rejoin the group:
   the tuple (pid, seq, state digest); ``t + 1`` shares assemble into a
   checkpoint certificate that verifies under the group's public keys, so a
   recovering replica needs to trust no individual peer.  A certified
-  checkpoint truncates the log prefix it covers;
+  checkpoint lives in the log and drops the prefix it covers from memory;
+  the file is rewritten only when the covered bytes pay for it;
 * ``service`` — ``RecoverableService``: a ``ReplicatedService`` wired to
   the log and the checkpoint protocol, with ``recover()`` — fetch the
   newest certificate + snapshot from peers, verify, replay the suffix, and
@@ -21,7 +22,6 @@ destroyed rejoin the group:
 
 from repro.recovery.checkpoint import (
     Checkpoint,
-    CheckpointStore,
     checkpoint_scheme,
     checkpoint_signer,
     checkpoint_statement,
@@ -37,7 +37,6 @@ from repro.recovery.wal import (
 __all__ = [
     "Checkpoint",
     "CheckpointExchange",
-    "CheckpointStore",
     "DeliveryLog",
     "FSYNC_ALWAYS",
     "FSYNC_BATCH",

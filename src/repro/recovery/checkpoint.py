@@ -16,12 +16,14 @@ verifies — a Byzantine sender cannot forge a certificate for a corrupted
 snapshot.  (This piggybacks on the dealt per-party keys rather than a
 separately dealt Shoup instance, so it works for both ``sig_mode``
 deals.)
+
+A certified checkpoint is stored as the first record of the durable
+delivery log (``repro.recovery.wal``), not in a file of its own.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -151,50 +153,3 @@ class Checkpoint:
     def verify(self, scheme: MultiSignatureScheme, pid: str) -> bool:
         """Does the group certificate cover this (pid, seq, package)?"""
         return scheme.verify(self.statement(pid), self.signature)
-
-
-# -- durable storage ---------------------------------------------------------------
-
-
-class CheckpointStore:
-    """Holds the newest certified checkpoint on disk (atomic replace)."""
-
-    #: bumped with the package format (``CKPT1``: delivered as a key list);
-    #: an older file is unrecognized and recovery falls back to peers
-    _MAGIC = b"SINTRA-CKPT2"
-
-    def __init__(self, path: str):
-        self.path = path
-        self.latest: Optional[Checkpoint] = None
-        self._load()
-
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "rb") as fh:
-            blob = fh.read()
-        if not blob.startswith(self._MAGIC):
-            return  # unrecognized or torn: recovery falls back to peers
-        try:
-            parsed = decode(blob[len(self._MAGIC):])
-        except EncodingError:
-            return
-        if not (isinstance(parsed, tuple) and len(parsed) == 3
-                and isinstance(parsed[0], int)
-                and isinstance(parsed[1], bytes)
-                and isinstance(parsed[2], bytes)):
-            return
-        self.latest = Checkpoint(seq=parsed[0], package=parsed[1], signature=parsed[2])
-
-    def save(self, checkpoint: Checkpoint) -> None:
-        """Persist atomically: write tmp, fsync, rename over the old file."""
-        tmp = self.path + ".tmp"
-        blob = self._MAGIC + encode(
-            (checkpoint.seq, checkpoint.package, checkpoint.signature)
-        )
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self.latest = checkpoint

@@ -11,11 +11,13 @@ it, so a slot means the same thing live, on replay and on transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.common.runs import Runs
 from repro.core.channel.atomic import KIND_APP, KIND_CLOSE
-from repro.recovery.wal import SlotTuple
+
+if TYPE_CHECKING:  # the log holds a Checkpoint, whose module imports this one
+    from repro.recovery.wal import SlotTuple
 
 #: slot -> member uid (``None`` = vacant); no roster for a static group
 Seats = Tuple[Optional[str], ...]

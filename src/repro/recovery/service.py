@@ -10,8 +10,9 @@ recovery mechanisms of this package:
 * at every slot sequence that is a multiple of ``K`` (``checkpoint_
   interval``) the replica builds the deterministic checkpoint package,
   signs the statement ``(pid, seq, sha256(package))`` and exchanges shares
-  with its peers; ``t + 1`` shares combine into a certificate which is
-  persisted and truncates the covered log prefix;
+  with its peers; ``t + 1`` shares combine into a certificate, which the
+  log installs in memory (it drops the covered slots and writes nothing
+  until a rewrite pays for itself);
 * ``recover()`` — for a replica whose memory is gone: pull
   ``(certificate, package, log tail)`` from the peers, adopt a response
   once its certificate verifies under the group key **and** ``t + 1``
@@ -59,7 +60,6 @@ from repro.crypto.threshold_sig import combine_optimistically
 from repro.recovery.checkpoint import (
     Checkpoint,
     CheckpointError,
-    CheckpointStore,
     checkpoint_scheme,
     checkpoint_signer,
     checkpoint_statement,
@@ -147,7 +147,6 @@ class RecoverableService(ReplicatedService):
         self.pull_retry_s = pull_retry_s
         self.obs = party.obs
         self.wal = DeliveryLog(os.path.join(directory, "wal.log"), fsync=fsync)
-        self.ckpt_store = CheckpointStore(os.path.join(directory, "checkpoint.bin"))
         self.scheme = checkpoint_scheme(party.ctx.crypto)
         self.signer = checkpoint_signer(party.ctx.crypto, self.scheme)
         self.verifier = party.ctx.crypto.verifier
@@ -184,16 +183,14 @@ class RecoverableService(ReplicatedService):
         """
         if self.channel is not None:
             raise RecoveryError("service already started")
-        ckpt = self.ckpt_store.latest
+        ckpt = self.wal.checkpoint
         base = 0
         if ckpt is not None:
             if not ckpt.verify(self.scheme, self.pid):
                 raise RecoveryError("stored checkpoint certificate does not verify")
             base = ckpt.seq
-        if self.wal.base < base:
-            # Crashed between persisting the certificate and compacting.
-            self.wal.truncate_through(base - 1)
-        elif self.wal.base > base:
+        if self.wal.base > base:
+            # A log of the old two-file layout: its certificate is elsewhere.
             raise RecoveryError(
                 "delivery log is ahead of the stored checkpoint "
                 f"(log base {self.wal.base}, checkpoint seq {base})"
@@ -227,8 +224,8 @@ class RecoverableService(ReplicatedService):
         self.wal.close()
 
     def shutdown(self) -> None:
-        """Retire this replica process: abort the channel, unregister the
-        transfer exchange, close durable files.
+        """Retire this replica process: abort the channel, unregister it
+        and the transfer exchange, close durable files.
 
         After ``shutdown()`` the party's router is free of this service's
         protocol ids, so a successor process for the same slot (membership
@@ -236,6 +233,7 @@ class RecoverableService(ReplicatedService):
         service without id collisions."""
         if self.channel is not None:
             self.channel.abort()
+            self.party.ctx.router.forget(self.channel.pid)
         self.exchange.halt()
         self.party.ctx.router.forget(self.exchange.pid)
         self.wal.close()
@@ -403,11 +401,10 @@ class RecoverableService(ReplicatedService):
         )
 
     def _install_checkpoint(self, ckpt: Checkpoint, history: History) -> None:
-        """Persist a certificate over a package built here; truncate the log."""
-        self.ckpt_store.save(ckpt)
+        """Install a certificate over a package built here in the log."""
+        self.wal.install(ckpt)
         self._base = history
         self.last_certified = ckpt.seq
-        self.wal.truncate_through(ckpt.seq - 1)
         for seq in [s for s in self._pending if s <= ckpt.seq]:
             del self._pending[seq]
         for seq in [s for s in self._foreign if s <= ckpt.seq]:
@@ -436,18 +433,16 @@ class RecoverableService(ReplicatedService):
             )
 
     def _serve_payload(self) -> Tuple[int, bytes, bytes, List[SlotTuple]]:
-        """(seq, cert, package, tail) from local durable state.
+        """(seq, cert, package, tail): the log's newest certified
+        checkpoint and the slots it retains after it.
 
         Split out so Byzantine-behaviour tests can override what a
         malicious peer serves.
         """
-        ckpt = self.ckpt_store.latest
-        if ckpt is not None:
-            seq, sig, package = ckpt.seq, ckpt.signature, ckpt.package
-        else:
-            seq, sig, package = 0, b"", b""
-        tail = [slot for slot in self.wal.tail() if slot[0] >= seq]
-        return seq, sig, package, tail
+        ckpt = self.wal.checkpoint
+        if ckpt is None:
+            return 0, b"", b"", self.wal.tail()
+        return ckpt.seq, ckpt.signature, ckpt.package, self.wal.tail()
 
     # -- state transfer: recovering side ---------------------------------------------
 
@@ -539,10 +534,8 @@ class RecoverableService(ReplicatedService):
             self._retry_timer.cancel()
             self._retry_timer = None
         ckpt, tail = response["checkpoint"], response["tail"]
-        if ckpt is not None:
-            self.ckpt_store.save(ckpt)
         resume = self._install(ckpt, tail)
-        self.wal.reset(self.last_certified, tail, resume.next_seq)
+        self.wal.reset(ckpt, tail, resume.next_seq)
         self._open_channel(resume)
         self.recovered = True
         if self.obs.enabled:

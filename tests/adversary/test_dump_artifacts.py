@@ -96,4 +96,4 @@ def test_unhealed_case_dumps_the_orchestrators_story(tmp_path, monkeypatch):
     heals = json.loads(open(path).read())["dump"]["heals"]
     assert heals == unhealed.facts["heals"]
     assert heals[0]["action"] == "restart"
-    assert {h["outcome"] for h in heals} == {"rolled-back"}
+    assert {h["outcome"] for h in heals} == {"restarted", "rolled-back"}

@@ -39,8 +39,8 @@ pytestmark = pytest.mark.heal
 PINNED_CASE = 0x1
 
 #: a ``silence`` cell that does not heal under its seed plan (ROADMAP item
-#: 4): the intruder's restart rolls back mid-transfer, then no epoch
-#: change commits and the group stays at epoch 0
+#: 6(b)): the restarts succeed, but the loop replaces an honest replica
+#: and the intruder's quarantine never commits (final epoch 1)
 UNHEALED_CASE, UNHEALED_INTRUDER = 0xFF827FAF9C813ED9, 3
 
 
@@ -109,27 +109,23 @@ def test_silence_escalates_from_restart_to_replacement():
     )
     assert_healed(result)
     # the pinned trajectory: the intruder (slot 1) is restarted, the
-    # restart rolls back, the proactive refresh commits, then it is replaced
+    # restarted image re-offends, and it is replaced
     assert result.facts["heals"] == [
         {"action": "restart", "slot": 1, "member": "replica-1", "epoch": 0,
-         "outcome": "rolled-back", "error": "onboarding timed out mid-transfer"},
-        {"action": "refresh", "slot": None, "member": None, "epoch": 1,
-         "outcome": "refreshed", "seconds": 0.068161},
-        {"action": "replace", "slot": 1, "member": "spare-0", "epoch": 2,
-         "outcome": "replaced", "seconds": 0.060414},
+         "outcome": "restarted", "seconds": 0.004337},
+        {"action": "replace", "slot": 1, "member": "spare-0", "epoch": 1,
+         "outcome": "replaced", "seconds": 0.054356},
     ]
     assert loop_counters(obs.snapshot()["counters"]) == {
-        "fd.down.entered": 5, "fd.suspect.cleared": 1, "fd.suspect.entered": 5,
-        "heal.action.refresh": 1, "heal.action.replace": 1,
-        "heal.action.restart": 1, "heal.committed": 2,
-        "heal.evidence.bad-cert": 1, "heal.evidence.fd-down": 4,
-        "heal.evidence.fd-suspect": 4, "heal.evidence.silence": 6,
-        "heal.evidence.stall": 4, "heal.fence": 1, "heal.onboarding": 2,
-        "heal.plan.refresh": 1, "heal.plan.replace": 1, "heal.plan.restart": 1,
-        "heal.refreshed": 1, "heal.replaced": 1, "heal.rollback": 1,
-        "heal.started": 1, "heal.submitted": 2, "heal.ticks": 161,
-        "liveness.barrier.suspends": 6, "liveness.checks": 40,
-        "liveness.progress": 732, "liveness.stalls": 4,
+        "fd.down.entered": 4, "fd.suspect.entered": 4,
+        "heal.action.replace": 1, "heal.action.restart": 1,
+        "heal.committed": 1, "heal.evidence.fd-down": 4,
+        "heal.evidence.silence": 12, "heal.evidence.stall": 4,
+        "heal.fence": 2, "heal.onboarding": 2, "heal.plan.replace": 1,
+        "heal.plan.restart": 1, "heal.replaced": 1, "heal.restarted": 1,
+        "heal.started": 1, "heal.submitted": 1, "heal.ticks": 51,
+        "liveness.barrier.suspends": 3, "liveness.checks": 12,
+        "liveness.progress": 268, "liveness.stalls": 4,
     }
 
 

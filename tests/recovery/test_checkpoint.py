@@ -1,4 +1,4 @@
-"""Checkpoint packages, certificates, and their durable store."""
+"""Checkpoint packages, certificates, and their durable store (the log)."""
 
 import hashlib
 
@@ -11,7 +11,6 @@ from repro.crypto.threshold_sig import combine_optimistically
 from repro.recovery.checkpoint import (
     Checkpoint,
     CheckpointError,
-    CheckpointStore,
     checkpoint_scheme,
     checkpoint_signer,
     checkpoint_statement,
@@ -19,6 +18,7 @@ from repro.recovery.checkpoint import (
     parse_package,
 )
 from repro.recovery.history import History, fold
+from repro.recovery.wal import DeliveryLog
 
 
 def _scheme(group):
@@ -187,34 +187,52 @@ def test_fewer_than_k_shares_cannot_combine(group4):
 
 
 def test_store_round_trip(tmp_path):
-    path = str(tmp_path / "checkpoint.bin")
-    store = CheckpointStore(path)
-    assert store.latest is None
+    """The delivery log is the checkpoint's store: a rewrite carries it."""
+    path = str(tmp_path / "wal.log")
+    log = DeliveryLog(path)
+    assert log.checkpoint is None
     ckpt = Checkpoint(seq=8, package=b"pkg", signature=b"sig")
-    store.save(ckpt)
-    reloaded = CheckpointStore(path)
-    assert reloaded.latest == ckpt
+    log.reset(ckpt, [], sent_next=0)
+    log.close()
+    reloaded = DeliveryLog(path)
+    assert reloaded.checkpoint == ckpt
+    assert reloaded.base == 8
+    reloaded.close()
 
 
 def test_store_tolerates_garbage_file(tmp_path):
-    path = str(tmp_path / "checkpoint.bin")
-    with open(path, "wb") as fh:
-        fh.write(CheckpointStore._MAGIC + b" but then torn garbage \x00\xff")
-    store = CheckpointStore(path)
-    assert store.latest is None  # falls back to peer transfer
-    with open(path, "wb") as fh:
-        fh.write(b"entirely unrecognized")
-    assert CheckpointStore(path).latest is None
+    """A checkpoint record that fails its CRC is not read: replay stops
+    there, and the replica falls back to peer transfer."""
+    path = str(tmp_path / "wal.log")
+    log = DeliveryLog(path)
+    log.reset(Checkpoint(seq=8, package=b"pkg" * 20, signature=b"sig"), [], 0)
+    log.close()
+    with open(path, "r+b") as fh:
+        fh.seek(30)
+        byte = fh.read(1)
+        fh.seek(30)
+        fh.write(bytes((byte[0] ^ 0xFF,)))
+    reloaded = DeliveryLog(path)
+    assert reloaded.checkpoint is None and reloaded.base == 0
+    assert reloaded.torn_bytes > 0
+    reloaded.close()
 
 
 def test_store_ignores_a_file_of_the_previous_format(tmp_path):
-    """``CKPT1`` packages carried a key list; such a file is unrecognized,
-    not misparsed, and a save replaces it."""
-    path = str(tmp_path / "checkpoint.bin")
-    ckpt = Checkpoint(seq=8, package=b"pkg", signature=b"sig")
-    with open(path, "wb") as fh:
-        fh.write(b"SINTRA-CKPT1" + encode((ckpt.seq, ckpt.package, ckpt.signature)))
-    store = CheckpointStore(path)
-    assert store.latest is None
-    store.save(ckpt)
-    assert CheckpointStore(path).latest == ckpt
+    """In the old two-file layout the certificate sat in ``checkpoint.bin``
+    and the compacted log began with a ``("b", base)`` record.  That file
+    is not read; the log replays its base with no certificate under it,
+    which ``RecoverableService.start()`` refuses."""
+    ckpt = Checkpoint(seq=4, package=b"pkg", signature=b"sig")
+    (tmp_path / "checkpoint.bin").write_bytes(
+        b"SINTRA-CKPT2" + encode((ckpt.seq, ckpt.package, ckpt.signature))
+    )
+    path = str(tmp_path / "wal.log")
+    log = DeliveryLog(path)
+    log._append(("b", 4))
+    log.append_slot(4, 0, 0, KIND_APP, b"tail", 3)
+    log.close()
+    reloaded = DeliveryLog(path)
+    assert reloaded.checkpoint is None
+    assert (reloaded.base, sorted(reloaded.slots)) == (4, [4])
+    reloaded.close()

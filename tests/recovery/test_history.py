@@ -203,7 +203,7 @@ def test_static_package_bytes(group4, tmp_path):
     services[0].submit(b"add:3")
     _sync(rt, services, 4)
     rt.run()
-    assert {s.ckpt_store.latest.package for s in services} == {STATIC_SEQ4}
+    assert {s.wal.checkpoint.package for s in services} == {STATIC_SEQ4}
     no_errors(rt)
 
 
@@ -218,11 +218,11 @@ def test_membership_package_bytes(group4, tmp_path):
     services[1].membership.refresh_shares()
     _sync(rt, services, 2)
     rt.run()
-    assert {s.ckpt_store.latest.package for s in services} == {BARRIER_SEQ2}
+    assert {s.wal.checkpoint.package for s in services} == {BARRIER_SEQ2}
     services[3].submit(b"add:5")
     _sync(rt, services, 3)
     services[2].submit(b"sub:2")
     _sync(rt, services, 4)
     rt.run()
-    assert {s.ckpt_store.latest.package for s in services} == {EPOCH1_SEQ4}
+    assert {s.wal.checkpoint.package for s in services} == {EPOCH1_SEQ4}
     no_errors(rt)

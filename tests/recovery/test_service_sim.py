@@ -83,13 +83,13 @@ def test_checkpoints_certify_and_truncate(group4, tmp_path):
     assert {s.last_certified for s in services} == {4}
     assert len({s.last_state_digest() for s in services}) == 1
     for s in services:
-        # The certified prefix is truncated from the log...
+        # The certified prefix leaves the log's memory...
         assert s.wal.base == 4
         assert all(index >= 4 for index in s.wal.slots)
-        # ...and the certificate is on disk.
-        assert s.ckpt_store.latest is not None
-        assert s.ckpt_store.latest.seq == 4
-        assert s.ckpt_store.latest.verify(s.scheme, "svc")
+        # ...and the log holds the certificate.
+        assert s.wal.checkpoint is not None
+        assert s.wal.checkpoint.seq == 4
+        assert s.wal.checkpoint.verify(s.scheme, "svc")
     # Own-send sequence allocations were persisted before sending.
     assert services[0].wal.sent_next == 2
     assert recorder.counters["recovery.checkpoint.certified"] >= 4
@@ -140,9 +140,11 @@ def test_a_record_numbered_true_does_not_poison_the_checkpoints(group4, tmp_path
     _sync(rt, services, 2)
     rt.run()
     assert {s.last_certified for s in services} == {2}
-    _, history = parse_package(services[0].ckpt_store.latest.package)
+    _, history = parse_package(services[0].wal.checkpoint.package)
     assert history.delivered.canonical() == [(0, 0, 1), (3, 1, 2)]
     for s in services:
+        # Compact every log, as a rewrite would, so the package is on disk.
+        s.wal.reset(s.wal.checkpoint, s.wal.tail(), s.wal.sent_next)
         s.release()
 
     rt2 = sim_runtime(group4, seed=16)
@@ -259,25 +261,39 @@ def _group_with_a_tail(group4, tmp_path, seed, recorder=None):
 def test_checkpoint_file_of_the_previous_format_falls_back_to_peers(
     group4, tmp_path
 ):
-    """A ``CKPT1`` file (its package lists keys, not runs) is not read:
-    the replica comes back through its peers and overwrites it."""
-    from repro.recovery.checkpoint import CheckpointStore
+    """A directory in the old two-file layout (the certificate in
+    ``checkpoint.bin``, a compacted ``wal.log`` with base 4) is refused by
+    ``start()``; the replica comes back through its peers, and the
+    certificate then lives in its log."""
+    from repro.recovery.service import RecoveryError
+    from repro.recovery.wal import DeliveryLog
 
     recorder = MemoryRecorder()
     rt, parties, services = _group_with_a_tail(group4, tmp_path, 18, recorder)
+    ckpt = services[0].wal.checkpoint
     directory = tmp_path / "replica3"
     directory.mkdir()
-    old = b"SINTRA-CKPT1" + encode((4, encode((b"", [(0, 0)], [], 2)), b"sig"))
-    (directory / "checkpoint.bin").write_bytes(old)
+    (directory / "checkpoint.bin").write_bytes(
+        b"SINTRA-CKPT2" + encode((ckpt.seq, ckpt.package, ckpt.signature))
+    )
+    old = DeliveryLog(str(directory / "wal.log"))
+    old._append(("b", ckpt.seq))
+    for slot in services[0].wal.tail():
+        old.append_slot(*slot)
+    old.close()
 
     joiner = _service(parties[3], tmp_path)
-    assert joiner.ckpt_store.latest is None
+    with pytest.raises(RecoveryError, match="delivery log is ahead of the stored checkpoint"):
+        joiner.start()
     stats = rt.run_until(joiner.recover(), limit=3000.0)
     assert (stats["seq"], stats["applied_seq"]) == (4, 5)
     assert joiner.last_state_digest() == services[0].last_state_digest()
     assert recorder.counters["recovery.transfer.adopted"] == 1
-    on_disk = (directory / "checkpoint.bin").read_bytes()
-    assert on_disk.startswith(CheckpointStore._MAGIC) and on_disk != old
+    on_disk = DeliveryLog(str(directory / "wal.log"))
+    # Certificates combined from different share sets differ in bytes.
+    assert (on_disk.checkpoint.seq, on_disk.checkpoint.package) == (4, ckpt.package)
+    assert on_disk.checkpoint.verify(joiner.scheme, "svc")
+    on_disk.close()
     no_errors(rt)
 
 

@@ -1,20 +1,33 @@
-"""The durable delivery log: framing, replay, torn tails, compaction."""
+"""The durable delivery log: framing, replay, torn tails, checkpoints,
+compaction."""
 
 import os
 
 import pytest
 
+from repro.recovery.checkpoint import Checkpoint
 from repro.recovery.wal import (
     FSYNC_ALWAYS,
     FSYNC_BATCH,
     FSYNC_NEVER,
     DeliveryLog,
     WalError,
+    _frame,
 )
 
 
 def _path(tmp_path):
     return os.path.join(str(tmp_path), "wal.log")
+
+
+def _ckpt(seq, package=b"pkg"):
+    return Checkpoint(seq=seq, package=package, signature=b"sig")
+
+
+def _compact_always(monkeypatch):
+    """Drop the floor, so a rewrite fires as soon as it is smaller than
+    what the covered slots hold."""
+    monkeypatch.setattr("repro.recovery.wal.COMPACT_FLOOR", 0)
 
 
 def test_replay_round_trip(tmp_path):
@@ -90,19 +103,25 @@ def test_corrupt_frame_stops_replay(tmp_path):
     replayed.close()
 
 
-def test_truncate_through_compacts_and_persists(tmp_path):
+def test_truncate_through_compacts_and_persists(tmp_path, monkeypatch):
+    """A checkpoint over slots 0..3 drops them; once they outweigh a
+    rewrite, the file is compacted to the checkpoint, the tail and the mark."""
+    _compact_always(monkeypatch)
     path = _path(tmp_path)
     log = DeliveryLog(path, fsync=FSYNC_ALWAYS)
     for i in range(6):
-        log.append_slot(i, i % 4, 0, 0, b"slot%d" % i, 1 + i)
+        log.append_slot(i, i % 4, 0, 0, b"slot%d" % i * 8, 1 + i)
     log.append_sent(2)
-    log.truncate_through(3)
+    size = os.path.getsize(path)
+    log.install(_ckpt(4))
     assert log.base == 4
     assert sorted(log.slots) == [4, 5]
     log.check_contiguous()
+    assert os.path.getsize(path) < size
     log.close()
 
     replayed = DeliveryLog(path)
+    assert replayed.checkpoint == _ckpt(4)
     assert replayed.base == 4
     assert sorted(replayed.slots) == [4, 5]
     assert replayed.sent_next == 2  # high-water survives compaction
@@ -113,10 +132,11 @@ def test_reset_replaces_contents(tmp_path):
     path = _path(tmp_path)
     log = DeliveryLog(path, fsync=FSYNC_ALWAYS)
     log.append_slot(0, 0, 0, 0, b"stale", 1)
-    log.reset(8, [(8, 1, 2, 0, b"adopted", 9)], sent_next=3)
+    log.reset(_ckpt(8), [(8, 1, 2, 0, b"adopted", 9)], sent_next=3)
     log.close()
 
     replayed = DeliveryLog(path)
+    assert replayed.checkpoint == _ckpt(8)
     assert replayed.base == 8
     assert replayed.tail() == [(8, 1, 2, 0, b"adopted", 9)]
     assert replayed.sent_next == 3
@@ -166,6 +186,7 @@ def _count_fsyncs(monkeypatch):
 
 
 def test_sync_is_one_fsync_per_barrier(tmp_path, monkeypatch):
+    _compact_always(monkeypatch)
     calls = _count_fsyncs(monkeypatch)
     log = DeliveryLog(_path(tmp_path), fsync=FSYNC_ALWAYS)
     for i in range(3):
@@ -177,7 +198,7 @@ def test_sync_is_one_fsync_per_barrier(tmp_path, monkeypatch):
     log.sync()
     assert len(calls) == 1  # nothing appended since the last barrier
     log.append_slot(3, 0, 3, 0, b"s3", 2)
-    log.truncate_through(1)  # compaction syncs the file it writes...
+    log.install(_ckpt(4))  # compaction syncs the file it writes...
     synced = len(calls)
     log.sync()
     assert len(calls) == synced  # ...which already holds the append
@@ -195,6 +216,7 @@ def test_sync_is_a_no_op_below_always(tmp_path, monkeypatch, policy):
 
 
 def test_failed_compaction_leaves_the_old_log_appendable(tmp_path, monkeypatch):
+    _compact_always(monkeypatch)
     path = _path(tmp_path)
     log = DeliveryLog(path, fsync=FSYNC_ALWAYS)
     for i in range(4):
@@ -205,7 +227,7 @@ def test_failed_compaction_leaves_the_old_log_appendable(tmp_path, monkeypatch):
 
     monkeypatch.setattr("repro.recovery.wal.os.replace", replace)
     with pytest.raises(OSError):
-        log.truncate_through(1)
+        log.install(_ckpt(4))
     monkeypatch.undo()
     calls = _count_fsyncs(monkeypatch)
     log.append_slot(4, 0, 4, 0, b"s4", 2)
@@ -217,3 +239,106 @@ def test_failed_compaction_leaves_the_old_log_appendable(tmp_path, monkeypatch):
     assert replayed.base == 0  # the old file, with the later append
     assert sorted(replayed.slots) == [0, 1, 2, 3, 4]
     replayed.close()
+
+
+class _CountingFile:
+    """Stands in for the log's append handle and counts its writes."""
+
+    def __init__(self, fh, writes):
+        self._fh, self._writes = fh, writes
+
+    def write(self, data):
+        self._writes.append(len(data))
+        return self._fh.write(data)
+
+    def fileno(self):
+        return self._fh.fileno()
+
+    def close(self):
+        self._fh.close()
+
+
+def test_installing_a_checkpoint_touches_no_file(tmp_path, monkeypatch):
+    """A certificate is derived data: the file still holds every slot it
+    covers, so installing it writes, syncs and renames nothing."""
+    path = _path(tmp_path)
+    log = DeliveryLog(path, fsync=FSYNC_ALWAYS)
+    for i in range(6):
+        log.append_slot(i, 0, i, 0, b"s%d" % i, 1 + i)
+    log.append_sent(6)
+    log.sync()
+    size = os.path.getsize(path)
+
+    fsyncs = _count_fsyncs(monkeypatch)
+    writes, opens, replaces = [], [], []
+    log._fh = _CountingFile(log._fh, writes)
+    monkeypatch.setattr(
+        "repro.recovery.wal.open",
+        lambda *args, **kw: opens.append(args) or open(*args, **kw),
+        raising=False,
+    )
+    monkeypatch.setattr("repro.recovery.wal.os.replace", lambda *a: replaces.append(a))
+    log.install(_ckpt(4))
+    assert (fsyncs, writes, opens, replaces) == ([], [], [], [])
+    assert (log.checkpoint, log.base, sorted(log.slots)) == (_ckpt(4), 4, [4, 5])
+    log.sync()
+    assert fsyncs == []  # the install left nothing to sync either
+    monkeypatch.undo()
+    log.close()
+
+    # The file is what it was: a restart replays the covered slots over
+    # the previous checkpoint (here: none).
+    assert os.path.getsize(path) == size
+    replayed = DeliveryLog(path)
+    assert (replayed.checkpoint, replayed.base) == (None, 0)
+    assert sorted(replayed.slots) == list(range(6))
+    replayed.close()
+
+
+def test_compaction_fires_when_covered_bytes_outweigh_a_rewrite(tmp_path, monkeypatch):
+    """The file is rewritten exactly when the bytes it holds for covered
+    slots exceed both the size of the rewrite and the floor; the rewritten
+    file replays to the same checkpoint, tail and sent mark."""
+    floor = 1500
+    monkeypatch.setattr("repro.recovery.wal.COMPACT_FLOOR", floor)
+    replaces = []
+    real_replace = os.replace
+    monkeypatch.setattr(
+        "repro.recovery.wal.os.replace",
+        lambda src, dst: replaces.append(dst) or real_replace(src, dst),
+    )
+    path = _path(tmp_path)
+    log = DeliveryLog(path, fsync=FSYNC_ALWAYS)
+    frame_size = {}  # slot index -> bytes its frame added to the file
+    covered = 0  # bytes the file holds for slots below the checkpoint
+    outcomes = []
+    for seq in range(2, 41, 2):
+        for index in (seq - 2, seq - 1):
+            before = os.path.getsize(path)
+            log.append_slot(index, index % 4, index // 4, 0, b"v" * 100, index)
+            frame_size[index] = os.path.getsize(path) - before
+        log.append_sent(seq)
+        # Packages grow past the floor halfway, so both sides of max() decide.
+        ckpt = _ckpt(seq - 1, b"p" * (100 if seq <= 20 else 2000))
+        covered += sum(frame_size[i] for i in (seq - 3, seq - 2) if i >= 0)
+        retained = [i for i in log.slots if i >= ckpt.seq]
+        live = (
+            len(_frame(("c", ckpt.seq, ckpt.package, ckpt.signature)))
+            + sum(frame_size[i] for i in retained)
+            + len(_frame(("s", log.sent_next)))
+        )
+        expected = covered > max(live, floor)
+        log.install(ckpt)
+        outcomes.append((expected, live > floor))
+        assert bool(replaces) == expected, (seq, covered, live)
+        if expected:
+            assert os.path.getsize(path) == live
+            replayed = DeliveryLog(path, fsync=FSYNC_NEVER)
+            assert replayed.checkpoint == ckpt
+            assert replayed.tail() == log.tail()
+            assert replayed.sent_next == log.sent_next
+            replayed.close()
+            covered = 0
+            replaces.clear()
+    assert {(True, False), (True, True), (False, False), (False, True)} <= set(outcomes)
+    log.close()
