@@ -31,18 +31,14 @@ def main() -> None:
     cas[1].register(b"www.example.org", b"pk-of-client-B")
     _pump(rt, cas, 2)
 
-    from repro.common.encoding import decode
-
-    outcomes = [decode(result)[0] for _, result in cas[2].log]
-    print("Race for 'www.example.org':", outcomes, "- exactly one 'issued',")
-    print("and every replica agrees which (total order!).\n")
+    name = b"www.example.org"
+    winners = {ca.registry.registry[name][0] for ca in cas}
+    print("Race for 'www.example.org': registered to", winners, "-")
+    print("exactly one key, and every replica agrees which (total order!).\n")
 
     # Gather shares from any quorum of replicas and build the certificate.
-    issued_at = outcomes.index("issued")
-    name, pubkey, serial, _ = cas[0].issued_share(issued_at)
-    shares = {
-        i + 1: cas[i].issued_share(issued_at)[3] for i in range(scheme.k)
-    }
+    _, pubkey, serial, _ = cas[0].issued_share(name)
+    shares = {i + 1: cas[i].issued_share(name)[3] for i in range(scheme.k)}
     cert = combine_certificate(scheme, name, pubkey, serial, shares)
     print(f"Combined certificate from {scheme.k} shares: {len(cert)} bytes")
     print("  verifies:", verify_certificate(scheme, name, pubkey, serial, cert))
@@ -52,7 +48,7 @@ def main() -> None:
     # Key rotation: update bumps the serial; old statements stop verifying.
     cas[0].update(name, b"pk-of-client-A-v2")
     _pump(rt, cas, 3)
-    _, new_pk, new_serial, _ = cas[1].issued_share(2)
+    _, new_pk, new_serial, _ = cas[1].issued_share(name)
     print(f"\nAfter key rotation: serial {serial} -> {new_serial};")
     print("  old certificate no longer matches the new statement:",
           not verify_certificate(scheme, name, new_pk, new_serial, cert))
@@ -63,13 +59,9 @@ def main() -> None:
 
 
 def _pump(rt, cas, count):
-    def waiter(ca):
-        while ca.applied < count:
-            yield ca.channel.receive()
-
-    procs = [rt.spawn(waiter(ca)) for ca in cas]
-    for p in procs:
-        rt.run_until(p.future, limit=3000)
+    """Run the simulation until every replica applied ``count`` commands."""
+    while any(ca.applied_seq < count for ca in cas):
+        rt.run(max_events=1)
 
 
 if __name__ == "__main__":

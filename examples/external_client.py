@@ -77,7 +77,7 @@ def main() -> None:
 
     # --- 3. ...and the retries that caused did not double-execute ---------
     rt.run(until=rt.now + 30)  # let duplicate channel entries drain
-    ordered = len(services[1].log)
+    ordered = services[1].applied_seq
     values = {s.state.inner.value for s in services}
     print(f"the group ordered {ordered} envelopes for 2 requests, "
           f"but every replica's counter is {values} — "

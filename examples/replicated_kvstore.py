@@ -60,14 +60,8 @@ def main() -> None:
 
 def _pump(rt, replicas, count):
     """Run the simulation until every replica applied ``count`` commands."""
-
-    def waiter(rep):
-        while rep.applied < count:
-            yield rep.channel.receive()
-
-    procs = [rt.spawn(waiter(rep)) for rep in replicas.values()]
-    for p in procs:
-        rt.run_until(p.future, limit=3000)
+    while any(rep.applied_seq < count for rep in replicas.values()):
+        rt.run(max_events=1)
 
 
 if __name__ == "__main__":

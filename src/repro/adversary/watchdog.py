@@ -107,9 +107,9 @@ def sentinel_for(name: str, party: int, obj: Any, future: Any = None) -> Progres
       swaps it at each epoch transition;
     * agreement-like (``round`` + ``decided``) — progress is the round
       counter and the decision flag (paper: rounds entered vs. decided);
-    * channel-like (``deliveries``) — progress is slots delivered, the
-      send-backlog level and the closed flag (slots delivered vs.
-      enqueued);
+    * channel-like (a ``delivered`` count) — progress is payloads
+      delivered, the send-backlog level and the closed flag (slots
+      delivered vs. enqueued);
     * anything else — the supplied ``future``'s resolution is the only
       observable progress.
     """
@@ -123,7 +123,7 @@ def sentinel_for(name: str, party: int, obj: Any, future: Any = None) -> Progres
                 return (obj.applied_seq, 0, 0, True)
             return (
                 obj.applied_seq,
-                len(ch.deliveries),
+                ch.delivered,
                 ch.pending(),
                 getattr(obj, "membership_epoch", 0),
                 bool(ch.is_closed()),
@@ -141,7 +141,7 @@ def sentinel_for(name: str, party: int, obj: Any, future: Any = None) -> Progres
                 "epoch": getattr(obj, "membership_epoch", 0),
             }
             if ch is not None:
-                info["delivered"] = len(ch.deliveries)
+                info["delivered"] = ch.delivered
                 info["enqueued"] = ch.pending()
                 info["closed"] = bool(ch.is_closed())
             return info
@@ -167,9 +167,9 @@ def sentinel_for(name: str, party: int, obj: Any, future: Any = None) -> Progres
             }
 
         return ProgressSentinel(name, party, progress, done, dump)
-    if hasattr(obj, "deliveries"):
+    if isinstance(getattr(obj, "delivered", None), int):
         def progress() -> Tuple:
-            return (len(obj.deliveries), obj.pending(), obj.is_closed())
+            return (obj.delivered, obj.pending(), obj.is_closed())
 
         def done() -> bool:
             return bool(obj.is_closed())
@@ -177,7 +177,7 @@ def sentinel_for(name: str, party: int, obj: Any, future: Any = None) -> Progres
         def dump() -> Dict[str, Any]:
             info: Dict[str, Any] = {
                 "kind": "channel",
-                "delivered": len(obj.deliveries),
+                "delivered": obj.delivered,
                 "enqueued": obj.pending(),
                 "closed": bool(obj.is_closed()),
             }

@@ -86,14 +86,14 @@ class CARegistry(StateMachine):
                 if name in self.registry:
                     return encode(("error", b"name taken"))
                 self.registry[name] = (pubkey, 1, False)
-                return self._issue(name)
+                return encode(("issued",) + self.certificate_share(name))
             if op == "update":
                 _, name, pubkey = parsed
                 if name not in self.registry or self.registry[name][2]:
                     return encode(("error", b"unknown or revoked"))
                 serial = self.registry[name][1] + 1
                 self.registry[name] = (pubkey, serial, False)
-                return self._issue(name)
+                return encode(("issued",) + self.certificate_share(name))
             if op == "revoke":
                 _, name = parsed
                 if name not in self.registry:
@@ -111,11 +111,12 @@ class CARegistry(StateMachine):
             return encode(("error", b"malformed"))
         return encode(("error", b"unknown op"))
 
-    def _issue(self, name: bytes) -> bytes:
+    def certificate_share(self, name: bytes) -> Tuple[bytes, bytes, int, bytes]:
+        """``(name, pubkey, serial, share)``: this replica's share on the
+        statement of ``name``'s current registry entry (deterministic)."""
         pubkey, serial, _ = self.registry[name]
         statement = certificate_statement(name, pubkey, serial)
-        share = self._crypto.cbc_signer.sign_share(statement)
-        return encode(("issued", name, pubkey, serial, share))
+        return name, pubkey, serial, self._crypto.cbc_signer.sign_share(statement)
 
     def snapshot(self) -> bytes:
         return encode(sorted(
@@ -164,13 +165,14 @@ class ReplicatedCA(ReplicatedService):
     def query(self, name: bytes) -> None:
         self.submit(CARegistry.cmd_query(name))
 
-    def issued_share(self, index: int) -> Optional[Tuple[bytes, bytes, int, bytes]]:
-        """Decode log entry ``index`` as (name, pubkey, serial, share)."""
-        _, result = self.log[index]
-        parsed = decode(result)
-        if isinstance(parsed, tuple) and parsed and parsed[0] == "issued":
-            return parsed[1], parsed[2], parsed[3], parsed[4]
-        return None
+    def issued_share(self, name: bytes) -> Optional[Tuple[bytes, bytes, int, bytes]]:
+        """``(name, pubkey, serial, share)`` of ``name``'s certificate, or
+        ``None`` if unknown or revoked; the share is byte-identical to the
+        one the issuing command returned."""
+        entry = self.registry.registry.get(name)
+        if entry is None or entry[2]:
+            return None
+        return self.registry.certificate_share(name)
 
 
 def combine_certificate(

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import abc
 import hashlib
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from repro.common.encoding import encode
 from repro.common.errors import (
     ChannelCongested,
     EpochMismatch,
@@ -137,9 +136,10 @@ class ReplicatedService:
         self.state = state_machine
         self.secure = secure
         self._channel_kwargs = dict(channel_kwargs)
-        self.channel = None
-        #: (command, result) pairs in application order
-        self.log: List[Tuple[bytes, bytes]] = []
+        self.channel: Any = None
+        #: commands applied over the replica's lifetime (a recovering service:
+        #: the slot sequence applied, checkpointed slots included)
+        self.applied_seq = 0
         self._digest_cache: Tuple[int, bytes] = (-1, b"")
         if self._auto_open_channel:
             self._open_channel()
@@ -212,9 +212,9 @@ class ReplicatedService:
 
     # -- replica side ---------------------------------------------------------------
 
-    def _on_command(self, command: bytes) -> None:
-        result = self.state.apply(command)
-        self.log.append((command, result))
+    def _on_command(self, origin: int, seq: int, command: bytes) -> None:
+        self.state.apply(command)
+        self.applied_seq += 1
 
     # -- inspection ----------------------------------------------------------------------
 
@@ -226,20 +226,6 @@ class ReplicatedService:
     def membership_info(self) -> Tuple[int, bytes]:
         """``(epoch, roster-digest-prefix)`` advertised in client replies."""
         return self.membership.info()
-
-    @property
-    def applied(self) -> int:
-        return len(self.log)
-
-    @property
-    def applied_seq(self) -> int:
-        """Total commands this replica has applied over its lifetime.
-
-        For a plain service this equals ``applied``; a recovering service
-        overrides it to include commands covered by an adopted checkpoint,
-        whose log entries are no longer held in memory.
-        """
-        return len(self.log)
 
     def state_digest(self) -> bytes:
         return self.state.digest()
@@ -255,7 +241,3 @@ class ReplicatedService:
         if self._digest_cache[0] != count:
             self._digest_cache = (count, self.state.digest())
         return self._digest_cache[1]
-
-    def log_digest(self) -> bytes:
-        """Hash of the full command log (order-sensitive)."""
-        return hashlib.sha256(encode([c for c, _ in self.log])).digest()

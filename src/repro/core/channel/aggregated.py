@@ -65,7 +65,6 @@ class BroadcastChannel(Channel):
         #: when our in-flight instance was sent (recorded only when observed)
         self._in_flight_since: Optional[float] = None
         self._close_senders: set = set()
-        self.deliveries: List[Tuple[int, bytes]] = []  # (sender, payload)
         for j in range(ctx.n):
             self._allocate(j)
 
@@ -83,6 +82,7 @@ class BroadcastChannel(Channel):
         if self._terminated:
             return
         j = bc.sender
+        seq = self._seq[j]
         self._seq[j] += 1
         self._allocate(j)
         frame = _unframe(payload)
@@ -94,8 +94,7 @@ class BroadcastChannel(Channel):
                     self._shutdown()
                     return
             else:
-                self.deliveries.append((j, data))
-                self._emit_output(data)
+                self._emit_output(j, seq, data)
         if j == self.ctx.node_id:
             self._in_flight = False
             if self.obs.enabled:

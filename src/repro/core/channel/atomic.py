@@ -213,7 +213,6 @@ class AtomicChannel(Channel):
         #: keys inside decided-but-undelivered batches (will deliver soon)
         self._reserved: Set[Tuple[int, int]] = set()
         self._stopped: Optional[str] = None  # or CLOSED / FROZEN
-        self.deliveries: List[Tuple[int, int, bytes]] = []  # (origin, seq, data)
         self.rounds_completed = 0
         #: count of slots delivered by *this instance* plus any resumed prefix
         self.slots_delivered = len(self._delivered)
@@ -706,8 +705,7 @@ class AtomicChannel(Channel):
         self, origin: int, seq: int, kind: int, data: bytes
     ) -> None:
         """Hook: the secure causal channel intercepts ciphertexts here."""
-        self.deliveries.append((origin, seq, data))
-        self._emit_output(data)
+        self._emit_output(origin, seq, data)
 
     def _finish(self) -> None:
         """Termination after the round in which t+1 close requests arrived."""

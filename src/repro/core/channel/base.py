@@ -11,7 +11,7 @@ open while at least one honest party keeps it open.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.common.errors import ChannelCongested, ProtocolError
 from repro.core.protocol import Context, Protocol
@@ -36,8 +36,9 @@ class Channel(Protocol):
         self.outputs = ctx.new_queue()
         self.closed = ctx.new_future()
         #: optional listener called (at delivery-completion time) with each
-        #: payload, in delivery order — used by the replication layer.
-        self.on_output: Optional[Any] = None
+        #: ``(origin, seq, data)`` in delivery order, *instead of* ``outputs``
+        self.on_output: Optional[Callable[[int, int, bytes], None]] = None
+        self.delivered = 0  #: payloads delivered so far
         self.max_pending = max_pending
         self._submitted = 0  # sends accepted but not yet in _pending_count
         self._close_requested = False
@@ -133,8 +134,10 @@ class Channel(Protocol):
             self.ctx.effect(self.closed.resolve, None)
             self.halt()
 
-    def _emit_output(self, data: bytes) -> None:
-        """Deliver one payload to the application at completion time."""
+    def _emit_output(self, origin: int, seq: int, data: bytes) -> None:
+        """Hand one payload to the listener, else to ``outputs``, at
+        completion time; the channel keeps no copy."""
+        self.delivered += 1
         if self.obs.enabled:
             self.obs.count(f"channel.{self.kind}.delivered")
             sent_at = self._send_times.pop(data, None)
@@ -142,6 +145,7 @@ class Channel(Protocol):
                 self.obs.observe(
                     f"phase.{self.kind}.e2e", self.ctx.now() - sent_at
                 )
-        self.ctx.effect(self.outputs.put, data)
         if self.on_output is not None:
-            self.ctx.effect(self.on_output, data)
+            self.ctx.effect(self.on_output, origin, seq, data)
+        else:
+            self.ctx.effect(self.outputs.put, data)

@@ -183,8 +183,7 @@ class SecureAtomicChannel(AtomicChannel):
             self._pending_ctxt.pop(self._next_release, None)
             self._dec_shares.pop(self._next_release, None)
             if data is not None:  # None marks an invalid ciphertext slot
-                self.deliveries.append((-1, self._next_release, data))
-                self._emit_output(data)
+                self._emit_output(-1, self._next_release, data)
             self._next_release += 1
         self._maybe_finish_late()
 

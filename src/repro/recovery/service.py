@@ -163,7 +163,6 @@ class RecoverableService(ReplicatedService):
         #: delivered slot indices awaiting application (FIFO: the channel
         #: defers apply via ctx.effect, in delivery order)
         self._apply_fifo: Deque[int] = deque()
-        self._applied_seq = 0
         self.recovered = False
         self._recover_future = None
         self._pull_req = 0
@@ -238,14 +237,6 @@ class RecoverableService(ReplicatedService):
         self.party.ctx.router.forget(self.exchange.pid)
         self.wal.close()
 
-    # -- inspection ----------------------------------------------------------------
-
-    @property
-    def applied_seq(self) -> int:
-        """Slot sequence number (total-order position) last applied,
-        including slots covered by a restored checkpoint."""
-        return self._applied_seq
-
     # -- channel hooks -------------------------------------------------------------
 
     def _open_channel(self, resume: ChannelResume = ChannelResume()):
@@ -270,13 +261,13 @@ class RecoverableService(ReplicatedService):
     def _on_own_enqueue(self, next_seq: int) -> None:
         self.wal.append_sent(next_seq)
 
-    def _on_command(self, command: bytes) -> None:
+    def _on_command(self, origin: int, seq: int, command: bytes) -> None:
         index = self._apply_fifo.popleft() if self._apply_fifo else None
         group = self.membership
         stepped = group.step(group.epoch, group.members, command)
         barrier = False
         if stepped is None:
-            super()._on_command(command)
+            self.state.apply(command)
             if self.obs.enabled and index is not None:
                 self.obs.count("recovery.applied")
         else:
@@ -285,7 +276,7 @@ class RecoverableService(ReplicatedService):
             barrier = group.advance(*stepped)
         if index is None:
             return  # a non-recoverable channel path delivered this
-        self._applied_seq = index + 1
+        self.applied_seq = index + 1  # the slot sequence, not a command count
         self._maybe_checkpoint(index + 1, force=barrier)
 
     # -- checkpointing -------------------------------------------------------------
@@ -548,7 +539,7 @@ class RecoverableService(ReplicatedService):
             "seq": self.last_certified,
             "tail_slots": len(tail),
             "resume_round": resume.round,
-            "applied_seq": self._applied_seq,
+            "applied_seq": self.applied_seq,
         })
 
     def _replay(
@@ -577,10 +568,10 @@ class RecoverableService(ReplicatedService):
         if snapshot is not None:
             self.state.restore(snapshot)
         for command in commands:
-            super()._on_command(command)
+            self.state.apply(command)
         self._base = base
         self.last_certified = self._last_proposed = len(base.delivered)
-        self._applied_seq = len(history.delivered)
+        self.applied_seq = len(history.delivered)
         next_seq = max(
             self.wal.sent_next, history.delivered.next_seq(self.party.id)
         )

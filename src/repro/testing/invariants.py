@@ -1,9 +1,9 @@
 """Protocol invariant checkers, evaluated live after every delivery.
 
 Each checker watches a set of protocol instances (one per party) through
-their public inspection state — delivery logs, decision futures, router
-traffic — and raises :class:`InvariantViolation` the moment the paper's
-safety properties stop holding:
+their public inspection state and the outputs it taps (:func:`tap`,
+:func:`tap_applies`) and raises :class:`InvariantViolation` the moment the
+paper's safety properties stop holding:
 
 * :class:`AgreementInvariant` — binary/multi-valued agreement and
   validity (paper Secs. 2.3, 2.4);
@@ -25,7 +25,7 @@ cheap.  :class:`InvariantSuite` bundles checkers and attaches them to a
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.encoding import decode
 from repro.common.errors import EncodingError
@@ -90,7 +90,37 @@ class InvariantSuite:
             inv.final_check()
 
 
-def _prefix_consistent(name: str, inv: Invariant, seqs: Dict[int, Sequence]) -> None:
+def tap(channel: Any) -> List[Tuple[int, int, bytes]]:
+    """The deliveries of ``channel`` from now on: a listener chained in
+    front of the channel's own (or of its ``outputs`` queue if it has none)."""
+    log: List[Tuple[int, int, bytes]] = []
+    downstream = channel.on_output
+
+    def tapped(origin: int, seq: int, data: bytes) -> None:
+        log.append((origin, seq, data))
+        if downstream is not None:
+            downstream(origin, seq, data)
+        else:
+            channel.outputs.put(data)
+
+    channel.on_output = tapped
+    return log
+
+
+def tap_applies(service: Any) -> List[Tuple[bytes, bytes]]:
+    """The ``(command, result)`` pairs ``service.state`` applies from now on."""
+    log: List[Tuple[bytes, bytes]] = []
+    apply = service.state.apply
+
+    def tapped(command: bytes) -> bytes:
+        log.append((command, apply(command)))
+        return log[-1][1]
+
+    service.state.apply = tapped
+    return log
+
+
+def _prefix_consistent(name: str, inv: Invariant, seqs: Mapping[int, Sequence]) -> None:
     """Every pair of parties' sequences must agree on the common prefix."""
     if not seqs:
         return
@@ -108,8 +138,8 @@ def _prefix_consistent(name: str, inv: Invariant, seqs: Dict[int, Sequence]) -> 
 class TotalOrderInvariant(Invariant):
     """Atomic broadcast: same sequence everywhere, (origin, seq) dedup.
 
-    ``channels`` maps party id to any channel exposing a ``deliveries``
-    list; ``honest`` parties are prefix- and dedup-checked.  ``live``
+    ``channels`` maps party id to a channel; ``honest`` parties' deliveries
+    (:attr:`logs`) are prefix- and dedup-checked.  ``live``
     (default: all of ``honest``) is the subset that stayed up for the
     whole run — only those must agree on the *complete* final sequence,
     since a crashed-but-honest party legitimately stops mid-prefix.
@@ -123,31 +153,25 @@ class TotalOrderInvariant(Invariant):
         honest: Iterable[int],
         live: Optional[Iterable[int]] = None,
     ):
-        self.channels = {i: channels[i] for i in sorted(honest) if i in channels}
-        self.live = set(self.channels) if live is None else set(live)
-        self._seen_keys: Dict[int, set] = {i: set() for i in self.channels}
-        self._checked: Dict[int, int] = {i: 0 for i in self.channels}
+        #: party -> its deliveries as ``(origin, seq, data)``
+        self.logs = {i: tap(channels[i]) for i in sorted(honest) if i in channels}
+        self.live = set(self.logs) if live is None else set(live)
+        self._seen_keys: Dict[int, set] = {i: set() for i in self.logs}
+        self._checked: Dict[int, int] = {i: 0 for i in self.logs}
 
     def check(self) -> None:
-        for i, ch in self.channels.items():
-            log = ch.deliveries
+        for i, log in self.logs.items():
             for k in range(self._checked[i], len(log)):
                 key = log[k][:2]  # (origin, seq)
                 if key in self._seen_keys[i]:
                     self.fail(f"party {i} delivered {key} twice")
                 self._seen_keys[i].add(key)
             self._checked[i] = len(log)
-        _prefix_consistent(
-            "delivery sequence", self, {i: ch.deliveries for i, ch in self.channels.items()}
-        )
+        _prefix_consistent("delivery sequence", self, self.logs)
 
     def final_check(self) -> None:
         self.check()
-        lengths = {
-            i: len(ch.deliveries)
-            for i, ch in self.channels.items()
-            if i in self.live
-        }
+        lengths = {i: len(log) for i, log in self.logs.items() if i in self.live}
         if len(set(lengths.values())) > 1:
             self.fail(f"final delivery counts differ among live parties: {lengths}")
 
@@ -233,17 +257,16 @@ class ConsistencyInvariant(Invariant):
     name = "consistency"
 
     def __init__(self, channels: Dict[int, Any], honest: Iterable[int]):
-        self.channels = {i: channels[i] for i in sorted(honest) if i in channels}
-        self._checked: Dict[int, int] = {i: 0 for i in self.channels}
+        self._logs = {i: tap(channels[i]) for i in sorted(honest) if i in channels}
+        self._checked: Dict[int, int] = {i: 0 for i in self._logs}
         #: party -> sender -> how many payloads it delivered from that sender
-        self._counts: Dict[int, Dict[int, int]] = {i: {} for i in self.channels}
+        self._counts: Dict[int, Dict[int, int]] = {i: {} for i in self._logs}
         #: sender -> the longest stream seen, as (payload, first deliverer)
         self._longest: Dict[int, List[Tuple[bytes, int]]] = {}
 
     def check(self) -> None:
-        for i, ch in self.channels.items():
-            log = ch.deliveries
-            for sender, payload in log[self._checked[i]:]:
+        for i, log in self._logs.items():
+            for sender, _seq, payload in log[self._checked[i]:]:
                 k = self._counts[i].get(sender, 0)
                 self._counts[i][sender] = k + 1
                 longest = self._longest.setdefault(sender, [])
@@ -271,12 +294,13 @@ class LedgerInvariant(Invariant):
 
     def __init__(self, services: Dict[int, Any], honest: Iterable[int]):
         self.services = {i: services[i] for i in sorted(honest) if i in services}
+        self.logs = {i: tap_applies(svc) for i, svc in self.services.items()}
         self._checked: Dict[int, int] = {i: 0 for i in self.services}
         self._expected_supply: Dict[int, int] = {i: 0 for i in self.services}
 
     def check(self) -> None:
         for i, svc in self.services.items():
-            log = svc.log
+            log = self.logs[i]
             for k in range(self._checked[i], len(log)):
                 _, result = log[k]
                 self._expected_supply[i] += _minted_amount(result)
@@ -289,18 +313,18 @@ class LedgerInvariant(Invariant):
                 )
         _prefix_consistent(
             "command log", self,
-            {i: [c for c, _ in svc.log] for i, svc in self.services.items()},
+            {i: [c for c, _ in log] for i, log in self.logs.items()},
         )
         by_applied: Dict[int, Tuple[int, bytes]] = {}
         for i, svc in self.services.items():
             digest = svc.state_digest()
-            prev = by_applied.get(svc.applied)
+            prev = by_applied.get(svc.applied_seq)
             if prev is not None and prev[1] != digest:
                 self.fail(
-                    f"replicas {prev[0]} and {i} both applied {svc.applied} "
+                    f"replicas {prev[0]} and {i} both applied {svc.applied_seq} "
                     f"commands but their state digests differ"
                 )
-            by_applied[svc.applied] = (i, digest)
+            by_applied[svc.applied_seq] = (i, digest)
 
 
 def _minted_amount(result: bytes) -> int:

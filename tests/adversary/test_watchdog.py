@@ -45,7 +45,7 @@ class _FakeAgreement:
 
 class _FakeChannel:
     def __init__(self):
-        self.deliveries = [1, 2]
+        self.delivered = 2
 
     def pending(self):
         return 1

@@ -11,8 +11,9 @@ from repro.common.encoding import decode, encode
 from repro.app.ledger import Ledger, ReplicatedLedger, transfer_statement
 from repro.core.party import make_parties
 from repro.crypto.rsa import generate_keypair
+from repro.testing.invariants import tap_applies
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, sim_runtime, sync_applied
 
 ALICE_KEY = generate_keypair(256, random.Random(1))
 BOB_KEY = generate_keypair(256, random.Random(2))
@@ -119,34 +120,25 @@ def _replicas(rt):
     return [ReplicatedLedger(p) for p in make_parties(rt)]
 
 
-def _sync(rt, replicas, count, limit=3000):
-    def waiter(rep):
-        while rep.applied < count:
-            yield rep.channel.receive()
-
-    procs = [rt.spawn(waiter(r)) for r in replicas]
-    for p in procs:
-        rt.run_until(p.future, limit=limit)
-
-
 def test_double_spend_resolved_identically(group4):
     """Alice signs two conflicting transfers of her whole balance (same
     nonce) and submits them at different replicas: exactly one succeeds,
     and every replica agrees which."""
     rt = sim_runtime(group4, seed=5)
     reps = _replicas(rt)
+    log = tap_applies(reps[0])
     reps[0].open(b"alice", ALICE_KEY.public, 100)
     reps[0].open(b"bob", BOB_KEY.public, 0)
     reps[0].open(b"carol", BOB_KEY.public, 0)
-    _sync(rt, reps, 3)
+    sync_applied(rt, reps, 3)
 
     spend_bob = Ledger.cmd_transfer(b"alice", b"bob", 100, 0, ALICE_KEY)
     spend_carol = Ledger.cmd_transfer(b"alice", b"carol", 100, 0, ALICE_KEY)
     reps[1].submit(spend_bob)
     reps[2].submit(spend_carol)
-    _sync(rt, reps, 5)
+    sync_applied(rt, reps, 5)
 
-    outcomes = sorted(decode(r)[0] for _, r in reps[0].log[-2:])
+    outcomes = sorted(decode(r)[0] for _, r in log[-2:])
     assert outcomes == ["error", "transferred"]  # exactly one won
     digests = {r.state_digest() for r in reps}
     assert len(digests) == 1

@@ -4,8 +4,9 @@ import pytest
 
 from repro.app.replication import ReplicatedService, StateMachine
 from repro.core.party import make_parties
+from repro.testing.invariants import tap_applies
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, sim_runtime, sync_applied
 
 
 class Counter(StateMachine):
@@ -39,51 +40,43 @@ def _services(rt, **kwargs):
     ]
 
 
-def _sync(rt, services, count, limit=3000):
-    def waiter(svc):
-        while svc.applied < count:
-            yield svc.channel.receive()
-
-    procs = [rt.spawn(waiter(s)) for s in services]
-    for p in procs:
-        rt.run_until(p.future, limit=limit)
-
-
 def test_commands_apply_in_total_order(group4):
     rt = sim_runtime(group4, seed=1)
     services = _services(rt)
+    logs = [tap_applies(s) for s in services]
     services[0].submit(b"add:10")
     services[1].submit(b"sub:3")
     services[2].submit(b"add:1")
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
     values = {s.state.value for s in services}
     assert values == {8}
     # intermediate results identical too (same order everywhere)
-    results = [r for _, r in services[0].log]
-    assert results == [r for _, r in services[3].log]
+    assert [r for _, r in logs[0]] == [r for _, r in logs[3]]
     no_errors(rt)
 
 
 def test_log_and_state_digests(group4):
     rt = sim_runtime(group4, seed=2)
     services = _services(rt)
+    logs = [tap_applies(s) for s in services]
     services[0].submit(b"add:5")
     services[0].submit(b"add:7")
-    _sync(rt, services, 2)
+    sync_applied(rt, services, 2)
     assert len({s.state_digest() for s in services}) == 1
-    assert len({s.log_digest() for s in services}) == 1
-    assert services[0].applied == 2
+    assert len({tuple(log) for log in logs}) == 1
+    assert services[0].applied_seq == 2
 
 
 def test_bad_commands_deterministic(group4):
     """Even rejected commands leave replicas identical."""
     rt = sim_runtime(group4, seed=3)
     services = _services(rt)
+    logs = [tap_applies(s) for s in services]
     services[0].submit(b"frobnicate:1")
     services[1].submit(b"add:not-a-number")
-    _sync(rt, services, 2)
+    sync_applied(rt, services, 2)
     assert {s.state.value for s in services} == {0}
-    assert len({s.log_digest() for s in services}) == 1
+    assert len({tuple(log) for log in logs}) == 1
 
 
 def test_secure_flag_uses_secure_channel(group4):
@@ -93,7 +86,7 @@ def test_secure_flag_uses_secure_channel(group4):
     services = _services(rt, secure=True)
     assert all(isinstance(s.channel, SecureAtomicChannel) for s in services)
     services[0].submit(b"add:2")
-    _sync(rt, services, 1)
+    sync_applied(rt, services, 1)
     assert {s.state.value for s in services} == {2}
 
 
@@ -101,7 +94,7 @@ def test_close(group4):
     rt = sim_runtime(group4, seed=5)
     services = _services(rt)
     services[0].submit(b"add:1")
-    _sync(rt, services, 1)
+    sync_applied(rt, services, 1)
     for s in services:
         s.close()
     rt.run_all([s.channel.closed for s in services], limit=600)
@@ -162,9 +155,23 @@ def test_channel_congestion_is_catchable_from_app_layer(group4):
     assert not services[0].can_submit()
     with pytest.raises(ChannelCongested):
         services[0].submit(b"add:2")
-    _sync(rt, services, 1)
+    sync_applied(rt, services, 1)
     # Delivery drained the send buffer: submission is possible again.
     assert services[0].can_submit()
     services[0].submit(b"add:2")
-    _sync(rt, services, 2)
+    sync_applied(rt, services, 2)
     assert {s.state.value for s in services} == {3}
+
+
+def test_applied_commands_leave_nothing_queued(group4):
+    """A service's channel hands each delivery to the service's listener
+    only: after any number of applied commands its ``outputs`` queue, which
+    nothing drains, is empty, and the channel counts what it delivered."""
+    rt = sim_runtime(group4, seed=8)
+    services = _services(rt)
+    for k in range(6):
+        services[k % 4].submit(b"add:1")
+    sync_applied(rt, services, 6)
+    for s in services:
+        assert len(s.channel.outputs) == 0
+        assert s.channel.delivered == 6

@@ -87,7 +87,7 @@ def test_failover_executes_exactly_once(group4, fuzz_seed):
         assert obs.counters["client.retransmits"] >= 1
         # The envelope was ordered by several replicas (each surviving
         # contact submitted it)...
-        ordered = {len(s.log) for s in services}
+        ordered = {s.applied_seq for s in services}
         assert ordered == {3}, f"expected 3 ordered envelopes, got {ordered}"
         # ...but executed exactly once, on every replica, identically.
         assert all(s.state.inner.value == 5 for s in services)
@@ -115,7 +115,7 @@ def test_overloaded_shed_then_backoff_retry_succeeds(group4, fuzz_seed):
         assert obs.counters["client.overloaded"] >= 1
         assert all(s.state.inner.value == 2 for s in services)
         # Exactly two executions despite the shed/retry churn.
-        assert all(len(s.log) == 2 for s in services)
+        assert all(s.applied_seq == 2 for s in services)
         no_errors(rt)
     except AssertionError:
         print_repro(fuzz_seed)

@@ -27,7 +27,7 @@ from repro.obs import MemoryRecorder, bench_dir_from_env, make_record, write_rec
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
-from tests.helpers import print_repro
+from tests.helpers import print_repro, wait_for
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.client]
@@ -38,14 +38,6 @@ SERVICE_KWARGS = dict(checkpoint_interval=4, fsync="always", pull_retry_s=0.3)
 
 def _run(coro, timeout=120):
     return asyncio.run(asyncio.wait_for(coro, timeout))
-
-
-async def _wait(predicate, timeout=60.0, what="condition"):
-    for _ in range(int(timeout / 0.05)):
-        if predicate():
-            return
-        await asyncio.sleep(0.05)
-    raise AssertionError(f"timed out waiting for {what}")
 
 
 async def _raw_resubmit(endpoint, client_id, seq, command, timeout=10.0):
@@ -92,7 +84,7 @@ def test_contact_killed_midrequest_failover_exactly_once(fuzz_seed, tmp_path):
         )
         await client.start()
         try:
-            await _wait(lambda: client.connected() == 4,
+            await wait_for(lambda: client.connected() == 4,
                         what="client sessions on all replicas")
 
             # Phase 1: normal sequential requests through contact 0.
@@ -112,7 +104,7 @@ def test_contact_killed_midrequest_failover_exactly_once(fuzz_seed, tmp_path):
             total += 100
             result = await asyncio.wait_for(asyncio.ensure_future(fut), 60)
             assert int(result) == total
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.state.inner.value == total
                             for r in replicas[1:]),
                 what="survivors converging after the kill",
@@ -126,7 +118,7 @@ def test_contact_killed_midrequest_failover_exactly_once(fuzz_seed, tmp_path):
             # back from the WAL/checkpoint with everything else.
             await replicas[0].restart()
             await replicas[0].recover(timeout=60)
-            await _wait(
+            await wait_for(
                 lambda: replicas[0].service.state.inner.value == total,
                 what="victim catching up to the group state",
             )

@@ -6,6 +6,7 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.core.channel import ConsistentChannel, ReliableChannel
 from repro.net.faults import CrashFault, FaultPlan
+from repro.testing.invariants import tap
 
 from tests.core.byz import EquivocatingBroadcastSender
 from tests.helpers import no_errors, sim_runtime
@@ -66,9 +67,10 @@ def test_multiple_senders_all_delivered(group4, channel_cls):
 def test_sender_metadata_recorded(group4, channel_cls):
     rt = sim_runtime(group4, seed=3)
     chans = _make(rt, channel_cls, "agg3")
+    log = tap(chans[0])
     chans[2].send(b"hello")
     _drain(rt, chans, 1)
-    assert chans[0].deliveries == [(2, b"hello")]
+    assert log == [(2, 0, b"hello")]
 
 
 def test_close_needs_t_plus_1(group4, channel_cls):
@@ -107,12 +109,13 @@ def test_reliable_channel_agreement_under_equivocation(group4):
     sender: honest receivers never deliver different values for one slot."""
     rt = sim_runtime(group4, seed=7)
     chans = _make(rt, ReliableChannel, "eqc", parties=[1, 2, 3])
+    logs = [tap(ch) for ch in chans.values()]
     byz = EquivocatingBroadcastSender(
         rt.contexts[0], "eqc/bc.0.0", b"AAAA", b"BBBB", split=2
     )
     byz.start()
     rt.run(until=60)
-    values = {d for ch in chans.values() for s, d in ch.deliveries if s == 0}
+    values = {d for log in logs for s, _, d in log if s == 0}
     assert len(values) <= 1
     no_errors(rt)
 

@@ -35,6 +35,7 @@ from repro.core.channel.atomic import (
 )
 from repro.crypto.dealer import fast_group
 from repro.obs import MemoryRecorder
+from repro.testing.invariants import tap
 from tests.helpers import MockContext, no_errors, sim_runtime
 
 # -- quiescence ------------------------------------------------------------------
@@ -49,7 +50,7 @@ def _run_to_quiescence(group, cls, per_party, **kwargs):
     rt.run()
     no_errors(rt)
     for ch in chans:
-        assert len(ch.deliveries) == group.n * per_party
+        assert ch.delivered == group.n * per_party
     return chans
 
 
@@ -267,6 +268,7 @@ def test_wire_is_pinned_where_no_baseline_record_looks(default_group4, kwargs, p
     rec = MemoryRecorder()
     rt = sim_runtime(default_group4, seed=20, recorder=rec)
     chans = [AtomicChannel(rt.contexts[i], "pin", **kwargs) for i in range(4)]
+    logs = [tap(ch) for ch in chans]
     for k in range(6):
         for s in range(4):
             chans[s].send(encode(("cmd", s, k)))
@@ -276,7 +278,7 @@ def test_wire_is_pinned_where_no_baseline_record_looks(default_group4, kwargs, p
         rt.run_until(ch.closed, limit=3000)
     rt.run()
     no_errors(rt)
-    orders = [[data for _, _, data in ch.deliveries] for ch in chans]
+    orders = [[data for _, _, data in log] for log in logs]
     assert all(order == orders[0] for order in orders)
     by_type = {}
     for (pid, mtype), count in rt.protocol_messages.items():

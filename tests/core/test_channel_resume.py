@@ -6,6 +6,7 @@ import pytest
 from repro.common.errors import ProtocolError
 from repro.common.runs import Runs
 from repro.core.channel.atomic import KIND_APP, AtomicChannel, ChannelResume
+from repro.testing.invariants import tap
 
 from tests.helpers import no_errors, sim_runtime
 
@@ -84,6 +85,7 @@ def test_harvest_of_a_frozen_channel_round_trips(group4):
         ch = chans[i] = AtomicChannel(rt.contexts[i], "at", max_batch=4)
         ch.barrier_predicate = lambda data: data == b"BARRIER"
         ch.on_barrier = lambda round_, i=i: frozen_at.setdefault(i, round_)
+    logs = {i: tap(ch) for i, ch in chans.items()}
     sent = [b"m%d-%d" % (s, k) for k in range(3) for s in range(4)]
     for k in range(3):
         for s in range(4):
@@ -92,11 +94,9 @@ def test_harvest_of_a_frozen_channel_round_trips(group4):
             chans[1].send(b"BARRIER")
     rt.run()
     assert sorted(frozen_at) == [0, 1, 2, 3]
-    before = [payload for _o, _s, payload in chans[0].deliveries]
+    before = [payload for _o, _s, payload in logs[0]]
     assert before[-1] == b"BARRIER"
-    assert all(
-        [p for _o, _s, p in ch.deliveries] == before for ch in chans.values()
-    )
+    assert all([p for _o, _s, p in log] == before for log in logs.values())
     assert len(before) < len(sent) + 1, "the barrier cut the traffic"
 
     successors = {}

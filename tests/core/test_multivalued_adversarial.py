@@ -78,11 +78,9 @@ def test_bogus_decryption_shares_stay_green(group4):
                     self.send_all("dec", (index, b"forged-share"))
 
     ShareForger(rt.contexts[3], "bs")
+    total_order = TotalOrderInvariant(honest, honest, live=honest)
     suite = InvariantSuite(
-        [
-            TotalOrderInvariant(honest, honest, live=honest),
-            SecureCausalityInvariant(honest, honest),
-        ]
+        [total_order, SecureCausalityInvariant(honest, honest)]
     ).attach(rt)
     secrets = [b"secret-%d" % i for i in honest]
     for i, ch in honest.items():
@@ -95,7 +93,7 @@ def test_bogus_decryption_shares_stay_green(group4):
     # Cleartext releases appear as (-1, index, data) entries; all honest
     # parties release the same sequence, covering every secret sent.
     releases = [
-        tuple(e[2] for e in ch.deliveries if e[0] == -1) for ch in honest.values()
+        tuple(e[2] for e in log if e[0] == -1) for log in total_order.logs.values()
     ]
     assert len(set(releases)) == 1
     assert sorted(releases[0]) == sorted(secrets)

@@ -8,6 +8,7 @@ from repro.core.channel import AtomicChannel, SecureAtomicChannel
 from repro.core.protocol import Protocol
 from repro.experiments import INTERNET_SETUP
 from repro.net.runtime import SimRuntime
+from repro.testing.invariants import tap
 
 from tests.helpers import no_errors, sim_runtime
 
@@ -117,9 +118,10 @@ def test_plain_records_cannot_reorder_honest_outputs(group4, seed):
         for k in range(6):
             ch.send(b"p%d-%d" % (i, k))
     honest = {i: chans[i] for i in (0, 1, 3)}
+    logs = [tap(ch) for ch in honest.values()]
     _drain(rt, honest, 18)
     rt.run(until=rt.now + 60.0)  # room for anything delivered past the 18th
-    outputs = [[data for _, _, data in ch.deliveries] for ch in honest.values()]
+    outputs = [[data for _, _, data in log] for log in logs]
     assert outputs[0] == outputs[1] == outputs[2]
     assert sorted(outputs[0]) == sorted(b"p%d-%d" % (i, k) for i in honest for k in range(6))
     no_errors(rt)

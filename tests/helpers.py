@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import os
 from typing import Any, Callable, List, Tuple
 
@@ -112,6 +113,33 @@ def sim_runtime(group, seed=1, latency=None, **kwargs) -> SimRuntime:
 def run_and_get(rt, futures, limit=600.0):
     """Run the simulation until every future resolves; return values."""
     return rt.run_all(list(futures), limit=limit)
+
+
+def sync_applied(rt, services, count, limit=9000.0):
+    """Run the simulation until every service has applied ``count``
+    commands (``applied_seq``), stopping at the event that completes it."""
+    while any(s.applied_seq < count for s in services):
+        assert not rt.sim.idle, f"simulation went idle before {count} applied"
+        assert rt.now <= limit, f"{count} not applied within {limit} s"
+        rt.run(max_events=1)
+
+
+async def wait_for(predicate, timeout=60.0, what="condition"):
+    """Poll ``predicate`` every 50 ms until it holds, or fail after
+    ``timeout`` seconds."""
+    for _ in range(int(timeout / 0.05)):
+        if predicate():
+            return
+        await asyncio.sleep(0.05)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+async def stop_all(replicas, fabric):
+    """Stop every replica still running, then the chaos fabric."""
+    for replica in replicas:
+        if replica.node is not None:
+            await replica.stop()
+    await fabric.stop()
 
 
 def no_errors(rt):

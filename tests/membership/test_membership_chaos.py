@@ -28,7 +28,7 @@ from repro.obs import MemoryRecorder, bench_dir_from_env, make_record, write_rec
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
-from tests.helpers import print_repro
+from tests.helpers import print_repro, stop_all, wait_for
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.membership]
@@ -86,21 +86,6 @@ async def _submit_spaced(replicas, amounts, spacing=0.03):
         await asyncio.sleep(spacing)
 
 
-async def _wait(predicate, timeout=60.0, what="condition"):
-    for _ in range(int(timeout / 0.05)):
-        if predicate():
-            return
-        await asyncio.sleep(0.05)
-    raise AssertionError(f"timed out waiting for {what}")
-
-
-async def _stop_all(replicas, fabric):
-    for replica in replicas:
-        if replica.node is not None:
-            await replica.stop()
-    await fabric.stop()
-
-
 def _old_share_rejected(keychain, roster):
     """The mobile-adversary check: an epoch-0 coin share verifies under
     the epoch-0 scheme but is rejected by the epoch-1 verification keys
@@ -129,7 +114,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
         try:
             # Phase 1: the whole group orders 8 commands at epoch 0.
             await _submit_spaced(replicas, range(1, 9))
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 8 for r in replicas),
                 what="phase-1 application",
             )
@@ -145,17 +130,17 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
             )
             assert target == 1
             await _submit_spaced(survivors, range(9, 13))
-            await _wait(
+            await wait_for(
                 lambda: all(
                     s.service.membership_epoch == 1 for s in survivors
                 ),
                 what="survivors crossing the epoch barrier",
             )
-            await _wait(
+            await wait_for(
                 lambda: all(s.service.applied_seq >= 13 for s in survivors),
                 what="phase-2 application on survivors",
             )
-            await _wait(
+            await wait_for(
                 lambda: all(s.service.last_certified >= 9 for s in survivors),
                 what="forced barrier checkpoint certificates",
             )
@@ -167,7 +152,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
             await replicas[3].restart(wipe_disk=True)
             stats = await replicas[3].recover(timeout=60)
             successor = replicas[3].service
-            await _wait(
+            await wait_for(
                 lambda: successor.applied_seq >= 13,
                 what="successor catching up",
             )
@@ -175,7 +160,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
 
             # Phase 3: the successor's own sends get ordered at epoch 1.
             await _submit_spaced([replicas[3]], [100])
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 14 for r in replicas),
                 what="post-onboarding command",
             )
@@ -198,7 +183,7 @@ def test_rolling_replacement_under_chaos(fuzz_seed, tmp_path):
                 "recorder3": replicas[3].recorder,
             }
         finally:
-            await _stop_all(replicas, fabric)
+            await stop_all(replicas, fabric)
 
     try:
         out = _run(body())
@@ -258,13 +243,13 @@ def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path):
         await asyncio.gather(*(r.start() for r in replicas))
         try:
             await _submit_spaced(replicas, range(1, 5))
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 4 for r in replicas),
                 what="pre-refresh application",
             )
             replicas[1].service.membership.refresh_shares()
             await _submit_spaced(replicas, range(5, 11))
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 11 for r in replicas),
                 what="post-refresh application",
             )
@@ -275,7 +260,7 @@ def test_proactive_refresh_under_chaos(fuzz_seed, tmp_path):
                 "members": {r.service.membership.roster.members for r in replicas},
             }
         finally:
-            await _stop_all(replicas, fabric)
+            await stop_all(replicas, fabric)
 
     try:
         out = _run(body())

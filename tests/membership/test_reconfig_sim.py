@@ -29,8 +29,9 @@ from repro.core.party import make_parties
 from repro.membership import EpochKeychain, Membership, MembershipChange
 from repro.obs import MemoryRecorder
 from repro.recovery import RecoverableService
+from repro.testing.invariants import tap_applies
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, sim_runtime, sync_applied
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = pytest.mark.membership
@@ -53,35 +54,26 @@ def _service(
     )
 
 
-def _sync(rt, services, seq, limit=9000.0):
-    def waiter(svc):
-        while svc.applied_seq < seq:
-            yield svc.channel.receive()
-
-    procs = [rt.spawn(waiter(s)) for s in services]
-    for p in procs:
-        rt.run_until(p.future, limit=limit)
-
-
 def test_proactive_refresh_mid_traffic(group4, keychain4, tmp_path):
     """(a) A live static group rotates its shares without losing a
     command; commands racing the barrier carry over to the new epoch."""
     obs = MemoryRecorder()
     rt = sim_runtime(group4, seed=21, recorder=obs)
     services = [_service(p, tmp_path, keychain4) for p in make_parties(rt)]
+    logs = [tap_applies(s) for s in services]
     for s in services:
         s.start()
 
     for i in range(3):
         services[i % 2].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
 
     assert services[0].membership.refresh_shares() == 1
     # Interleaved traffic: submitted while the reconfig command races
     # through agreement, possibly harvested across the barrier.
     services[1].submit(b"add:10")
     services[2].submit(b"sub:2")
-    _sync(rt, services, 6)  # 3 + barrier slot + 2
+    sync_applied(rt, services, 6)  # 3 + barrier slot + 2
     rt.run()
 
     assert {s.membership_epoch for s in services} == {1}
@@ -89,12 +81,12 @@ def test_proactive_refresh_mid_traffic(group4, keychain4, tmp_path):
         services[0].membership.roster.members
     }
     assert {s.state.value for s in services} == {1 + 2 + 3 + 10 - 2}
-    assert len({s.log_digest() for s in services}) == 1
+    assert len({tuple(log) for log in logs}) == 1
 
     # The epoch-1 channel is live and epoch-tagged.
     assert all(s.channel.pid == "svc@e1" for s in services)
     services[3].submit(b"add:5")
-    _sync(rt, services, 7)
+    sync_applied(rt, services, 7)
     assert {s.state.value for s in services} == {19}
 
     assert obs.counters["membership.barrier"] == 4.0
@@ -130,9 +122,9 @@ def test_submit_guards_during_and_after_transition(group4, keychain4, tmp_path):
     victim.channel.on_barrier = barrier_probe
 
     services[0].submit(b"add:1")
-    _sync(rt, services, 1)
+    sync_applied(rt, services, 1)
     services[0].membership.refresh_shares()
-    _sync(rt, services, 2)
+    sync_applied(rt, services, 2)
     rt.run()
 
     assert len(caught) == 1
@@ -142,7 +134,7 @@ def test_submit_guards_during_and_after_transition(group4, keychain4, tmp_path):
     with pytest.raises(EpochMismatch):
         services[0].submit(b"add:2", epoch=0)
     services[0].submit(b"add:2", epoch=1)
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
     assert {s.state.value for s in services} == {3}
     no_errors(rt)
 
@@ -158,6 +150,7 @@ def test_client_stream_exactly_once_across_refresh(group4, keychain4, tmp_path):
         _service(p, tmp_path, keychain4, state=DedupStateMachine(RCounter()))
         for p in parties
     ]
+    logs = [tap_applies(s) for s in services]
     for s in services:
         s.start()
     net = SimClientNetwork(rt)
@@ -188,7 +181,7 @@ def test_client_stream_exactly_once_across_refresh(group4, keychain4, tmp_path):
         running += i + 1
         assert result == str(running).encode()
     assert {s.state.inner.value for s in services} == {total}
-    assert len({s.log_digest() for s in services}) == 1
+    assert len({tuple(log) for log in logs}) == 1
 
     # The reply frames carried the new membership view to the client.
     assert client.membership_epoch == 1
@@ -210,7 +203,7 @@ def test_rolling_replacement_via_state_transfer(group4, keychain4, tmp_path):
 
     for i in range(4):
         services[i % 3].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()
 
     # Replica 3 dies; the survivors (n - t = 3) stay live.
@@ -220,7 +213,7 @@ def test_rolling_replacement_via_state_transfer(group4, keychain4, tmp_path):
     assert live[0].membership.reconfigure(
         MembershipChange("replace", slot=3, member="fresh-3")) == 1
     live[1].submit(b"add:100")
-    _sync(rt, live, 6)
+    sync_applied(rt, live, 6)
     rt.run()
     assert {s.membership_epoch for s in live} == {1}
     assert {s.membership.roster.members[3] for s in live} == {"fresh-3"}
@@ -239,7 +232,7 @@ def test_rolling_replacement_via_state_transfer(group4, keychain4, tmp_path):
     # It participates: its own sends are ordered under epoch 1.
     successor.submit(b"sub:7")
     everyone = live + [successor]
-    _sync(rt, everyone, 7)
+    sync_applied(rt, everyone, 7)
     rt.run()
     assert {s.state.value for s in everyone} == {1 + 2 + 3 + 4 + 100 - 7}
     assert len({s.last_state_digest() for s in everyone}) == 1
@@ -265,10 +258,10 @@ def test_transfer_tail_replays_across_the_barrier(group4, keychain4, tmp_path):
 
     for i in range(3):
         services[i].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
     services[0].membership.refresh_shares()
     services[1].submit(b"add:10")
-    _sync(rt, services, 5)
+    sync_applied(rt, services, 5)
     rt.run()
     assert {s.membership_epoch for s in services} == {1}
 
@@ -283,7 +276,7 @@ def test_transfer_tail_replays_across_the_barrier(group4, keychain4, tmp_path):
 
     joiner.submit(b"add:4")
     everyone = services + [joiner]
-    _sync(rt, everyone, 6)
+    sync_applied(rt, everyone, 6)
     assert {s.state.value for s in everyone} == {20}
     no_errors(rt)
 
@@ -304,11 +297,11 @@ def test_group_restart_resumes_epoch_from_durable_state(
         s.start()
     for i in range(2):
         services[i].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 2)
+    sync_applied(rt, services, 2)
     services[2].membership.refresh_shares()
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
     services[0].submit(b"add:5")  # epoch-1 tail slot beyond the checkpoint
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()  # drain the forced barrier-checkpoint certification
     assert {s.last_certified for s in services} == {3}
     digest = services[0].last_state_digest()
@@ -329,7 +322,7 @@ def test_group_restart_resumes_epoch_from_durable_state(
     assert all(s.channel.pid == "svc@e1" for s in revived)
 
     revived[1].submit(b"sub:1")
-    _sync(rt2, revived, 5)
+    sync_applied(rt2, revived, 5)
     assert {s.state.value for s in revived} == {1 + 2 + 5 - 1}
     no_errors(rt2)
 
@@ -349,7 +342,7 @@ def test_epoch_floor_rejects_stale_certified_history(
         s.start()
     for i in range(4):
         services[i % 3].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()
     assert {s.last_certified for s in services} == {4}
 
@@ -364,7 +357,7 @@ def test_epoch_floor_rejects_stale_certified_history(
 
     # Once the group reconfigures, the retry loop adopts epoch 1.
     services[0].membership.refresh_shares()
-    _sync(rt, services, 5)
+    sync_applied(rt, services, 5)
     stats = rt.run_until(future, limit=9000.0)
     assert stats["seq"] == 5
     assert successor.membership_epoch == 1

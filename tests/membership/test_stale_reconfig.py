@@ -18,7 +18,7 @@ from repro.membership import EpochKeychain, Membership
 from repro.obs import MemoryRecorder
 from repro.recovery import RecoverableService
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, sim_runtime, sync_applied
 
 pytestmark = pytest.mark.membership
 
@@ -48,15 +48,6 @@ def _service(party, tmp_path, keychain, suffix="", **kwargs):
     )
 
 
-def _sync(rt, services, seq):
-    def waiter(svc):
-        while svc.applied_seq < seq:
-            yield svc.channel.receive()
-
-    for proc in [rt.spawn(waiter(s)) for s in services]:
-        rt.run_until(proc.future, limit=9000.0)
-
-
 def _view(svc):
     return (svc.membership_epoch, svc.applied_seq, svc.state.seen)
 
@@ -65,12 +56,12 @@ def _race(rt, obs, services):
     """One command, two racing refreshes, one more command: four slots,
     two of which the state machine may see."""
     services[0].submit(b"one")
-    _sync(rt, services, 1)
+    sync_applied(rt, services, 1)
     assert services[0].membership.refresh_shares() == 1
     assert services[1].membership.refresh_shares() == 1
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
     services[2].submit(b"two")
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()
     assert obs.counters["membership.reconfig.committed"] == len(services)
     assert obs.counters["membership.reconfig.stale"] == len(services)

@@ -19,7 +19,7 @@ from repro.membership import EpochKeychain, Membership
 from repro.obs import MemoryRecorder
 from repro.recovery import RecoverableService
 
-from tests.helpers import sim_runtime
+from tests.helpers import sim_runtime, sync_applied
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = pytest.mark.membership
@@ -57,15 +57,6 @@ def _wire_barrier_suspension(services, watchdog):
         )
 
 
-def _sync(rt, services, seq, deadline):
-    """Advance in sub-deadline steps until everyone applied ``seq``."""
-    for _ in range(100):
-        if all(s.applied_seq >= seq for s in services):
-            return
-        rt.run(until=rt.now + deadline / 3.0)
-    raise AssertionError(f"group never reached seq {seq}")
-
-
 def test_epoch_barrier_is_not_a_stall(group4, tmp_path):
     """A reconfiguration passing through — barrier, roster step, share
     rotation — produces zero stall reports on a suspension-wired
@@ -76,12 +67,12 @@ def test_epoch_barrier_is_not_a_stall(group4, tmp_path):
 
     for i in range(3):
         services[i % 2].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 3, watchdog.deadline)
+    sync_applied(rt, services, 3)
 
     assert services[0].membership.refresh_shares() == 1
     # commands racing the barrier carry over into the new epoch
     services[1].submit(b"add:10")
-    _sync(rt, services, 5, watchdog.deadline)  # 3 + barrier slot + 1
+    sync_applied(rt, services, 5)  # 3 + barrier slot + 1
 
     assert {s.membership_epoch for s in services} == {1}
     assert watchdog.stalls_detected == 0
@@ -102,7 +93,7 @@ def test_suspension_masks_only_expected_silence(group4, tmp_path):
     rt, services, watchdog = _build(group4, tmp_path, obs, deadline=6.0)
 
     services[0].submit(b"add:1")
-    _sync(rt, services, 1, watchdog.deadline)
+    sync_applied(rt, services, 1)
 
     # an extended barrier-like window: total quiet, watchdog suspended
     watchdog.suspend()

@@ -20,6 +20,7 @@ import pytest
 from repro.core.party import make_parties
 from repro.recovery import RecoverableService
 from repro.recovery import wal as wal_module
+from repro.testing.invariants import tap_applies
 
 from tests.helpers import no_errors, sim_runtime
 from tests.recovery.test_service_sim import RCounter
@@ -57,6 +58,8 @@ class DiskWatch:
         self.mark_end = [0] * len(services)     # end of the newest "s" mark
         self.announced_next = [0] * len(services)  # past every own seq sent
         self.violations = []
+        #: each replica's applied (command, result) pairs
+        self.applied = [tap_applies(svc) for svc in services]
         inodes = {}
         for i, svc in enumerate(services):
             st = os.stat(svc.wal.path)
@@ -94,11 +97,11 @@ class DiskWatch:
     def _watch_applies(self, i, svc):
         on_command = svc._on_command
 
-        def apply(command):
+        def apply(*delivery):
             index = svc._apply_fifo[0]
             if self.synced[i] < self.slot_end[i][index]:
                 self.violations.append(f"replica {i} applied unsynced slot {index}")
-            on_command(command)
+            on_command(*delivery)
 
         svc._on_command = apply
 
@@ -160,7 +163,7 @@ def _cut_power_and_restart(group4, tmp_path, monkeypatch, services, watch):
         assert watch.fsyncs[i] < watch.frames[i]
     assert any(_unsynced(watch)), "the burst ended with every append synced"
 
-    applied = [list(svc.log) for svc in services]
+    applied = [list(log) for log in watch.applied]
     # the applied slots the log still holds in memory (all, without a checkpoint)
     slots = [[s for s in svc.wal.tail() if s[0] < svc.applied_seq] for svc in services]
     assert [len(log) for log in applied] == [svc.applied_seq for svc in services]
@@ -173,10 +176,11 @@ def _cut_power_and_restart(group4, tmp_path, monkeypatch, services, watch):
     monkeypatch.undo()
     revived = _services(sim_runtime(group4, seed=33), tmp_path)
     for i, svc in enumerate(revived):
+        log = tap_applies(svc)
         svc.start()
         assert svc.applied_seq >= len(applied[i])
         assert set(slots[i]) <= set(svc.wal.tail())
-        assert svc.log[:len(applied[i])] == applied[i]
+        assert log[:len(applied[i])] == applied[i]
         # No sequence number that left the process can be handed out again.
         assert svc.wal.sent_next >= watch.announced_next[i]
         svc.release()
@@ -200,8 +204,8 @@ def test_power_cut_after_a_certified_checkpoint_replays_the_log(
     def record(svc):
         on_command = svc._on_command
 
-        def apply(command):
-            on_command(command)
+        def apply(*delivery):
+            on_command(*delivery)
             digest = svc.state_digest()
             assert digests.setdefault(svc.applied_seq, digest) == digest
 

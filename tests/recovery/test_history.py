@@ -24,8 +24,8 @@ from repro.membership import (
 from repro.recovery import RecoverableService
 from repro.recovery.history import History, fold
 
-from tests.helpers import no_errors, sim_runtime
-from tests.recovery.test_service_sim import RCounter, _sync
+from tests.helpers import no_errors, sim_runtime, sync_applied
+from tests.recovery.test_service_sim import RCounter
 
 pytestmark = pytest.mark.recovery
 
@@ -195,13 +195,13 @@ def test_static_package_bytes(group4, tmp_path):
     rt = sim_runtime(group4, seed=51)
     services = _group(rt, tmp_path)
     services[0].submit(b"add:1")
-    _sync(rt, services, 1)
+    sync_applied(rt, services, 1)
     services[2].close()
     rt.run()
     services[1].submit(b"add:2")
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
     services[0].submit(b"add:3")
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()
     assert {s.wal.checkpoint.package for s in services} == {STATIC_SEQ4}
     no_errors(rt)
@@ -214,15 +214,15 @@ def test_membership_package_bytes(group4, tmp_path):
     rt = sim_runtime(group4, seed=52)
     services = _group(rt, tmp_path, lambda: Membership(keychain))
     services[0].submit(b"add:1")
-    _sync(rt, services, 1)
+    sync_applied(rt, services, 1)
     services[1].membership.refresh_shares()
-    _sync(rt, services, 2)
+    sync_applied(rt, services, 2)
     rt.run()
     assert {s.wal.checkpoint.package for s in services} == {BARRIER_SEQ2}
     services[3].submit(b"add:5")
-    _sync(rt, services, 3)
+    sync_applied(rt, services, 3)
     services[2].submit(b"sub:2")
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()
     assert {s.wal.checkpoint.package for s in services} == {EPOCH1_SEQ4}
     no_errors(rt)

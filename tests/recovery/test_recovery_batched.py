@@ -21,7 +21,7 @@ from repro.obs import MemoryRecorder
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
-from tests.helpers import print_repro
+from tests.helpers import print_repro, stop_all, wait_for
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
@@ -63,21 +63,6 @@ async def _submit_spaced(replicas, amounts, spacing=0.03):
         await asyncio.sleep(spacing)
 
 
-async def _wait(predicate, timeout=60.0, what="condition"):
-    for _ in range(int(timeout / 0.05)):
-        if predicate():
-            return
-        await asyncio.sleep(0.05)
-    raise AssertionError(f"timed out waiting for {what}")
-
-
-async def _stop_all(replicas, fabric):
-    for replica in replicas:
-        if replica.node is not None:
-            await replica.stop()
-    await fabric.stop()
-
-
 @pytest.mark.recovery
 def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
     async def body():
@@ -91,13 +76,13 @@ def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
             # Phase 1: spaced warm-up so every replica holds a certified
             # checkpoint before the violence starts.
             await _submit_spaced(replicas, PHASE1)
-            await _wait(
+            await wait_for(
                 lambda: all(
                     r.service.applied_seq >= len(PHASE1) for r in replicas
                 ),
                 what="phase-1 application",
             )
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.last_certified >= 4 for r in replicas),
                 what="phase-1 checkpoint certificates",
             )
@@ -112,7 +97,7 @@ def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
             await replicas[3].kill()
             assert replicas[3].service is None
             await burst
-            await _wait(
+            await wait_for(
                 lambda: all(
                     r.service.applied_seq >= TOTAL for r in replicas[:3]
                 ),
@@ -122,7 +107,7 @@ def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
             # Restart from disk: WAL replay + checkpoint catch-up.
             await replicas[3].restart()
             stats = await replicas[3].recover(timeout=60)
-            await _wait(
+            await wait_for(
                 lambda: replicas[3].service.applied_seq >= TOTAL,
                 what="restarted replica catching up",
             )
@@ -130,7 +115,7 @@ def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
 
             # Phase 3: the recovered replica's own sends still order.
             await _submit_spaced([replicas[3]], [100])
-            await _wait(
+            await wait_for(
                 lambda: all(
                     r.service.applied_seq >= TOTAL + 1 for r in replicas
                 ),
@@ -154,7 +139,7 @@ def test_kill_mid_batch_catches_up_to_identical_digest(fuzz_seed, tmp_path):
                 ),
             }
         finally:
-            await _stop_all(replicas, fabric)
+            await stop_all(replicas, fabric)
 
     try:
         out = _run(body())

@@ -20,7 +20,7 @@ from repro.obs import MemoryRecorder, bench_dir_from_env, make_record, write_rec
 from repro.testing.netchaos import ChaosFabric, ReplicaProcess
 
 from tests.conftest import cached_group
-from tests.helpers import print_repro
+from tests.helpers import print_repro, stop_all, wait_for
 from tests.recovery.test_service_sim import RCounter
 
 pytestmark = [pytest.mark.chaos, pytest.mark.recovery]
@@ -53,21 +53,6 @@ async def _submit_spaced(replicas, amounts, spacing=0.03):
         await asyncio.sleep(spacing)
 
 
-async def _wait(predicate, timeout=60.0, what="condition"):
-    for _ in range(int(timeout / 0.05)):
-        if predicate():
-            return
-        await asyncio.sleep(0.05)
-    raise AssertionError(f"timed out waiting for {what}")
-
-
-async def _stop_all(replicas, fabric):
-    for replica in replicas:
-        if replica.node is not None:
-            await replica.stop()
-    await fabric.stop()
-
-
 @pytest.mark.recovery
 def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
     """Kill replica 3 mid-stream (total in-memory loss), keep the group
@@ -84,11 +69,11 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
             # Phase 1: the whole group orders 8 commands; the absolute
             # checkpoint rule fires at slot 4 and 8 on every replica.
             await _submit_spaced(replicas, range(1, 9))
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 8 for r in replicas),
                 what="phase-1 application",
             )
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.last_certified >= 4 for r in replicas),
                 what="phase-1 checkpoint certificates",
             )
@@ -99,7 +84,7 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
 
             # Phase 2: the survivors keep going without it.
             await _submit_spaced(replicas[:3], range(9, 15))
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 14 for r in replicas[:3]),
                 what="phase-2 application on survivors",
             )
@@ -107,7 +92,7 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
             # Restart from the survived disk state and catch up.
             await replicas[3].restart()
             stats = await replicas[3].recover(timeout=60)
-            await _wait(
+            await wait_for(
                 lambda: replicas[3].service.applied_seq >= 14,
                 what="restarted replica catching up",
             )
@@ -115,7 +100,7 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
 
             # Phase 3: the recovered replica's own sends still get ordered.
             await _submit_spaced([replicas[3]], [100])
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 15 for r in replicas),
                 what="post-recovery command",
             )
@@ -132,7 +117,7 @@ def test_killed_replica_catches_up_to_identical_digest(fuzz_seed, tmp_path):
                 "recorder3": replicas[3].recorder,
             }
         finally:
-            await _stop_all(replicas, fabric)
+            await stop_all(replicas, fabric)
 
     try:
         out = _run(body())
@@ -189,11 +174,11 @@ def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path)
         await asyncio.gather(*(r.start() for r in replicas))
         try:
             await _submit_spaced(replicas, range(1, 9))
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.applied_seq >= 8 for r in replicas),
                 what="initial application",
             )
-            await _wait(
+            await wait_for(
                 lambda: all(r.service.last_certified >= 8 for r in replicas),
                 what="initial checkpoint certificates",
             )
@@ -208,12 +193,12 @@ def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path)
             # restart, recover purely from the peers.
             fault = ProcessFault(victim=3, kill_after_s=0.2, wipe_disk=True)
             stats = await replicas[3].execute(fault)
-            await _wait(
+            await wait_for(
                 lambda: replicas[3].service.applied_seq >= 8,
                 what="wiped replica catching up",
             )
             # What TCP adds: the forgery really went out on a socket.
-            await _wait(
+            await wait_for(
                 lambda: replicas[1].recorder.counters.get(
                     "recovery.transfer.served", 0
                 ) >= 1,
@@ -228,7 +213,7 @@ def test_byzantine_transfer_rejected_wiped_replica_recovers(fuzz_seed, tmp_path)
                 ),
             }
         finally:
-            await _stop_all(replicas, fabric)
+            await stop_all(replicas, fabric)
 
     try:
         out = _run(body())

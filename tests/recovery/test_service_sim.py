@@ -16,8 +16,9 @@ from repro.core.party import make_parties
 from repro.obs import MemoryRecorder
 from repro.recovery import RecoverableService
 from repro.recovery.checkpoint import parse_package
+from repro.testing.invariants import tap_applies
 
-from tests.helpers import no_errors, sim_runtime
+from tests.helpers import no_errors, sim_runtime, sync_applied
 
 pytestmark = pytest.mark.recovery
 
@@ -59,16 +60,6 @@ def _service(party, tmp_path, **kwargs):
     return RecoverableService(party, "svc", RCounter(), directory, **kwargs)
 
 
-def _sync(rt, services, seq, limit=3000.0):
-    def waiter(svc):
-        while svc.applied_seq < seq:
-            yield svc.channel.receive()
-
-    procs = [rt.spawn(waiter(s)) for s in services]
-    for p in procs:
-        rt.run_until(p.future, limit=limit)
-
-
 def test_checkpoints_certify_and_truncate(group4, tmp_path):
     recorder = MemoryRecorder()
     rt = sim_runtime(group4, seed=11, recorder=recorder)
@@ -77,7 +68,7 @@ def test_checkpoints_certify_and_truncate(group4, tmp_path):
         s.start()
     for i in range(4):
         services[i % 2].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()  # drain in-flight checkpoint shares
 
     assert {s.last_certified for s in services} == {4}
@@ -104,7 +95,7 @@ def test_group_restart_from_durable_state(group4, tmp_path):
         s.start()
     for i in range(5):  # 5 slots: checkpoint at 4 plus one logged tail slot
         services[0].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 5)
+    sync_applied(rt, services, 5)
     rt.run()
     digest = services[0].last_state_digest()
     assert len({s.last_state_digest() for s in services}) == 1
@@ -113,15 +104,16 @@ def test_group_restart_from_durable_state(group4, tmp_path):
 
     rt2 = sim_runtime(group4, seed=13)
     revived = [_service(p, tmp_path) for p in make_parties(rt2)]
+    logs = [tap_applies(s) for s in revived]
     for s in revived:
         s.start()  # checkpoint restore + log-tail replay, no peers needed
     assert {s.applied_seq for s in revived} == {5}
     assert {s.last_state_digest() for s in revived} == {digest}
     # The revived group is live: it orders and applies new commands.
     revived[2].submit(b"sub:3")
-    _sync(rt2, revived, 6)
+    sync_applied(rt2, revived, 6)
     assert {s.state.value for s in revived} == {15 - 3}
-    assert len({s.log_digest() for s in revived}) == 1
+    assert len({tuple(log) for log in logs}) == 1
     no_errors(rt2)
 
 
@@ -137,7 +129,7 @@ def test_a_record_numbered_true_does_not_poison_the_checkpoints(group4, tmp_path
     services[3].channel._own_next_seq = True  # the adversary's numbering
     services[3].submit(b"add:7")
     services[0].submit(b"add:1")
-    _sync(rt, services, 2)
+    sync_applied(rt, services, 2)
     rt.run()
     assert {s.last_certified for s in services} == {2}
     _, history = parse_package(services[0].wal.checkpoint.package)
@@ -169,7 +161,7 @@ def test_late_joiner_recovers_via_state_transfer(group4, tmp_path):
 
     for i in range(5):
         services[i % 3].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 5)
+    sync_applied(rt, services, 5)
     rt.run()
     assert {s.last_certified for s in services} == {4}
 
@@ -185,7 +177,7 @@ def test_late_joiner_recovers_via_state_transfer(group4, tmp_path):
 
     # The recovered replica participates: its own sends get ordered.
     joiner.submit(b"add:100")
-    _sync(rt, services + [joiner], 6)
+    sync_applied(rt, services + [joiner], 6)
     assert {s.state.value for s in services + [joiner]} == {115}
     assert recorder.counters["recovery.transfer.adopted"] == 1
     assert recorder.counters["recovery.transfer.served"] >= joiner.party.t + 1
@@ -210,7 +202,7 @@ def test_byzantine_transfer_response_rejected(group4, tmp_path):
 
     for i in range(4):
         services[0].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 4)
+    sync_applied(rt, services, 4)
     rt.run()
 
     future = joiner.recover()
@@ -252,7 +244,7 @@ def _group_with_a_tail(group4, tmp_path, seed, recorder=None):
         s.start()
     for i in range(5):
         services[i % 3].submit(b"add:%d" % (i + 1))
-    _sync(rt, services, 5)
+    sync_applied(rt, services, 5)
     rt.run()
     assert {s.last_certified for s in services} == {4}
     return rt, parties, services

@@ -16,7 +16,7 @@ from repro.net.runtime import SimRuntime
 
 from tests.conftest import cached_group
 from tests.core.byz import GarbageSpammer
-from tests.helpers import sim_runtime
+from tests.helpers import sim_runtime, sync_applied
 
 
 def test_hybrid_testbed_kvstore_with_crashes_and_delays():
@@ -42,13 +42,7 @@ def test_hybrid_testbed_kvstore_with_crashes_and_delays():
         replicas[i].put(b"key-%d" % i, b"value-%d" % i)
     replicas[3].cas(b"key-0", b"value-0", b"stolen")
 
-    def waiter(rep):
-        while rep.applied < 4:
-            yield rep.channel.receive()
-
-    procs = [rt.spawn(waiter(rep)) for rep in replicas.values()]
-    for p in procs:
-        rt.run_until(p.future, limit=5000)
+    sync_applied(rt, replicas.values(), 4, limit=5000)
 
     digests = {rep.state_digest() for rep in replicas.values()}
     assert len(digests) == 1
