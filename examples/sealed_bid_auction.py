@@ -25,6 +25,9 @@ from repro.core.channel import SecureAtomicChannel
 def main() -> None:
     rt, parties = quick_group(n=4, t=1, seed=99)
     channels = [p.secure_atomic_channel("auction") for p in parties]
+    # Every server observes the *ordered ciphertexts* first...
+    ordered_cts = []
+    channels[3].on_ciphertext = ordered_cts.append
 
     bids = {
         "alice": b"bid:alice:730",
@@ -44,14 +47,6 @@ def main() -> None:
     assert bids["carol"] not in carol_ct, "ciphertext must hide the bid"
     channels[2].send_ciphertext(carol_ct)
 
-    # Every server observes the *ordered ciphertexts* first...
-    ordered_cts = []
-
-    def ct_reader():
-        while len(ordered_cts) < 3:
-            ct = yield channels[3].receive_ciphertext()
-            ordered_cts.append(ct)
-
     # ...and the cleartexts only after the joint decryption round.
     opened = {i: [] for i in range(4)}
 
@@ -60,7 +55,7 @@ def main() -> None:
             bid = yield channels[i].receive()
             opened[i].append(bid)
 
-    procs = [rt.spawn(ct_reader())] + [rt.spawn(bid_reader(i)) for i in range(4)]
+    procs = [rt.spawn(bid_reader(i)) for i in range(4)]
     for p in procs:
         rt.run_until(p.future, limit=3000)
 

@@ -37,6 +37,13 @@ class ProtocolError(ReproError):
     """A protocol instance was driven incorrectly (e.g. ``send`` twice)."""
 
 
+class PidCollision(ProtocolError):
+    """A protocol id was registered twice, or after it terminated.
+
+    A programming error, never input: the router does not contain it when
+    a handler raises it, so the run fails where the bug is."""
+
+
 class ChannelCongested(ProtocolError):
     """A bounded channel's send buffer is full (the paper's blocking
     ``send``; check ``can_send()`` first, retry after deliveries).

@@ -23,7 +23,7 @@ call :meth:`send_ciphertext` without ever seeing the cleartext.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.common import rng as rng_mod
 from repro.common.encoding import encode
@@ -42,8 +42,9 @@ class SecureAtomicChannel(AtomicChannel):
 
     def __init__(self, ctx: Context, pid: str, **kwargs: Any):
         super().__init__(ctx, pid, **kwargs)
-        #: ciphertexts in delivery order, exposed via receive_ciphertext()
-        self.ciphertexts = ctx.new_queue()
+        #: listener ``on_ciphertext(data)``, called with each ordered but
+        #: undecrypted payload at completion time; the channel keeps none
+        self.on_ciphertext: Optional[Callable[[bytes], None]] = None
         self._dec_order = 0  # index assigned to the next delivered ciphertext
         self._pending_ctxt: Dict[int, Ciphertext] = {}
         self._dec_shares: Dict[int, Dict[int, bytes]] = {}
@@ -94,15 +95,6 @@ class SecureAtomicChannel(AtomicChannel):
         Ciphertext.from_bytes(data)  # fail fast on malformed framing
         self.ctx.api(lambda: self._enqueue_own(KIND_CIPHER, data))
 
-    # -- ciphertext API ---------------------------------------------------------------
-
-    def receive_ciphertext(self) -> Any:
-        """Future resolving with the next *ordered but undecrypted* payload."""
-        return self.ciphertexts.get()
-
-    def can_receive_ciphertext(self) -> bool:
-        return self.ciphertexts.can_get()
-
     # -- intercept atomic deliveries ------------------------------------------------------
 
     def _handle_delivered_payload(
@@ -135,7 +127,8 @@ class SecureAtomicChannel(AtomicChannel):
             # (share exchange until cleartext release) starts here.
             self._ctxt_times[index] = self.ctx.now()
             self.obs.count("secure.dec_shares_sent")
-        self.ctx.effect(self.ciphertexts.put, data)
+        if self.on_ciphertext is not None:
+            self.ctx.effect(self.on_ciphertext, data)
         share = self.ctx.crypto.enc_holder.decryption_share(ctxt)
         self.send_all(MSG_DEC_SHARE, (index, share))
         self._consume_shares(index)

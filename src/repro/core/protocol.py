@@ -21,7 +21,7 @@ import abc
 import logging
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ProtocolError, ReproError
+from repro.common.errors import PidCollision, ReproError
 from repro.crypto.dealer import PartyCrypto
 from repro.obs.recorder import NULL as NULL_RECORDER
 from repro.obs.recorder import Recorder
@@ -130,7 +130,9 @@ class Router:
 
     Exceptions raised by handlers on adversarial input are contained here
     (a Byzantine message must never crash an honest server) and recorded
-    in :attr:`errors` so honest-run tests can assert none occurred.
+    in :attr:`errors` so honest-run tests can assert none occurred.  A
+    :class:`~repro.common.errors.PidCollision` is the party's own bug, and
+    is never contained.
     """
 
     def __init__(self, buffer_limit: int = 100_000, recorder: Optional[Recorder] = None):
@@ -154,9 +156,9 @@ class Router:
     def register(self, protocol: "Protocol") -> None:
         pid = protocol.pid
         if pid in self._instances:
-            raise ProtocolError(f"protocol id {pid!r} already registered")
+            raise PidCollision(f"protocol id {pid!r} already registered")
         if pid in self._tombstones:
-            raise ProtocolError(f"protocol id {pid!r} was already terminated")
+            raise PidCollision(f"protocol id {pid!r} was already terminated")
         self._instances[pid] = protocol
         if self._buffers.get(pid):
             # Replay buffered early messages in a fresh unit of work: the
@@ -186,16 +188,6 @@ class Router:
         dropped = self._buffers.pop(pid, [])
         self._buffered_count -= len(dropped)
 
-    def forget(self, pid: str) -> None:
-        """Clear a tombstone so a successor instance may register the id.
-
-        Membership handover needs this: the state-transfer exchange id is
-        deliberately epoch-less (a newcomer must pull checkpoints from any
-        epoch), so when a replaced replica's process is simulated on the
-        same router, the successor re-registers the retired id.  Messages
-        arriving in the gap buffer as usual until the successor appears."""
-        self._tombstones.discard(pid)
-
     def dispatch(self, sender: int, pid: str, mtype: str, payload: Any) -> None:
         if pid not in self._replaying:
             protocol = self._instances.get(pid)
@@ -223,6 +215,8 @@ class Router:
             obs(sender, protocol.pid, mtype, payload)
         try:
             protocol.on_message(sender, mtype, payload)
+        except PidCollision:
+            raise
         except (ReproError, TypeError, ValueError, KeyError, IndexError) as exc:
             # Malformed or malicious input: contain, record, continue.
             self.errors.append((protocol.pid, sender, exc))

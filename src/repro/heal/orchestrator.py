@@ -47,6 +47,7 @@ from repro.adversary.watchdog import LivenessWatchdog, ProgressSentinel, sentine
 from repro.common.errors import (
     ChannelCongested,
     ConfigError,
+    PidCollision,
     ReconfigInProgress,
     ReproError,
     ServiceNotOpen,
@@ -499,6 +500,8 @@ class HealOrchestrator:
             successor = self.service_factory(slot, member, floor, kind)
             exec_.successor = successor
             future = successor.recover()
+        except PidCollision:
+            raise  # the factory's bug, not a failed onboarding
         except ReproError as exc:
             self._rollback(exec_, f"onboarding failed to launch: {exc}")
             return

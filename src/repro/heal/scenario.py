@@ -34,7 +34,7 @@ from repro.adversary.context import AdversarialContext
 from repro.adversary.watchdog import LivenessViolation, LivenessWatchdog
 from repro.app.replication import StateMachine
 from repro.common.errors import ReproError
-from repro.core.party import make_parties
+from repro.core.party import Party, make_parties
 from repro.crypto.dealer import GroupConfig
 from repro.heal.orchestrator import HealOrchestrator
 from repro.membership.epoch import EpochKeychain
@@ -166,23 +166,22 @@ class HealScenario(Scenario):
         # the replicas' durable state (WAL, checkpoints, epoch files); the
         # driving process below removes it when it ends
         workdir = tempfile.TemporaryDirectory(prefix="repro-heal-")
-        parties = make_parties(runtime)
         keychain = EpochKeychain(group)
 
-        def build(slot: int, suffix: str, min_epoch: int = 0) -> RecoverableService:
+        def build(party: Party, suffix: str, min_epoch: int = 0) -> RecoverableService:
             return RecoverableService(
-                parties[slot],
+                party,
                 "heal",
                 CounterMachine(),
-                f"{workdir.name}/replica{slot}{suffix}",
+                f"{workdir.name}/replica{party.id}{suffix}",
                 checkpoint_interval=2,
                 fsync="never",
                 membership=Membership(keychain, min_epoch=min_epoch),
             )
 
         services: Dict[int, Optional[RecoverableService]] = {}
-        for i in range(n):
-            services[i] = svc = build(i, "")
+        for i, party in enumerate(make_parties(runtime)):
+            services[i] = svc = build(party, "")
             svc.start()
 
         watchdog = LivenessWatchdog(
@@ -195,17 +194,24 @@ class HealScenario(Scenario):
         ) -> RecoverableService:
             nonlocal spawned
             spawned += 1
-            ctx = runtime.contexts[slot]
-            if kind == "replace" and isinstance(ctx, AdversarialContext):
-                # a replacement is a *reimaged* machine: the intrusion does
-                # not survive into the successor process.  A mere restart
-                # keeps the compromised image — the strategy rides along, and
-                # the planner's escalation path is what evicts it for good.
-                # (The strategy's passive router tap keeps watching; its
-                # hoarded shares are what the stale-share check proves dead.)
-                runtime.contexts[slot] = ctx.inner
-                parties[slot] = make_parties(runtime)[slot]
-            return build(slot, f"-{member}-{spawned}", min_epoch=min_epoch)
+            # The successor is a new process in the slot.  A replacement is
+            # a *reimaged* machine: the intrusion does not survive into it.
+            # A mere restart keeps the compromised image — the strategy
+            # rides along, and the planner's escalation path is what evicts
+            # it for good.  (The strategy's passive router tap keeps
+            # watching; its hoarded shares are what the stale-share check
+            # proves dead.)
+            old = runtime.contexts[slot]
+            runtime.restart(slot)
+            if kind == "restart" and isinstance(old, AdversarialContext):
+                runtime.contexts[slot] = AdversarialContext(
+                    runtime.contexts[slot], old.strategy
+                )
+            return build(
+                Party(runtime.contexts[slot]),
+                f"-{member}-{spawned}",
+                min_epoch=min_epoch,
+            )
 
         orchestrator = HealOrchestrator(
             runtime,

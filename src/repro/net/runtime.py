@@ -153,7 +153,9 @@ class SimRuntime:
                 )
             )
         self.routers = [Router(recorder=self.obs) for _ in range(n)]
-        self.contexts = [SimContext(self, i) for i in range(n)]
+        self.contexts: List[Context] = [SimContext(self, i) for i in range(n)]
+        #: per slot, the process running there; bumped by :meth:`restart`
+        self.incarnations = [0] * n
         #: dedicated RNG stream for the fault plan, derived from the root
         #: seed: fault draws never perturb latency sampling (which stays on
         #: ``sim.rng``), so removing a fault directive from a schedule
@@ -243,13 +245,23 @@ class SimRuntime:
             last = self._fifo_last.get((src, dst), 0.0)
             arrival = max(arrival, last + 1e-9)  # links are FIFO, like TCP
             self._fifo_last[(src, dst)] = arrival
-        self.sim.schedule_at(arrival, self._arrive, dst, wire, src)
+        self.sim.schedule_at(
+            arrival, self._arrive, dst, wire, src, self.incarnations[dst]
+        )
 
     #: frame ``body`` for the link to ``dst``: the sealed
     #: ``(sender, tag, body)`` envelope (:mod:`repro.net.links`)
     seal = staticmethod(links.seal)
 
-    def _arrive(self, dst: int, wire: bytes, src: Optional[int] = None) -> None:
+    def _arrive(
+        self,
+        dst: int,
+        wire: bytes,
+        src: Optional[int] = None,
+        incarnation: Optional[int] = None,
+    ) -> None:
+        if incarnation is not None and incarnation != self.incarnations[dst]:
+            return  # sent to a process that has since been restarted
         self.nodes[dst].process(lambda: self._open(dst, wire, src), self._dispatch)
 
     def _open(self, dst: int, wire: bytes, src: Optional[int]) -> None:
@@ -264,9 +276,10 @@ class SimRuntime:
         except ReproError:
             self._refuse()
             return
+        assert src is not None  # a frame on no link opens nowhere
         self._route(dst, src, body)
 
-    def _route(self, dst: int, src: Optional[int], body: bytes) -> None:
+    def _route(self, dst: int, src: int, body: bytes) -> None:
         """Hand an authenticated ``body`` from ``src`` to ``dst``'s router."""
         try:
             msg = unpack_body(src, body)
@@ -281,6 +294,27 @@ class SimRuntime:
         self.auth_failures += 1
         if self.obs.enabled:
             self.obs.count("net.auth_failures")
+
+    # -- process lifecycle --------------------------------------------------------------
+
+    def restart(self, slot: int) -> None:
+        """Boot a new process in ``slot``: a fresh router and context.
+
+        A restored or replaced server is a new process that holds only its
+        own key material.  The slot's CPU (its :class:`SimNode`) and link
+        keys stay; so do the old router's ``observers`` (harness taps) and
+        ``errors`` (findings about the slot).  Frames still in flight to
+        the old process are dropped when they arrive.  The old process's
+        protocol objects keep the old context, so stop them first.
+        :class:`~repro.net.lossy.LossyLinkRuntime`'s datagram path is not
+        tagged: its link sessions outlive a restart.
+        """
+        old = self.routers[slot]
+        router = self.routers[slot] = Router(recorder=self.obs)
+        router.observers = old.observers
+        router.errors = old.errors
+        self.incarnations[slot] += 1
+        self.contexts[slot] = SimContext(self, slot)
 
     # -- driving the simulation -------------------------------------------------------
 

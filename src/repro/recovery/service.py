@@ -223,18 +223,11 @@ class RecoverableService(ReplicatedService):
         self.wal.close()
 
     def shutdown(self) -> None:
-        """Retire this replica process: abort the channel, unregister it
-        and the transfer exchange, close durable files.
-
-        After ``shutdown()`` the party's router is free of this service's
-        protocol ids, so a successor process for the same slot (membership
-        replacement, or an in-simulation restart) can construct a fresh
-        service without id collisions."""
+        """Retire this replica process: abort the channel, halt the
+        transfer exchange, close durable files."""
         if self.channel is not None:
             self.channel.abort()
-            self.party.ctx.router.forget(self.channel.pid)
         self.exchange.halt()
-        self.party.ctx.router.forget(self.exchange.pid)
         self.wal.close()
 
     # -- channel hooks -------------------------------------------------------------

@@ -54,6 +54,7 @@ from repro.adversary.strategies import STRATEGIES
 from repro.adversary.watchdog import LivenessViolation, LivenessWatchdog, sentinel_for
 from repro.common import rng as rng_mod
 from repro.common.encoding import encode
+from repro.common.errors import PidCollision
 from repro.core.party import Party, make_parties
 from repro.crypto.dealer import GroupConfig, fast_group
 from repro.crypto.params import SecurityParams
@@ -506,7 +507,8 @@ class CaseResult:
     #: the case's identity, so the replay command must carry them
     extra: List[Directive] = field(default_factory=list)
     error: Optional[str] = None
-    #: ``"safety"`` (invariant violation) or ``"liveness"``
+    #: ``"safety"`` (invariant violation), ``"liveness"`` or ``"error"``
+    #: (a programming error the router never contains)
     kind: Optional[str] = None
     checks_run: int = 0
     shrink_runs: int = 0
@@ -740,6 +742,8 @@ def run_case(
         fail("safety", f"invariant violated: {exc}")
     except LivenessViolation as exc:
         fail("liveness", f"liveness violated: {exc.detail}", exc.dump)
+    except PidCollision as exc:
+        fail("error", f"protocol id collision: {exc}")
     except SimError as exc:
         # The simulator went idle or over the time limit: the same bug
         # caught before a deadline fired, wrapped so it still carries the

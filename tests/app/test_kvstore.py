@@ -7,6 +7,7 @@ import pytest
 
 from repro.app.kvstore import KVStore, ReplicatedKVStore
 from repro.core.party import make_parties
+from repro.net.sim import SimQueue
 from repro.testing.invariants import tap_applies
 
 from tests.helpers import no_errors, sim_runtime, sync_applied
@@ -101,6 +102,25 @@ def test_secure_replication(group4):
     reps[0].put(b"secret", b"v")
     sync_applied(rt, reps, 1)
     assert all(r.local_value(b"secret") == b"v" for r in reps)
+    no_errors(rt)
+
+
+def test_secure_replicas_keep_no_ordered_ciphertext(group4):
+    """An ordered ciphertext goes to the channel's ``on_ciphertext``
+    listener, if any, and is not kept: once every command applied, no
+    replica's channel holds a ciphertext, pending or queued."""
+    rt = sim_runtime(group4, seed=6)
+    reps = _replicas(rt, secure=True)
+    for k in range(12):
+        reps[k % 4].put(b"k%d" % k, b"v")
+    sync_applied(rt, reps, 12)
+    for r in reps:
+        ch = r.channel
+        assert ch._pending_ctxt == {}
+        queued = {
+            name: len(q) for name, q in vars(ch).items() if isinstance(q, SimQueue)
+        }
+        assert not any(queued.values()), queued
     no_errors(rt)
 
 

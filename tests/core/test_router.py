@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import ProtocolError
+from repro.common.errors import PidCollision, ProtocolError
 from repro.core.protocol import Protocol, Router
 
 from tests.conftest import cached_group
@@ -57,6 +57,24 @@ def test_tombstone_drops_after_halt():
     assert proto.seen == []
     with pytest.raises(ProtocolError):
         Recorder(ctx, "p")  # terminated pids cannot be reused
+
+
+class Spawner(Protocol):
+    """Builds a :class:`Recorder` under the pid each message names."""
+
+    def on_message(self, sender, mtype, payload):
+        Recorder(self.ctx, payload)
+
+
+def test_pid_collision_in_a_handler_is_not_contained():
+    """Registering a terminated pid is the party's own bug, never input:
+    it fails the run instead of landing in ``errors``."""
+    ctx = _ctx()
+    Recorder(ctx, "old").halt()
+    Spawner(ctx, "spawner")
+    with pytest.raises(PidCollision, match="already terminated"):
+        ctx.router.dispatch(1, "spawner", "spawn", "old")
+    assert ctx.router.errors == []
 
 
 def test_handler_errors_contained():

@@ -71,16 +71,13 @@ def test_payload_is_encrypted_on_the_wire(group4):
 def test_ciphertext_stream_precedes_cleartext(group4):
     rt = sim_runtime(group4, seed=4)
     chans = _channels(rt)
+    ordered = []  # (ciphertext, cleartexts delivered by then)
+    chans[0].on_ciphertext = lambda data: ordered.append((data, chans[0].delivered))
     chans[2].send(b"payload")
     got = _drain(rt, chans, 1)
-
-    def read_ct():
-        ct = yield chans[0].receive_ciphertext()
-        return ct
-
-    proc = rt.spawn(read_ct())
-    rt.run_until(proc.future)
-    ct = Ciphertext.from_bytes(proc.future.value)
+    [(data, delivered)] = ordered
+    assert delivered == 0
+    ct = Ciphertext.from_bytes(data)
     assert rt.contexts[0].crypto.enc.check_ciphertext(ct)
     assert got[0] == [b"payload"]
 

@@ -59,21 +59,15 @@ def test_replayed_ciphertext_is_separate_delivery(group4):
     CCA2 prevents crafting a *related* ciphertext."""
     rt = sim_runtime(group4, seed=2)
     chans = _channels(rt)
+    # the adversary captures the ciphertext and replays it verbatim
+    captured = []
+    chans[2].on_ciphertext = captured.append
     chans[0].send(b"original bid")
     got = _drain(rt, chans, 1)
     assert got[1] == [b"original bid"]
-    # the adversary captures the ciphertext and replays it verbatim
-    captured = None
-
-    def read_ct():
-        nonlocal captured
-        captured = yield chans[2].receive_ciphertext()
-
-    proc = rt.spawn(read_ct())
-    rt.run_until(proc.future, limit=600)
     from repro.core.channel.atomic import KIND_CIPHER
 
-    rt.run_on_node(3, lambda: chans[3]._enqueue_own(KIND_CIPHER, captured))
+    rt.run_on_node(3, lambda: chans[3]._enqueue_own(KIND_CIPHER, captured[0]))
     got2 = _drain(rt, chans, 1)
     # delivered again (replay detection is the application's business, as
     # the paper's end-to-end argument says), content unmodified

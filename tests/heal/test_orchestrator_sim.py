@@ -13,18 +13,22 @@ Covers the tentpole acceptance criteria:
   channel (the group keeps ordering on ``n - t`` replicas);
 * an onboarding that times out mid-transfer rolls back and shuts the
   half-born successor down;
+* a successor built without a restart is a protocol id collision that
+  fails the case, never a rolled-back repair;
 * the proactive refresh cadence fires with zero suspicion;
 * every step shows up as ``heal.*`` counters in an exported BENCH record.
 """
 
 import pytest
 
+from repro.core.party import Party
 from repro.heal.evidence import EV_EQUIVOCATION, Evidence
 from repro.heal.orchestrator import COMMIT_TIMEOUT, HealOrchestrator
 from repro.heal.planner import REFRESH_INTERVAL
 from repro.heal.scenario import CounterMachine
 from repro.membership.epoch import EpochKeychain
 from repro.membership.service import Membership
+from repro.net.runtime import SimRuntime
 from repro.obs.export import make_record
 from repro.obs.recorder import MemoryRecorder
 from repro.recovery import RecoverableService
@@ -169,6 +173,29 @@ def test_cli_runs_heal_cases_and_its_repro_line_replays(capsys):
     assert capsys.readouterr().out == first  # same kind, same error
 
 
+def test_a_successor_without_restart_fails_the_case(monkeypatch, capsys):
+    """Planted bug (the first layer of ROADMAP 6(b)): the heal factory
+    builds the successor on the old process, whose router tombstoned the
+    retired service's ids.  The collision is a bug, never a contained
+    error or a rolled-back repair: the case fails with one ``REPRO:``."""
+    monkeypatch.setattr(SimRuntime, "restart", lambda self, slot: None)  # BUG
+    result = run_case(
+        make_scenario("heal"), 4, 1, PINNED_CASE, keep=[], strategy="doublevote"
+    )
+    assert not result.ok and result.kind == "error"
+    assert result.error == (
+        "protocol id collision: protocol id 'heal:rec' was already terminated"
+    )
+    assert main([
+        "--scenario", "heal", "--strategy", "doublevote",
+        "--case", hex(PINNED_CASE), "--keep", "none",
+    ]) == 1
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == (
+        f"REPRO: {result.describe()} kind=error error={result.error!r}"
+    )
+
+
 def test_shrinker_minimizes_an_unhealed_case():
     """Of the three scheduler directives the cell runs, one slow link is
     enough to stop the loop; without it the same intruder is replaced.
@@ -194,11 +221,9 @@ class _Harness:
         self.keychain = EpochKeychain(group)
         self.tmp_path = tmp_path
         self.spawned = 0
-        from repro.core.party import make_parties
-
-        self.parties = make_parties(self.runtime)
         self.services = {
-            i: self.build(i, "") for i in range(group.n)
+            i: self.build(Party(ctx), "")
+            for i, ctx in enumerate(self.runtime.contexts)
         }
         for svc in self.services.values():
             svc.start()
@@ -211,20 +236,27 @@ class _Harness:
         ).attach()
         self.orchestrator.start()
 
-    def build(self, slot, suffix, min_epoch=0):
+    def build(self, party, suffix, min_epoch=0):
         return RecoverableService(
-            self.parties[slot],
+            party,
             "svc",
             CounterMachine(),
-            str(self.tmp_path / f"replica{slot}{suffix}"),
+            str(self.tmp_path / f"replica{party.id}{suffix}"),
             checkpoint_interval=2,
             fsync="never",
             membership=Membership(self.keychain, min_epoch=min_epoch),
         )
 
+    def successor(self, slot):
+        """A new process in ``slot``, for a successor service to run on."""
+        self.runtime.restart(slot)
+        return Party(self.runtime.contexts[slot])
+
     def default_factory(self, slot, member, min_epoch, kind):
         self.spawned += 1
-        return self.build(slot, f"-{member}-{self.spawned}", min_epoch)
+        return self.build(
+            self.successor(slot), f"-{member}-{self.spawned}", min_epoch
+        )
 
     def accuse(self, slot, times=3):
         now = self.runtime.now
@@ -293,7 +325,7 @@ def test_onboard_timeout_shuts_successor_down_and_rolls_back(
     stuck = []
 
     def wedged_factory(slot, member, min_epoch, kind):
-        svc = _Harness.build(h, slot, f"-{member}-stuck", min_epoch)
+        svc = h.build(h.successor(slot), f"-{member}-stuck", min_epoch)
         svc._send_pull = lambda: None  # type: ignore[method-assign]
         stuck.append(svc)
         return svc

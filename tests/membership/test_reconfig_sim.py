@@ -25,7 +25,7 @@ from repro.client.dedup import DedupStateMachine
 from repro.client.server import RequestServer
 from repro.client.simnet import SimClientNetwork
 from repro.common.errors import EpochMismatch, ReconfigInProgress
-from repro.core.party import make_parties
+from repro.core.party import Party, make_parties
 from repro.membership import EpochKeychain, Membership, MembershipChange
 from repro.obs import MemoryRecorder
 from repro.recovery import RecoverableService
@@ -196,8 +196,7 @@ def test_rolling_replacement_via_state_transfer(group4, keychain4, tmp_path):
     onboards from a certified epoch-1 checkpoint and participates."""
     obs = MemoryRecorder()
     rt = sim_runtime(group4, seed=27, recorder=obs)
-    parties = make_parties(rt)
-    services = [_service(p, tmp_path, keychain4) for p in parties]
+    services = [_service(p, tmp_path, keychain4) for p in make_parties(rt)]
     for s in services:
         s.start()
 
@@ -220,7 +219,8 @@ def test_rolling_replacement_via_state_transfer(group4, keychain4, tmp_path):
 
     # The successor is a new process for slot 3: empty directory, only
     # the group identity and the epoch floor.
-    successor = _service(parties[3], tmp_path, keychain4,
+    rt.restart(3)
+    successor = _service(Party(rt.contexts[3]), tmp_path, keychain4,
                          suffix="-successor", min_epoch=1)
     stats = rt.run_until(successor.recover(), limit=9000.0)
     assert stats["seq"] >= 5  # at least the forced barrier checkpoint

@@ -13,7 +13,7 @@ import pytest
 
 from repro.app.replication import StateMachine
 from repro.common.encoding import decode, encode
-from repro.core.party import make_parties
+from repro.core.party import Party, make_parties
 from repro.membership import EpochKeychain, Membership
 from repro.obs import MemoryRecorder
 from repro.recovery import RecoverableService
@@ -94,17 +94,18 @@ def test_state_transfer_skips_the_stale_command(group4, tmp_path):
     keychain = EpochKeychain(group4)
     obs = MemoryRecorder()
     rt = sim_runtime(group4, seed=43, recorder=obs)
-    parties = make_parties(rt)
-    services = [_service(p, tmp_path, keychain) for p in parties]
+    services = [_service(p, tmp_path, keychain) for p in make_parties(rt)]
     for s in services:
         s.start()
-    # Replica 3 goes away before the race: its successor cannot
-    # re-register ``svc@e1`` on a simulated router that tombstoned it.
+    # Replica 3 goes away before the race; its successor is a new process.
     services[3].shutdown()
     live = services[:3]
     _race(rt, obs, live)
 
-    successor = _service(parties[3], tmp_path, keychain, suffix="-new", min_epoch=1)
+    rt.restart(3)
+    successor = _service(
+        Party(rt.contexts[3]), tmp_path, keychain, suffix="-new", min_epoch=1
+    )
     stats = rt.run_until(successor.recover(), limit=9000.0)
     assert stats["applied_seq"] == 4
     assert _view(successor) == _view(live[0])

@@ -1,11 +1,16 @@
-"""SimRuntime: dispatch, FIFO links, fault integration, statistics."""
+"""SimRuntime: dispatch, FIFO links, fault integration, statistics,
+restarting a slot."""
 
 import pytest
 
+from repro.app.kvstore import KVStore
+from repro.common.errors import PidCollision
+from repro.core.party import Party
 from repro.core.protocol import Protocol
 from repro.net.faults import CrashFault, FaultPlan, SlowLinkAdversary
 from repro.net.latency import lan_latency
 from repro.net.runtime import SimRuntime
+from repro.recovery import RecoverableService
 
 from tests.conftest import cached_group
 from tests.helpers import no_errors
@@ -144,3 +149,71 @@ def test_api_call_outside_handler_is_scheduled():
     rt.run()
     assert any(m[3] == b"via-api" for m in protos[1].seen)
 
+
+
+# -- restart: a new process in a slot -----------------------------------------------
+
+
+class Boom(Protocol):
+    def on_message(self, sender, mtype, payload):
+        raise ValueError("malformed")
+
+
+def test_restart_drops_frames_in_flight_to_the_old_process():
+    rt = _runtime()
+    protos = [Echo(ctx) for ctx in rt.contexts]
+    rt.run_on_node(0, lambda: protos[0].unicast(1, "ping", b"to-old"))
+    rt.restart(1)  # the ping is still on the wire
+    successor = Echo(rt.contexts[1])
+    rt.run()
+    assert protos[1].seen == [] and successor.seen == []
+    assert rt.routers[1] is rt.contexts[1].router is not protos[1].ctx.router
+
+    # the link keys belong to the slot: the new process is reachable
+    rt.run_on_node(0, lambda: protos[0].unicast(1, "ping", b"to-new"))
+    rt.run()
+    assert [m[2:] for m in successor.seen] == [("ping", b"to-new")]
+    assert [m[2:] for m in protos[0].seen] == [("pong", b"to-new")]
+    assert protos[1].seen == []
+    no_errors(rt)
+
+
+def test_successor_registers_every_pid_its_predecessor_halted(tmp_path):
+    rt = _runtime()
+    old = RecoverableService(Party(rt.contexts[2]), "svc", KVStore(), str(tmp_path / "a"))
+    old.start()
+    halted = sorted({old.channel.pid, old.exchange.pid})
+    old.shutdown()
+    assert rt.routers[2].active_pids == []
+
+    rt.restart(2)
+    new = RecoverableService(Party(rt.contexts[2]), "svc", KVStore(), str(tmp_path / "b"))
+    new.start()
+    assert rt.routers[2].active_pids == halted
+    new.shutdown()
+
+
+def test_a_successor_on_the_old_party_collides(tmp_path):
+    rt = _runtime()
+    party = Party(rt.contexts[2])
+    RecoverableService(party, "svc", KVStore(), str(tmp_path / "a")).shutdown()
+    with pytest.raises(PidCollision, match="'svc:rec' was already terminated"):
+        RecoverableService(party, "svc", KVStore(), str(tmp_path / "b"))
+
+
+def test_restart_keeps_the_routers_observers_and_errors():
+    rt = _runtime()
+    protos = [Echo(ctx) for ctx in rt.contexts]
+    Boom(rt.contexts[1], "boom")
+    observed = []
+    rt.routers[1].observers.append(lambda sender, pid, mtype, p: observed.append(p))
+    rt.run_on_node(0, lambda: rt.contexts[0].send(1, "boom", "x", b"before"))
+    rt.run()
+    assert [pid for pid, _, _ in rt.router_errors()] == ["boom"]
+
+    rt.restart(1)
+    Echo(rt.contexts[1])
+    rt.run_on_node(0, lambda: protos[0].unicast(1, "ping", b"after"))
+    rt.run()
+    assert observed == [b"before", b"after"]
+    assert [(pid, sender) for pid, sender, _ in rt.router_errors()] == [("boom", 0)]
