@@ -40,8 +40,20 @@ class ProtocolError(ReproError):
 class PidCollision(ProtocolError):
     """A protocol id was registered twice, or after it terminated.
 
-    A programming error, never input: the router does not contain it when
-    a handler raises it, so the run fails where the bug is."""
+    A programming error, never input: like any exception a handler
+    raises, it fails the run where the bug is."""
+
+
+class Malformed(ProtocolError):
+    """A message of an unknown type, or whose payload does not conform
+    to its protocol's declared schema (:mod:`repro.core.schema`).
+
+    Never raised: the router records one per refused message in
+    ``Router.errors`` as ``(pid, sender, Malformed(mtype))``."""
+
+    def __init__(self, mtype: str):
+        super().__init__(f"malformed {mtype!r} message")
+        self.mtype = mtype
 
 
 class ChannelCongested(ProtocolError):

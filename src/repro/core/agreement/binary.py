@@ -44,12 +44,13 @@ exactly as the paper states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.encoding import encode
-from repro.common.errors import CryptoError, InvalidShare, ProtocolError
+from repro.common.errors import InvalidShare, ProtocolError
 from repro.core.agreement.base import Agreement
 from repro.core.protocol import Context
+from repro.core.schema import OneOf, Range, Seq
 from repro.crypto.threshold_sig import combine_optimistically
 
 ABSTAIN = 2
@@ -61,6 +62,12 @@ MSG_DECIDE = "decide"
 
 #: ``validator(value, proof) -> bool`` — the external-validity predicate.
 BinaryValidator = Callable[[int, Optional[bytes]], bool]
+
+# Message schemas (repro.core.schema); a vote is (r, value, just, proof, share)
+BIT, ROUND, PROOF = {0, 1}, Range(1), OneOf(None, bytes)
+PREVOTE_JUST = OneOf(None, ({"hard"}, bytes), ({"soft"}, bytes, Seq(bytes)))
+EXAMPLE = (BIT, PREVOTE_JUST, PROOF, bytes)  # an embedded justified pre-vote
+Vote = Tuple[int, int, Any, Optional[bytes], bytes]
 
 
 def _always_valid(value: int, proof: Optional[bytes]) -> bool:
@@ -117,6 +124,16 @@ class BinaryAgreement(Agreement):
     honest party proposed it).
     """
 
+    MESSAGES = {
+        MSG_PREVOTE: (ROUND, BIT, PREVOTE_JUST, PROOF, bytes),
+        MSG_MAINVOTE: OneOf(  # justified by the pre-votes' signature, or abstain
+            (ROUND, BIT, bytes, PROOF, bytes),
+            (ROUND, {ABSTAIN}, (EXAMPLE, EXAMPLE), None, bytes),
+        ),
+        MSG_COIN: (ROUND, bytes),
+        MSG_DECIDE: (ROUND, BIT, bytes, PROOF),
+    }
+
     def __init__(
         self,
         ctx: Context,
@@ -131,7 +148,7 @@ class BinaryAgreement(Agreement):
         self.bias = bias
         self.round = 0  # 0 = not started; rounds are 1-based
         self._rounds: Dict[int, _RoundState] = {}
-        self._preference: Optional[int] = None
+        self._preference = 0  # set by _start
         self._pref_just: Any = None
         self._proofs: Dict[int, Optional[bytes]] = {}
         self._prevote_sent_for: Set[int] = set()
@@ -191,31 +208,25 @@ class BinaryAgreement(Agreement):
     # -- message handling -------------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted:
-            return
         if mtype == MSG_PREVOTE:
             self._on_prevote(sender, payload)
         elif mtype == MSG_MAINVOTE:
             self._on_mainvote(sender, payload)
         elif mtype == MSG_COIN:
             self._on_coin(sender, payload)
-        elif mtype == MSG_DECIDE:
+        else:
             self._on_decide(sender, payload)
 
     # -- pre-votes -----------------------------------------------------------------------
 
-    def _on_prevote(self, sender: int, payload: Any) -> None:
+    def _on_prevote(self, sender: int, payload: Vote) -> None:
         r, b, just, proof, share = payload
-        if not (isinstance(r, int) and r >= 1 and b in (0, 1)):
-            return
         state = self._state(r)
         if sender in state.prevotes or sender in state.banned:
             return  # only the first pre-vote per sender counts
         if not self._valid_prevote(r, b, just, proof):
             return
         scheme = self._scheme()
-        if not isinstance(share, bytes):
-            return
         try:
             if scheme.share_index(share) != sender + 1:
                 return
@@ -237,45 +248,36 @@ class BinaryAgreement(Agreement):
         if r == self.round:
             self._check_prevotes()
 
-    def _valid_prevote(self, r: int, b: int, just: Any, proof: Any) -> bool:
+    def _valid_prevote(self, r: int, b: int, just: Any, proof: Optional[bytes]) -> bool:
         """Check a pre-vote's justification (and external validity)."""
-        if proof is not None and not isinstance(proof, bytes):
-            return False
         if not self.validator(b, proof):
             return False
         if r == 1:
             return just is None
+        if just is None:
+            return False  # a later round's pre-vote needs a justification
         scheme = self._scheme()
         verifier = self.ctx.crypto.verifier
-        if isinstance(just, tuple) and len(just) == 2 and just[0] == "hard":
-            sig = just[1]
-            return isinstance(sig, bytes) and verifier.sig_ok(
-                scheme, prevote_string(self.pid, r - 1, b), sig
-            )
-        if isinstance(just, tuple) and len(just) == 3 and just[0] == "soft":
-            _, abstain_sig, coin_shares = just
-            if not isinstance(abstain_sig, bytes) or not verifier.sig_ok(
-                scheme, mainvote_string(self.pid, r - 1, ABSTAIN), abstain_sig
-            ):
-                return False
-            return self._coin_matches(r - 1, b, coin_shares)
-        return False
+        if just[0] == "hard":
+            return verifier.sig_ok(scheme, prevote_string(self.pid, r - 1, b), just[1])
+        _, abstain_sig, coin_shares = just
+        if not verifier.sig_ok(
+            scheme, mainvote_string(self.pid, r - 1, ABSTAIN), abstain_sig
+        ):
+            return False
+        return self._coin_matches(r - 1, b, coin_shares)
 
-    def _coin_matches(self, r: int, b: int, coin_shares: Any) -> bool:
+    def _coin_matches(self, r: int, b: int, coin_shares: List[bytes]) -> bool:
         """Does round ``r``'s coin, established by ``coin_shares``, equal ``b``?"""
         if self.bias is not None and r == 1:
             return b == self.bias  # the biased round needs no coin at all
         coin = self.ctx.crypto.coin
         name = coin_name(self.pid, r)
-        if not isinstance(coin_shares, (list, tuple)):
-            return False
         valid: Dict[int, bytes] = {}
         for cs in coin_shares:
-            if isinstance(cs, bytes) and self._coin_share_ok(r, name, cs):
-                try:
-                    valid[_coin_share_index(cs)] = cs
-                except (CryptoError, InvalidShare):
-                    continue
+            index = coin.share_index(cs)
+            if index is not None and self._coin_share_ok(r, name, cs):
+                valid[index] = cs
             if len(valid) >= coin.k:
                 break
         if len(valid) < coin.k:
@@ -299,6 +301,7 @@ class BinaryAgreement(Agreement):
             return
         scheme = self._scheme()
         values = set(state.prevotes.values())
+        just: Any  # the pre-votes' signature, or two example pre-votes
         if len(values) == 1:
             b = values.pop()
             sig = combine_optimistically(
@@ -333,18 +336,14 @@ class BinaryAgreement(Agreement):
 
     # -- main-votes ------------------------------------------------------------------------
 
-    def _on_mainvote(self, sender: int, payload: Any) -> None:
+    def _on_mainvote(self, sender: int, payload: Vote) -> None:
         r, v, just, proof, share = payload
-        if not (isinstance(r, int) and r >= 1 and v in (0, 1, ABSTAIN)):
-            return
         state = self._state(r)
         if sender in state.mainvotes or sender in state.banned:
             return
         if not self._valid_mainvote(r, v, just, proof):
             return
         scheme = self._scheme()
-        if not isinstance(share, bytes):
-            return
         try:
             if scheme.share_index(share) != sender + 1:
                 return
@@ -365,34 +364,25 @@ class BinaryAgreement(Agreement):
         if r == self.round:
             self._check_mainvotes()
 
-    def _valid_mainvote(self, r: int, v: int, just: Any, proof: Any) -> bool:
+    def _valid_mainvote(self, r: int, v: int, just: Any, proof: Optional[bytes]) -> bool:
         scheme = self._scheme()
-        if v in (0, 1):
-            if proof is not None and not isinstance(proof, bytes):
-                return False
+        if v != ABSTAIN:
             if not self.validator(v, proof):
                 return False
-            return isinstance(just, bytes) and self.ctx.crypto.verifier.sig_ok(
+            return self.ctx.crypto.verifier.sig_ok(
                 scheme, prevote_string(self.pid, r, v), just
             )
         # Abstain: embed one justified pre-vote for 0 and one for 1.
-        if not (isinstance(just, tuple) and len(just) == 2):
+        if {entry[0] for entry in just} != {0, 1}:
             return False
-        seen: Set[int] = set()
-        for entry in just:
-            if not (isinstance(entry, tuple) and len(entry) == 4):
-                return False
-            b, pv_just, pv_proof, pv_share = entry
-            if b not in (0, 1) or b in seen:
-                return False
-            seen.add(b)
+        for b, pv_just, pv_proof, pv_share in just:
             if not self._valid_prevote(r, b, pv_just, pv_proof):
                 return False
-            if not isinstance(pv_share, bytes) or not self.ctx.crypto.verifier.sig_share_ok(
+            if not self.ctx.crypto.verifier.sig_share_ok(
                 scheme, prevote_string(self.pid, r, b), pv_share
             ):
                 return False
-        return seen == {0, 1}
+        return True
 
     def _check_mainvotes(self) -> None:
         r = self.round
@@ -427,15 +417,15 @@ class BinaryAgreement(Agreement):
 
     # -- coin ---------------------------------------------------------------------------------
 
-    def _on_coin(self, sender: int, payload: Any) -> None:
+    def _on_coin(self, sender: int, payload: Tuple[int, bytes]) -> None:
         r, share = payload
-        if not (isinstance(r, int) and r >= 1 and isinstance(share, bytes)):
-            return
         state = self._state(r)
-        if sender in state.coin_shares:
+        if sender + 1 in state.coin_shares:
             return
         coin = self.ctx.crypto.coin
         name = coin_name(self.pid, r)
+        if coin.share_index(share) != sender + 1:
+            return  # a share must come from its owner
         if not self._coin_share_ok(r, name, share):
             return
         state.coin_shares[sender + 1] = share
@@ -491,15 +481,11 @@ class BinaryAgreement(Agreement):
         self.send_all(MSG_DECIDE, (r, b, sig, proof))
         self._conclude(b, proof)
 
-    def _on_decide(self, sender: int, payload: Any) -> None:
+    def _on_decide(self, sender: int, payload: Tuple[int, int, bytes, Optional[bytes]]) -> None:
         r, b, sig, proof = payload
-        if not (isinstance(r, int) and r >= 1 and b in (0, 1)):
-            return
-        if proof is not None and not isinstance(proof, bytes):
-            return
         if not self.validator(b, proof):
             return
-        if not isinstance(sig, bytes) or not self.ctx.crypto.verifier.sig_ok(
+        if not self.ctx.crypto.verifier.sig_ok(
             self._scheme(), mainvote_string(self.pid, r, b), sig
         ):
             return
@@ -517,13 +503,3 @@ class BinaryAgreement(Agreement):
             if self.validator(b, proof):
                 self._proofs[b] = proof
 
-
-def _coin_share_index(share: bytes) -> int:
-    """Extract the 1-based holder index from an encoded coin share."""
-    from repro.common.encoding import decode
-
-    decoded = decode(share)
-    index = decoded[0]
-    if not isinstance(index, int):
-        raise InvalidShare("malformed coin share")
-    return index

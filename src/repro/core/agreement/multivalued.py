@@ -47,6 +47,7 @@ from repro.core.broadcast.verifiable import (
     parse_closing,
 )
 from repro.core.protocol import Context
+from repro.core.schema import OneOf, Range
 
 MSG_VOTE = "vote"
 
@@ -92,6 +93,9 @@ class ArrayAgreement(Agreement):
     ``decide()`` resolves with ``(payload, closing)`` where ``closing`` is
     the winning proposal's VCBC closing message.
     """
+
+    #: (iteration, has, closing): a yes-vote hands over the closing
+    MESSAGES = {MSG_VOTE: OneOf((Range(0), {True}, bytes), (Range(0), {False}, None))}
 
     def __init__(
         self,
@@ -181,15 +185,6 @@ class ArrayAgreement(Agreement):
     # -- votes ---------------------------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted:
-            return
-        if mtype != MSG_VOTE or not (
-            isinstance(payload, tuple)
-            and len(payload) == 3
-            and isinstance(payload[0], int)
-            and payload[0] >= 0
-        ):
-            return
         iteration, has, closing = payload
         votes = self._votes.setdefault(iteration, {})
         if sender in votes:
@@ -198,8 +193,6 @@ class ArrayAgreement(Agreement):
         if has:
             # A proper yes-vote hands over the proposal via its closing
             # message; an unverifiable yes-vote is improper and ignored.
-            if not isinstance(closing, bytes):
-                return
             if a not in self._proposals:
                 if not self._vcbc[a].deliver_closing(closing):
                     return
@@ -261,8 +254,7 @@ class ArrayAgreement(Agreement):
             # data (a valid closing message for P_a's broadcast).
             self._vcbc[a].deliver_closing(proof)
         if a not in self._proposals:
-            # Cannot happen for a correctly validated decision; treat as a
-            # protocol error surfaced to the router.
+            # Cannot happen for a correctly validated decision: a bug.
             raise ProtocolError(f"decided candidate {a} without its proposal")
         payload, closing = self._proposals[a]
         for bc in self._vcbc:

@@ -22,7 +22,7 @@ exactly the protocol proposed by Reiter (paper Sec. 2.1/2.2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.encoding import encode
 from repro.common.errors import InvalidShare
@@ -39,8 +39,13 @@ def _bound_message(pid: str, payload: bytes) -> bytes:
     return encode(("cbc", pid, payload))
 
 
+CLOSING = (bytes, bytes)  # (payload, signature): final and closing message
+
+
 class ConsistentBroadcast(Broadcast):
     """One instance of consistent broadcast."""
+
+    MESSAGES = {MSG_SEND: bytes, MSG_ECHO: bytes, MSG_FINAL: CLOSING}
 
     def __init__(self, ctx, basepid: str, sender: int):
         super().__init__(ctx, basepid, sender)
@@ -63,19 +68,15 @@ class ConsistentBroadcast(Broadcast):
     # -- message handling -----------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted:
-            return
         if mtype == MSG_SEND:
             self._on_send(sender, payload)
         elif mtype == MSG_ECHO:
             self._on_echo(sender, payload)
-        elif mtype == MSG_FINAL:
+        else:
             self._on_final(sender, payload)
 
-    def _on_send(self, sender: int, payload: Any) -> None:
+    def _on_send(self, sender: int, payload: bytes) -> None:
         if sender != self.sender or self._echoed:
-            return
-        if not isinstance(payload, bytes):
             return
         self._echoed = True
         if self._payload is None:
@@ -85,11 +86,9 @@ class ConsistentBroadcast(Broadcast):
         )
         self.unicast(self.sender, MSG_ECHO, share)
 
-    def _on_echo(self, sender: int, share: Any) -> None:
+    def _on_echo(self, sender: int, share: bytes) -> None:
         # Only the sender collects echo shares.
-        if self.ctx.node_id != self.sender or self._sent_final:
-            return
-        if self._payload is None or not isinstance(share, bytes):
+        if self.ctx.node_id != self.sender or self._sent_final or self._payload is None:
             return
         scheme = self.ctx.crypto.cbc_scheme
         bound = _bound_message(self.pid, self._payload)
@@ -112,12 +111,8 @@ class ConsistentBroadcast(Broadcast):
             self._sent_final = True
             self.send_all(MSG_FINAL, (self._payload, signature))
 
-    def _on_final(self, sender: int, payload: Any) -> None:
-        if not isinstance(payload, tuple) or len(payload) != 2:
-            return
+    def _on_final(self, sender: int, payload: Tuple[bytes, bytes]) -> None:
         message, signature = payload
-        if not isinstance(message, bytes) or not isinstance(signature, bytes):
-            return
         scheme = self.ctx.crypto.cbc_scheme
         if not self.ctx.crypto.verifier.sig_ok(
             scheme, _bound_message(self.pid, message), signature

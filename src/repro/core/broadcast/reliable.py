@@ -31,6 +31,8 @@ MSG_READY = "ready"
 class ReliableBroadcast(Broadcast):
     """One instance of Bracha's reliable broadcast."""
 
+    MESSAGES = {MSG_SEND: bytes, MSG_ECHO: bytes, MSG_READY: bytes}
+
     def __init__(self, ctx, basepid: str, sender: int):
         super().__init__(ctx, basepid, sender)
         self._echoes: Dict[bytes, Set[int]] = {}
@@ -51,13 +53,11 @@ class ReliableBroadcast(Broadcast):
     # -- receiving -------------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted or not isinstance(payload, bytes):
-            return
         if mtype == MSG_SEND:
             self._on_send(sender, payload)
         elif mtype == MSG_ECHO:
             self._on_echo(sender, payload)
-        elif mtype == MSG_READY:
+        else:
             self._on_ready(sender, payload)
 
     def _on_send(self, sender: int, payload: bytes) -> None:

@@ -17,7 +17,8 @@ from typing import Optional
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import EncodingError
-from repro.core.broadcast.consistent import ConsistentBroadcast, _bound_message
+from repro.core.broadcast.consistent import CLOSING, ConsistentBroadcast, _bound_message
+from repro.core.schema import conforms
 from repro.crypto.dealer import PartyCrypto
 
 
@@ -51,10 +52,10 @@ class VerifiableConsistentBroadcast(ConsistentBroadcast):
     @staticmethod
     def get_payload_from_closing(closing: bytes) -> bytes:
         """Extract the payload of a closing message (no verification)."""
-        payload, _ = decode(closing)
-        if not isinstance(payload, bytes):
+        value = decode(closing)
+        if not conforms(value, CLOSING):
             raise EncodingError("malformed closing message")
-        return payload
+        return value[0]
 
     @staticmethod
     def is_valid_closing(crypto: PartyCrypto, pid: str, closing: bytes) -> bool:
@@ -67,11 +68,12 @@ def parse_closing(
 ) -> Optional["tuple[bytes, bytes]"]:
     """Verify and destructure a closing message, or return ``None``."""
     try:
-        payload, signature = decode(closing)
-    except (EncodingError, ValueError, TypeError):
+        value = decode(closing)
+    except EncodingError:
         return None
-    if not isinstance(payload, bytes) or not isinstance(signature, bytes):
+    if not conforms(value, CLOSING):
         return None
+    payload, signature = value
     if not crypto.verifier.sig_ok(
         crypto.cbc_scheme, _bound_message(pid, payload), signature
     ):

@@ -22,10 +22,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.common.encoding import decode, encode
-from repro.common.errors import EncodingError, ProtocolError
+from repro.common.errors import EncodingError
 from repro.core.broadcast.base import Broadcast
 from repro.core.channel.base import Channel
 from repro.core.protocol import Context
+from repro.core.schema import conforms
 
 KIND_APP = 0
 KIND_CLOSE = 1
@@ -37,12 +38,10 @@ def _frame(kind: int, data: bytes) -> bytes:
 
 def _unframe(payload: bytes) -> Optional[Tuple[int, bytes]]:
     try:
-        kind, data = decode(payload)
-    except (EncodingError, ValueError, TypeError):
+        frame = decode(payload)
+    except EncodingError:
         return None
-    if kind not in (KIND_APP, KIND_CLOSE) or not isinstance(data, bytes):
-        return None
-    return kind, data
+    return frame if conforms(frame, ({KIND_APP, KIND_CLOSE}, bytes)) else None
 
 
 class BroadcastChannel(Channel):
@@ -53,6 +52,7 @@ class BroadcastChannel(Channel):
 
     broadcast_cls: Type[Broadcast] = Broadcast  # overridden
     kind = "bcast"
+    MESSAGES: Dict[str, Any] = {}  # virtual: the broadcasts take all traffic
 
     def __init__(self, ctx: Context, pid: str, max_pending=None):
         super().__init__(ctx, pid, max_pending=max_pending)
@@ -137,7 +137,3 @@ class BroadcastChannel(Channel):
             if not bc.halted:
                 bc.abort()
         self._terminate()
-
-    def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        # Virtual protocol: all traffic belongs to the broadcast instances.
-        raise ProtocolError(f"unexpected direct message {mtype!r} on channel")

@@ -51,15 +51,16 @@ fairness are preserved.
 
 A candidate entry is ``(signer, vector, sig)``: the vector under its
 signer's RSA signature over ``(channel, round, digest)``, sent inline
-(``MSG_QUEUE``, the channel's one message type).  One ``_check`` judges
-an entry, on arrival *and* inside the agreement's external-validity
-predicate, so the two cannot drift apart.  It is two halves, also called
-apart: ``_parse`` is codec only (shape-check and normalize the vector,
-build the statement the signature must cover) and ``_verify`` is the one
-crypto call on that statement.  The agreement evaluates its predicate
-many times per round on a handful of distinct proposals, so each round
-keeps its ``_parse`` results and calls ``_verify`` again on every
-evaluation: a signature is never taken on trust from an earlier verdict.
+(``MSG_QUEUE``, the channel's one message type), its shape declared once
+(``VECTOR``).  One ``_check`` judges an entry, on arrival *and* inside
+the agreement's external-validity predicate, so the two cannot drift
+apart.  It is two halves, also called apart: ``_parse`` is codec only
+(distinct record keys, the statement the signature must cover) and
+``_verify`` is the one crypto call on that statement.  The agreement
+evaluates its predicate many times per round on a handful of distinct
+proposals, so each round keeps its ``_parse`` results and calls
+``_verify`` again on every evaluation: a signature is never taken on
+trust from an earlier verdict.
 The round loop — pick, announce, collect, agree, deliver in order, close
 — holds one :class:`_Round` record per round in flight.
 """
@@ -76,6 +77,7 @@ from repro.common.runs import Runs
 from repro.core.agreement.multivalued import ORDER_RANDOM, ArrayAgreement
 from repro.core.channel.base import Channel
 from repro.core.protocol import Context
+from repro.core.schema import Range, Seq, conforms
 
 MSG_QUEUE = "queue"  # candidate announcement: (r, vector, sig)
 
@@ -99,6 +101,10 @@ FROZEN = "frozen"
 
 #: a candidate record: (origin, seq, kind, data)
 Record = Tuple[int, int, int, bytes]
+#: a candidate vector: 1..VECTOR_LIMIT records (repro.core.schema)
+VECTOR = Seq((int, Range(0), {KIND_APP, KIND_CLOSE, KIND_CIPHER}, bytes), 1, VECTOR_LIMIT)
+#: an agreed batch: candidate entries (signer, vector, sig)
+BATCH = Seq((Range(0), VECTOR, int))
 #: one candidate entry: (signer, vector, sig)
 Entry = Tuple[int, List[Record], int]
 #: a parsed entry: (signer, vector, sig, the statement ``sig`` covers)
@@ -159,6 +165,7 @@ class AtomicChannel(Channel):
     """One party's endpoint of the atomic broadcast channel."""
 
     kind = "atomic"
+    MESSAGES = {MSG_QUEUE: (Range(1), VECTOR, int)}
 
     def __init__(
         self,
@@ -198,13 +205,11 @@ class AtomicChannel(Channel):
         #: every key delivered since genesis, as per-origin runs
         self._delivered: Runs = resume.delivered.copy()
         self._close_origins: Set[int] = set(int(o) for o in resume.close_origins)
-        for raw in resume.own_records:
-            record = self._check_record(tuple(raw))
-            if record is not None and (record[0], record[1]) not in self._delivered:
+        for record in resume.own_records:
+            if (record[0], record[1]) not in self._delivered:
                 self._own_queue.append(record)
-        for raw in resume.pending:
-            record = self._check_record(tuple(raw))
-            if record is not None and (record[0], record[1]) not in self._delivered:
+        for record in resume.pending:
+            if (record[0], record[1]) not in self._delivered:
                 self._pending.setdefault((record[0], record[1]), record)
         if self._own_queue or self._pending:
             # Carried-over records must re-enter agreement without waiting
@@ -364,16 +369,12 @@ class AtomicChannel(Channel):
     # -- candidate handling ------------------------------------------------------------------
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted or self._terminated or self._stopped == FROZEN:
-            return
-        if mtype == MSG_QUEUE:
+        if self._stopped != FROZEN:  # a frozen channel answers nothing
             self._on_candidate(sender, payload)
 
-    def _on_candidate(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 3):
-            return
+    def _on_candidate(self, sender: int, payload: Tuple[int, List[Record], int]) -> None:
         r, body, sig = payload
-        if not isinstance(r, int) or r < self.round:
+        if r < self.round:
             return  # stale
         rnd = self._rounds.get(r)
         if rnd is not None and (rnd.decided is not None or sender in rnd.candidates):
@@ -387,23 +388,22 @@ class AtomicChannel(Channel):
         self._absorb(vector)
         self._pump()
 
-    def _check(self, r: int, signer: int, body: Any, sig: Any) -> Optional[List[Record]]:
-        """The normalized vector if ``(signer, body, sig)`` is a valid
-        round-``r`` entry, else ``None``.  Pure: reads no channel state."""
-        parsed = self._parse(r, body, sig)
-        if parsed is None or not self._verify(signer, parsed[1], sig):
+    def _check(self, r: int, signer: int, body: List[Record], sig: int) -> Optional[List[Record]]:
+        """The vector if ``(signer, body, sig)`` is a valid round-``r``
+        entry, else ``None``.  Pure: reads no channel state."""
+        statement = self._parse(r, body)
+        if statement is None or not self._verify(signer, statement, sig):
             return None
-        return parsed[0]
+        return body
 
-    def _parse(self, r: int, body: Any, sig: Any) -> Optional[Tuple[List[Record], bytes]]:
-        """The normalized vector and the statement its signer must have
-        signed, or ``None`` if the entry is malformed.  Codec only."""
-        vector = self._check_vector(body)
-        if vector is None or not isinstance(sig, int):
+    def _parse(self, r: int, vector: List[Record]) -> Optional[bytes]:
+        """The statement ``vector``'s signer must have signed, or ``None``
+        if two of its records share a key.  Codec only."""
+        if len({(rec[0], rec[1]) for rec in vector}) < len(vector):
             return None
-        return vector, sign_string(self.pid, r, vector_digest(vector))
+        return sign_string(self.pid, r, vector_digest(vector))
 
-    def _verify(self, signer: int, statement: bytes, sig: Any) -> bool:
+    def _verify(self, signer: int, statement: bytes, sig: int) -> bool:
         """Whether ``sig`` is ``signer``'s signature on ``statement``."""
         return self.ctx.crypto.verify_party(signer, SIGN_DOMAIN, statement, sig)
 
@@ -413,33 +413,6 @@ class AtomicChannel(Channel):
             key = (record[0], record[1])
             if key not in self._delivered:
                 self._pending.setdefault(key, record)
-
-    @staticmethod
-    def _check_record(record: Any) -> Optional[Record]:
-        if not (isinstance(record, tuple) and len(record) == 4):
-            return None
-        origin, seq, kind, data = record
-        if not (isinstance(origin, int) and isinstance(seq, int) and seq >= 0):
-            return None
-        if kind not in (KIND_APP, KIND_CLOSE, KIND_CIPHER) or not isinstance(data, bytes):
-            return None
-        return (origin, seq, kind, data)
-
-    @classmethod
-    def _check_vector(cls, vector: Any) -> Optional[List[Record]]:
-        """Shape-check a candidate vector: 1..VECTOR_LIMIT well-formed
-        records with distinct (origin, seq) keys."""
-        if not isinstance(vector, (list, tuple)) or not 1 <= len(vector) <= VECTOR_LIMIT:
-            return None
-        out: List[Record] = []
-        keys: Set[Tuple[int, int]] = set()
-        for record in vector:
-            record = cls._check_record(record)
-            if record is None or (record[0], record[1]) in keys:
-                return None
-            keys.add((record[0], record[1]))
-            out.append(record)
-        return out
 
     # -- the round's multi-valued agreement -----------------------------------------------------
 
@@ -536,24 +509,17 @@ class AtomicChannel(Channel):
             entries = decode(value)
         except EncodingError:
             return None
-        if not isinstance(entries, list) or len(entries) != self.batch_size:
+        if not conforms(entries, BATCH) or len(entries) != self.batch_size:
             return None
         signers: Set[int] = set()
         out: List[Parsed] = []
-        for entry in entries:
-            if not (isinstance(entry, tuple) and len(entry) == 3):
+        for signer, body, sig in entries:
+            if signer in signers:
                 return None
-            signer, body, sig = entry
-            if (
-                not isinstance(signer, int)
-                or signer in signers
-                or not 0 <= signer < self.ctx.n
-            ):
+            statement = self._parse(r, body)
+            if statement is None or not self._verify(signer, statement, sig):
                 return None
-            parsed = self._parse(r, body, sig)
-            if parsed is None or not self._verify(signer, parsed[1], sig):
-                return None
-            out.append((signer, parsed[0], sig, parsed[1]))
+            out.append((signer, body, sig, statement))
             signers.add(signer)
         return out
 

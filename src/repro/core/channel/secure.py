@@ -30,6 +30,7 @@ from repro.common.encoding import encode
 from repro.common.errors import InvalidCiphertext, ProtocolError
 from repro.core.channel.atomic import CLOSED, KIND_CIPHER, AtomicChannel
 from repro.core.protocol import Context
+from repro.core.schema import Range
 from repro.crypto.threshold_enc import Ciphertext, TDH2Scheme
 
 MSG_DEC_SHARE = "dec"
@@ -39,6 +40,7 @@ class SecureAtomicChannel(AtomicChannel):
     """One party's endpoint of the secure causal atomic broadcast channel."""
 
     kind = "secure"
+    MESSAGES = {**AtomicChannel.MESSAGES, MSG_DEC_SHARE: (Range(0), bytes)}
 
     def __init__(self, ctx: Context, pid: str, **kwargs: Any):
         super().__init__(ctx, pid, **kwargs)
@@ -137,13 +139,11 @@ class SecureAtomicChannel(AtomicChannel):
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
         if mtype == MSG_DEC_SHARE:
-            if self.halted or not (isinstance(payload, tuple) and len(payload) == 2):
-                return
             index, share = payload
-            if not (isinstance(index, int) and isinstance(share, bytes)):
-                return
             if index < self._next_release:
                 return  # already released: a late share can unlock nothing
+            if self.ctx.crypto.enc.share_index(share) != sender + 1:
+                return  # a share must come from its owner
             self._dec_shares.setdefault(index, {})[sender + 1] = share
             self._consume_shares(index)
             return

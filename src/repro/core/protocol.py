@@ -21,7 +21,8 @@ import abc
 import logging
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import PidCollision, ReproError
+from repro.common.errors import Malformed, PidCollision
+from repro.core.schema import conforms
 from repro.crypto.dealer import PartyCrypto
 from repro.obs.recorder import NULL as NULL_RECORDER
 from repro.obs.recorder import Recorder
@@ -128,11 +129,11 @@ class Router:
     unknown pids are buffered and replayed on registration.  Messages for
     pids that have already terminated are dropped.
 
-    Exceptions raised by handlers on adversarial input are contained here
-    (a Byzantine message must never crash an honest server) and recorded
-    in :attr:`errors` so honest-run tests can assert none occurred.  A
-    :class:`~repro.common.errors.PidCollision` is the party's own bug, and
-    is never contained.
+    A handler runs only on a live instance, and input is checked once,
+    here: a message its protocol's :attr:`~Protocol.MESSAGES` does not
+    admit never reaches the handler and is recorded in :attr:`errors` as
+    ``(pid, sender, Malformed(mtype))``.  An exception a handler raises is
+    a bug, and propagates.
     """
 
     def __init__(self, buffer_limit: int = 100_000, recorder: Optional[Recorder] = None):
@@ -143,6 +144,7 @@ class Router:
         self._replaying: Set[str] = set()
         self._buffer_limit = buffer_limit
         self._buffered_count = 0
+        #: refused messages (and, on TCP, the handler bugs it logged)
         self.errors: List[Tuple[str, int, Exception]] = []
         self.dropped = 0
         #: passive observers ``obs(sender, pid, mtype, payload)`` called
@@ -213,19 +215,14 @@ class Router:
             self.obs.count("router.dispatched")
         for obs in self.observers:
             obs(sender, protocol.pid, mtype, payload)
-        try:
-            protocol.on_message(sender, mtype, payload)
-        except PidCollision:
-            raise
-        except (ReproError, TypeError, ValueError, KeyError, IndexError) as exc:
-            # Malformed or malicious input: contain, record, continue.
-            self.errors.append((protocol.pid, sender, exc))
+        schema = protocol.MESSAGES
+        if schema is not None and not (mtype in schema and conforms(payload, schema[mtype])):
+            self.errors.append((protocol.pid, sender, Malformed(mtype)))
             if self.obs.enabled:
-                self.obs.count("router.handler_errors")
-            logger.debug(
-                "handler error in %s for %r from %d: %r",
-                protocol.pid, mtype, sender, exc,
-            )
+                self.obs.count("router.malformed")
+            logger.debug("malformed %r for %s from %d", mtype, protocol.pid, sender)
+            return
+        protocol.on_message(sender, mtype, payload)
 
     @property
     def active_pids(self) -> List[str]:
@@ -234,6 +231,10 @@ class Router:
 
 class Protocol:
     """Base class of every SINTRA protocol (paper Fig. 2)."""
+
+    #: ``{mtype: spec}`` (:mod:`repro.core.schema`): the messages this
+    #: protocol receives; ``None`` (test doubles) checks nothing
+    MESSAGES: Optional[Dict[str, Any]] = None
 
     def __init__(self, ctx: Context, pid: str):
         self.ctx = ctx

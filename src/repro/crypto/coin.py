@@ -111,6 +111,11 @@ class ThresholdCoin:
             return None
         return index, sigma, c, z
 
+    def share_index(self, share: bytes) -> Optional[int]:
+        """The 1-based holder index a share names; ``None`` if malformed."""
+        fields = self._decode_share(share)
+        return None if fields is None else fields[0]
+
     def verify_share(self, name: bytes, share: bytes) -> bool:
         """Check a coin share (with its dlog-equality proof) for coin ``name``."""
         fields = self._decode_share(share)

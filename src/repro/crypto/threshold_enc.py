@@ -185,6 +185,11 @@ class TDH2Scheme:
             return None
         return index, u_i, c, z
 
+    def share_index(self, share: bytes) -> "Optional[int]":
+        """The 1-based holder index a share names; ``None`` if malformed."""
+        fields = self._decode_share(share)
+        return None if fields is None else fields[0]
+
     def verify_share(self, ctxt: Ciphertext, share: bytes) -> bool:
         """Verify one decryption share against a (valid) ciphertext."""
         fields = self._decode_share(share)

@@ -166,7 +166,7 @@ def run_channel_experiment(
             rt.obs.set_gauge(f"node.{node.node_id}.cpu_s", node.cpu_seconds)
     errors = rt.router_errors()
     if errors:
-        raise ConfigError(f"honest run produced handler errors: {errors[:3]}")
+        raise ConfigError(f"honest run refused malformed messages: {errors[:3]}")
     return result
 
 

@@ -10,8 +10,7 @@ simulator) it:
    from a report-mode :class:`~repro.adversary.watchdog.LivenessWatchdog`,
    equivocation and silence from the
    :class:`~repro.heal.evidence.EquivocationMonitor` router tap, and
-   contained protocol errors (rejected shares/certificates) scanned
-   from every honest router;
+   malformed messages the routers refused from their peers;
 2. asks the :class:`~repro.heal.planner.RecoveryPlanner` for at most
    one action against the current :class:`~repro.heal.planner.GroupView`;
 3. executes it as a small state machine::
@@ -54,7 +53,6 @@ from repro.common.errors import (
 )
 from repro.heal.evidence import (
     EV_BAD_CERT,
-    EV_BAD_SHARE,
     EV_FD_DOWN,
     EV_FD_SUSPECT,
     EV_SILENCE,
@@ -229,20 +227,15 @@ class HealOrchestrator:
             self.ingest(Evidence(EV_FD_DOWN, peer, self.runtime.now))
 
     def _scan_router_errors(self) -> None:
-        """Contained protocol errors are attributable anomaly evidence."""
+        """A malformed message a router refused is evidence against the
+        peer that sent it; what a party sent itself never crossed a link."""
         now = self.runtime.now
         for i, router in enumerate(self.runtime.routers):
             start = self._err_seen.get(i, 0)
             errors = router.errors
             for pid, sender, exc in errors[start:]:
-                kind = (
-                    EV_BAD_SHARE
-                    if "share" in type(exc).__name__.lower()
-                    else EV_BAD_CERT
-                )
-                self.ingest(
-                    Evidence(kind, sender, now, detail=f"{pid}: {type(exc).__name__}")
-                )
+                if sender != i:
+                    self.ingest(Evidence(EV_BAD_CERT, sender, now, detail=f"{pid}: {exc}"))
             self._err_seen[i] = len(errors)
 
     def _check_silence(self) -> None:

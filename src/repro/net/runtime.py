@@ -338,7 +338,7 @@ class SimRuntime:
         return self.sim.now
 
     def router_errors(self) -> List[Tuple[str, int, Exception]]:
-        """All contained handler errors across parties (empty in honest runs)."""
+        """Every party's refused malformed messages (none in honest runs)."""
         out: List[Tuple[str, int, Exception]] = []
         for router in self.routers:
             out.extend(router.errors)

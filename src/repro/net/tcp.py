@@ -539,7 +539,19 @@ class TcpNode:
         self.frames_received += 1
         if self.obs.enabled:
             self.obs.count("tcp.frames_received")
-        self.ctx.router.dispatch(msg.sender, msg.pid, msg.mtype, msg.payload)
+        try:
+            self.ctx.router.dispatch(msg.sender, msg.pid, msg.mtype, msg.payload)
+        except Exception as exc:
+            # A handler exception is this server's bug, not the peer's
+            # input (the router refused malformed input already): log it
+            # loudly and keep the link, so one bug cannot take an honest
+            # server off the group.
+            logger.exception(
+                "handler bug on %s (%r from %d)", msg.pid, msg.mtype, msg.sender
+            )
+            self.ctx.router.errors.append((msg.pid, msg.sender, exc))
+            if self.obs.enabled:
+                self.obs.count("tcp.handler_errors")
 
     # -- observability -----------------------------------------------------------
 

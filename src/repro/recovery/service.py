@@ -56,6 +56,7 @@ from repro.core.channel.atomic import (
 )
 from repro.core.party import Party
 from repro.core.protocol import Protocol
+from repro.core.schema import Range, Seq
 from repro.crypto.threshold_sig import combine_optimistically
 from repro.recovery.checkpoint import (
     Checkpoint,
@@ -77,6 +78,9 @@ MSG_STATE = "state"
 #: foreign shares (a Byzantine flooder cannot grow the buffer unboundedly)
 MAX_FOREIGN_SEQS = 8
 
+#: one transferred slot: (index, origin, oseq, kind, data, round)
+SLOT = (int, int, Range(0), {KIND_APP, KIND_CLOSE, KIND_CIPHER}, bytes, Range(1))
+
 
 class RecoveryError(ReproError):
     """A recovery-protocol precondition or invariant failed."""
@@ -91,18 +95,22 @@ class CheckpointExchange(Protocol):
     by the transport like any other protocol message.
     """
 
+    MESSAGES = {
+        MSG_SHARE: (Range(1), bytes),  # (seq, share)
+        MSG_PULL: (int,),  # (request id,)
+        MSG_STATE: (int, Range(0), bytes, bytes, Seq(SLOT)),  # see _serve_payload
+    }
+
     def __init__(self, ctx, pid: str, service: "RecoverableService"):
         super().__init__(ctx, pid)
         self.service = service
 
     def on_message(self, sender: int, mtype: str, payload: Any) -> None:
-        if self.halted:
-            return
         if mtype == MSG_SHARE:
             self.service._on_ckpt_share(sender, payload)
         elif mtype == MSG_PULL:
             self.service._on_pull(sender, payload)
-        elif mtype == MSG_STATE:
+        else:
             self.service._on_state(sender, payload)
 
 
@@ -334,12 +342,8 @@ class RecoverableService(ReplicatedService):
             return None  # log inconsistent with the apply stream
         return make_package(self.state.snapshot(), history), history
 
-    def _on_ckpt_share(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            return
+    def _on_ckpt_share(self, sender: int, payload: Tuple[int, bytes]) -> None:
         seq, share = payload
-        if not (isinstance(seq, int) and seq > 0 and isinstance(share, bytes)):
-            return
         if seq <= self.last_certified:
             return
         if seq in self._pending:
@@ -399,10 +403,7 @@ class RecoverableService(ReplicatedService):
 
     # -- state transfer: serving side ----------------------------------------------
 
-    def _on_pull(self, sender: int, payload: Any) -> None:
-        if not (isinstance(payload, tuple) and len(payload) == 1
-                and isinstance(payload[0], int)):
-            return
+    def _on_pull(self, sender: int, payload: Tuple[int]) -> None:
         if self.channel is None:
             return  # recovering ourselves: nothing trustworthy to serve
         req_id = payload[0]
@@ -442,10 +443,8 @@ class RecoverableService(ReplicatedService):
             self.pull_retry_s, self._send_pull
         )
 
-    def _on_state(self, sender: int, payload: Any) -> None:
+    def _on_state(self, sender: int, payload: Tuple[Any, ...]) -> None:
         if self.channel is not None or self._recover_future is None:
-            return
-        if not (isinstance(payload, tuple) and len(payload) == 5):
             return
         req_id, seq, sig, package, tail = payload
         if req_id != self._pull_req:
@@ -468,24 +467,9 @@ class RecoverableService(ReplicatedService):
             self._adopt(response)
 
     def _validate_response(
-        self, seq: Any, sig: Any, package: Any, tail: Any
+        self, seq: int, sig: bytes, package: bytes, tail: List[SlotTuple]
     ) -> Dict[str, Any]:
-        if not (isinstance(seq, int) and seq >= 0 and isinstance(sig, bytes)
-                and isinstance(package, bytes) and isinstance(tail, list)):
-            raise CheckpointError("transfer response malformed")
-        slots: List[SlotTuple] = []
-        for entry in tail:
-            if not (isinstance(entry, tuple) and len(entry) == 6):
-                raise CheckpointError("transfer tail entry malformed")
-            index, origin, oseq, kind, data, round_ = entry
-            if not (isinstance(index, int) and isinstance(origin, int)
-                    and isinstance(oseq, int) and oseq >= 0
-                    and kind in (KIND_APP, KIND_CLOSE, KIND_CIPHER)
-                    and isinstance(data, bytes)
-                    and isinstance(round_, int) and round_ >= 1):
-                raise CheckpointError("transfer tail entry malformed")
-            slots.append((index, origin, oseq, kind, data, round_))
-        slots.sort(key=lambda s: s[0])
+        slots = sorted(tail, key=lambda s: s[0])
         if [s[0] for s in slots] != list(range(seq, seq + len(slots))):
             raise CheckpointError("transfer tail is not contiguous from seq")
         ckpt: Optional[Checkpoint] = None

@@ -54,7 +54,6 @@ from repro.adversary.strategies import STRATEGIES
 from repro.adversary.watchdog import LivenessViolation, LivenessWatchdog, sentinel_for
 from repro.common import rng as rng_mod
 from repro.common.encoding import encode
-from repro.common.errors import PidCollision
 from repro.core.party import Party, make_parties
 from repro.crypto.dealer import GroupConfig, fast_group
 from repro.crypto.params import SecurityParams
@@ -508,12 +507,15 @@ class CaseResult:
     extra: List[Directive] = field(default_factory=list)
     error: Optional[str] = None
     #: ``"safety"`` (invariant violation), ``"liveness"`` or ``"error"``
-    #: (a programming error the router never contains)
+    #: (an exception out of the run: a bug, since the router refuses
+    #: malformed input before any handler sees it)
     kind: Optional[str] = None
     checks_run: int = 0
     shrink_runs: int = 0
     #: merged per-strategy action counters, e.g. ``{"split-pre-vote": 12}``
     actions: Dict[str, int] = field(default_factory=dict)
+    #: messages the routers refused as malformed, by message type
+    malformed: Dict[str, int] = field(default_factory=dict)
     #: the protocol-state dump of a liveness failure (the watchdog's, or
     #: the scenario's own)
     dump: Dict[str, Any] = field(default_factory=dict)
@@ -742,14 +744,22 @@ def run_case(
         fail("safety", f"invariant violated: {exc}")
     except LivenessViolation as exc:
         fail("liveness", f"liveness violated: {exc.detail}", exc.dump)
-    except PidCollision as exc:
-        fail("error", f"protocol id collision: {exc}")
     except SimError as exc:
         # The simulator went idle or over the time limit: the same bug
         # caught before a deadline fired, wrapped so it still carries the
         # watchdog's protocol-state dump.
         violation = watchdog.diagnose(str(exc))
         fail("liveness", f"liveness violated: {violation.detail}", violation.dump)
+    except Exception as exc:
+        # A handler or a party raised: a bug wherever it sits (a pid
+        # collision, a handler tripping over a well-formed message).
+        fail("error", f"{type(exc).__name__}: {exc}")
+    # Every refused message is counted; one from an honest sender is an
+    # honest party's bug.
+    for pid, sender, exc in runtime.router_errors():
+        result.malformed[exc.mtype] = result.malformed.get(exc.mtype, 0) + 1
+        if result.ok and sender not in colluders:
+            fail("safety", f"invariant violated: {exc} from honest party {sender} at {pid}")
     result.checks_run = setup.suite.checks_run
     for s in strategies:
         for action, count in s.actions.items():
@@ -783,12 +793,14 @@ def fuzz(
     *,
     shrink_failures: bool = True,
     strategy: Optional[str] = None,
+    malformed: Optional[Dict[str, int]] = None,
     **case_kwargs: Any,
 ) -> List[CaseResult]:
     """Run up to ``iterations`` seeded cases, stopping at the first failure.
 
     Returns that failure (shrunk if ``shrink_failures``) as a one-element
-    list, or ``[]``.
+    list, or ``[]``.  ``malformed``, if given, sums every case's
+    :attr:`CaseResult.malformed`.
     ``case_kwargs`` (group, time_limit, adversaries, extra, ...) go to
     :func:`run_case` unchanged, for the first run and for the shrinker's.
     """
@@ -800,6 +812,9 @@ def fuzz(
         result = run_case(
             scenario, n, t, case_seed, strategy=strategy, **case_kwargs
         )
+        if malformed is not None:
+            for mtype, count in result.malformed.items():
+                malformed[mtype] = malformed.get(mtype, 0) + count
         if result.ok:
             continue
         if shrink_failures:
@@ -889,6 +904,11 @@ def report_failures(failures: Sequence[CaseResult]) -> str:
 # --- CLI: replay and ad-hoc campaigns ------------------------------------------------
 
 
+def malformed_note(malformed: Dict[str, int]) -> str:
+    """``", malformed <mtype>=<count>"`` per refused message type."""
+    return "".join(f", malformed {m}={c}" for m, c in sorted(malformed.items()))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.schedule",
@@ -973,17 +993,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ran = f"{result.describe()} ({result.checks_run} invariant sweeps"
             for action, count in sorted(result.actions.items()):
                 ran += f", {action}={count}"
-            ran += ")"
+            ran += f"{malformed_note(result.malformed)})"
         else:
             root_seed = rng_mod.parse_seed(args.seed)
+            malformed: Dict[str, int] = {}
             failures = fuzz(
                 scenario, args.n, args.t, root_seed, args.iterations,
-                shrink_failures=not args.no_shrink, **case_kwargs,
+                shrink_failures=not args.no_shrink, malformed=malformed,
+                **case_kwargs,
             )
             ran = f"{args.iterations} cases of scenario={args.scenario}"
             if args.strategy is not None:
                 ran += f" strategy={args.strategy}"
             ran += f" n={args.n} t={args.t} seed={hex(root_seed)}"
+            if malformed:
+                ran += f" ({malformed_note(malformed)[2:]})"
     except ValueError as exc:
         parser.error(str(exc))
     if bench_dir:

@@ -140,6 +140,18 @@ def test_compromised_party_runs_the_mutate_strategy(capsys, group4):
     assert results[0].actions == results[1].actions
 
 
+def test_the_ok_line_counts_malformed_messages_by_type(capsys, group4):
+    """What the routers refused from a faulty party shows on the OK line,
+    one count per message type, for one case and for a campaign."""
+    case = ["--scenario", "binary", "--strategy", "mutate", "--case", "0x1"]
+    assert main(case + ["--keep", "none"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(", malformed main-vot=2)")
+
+    campaign = ["--scenario", "binary", "--strategy", "mutate", "--seed", "0xS1NTRA"]
+    assert main(campaign + ["--iterations", "3"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("(malformed coi=1)")
+
+
 def test_share_mtypes_are_protocol_message_types():
     """``withhold`` and ``badshare`` act on ``SHARE_MTYPES``; each entry
     must be a message type some protocol under ``repro.core`` sends."""

@@ -27,12 +27,14 @@ from repro.common.encoding import encode
 from repro.core.channel import AtomicChannel, SecureAtomicChannel
 from repro.core.channel.atomic import (
     KIND_APP,
+    MSG_QUEUE,
     SIGN_DOMAIN,
     VECTOR_LIMIT,
     _Round,
     sign_string,
     vector_digest,
 )
+from repro.core.schema import conforms
 from repro.crypto.dealer import fast_group
 from repro.obs import MemoryRecorder
 from repro.testing.invariants import tap
@@ -76,24 +78,41 @@ def test_quiescent_secure_channel_holds_no_shares(group4):
         assert not ch._pending_ctxt and not ch._plain
 
 
+def _dec_share(holder):
+    """A well-formed decryption share naming holder index ``holder``
+    (its proof is not checked before the ciphertext is known)."""
+    return encode((holder, 1, 0, 0))
+
+
 def test_early_decryption_share_is_still_buffered(group4):
     """A fast peer may be a ciphertext ahead: shares for an index not yet
     delivered are kept, only those below the release frontier dropped."""
     ch = SecureAtomicChannel(MockContext(group4, 0), "s")
-    ch.on_message(1, "dec", (0, b"share"))
-    assert ch._dec_shares == {0: {2: b"share"}}
+    ch.on_message(1, "dec", (0, _dec_share(2)))
+    assert ch._dec_shares == {0: {2: _dec_share(2)}}
     ch._next_release = 1
-    ch.on_message(2, "dec", (0, b"late"))
-    assert ch._dec_shares == {0: {2: b"share"}}
+    ch.on_message(2, "dec", (0, _dec_share(3)))
+    assert ch._dec_shares == {0: {2: _dec_share(2)}}
+
+
+def test_a_decryption_share_must_name_its_sender(group4):
+    """Party 2 relaying party 1's share (index 2) as its own is refused:
+    filed under index 3 it would poison every later combination."""
+    ch = SecureAtomicChannel(MockContext(group4, 0), "s")
+    ch.on_message(2, "dec", (0, _dec_share(2)))
+    assert ch._dec_shares == {}
 
 
 @pytest.mark.parametrize("payload", [5, None, (1, 2, 3)], ids=["int", "none", "3-tuple"])
 def test_malformed_decryption_share_is_dropped(group4, payload):
-    """A share frame that is not an ``(index, share)`` pair is dropped
-    like any other malformed input, not raised into the router."""
+    """A share frame that is not an ``(index, share)`` pair is refused by
+    the router like any other malformed input: recorded, never handled."""
     ch = SecureAtomicChannel(MockContext(group4, 0), "s")
-    ch.on_message(1, "dec", payload)
+    ch.ctx.router.dispatch(1, "s", "dec", payload)
     assert ch._dec_shares == {}
+    assert [(pid, sender, exc.mtype) for pid, sender, exc in ch.ctx.router.errors] == [
+        ("s", 1, "dec")
+    ]
 
 
 # -- one validity -------------------------------------------------------------------
@@ -147,17 +166,22 @@ def test_one_validity_on_arrival_and_in_agreement(group4):
     companion = _entry(chans, ROUND, 0, [(0, 0, KIND_APP, b"c")])
     good, bad = _bad_entries(chans)
 
+    spec = AtomicChannel.MESSAGES[MSG_QUEUE]
     assert ch._check(ROUND, *good) is not None
     assert ch._decode_batch(ROUND, encode([companion, good])) is not None
     for name, entry in bad.items():
         signer, body, proof = entry
         assert signer == SIGNER
-        assert ch._check(ROUND, signer, body, proof) is None, name
+        # the schema refuses its shape, or ``_check`` its content
+        assert (
+            not conforms((ROUND, body, proof), spec)
+            or ch._check(ROUND, signer, body, proof) is None
+        ), name
         assert ch._decode_batch(ROUND, encode([companion, entry])) is None, name
         # ... and on arrival nothing of it is kept
-        ch._on_candidate(signer, (ROUND, body, proof))
+        ch.ctx.router.dispatch(signer, PID, MSG_QUEUE, (ROUND, body, proof))
         assert ROUND not in ch._rounds, name
-    ch._on_candidate(SIGNER, (ROUND,) + good[1:])
+    ch.ctx.router.dispatch(SIGNER, PID, MSG_QUEUE, (ROUND,) + good[1:])
     assert list(ch._rounds[ROUND].candidates) == [SIGNER]
 
 

@@ -163,6 +163,28 @@ def test_invalid_coin_share_ignored(setup):
     assert 2 in aba._state(1).coin_shares  # 1-based holder index
 
 
+def test_coin_shares_of_consecutive_parties_are_all_kept(setup):
+    """A share is filed under its holder index ``sender + 1``; the
+    duplicate check must look there, not at index ``sender`` (which
+    holds the share of party ``sender - 1``)."""
+    group, ctx, aba = setup
+    aba.propose(1)
+    for j in (0, 1, 2):
+        share = group.party(j).coin_holder.release(coin_name(aba.pid, 2))
+        aba.on_message(j, MSG_COIN, (2, share))
+    assert sorted(aba._state(2).coin_shares) == [1, 2, 3]
+
+
+def test_relayed_coin_share_is_refused(setup):
+    """Party 2 re-sending party 1's valid share as its own: filed under
+    index 3 it would poison every later coin assembly."""
+    group, ctx, aba = setup
+    aba.propose(1)
+    share = group.party(1).coin_holder.release(coin_name(aba.pid, 2))
+    aba.on_message(2, MSG_COIN, (2, share))
+    assert aba._state(2).coin_shares == {}
+
+
 def test_decide_message_with_valid_certificate(setup):
     group, ctx, aba = setup
     aba.propose(0)
@@ -184,11 +206,16 @@ def test_decide_message_with_bogus_certificate_rejected(setup):
     assert not aba.decided.done
 
 
-def test_garbage_payload_shapes_raise_contained_errors(setup):
-    """Malformed tuples raise the exceptions the router contains."""
+def test_garbage_payload_shapes_are_refused_at_the_router(setup):
+    """Malformed tuples never reach a handler: the router refuses each
+    against the declared schema and records it with its sender."""
     group, ctx, aba = setup
     aba.propose(0)
-    for mtype in (MSG_PREVOTE, MSG_MAINVOTE, MSG_COIN, MSG_DECIDE):
-        with pytest.raises((ValueError, TypeError)):
-            aba.on_message(1, mtype, ("bad",))
+    mtypes = (MSG_PREVOTE, MSG_MAINVOTE, MSG_COIN, MSG_DECIDE)
+    for mtype in mtypes:
+        ctx.router.dispatch(1, aba.pid, mtype, ("bad",))
+    assert [(sender, exc.mtype) for _, sender, exc in ctx.router.errors] == [
+        (1, mtype) for mtype in mtypes
+    ]
     assert not aba.decided.done
+    assert aba._state(1).prevotes == {} and aba._state(1).coin_shares == {}

@@ -1,8 +1,8 @@
-"""Router: buffering, replay, tombstones, error containment."""
+"""Router: buffering, replay, tombstones, the schema check at the boundary."""
 
 import pytest
 
-from repro.common.errors import PidCollision, ProtocolError
+from repro.common.errors import Malformed, PidCollision, ProtocolError
 from repro.core.protocol import Protocol, Router
 
 from tests.conftest import cached_group
@@ -77,13 +77,33 @@ def test_pid_collision_in_a_handler_is_not_contained():
     assert ctx.router.errors == []
 
 
-def test_handler_errors_contained():
+class Declared(Recorder):
+    """Takes ``("ok", bytes)`` and ``("boom", None)`` only."""
+
+    MESSAGES = {"ok": bytes, "boom": None}
+
+
+def test_malformed_payload_is_recorded_and_never_handled():
     ctx = _ctx()
-    proto = Recorder(ctx, "p")
-    ctx.router.dispatch(0, "p", "boom", None)
-    ctx.router.dispatch(0, "p", "ok", None)
-    assert ctx.router.errors and isinstance(ctx.router.errors[0][2], ValueError)
-    assert proto.seen == [(0, "ok", None)]  # instance keeps working
+    proto = Declared(ctx, "p")
+    ctx.router.dispatch(2, "p", "ok", 7)  # wrong shape
+    ctx.router.dispatch(3, "p", "unknown", b"x")  # undeclared type
+    ctx.router.dispatch(1, "p", "ok", b"x")
+    assert proto.seen == [(1, "ok", b"x")]  # the instance keeps working
+    assert [(pid, sender, type(exc), exc.mtype) for pid, sender, exc in ctx.router.errors] == [
+        ("p", 2, Malformed, "ok"),
+        ("p", 3, Malformed, "unknown"),
+    ]
+
+
+def test_a_handler_exception_propagates_out_of_dispatch():
+    """A well-formed message the handler trips over is the handler's bug:
+    it fails the run where it happens, and is never recorded as input."""
+    ctx = _ctx()
+    Declared(ctx, "p")
+    with pytest.raises(ValueError, match="malicious payload"):
+        ctx.router.dispatch(0, "p", "boom", None)
+    assert ctx.router.errors == []
 
 
 def test_buffer_limit():

@@ -11,6 +11,10 @@ to a minimal fault plan, and (c) replayable from the reported seed line:
 * a **liveness** bug — binary agreement waits for ``n - t + 1`` votes
   instead of ``n - t`` (the textbook quorum off-by-one), which deadlocks
   as soon as one party crashes.
+
+Two more fail a case at the router boundary: a handler that raises on an
+honest message (``kind=error``), and an honest party sending a message
+its peers' schema refuses (``kind=safety``).
 """
 
 from __future__ import annotations
@@ -181,3 +185,46 @@ def test_quorum_offbyone_stalls_and_is_caught(group4, monkeypatch, capsys):
     assert out.startswith("REPRO:")
     assert f"kind={shrunk.kind} error={shrunk.error!r}" in out
     assert shrunk.replay_command() in out
+
+
+def test_a_handler_exception_fails_the_case_with_one_repro_line(
+    group4, monkeypatch, capsys
+):
+    """A handler that raises on one honest message type is a bug, never
+    contained input: the case fails with ``kind=error``, replayably."""
+    seed = case_seed_for(PLANTED_SEED, "binary", 4, 1, 0)
+
+    def on_prevote(self, sender, payload):
+        raise ValueError("planted: pre-vote handler")  # BUG
+
+    monkeypatch.setattr(BinaryAgreement, "_on_prevote", on_prevote)
+    result = run_case(AgreementScenario("binary"), 4, 1, seed, group=group4)
+    assert (result.ok, result.kind) == (False, "error")
+    assert result.error == "ValueError: planted: pre-vote handler"
+
+    assert main(["--scenario", "binary", "--case", hex(seed), "--keep", "none"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("REPRO:")] == [lines[0]]
+    assert "kind=error" in lines[0] and "planted: pre-vote handler" in lines[0]
+
+
+def test_an_honest_malformed_message_fails_the_case(group4, monkeypatch):
+    """An honest party that sends a message its peers' schema refuses (a
+    pre-vote that lost four fields) breaks the no-malformed-from-honest
+    invariant, even though agreement itself still terminates."""
+    seed = case_seed_for(PLANTED_SEED, "binary", 4, 1, 0)
+    send_prevote = BinaryAgreement._send_prevote
+
+    def truncated(self):
+        send_prevote(self)
+        self.send_all("pre-vote", (self.round,))  # BUG
+
+    monkeypatch.setattr(BinaryAgreement, "_send_prevote", truncated)
+    result = run_case(
+        AgreementScenario("binary"), 4, 1, seed, group=group4, keep=[]
+    )
+    assert (result.ok, result.kind) == (False, "safety")
+    assert result.error.startswith(
+        "invariant violated: malformed 'pre-vote' message from honest party"
+    )
+    assert result.malformed["pre-vote"] >= 4

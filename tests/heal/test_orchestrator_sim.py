@@ -184,7 +184,7 @@ def test_a_successor_without_restart_fails_the_case(monkeypatch, capsys):
     )
     assert not result.ok and result.kind == "error"
     assert result.error == (
-        "protocol id collision: protocol id 'heal:rec' was already terminated"
+        "PidCollision: protocol id 'heal:rec' was already terminated"
     )
     assert main([
         "--scenario", "heal", "--strategy", "doublevote",

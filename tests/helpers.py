@@ -143,9 +143,9 @@ async def stop_all(replicas, fabric):
 
 
 def no_errors(rt):
-    """Assert no handler raised during an honest run."""
+    """Assert no router refused a message during an honest run."""
     errors = rt.router_errors()
-    assert not errors, f"handler errors in honest run: {errors[:5]}"
+    assert not errors, f"malformed messages in honest run: {errors[:5]}"
 
 
 def print_repro(seed: int) -> None:

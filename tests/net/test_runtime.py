@@ -155,8 +155,7 @@ def test_api_call_outside_handler_is_scheduled():
 
 
 class Boom(Protocol):
-    def on_message(self, sender, mtype, payload):
-        raise ValueError("malformed")
+    MESSAGES = {}  # declares no message: the router refuses every one
 
 
 def test_restart_drops_frames_in_flight_to_the_old_process():

@@ -1,6 +1,7 @@
 """The asyncio TCP runtime: the same protocols over real sockets."""
 
 import asyncio
+import logging
 
 import pytest
 
@@ -148,6 +149,47 @@ def test_forged_sender_refused_and_counted():
     assert recorder.snapshot()["counters"]["tcp.auth_failures"] == 1
     assert off_link == [3]
     assert seen == [(3, "ping", b"honest")]
+
+
+def test_a_raising_handler_leaves_the_node_serving_and_is_counted(caplog):
+    """A handler exception on TCP is this server's bug, not the peer's
+    input: it is logged with its traceback, counted and recorded, and the
+    link keeps carrying what follows."""
+    from repro.core.protocol import Protocol
+    from repro.obs.recorder import MemoryRecorder
+
+    class Flaky(Protocol):
+        MESSAGES = {"boom": bytes, "ping": bytes}
+
+        def __init__(self, ctx):
+            super().__init__(ctx, "flaky")
+            self.seen = []
+            self.got = ctx.new_future()
+
+        def on_message(self, sender, mtype, payload):
+            if mtype == "boom":
+                raise ValueError("planted handler bug")
+            self.seen.append((sender, payload))
+            self.got.resolve()
+
+    recorder = MemoryRecorder()
+
+    async def body(nodes):
+        flaky = [Flaky(node.ctx) for node in nodes]
+        flaky[1].unicast(0, "boom", b"first")
+        flaky[1].unicast(0, "ping", b"second")  # FIFO: arrives after the bug
+        await flaky[0].got
+        return flaky[0].seen, nodes[0].ctx.router.errors
+
+    with caplog.at_level(logging.ERROR, logger="repro.net.tcp"):
+        seen, errors = _run(_with_nodes(body, recorder=recorder))
+    assert seen == [(1, b"second")]
+    assert [(pid, sender, type(exc)) for pid, sender, exc in errors] == [
+        ("flaky", 1, ValueError)
+    ]
+    assert recorder.snapshot()["counters"]["tcp.handler_errors"] == 1
+    [record] = [r for r in caplog.records if r.exc_info]
+    assert "planted handler bug" in str(record.exc_info[1])
 
 
 def test_async_future_reject_raises_on_await():
