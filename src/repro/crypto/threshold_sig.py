@@ -81,16 +81,31 @@ class ThresholdSignatureScheme(abc.ABC):
     ) -> bool:
         """Check an assembled threshold signature (``fdh`` as above)."""
 
-    def share_index(self, share: bytes) -> int:
-        """Extract the 1-based signer index from an encoded share."""
+    #: Number of integer fields in an encoded share, the index first.
+    share_arity: int
+
+    def _decode_share(self, share: bytes) -> Tuple[int, ...]:
+        """Decode a share into its integer fields, the 1-based index first.
+
+        Raises :class:`InvalidShare` unless the share is a tuple of
+        ``share_arity`` integers whose index is in range, so a share that
+        passes here cannot make :meth:`combine` fail on its shape.
+        """
         try:
             decoded = decode(share)
-            index = decoded[0]
-        except (EncodingError, IndexError, TypeError) as exc:
+        except EncodingError as exc:
             raise InvalidShare("malformed signature share") from exc
-        if not isinstance(index, int) or not 1 <= index <= self.n:
-            raise InvalidShare(f"share index {index!r} out of range")
-        return index
+        if not isinstance(decoded, tuple) or len(decoded) != self.share_arity:
+            raise InvalidShare("malformed signature share")
+        if not all(isinstance(v, int) for v in decoded):
+            raise InvalidShare("malformed signature share")
+        if not 1 <= decoded[0] <= self.n:
+            raise InvalidShare(f"share index {decoded[0]!r} out of range")
+        return decoded
+
+    def share_index(self, share: bytes) -> int:
+        """Extract the 1-based signer index from an encoded share."""
+        return self._decode_share(share)[0]
 
     def check(self, message: bytes, signature: bytes) -> None:
         if not self.verify(message, signature):
@@ -129,6 +144,8 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
     ``domain`` separates the full-domain hash of this instance from other
     uses of RSA-FDH in the system.
     """
+
+    share_arity = 4  # (index, x_i, c, z)
 
     def __init__(self, n: int, k: int, t: int, public: ShoupPublicKey, domain: str):
         if not t < k <= n:
@@ -191,11 +208,8 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
         self, message: bytes, share: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
     ) -> bool:
         try:
-            index = self.share_index(share)
-            _, x_i, c, z = decode(share)
-        except (InvalidShare, EncodingError, ValueError, TypeError):
-            return False
-        if not (isinstance(x_i, int) and isinstance(c, int) and isinstance(z, int)):
+            index, x_i, c, z = self._decode_share(share)
+        except InvalidShare:
             return False
         N = self.public.modulus
         if not 0 < x_i < N:
@@ -227,7 +241,7 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
         N = self.public.modulus
         picked: Dict[int, int] = {}
         for index in sorted(shares)[: self.k]:
-            decoded = decode(shares[index])
+            decoded = self._decode_share(shares[index])
             if decoded[0] != index:
                 raise InvalidShare("share indexed under wrong key")
             picked[index] = decoded[1]
@@ -319,6 +333,8 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
     is more expensive than communication.
     """
 
+    share_arity = 2  # (index, sig)
+
     def __init__(
         self,
         n: int,
@@ -356,7 +372,7 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
             raise CryptoError(f"need {self.k} shares, got {len(shares)}")
         picked = []
         for index in sorted(shares)[: self.k]:
-            decoded = decode(shares[index])
+            decoded = self._decode_share(shares[index])
             if decoded[0] != index:
                 raise InvalidShare("share indexed under wrong key")
             picked.append((index, decoded[1]))
@@ -393,11 +409,8 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
     def share_member(self, share: bytes) -> "Optional[tuple]":
         """The ``(index, sig)`` member a share contributes, or ``None``."""
         try:
-            index = self.share_index(share)
-            _, sig = decode(share)
-        except (InvalidShare, EncodingError, ValueError, TypeError):
-            return None
-        if not isinstance(sig, int):
+            index, sig = self._decode_share(share)
+        except InvalidShare:
             return None
         return index, sig
 

@@ -19,7 +19,6 @@ See docs/SELFHEALING.md.
 from repro.heal.evidence import (
     BYZANTINE_KINDS,
     EV_BAD_CERT,
-    EV_BAD_SHARE,
     EV_EQUIVOCATION,
     EV_FD_DOWN,
     EV_FD_SUSPECT,
@@ -56,7 +55,6 @@ __all__ = [
     "EV_FD_DOWN",
     "EV_STALL",
     "EV_SILENCE",
-    "EV_BAD_SHARE",
     "EV_BAD_CERT",
     "EV_EQUIVOCATION",
     "BYZANTINE_KINDS",

@@ -13,8 +13,8 @@ streams into one comparable quantity per replica:
 * :class:`SuspicionScorer` — fuses evidence into a per-replica score
   with exponential :data:`HALF_LIFE` decay, so one flaky link fades away while
   sustained Byzantine behaviour accumulates past the planner's
-  thresholds.  Byzantine evidence (equivocation, bad shares, rejected
-  certificates) is tracked separately from liveness evidence (failure
+  thresholds.  Byzantine evidence (equivocation, messages a router
+  refused as malformed) is tracked separately from liveness evidence (failure
   detector transitions, watchdog stalls): the planner replaces proven
   intruders but merely restarts replicas that just stopped making
   progress;
@@ -41,13 +41,12 @@ EV_FD_SUSPECT = "fd-suspect"
 EV_FD_DOWN = "fd-down"
 EV_STALL = "stall"
 EV_SILENCE = "silence"
-EV_BAD_SHARE = "bad-share"
 EV_BAD_CERT = "bad-cert"
 EV_EQUIVOCATION = "equivocation"
 
 #: evidence kinds that indicate *Byzantine* behaviour (attributable
 #: protocol violations) rather than mere unresponsiveness.
-BYZANTINE_KINDS = frozenset({EV_BAD_SHARE, EV_BAD_CERT, EV_EQUIVOCATION})
+BYZANTINE_KINDS = frozenset({EV_BAD_CERT, EV_EQUIVOCATION})
 
 #: weight per observation, by kind; a kind not listed here is refused.
 #: Equivocation is close to a cryptographic proof of compromise and
@@ -59,7 +58,6 @@ WEIGHTS: Dict[str, float] = {
     EV_FD_DOWN: 3.0,
     EV_STALL: 2.0,
     EV_SILENCE: 2.0,
-    EV_BAD_SHARE: 2.0,
     EV_BAD_CERT: 2.5,
     EV_EQUIVOCATION: 6.0,
 }
@@ -298,7 +296,6 @@ __all__ = [
     "EV_FD_DOWN",
     "EV_STALL",
     "EV_SILENCE",
-    "EV_BAD_SHARE",
     "EV_BAD_CERT",
     "EV_EQUIVOCATION",
     "BYZANTINE_KINDS",

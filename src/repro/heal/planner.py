@@ -67,7 +67,7 @@ class Quarantine:
 
 Action = Union[RefreshShares, DrainAndReplace, RestartReplica, Quarantine]
 
-#: Byzantine score (equivocation, bad shares, rejected certificates)
+#: Byzantine score (equivocation, messages refused as malformed)
 #: that forces eviction
 REPLACE_THRESHOLD = 5.0
 #: total score that forces a restart of a replica with no Byzantine

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.heal.evidence import (
-    EV_BAD_SHARE,
     EV_EQUIVOCATION,
     EV_FD_SUSPECT,
     EV_STALL,
@@ -75,10 +74,10 @@ def test_compact_drops_fully_decayed_evidence():
 def test_scorer_counts_evidence_by_kind():
     obs = MemoryRecorder()
     scorer = SuspicionScorer(recorder=obs)
-    scorer.add(Evidence(EV_BAD_SHARE, 1, at=0.0))
-    scorer.add(Evidence(EV_BAD_SHARE, 2, at=0.0))
+    scorer.add(Evidence(EV_STALL, 1, at=0.0))
+    scorer.add(Evidence(EV_STALL, 2, at=0.0))
     counters = obs.snapshot()["counters"]
-    assert counters["heal.evidence.bad-share"] == 2
+    assert counters["heal.evidence.stall"] == 2
 
 
 # -- EquivocationMonitor ---------------------------------------------------------------
