@@ -154,11 +154,12 @@ class SecureAtomicChannel(AtomicChannel):
         if ctxt is None or index in self._plain:
             return
         scheme = self.ctx.crypto.enc
+        verifier = self.ctx.crypto.verifier
         shares = self._dec_shares.get(index, {})
         valid = {
             index: share
             for index, share in sorted(shares.items())
-            if scheme.verify_share(ctxt, share)
+            if verifier.dec_share_ok(scheme, ctxt, share)
         }
         if len(valid) < scheme.k:
             return

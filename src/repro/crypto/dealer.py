@@ -70,15 +70,14 @@ class PartyCrypto:
     coin_holder: CoinShareHolder
     enc: TDH2Scheme
     enc_holder: TDH2ShareHolder
-    #: this party's signature checks and digest memo — one per party and
+    #: this party's signature checks and verdict memo — one per party and
     #: key epoch, because scheme objects are shared across parties and
-    #: each simulated node must pay for its own hashing.
+    #: each simulated node must pay for its own checks.
     verifier: ShareVerifier = field(default_factory=ShareVerifier)
 
     def sign(self, domain: str, message: bytes) -> int:
-        """Standard RSA signature with this party's personal key (its
-        full-domain hash through the party's digest memo)."""
-        return self.rsa.sign_raw(self.verifier.fdh(domain, message, self.rsa.n))
+        """Standard RSA signature with this party's personal key."""
+        return self.rsa.sign(domain, message)
 
     def verify_party(self, j: int, domain: str, message: bytes, sig: int) -> bool:
         """Verify a standard signature by party ``j`` (0-based)."""

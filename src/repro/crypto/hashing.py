@@ -12,10 +12,9 @@ seed's ``encode(("repro.oracle", domain, data))`` and the FDH input
 ``encode((data, counter))``, are built here by byte concatenation (the
 domain's part once per domain): the bytes are exactly what
 :func:`~repro.common.encoding.encode` produces, so every hash output is
-unchanged.  A party's verification path does not call :func:`fdh_to_zn`
-directly but through its :class:`~repro.crypto.verifier.ShareVerifier`'s
-digest memo: one per party, bounded, and unbilled (hashing performs no
-exponentiation).
+unchanged.  A party's :class:`~repro.crypto.verifier.ShareVerifier`
+remembers the verdicts of its recent signature checks, so a repeated
+check reaches neither :func:`fdh_to_zn` nor the exponentiation.
 """
 
 from __future__ import annotations
@@ -24,13 +23,10 @@ import functools
 import hashlib
 import math
 import struct
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.common.encoding import encode
 from repro.crypto import arith
-
-#: ``(domain, message, n) -> x``: :func:`fdh_to_zn` or a party's memo of it
-Digest = Callable[[str, bytes, int], int]
 
 _tlv_head = struct.Struct(">BI").pack  # the codec's tag + 4-byte length
 _int_head = struct.Struct(">BIB").pack  # tag, magnitude length, sign

@@ -13,8 +13,11 @@ multiply is linear in the exponent size, which matches the paper's remark
 that public-key operations are quadratic (modular multiplication) to cubic
 (full-size exponentiation) in the key size.
 
-Every exponentiation is :func:`repro.crypto.arith.mexp`, and every
-verification runs its scheme call, so each check bills its full work.
+Every exponentiation is :func:`repro.crypto.arith.mexp`, and each check
+bills its full work.  A party's :class:`~repro.crypto.verifier.ShareVerifier`
+runs a check once per distinct input and bills each repeat through
+:func:`replay`, so a remembered verdict costs the model exactly what the
+check did.
 """
 
 from __future__ import annotations
@@ -94,6 +97,15 @@ def record(modbits: int, expbits: int) -> None:
     """Record one modular exponentiation on the active counter, if any."""
     if _stack:
         _stack[-1].add(modbits, expbits)
+
+
+def replay(bill: OpCounter) -> None:
+    """Record the work of ``bill`` again on the active counter, if any."""
+    if _stack:
+        counter = _stack[-1]
+        counter.ops += bill.ops
+        counter.units_full += bill.units_full
+        counter.units_short += bill.units_short
 
 
 def active() -> Optional[OpCounter]:

@@ -29,21 +29,12 @@ class RSAPublicKey:
     def bits(self) -> int:
         return self.n.bit_length()
 
-    def verify(
-        self,
-        domain: str,
-        message: bytes,
-        signature: int,
-        fdh: hashing.Digest = hashing.fdh_to_zn,
-    ) -> bool:
-        """Verify an FDH signature; returns ``True`` iff valid.
-
-        ``fdh`` computes the full-domain hash; a party passes its
-        verifier's digest memo.  The exponentiation runs every time.
-        """
+    def verify(self, domain: str, message: bytes, signature: int) -> bool:
+        """Verify an FDH signature; returns ``True`` iff valid."""
         if not 0 < signature < self.n:
             return False
-        return arith.mexp(signature, self.e, self.n) == fdh(domain, message, self.n)
+        x = hashing.fdh_to_zn(domain, message, self.n)
+        return arith.mexp(signature, self.e, self.n) == x
 
     def check(self, domain: str, message: bytes, signature: int) -> None:
         """Verify and raise :class:`InvalidSignature` on failure."""

@@ -62,24 +62,16 @@ class ThresholdSignatureScheme(abc.ABC):
         """Bind party ``index`` (1-based) with its secret key material."""
 
     @abc.abstractmethod
-    def verify_share(
-        self, message: bytes, share: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
-    ) -> bool:
-        """Check a single signature share against ``message``.
-
-        ``fdh`` is the full-domain hash the check uses (see
-        :meth:`repro.crypto.verifier.ShareVerifier.fdh`).
-        """
+    def verify_share(self, message: bytes, share: bytes) -> bool:
+        """Check a single signature share against ``message``."""
 
     @abc.abstractmethod
     def combine(self, message: bytes, shares: Dict[int, bytes]) -> bytes:
         """Assemble ``k`` verified shares into a full signature."""
 
     @abc.abstractmethod
-    def verify(
-        self, message: bytes, signature: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
-    ) -> bool:
-        """Check an assembled threshold signature (``fdh`` as above)."""
+    def verify(self, message: bytes, signature: bytes) -> bool:
+        """Check an assembled threshold signature."""
 
     #: Number of integer fields in an encoded share, the index first.
     share_arity: int
@@ -156,7 +148,11 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
         self.public = public
         self.domain = domain
         self._delta = arith.factorial(n)
-        self._hash_bound = 1 << _hash_bits(public.modulus)
+        hash_bits = _hash_bits(public.modulus)
+        self._hash_bound = 1 << hash_bits
+        # an honest proof response z = s_i*c + r with s_i*c and the nonce r
+        # both below 2^(|N| + 2*hash_bits) (ShoupSigner) stays below this
+        self._z_bound = 1 << (public.modulus.bit_length() + 2 * hash_bits + 1)
 
     # -- dealing ------------------------------------------------------------
 
@@ -194,19 +190,15 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
 
     # -- helpers ------------------------------------------------------------
 
-    def _digest(
-        self, message: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
-    ) -> int:
-        return fdh(self.domain, message, self.public.modulus)
+    def _digest(self, message: bytes) -> int:
+        return hashing.fdh_to_zn(self.domain, message, self.public.modulus)
 
     def signer(self, index: int, secret: object) -> "ShoupSigner":
         return ShoupSigner(self, index, int(secret))  # type: ignore[arg-type]
 
     # -- share verification --------------------------------------------------
 
-    def verify_share(
-        self, message: bytes, share: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
-    ) -> bool:
+    def verify_share(self, message: bytes, share: bytes) -> bool:
         try:
             index, x_i, c, z = self._decode_share(share)
         except InvalidShare:
@@ -214,7 +206,11 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
         N = self.public.modulus
         if not 0 < x_i < N:
             return False
-        x = self._digest(message, fdh)
+        # bound the proof before any exponentiation: an oversized z would
+        # make the check cost grow with the bits a faulty party sends
+        if not (0 <= c < self._hash_bound and 0 <= z < self._z_bound):
+            return False
+        x = self._digest(message)
         x_tilde = arith.mexp(x, 4 * self._delta, N)
         v = self.public.v
         v_i = self.public.verification_keys[index - 1]
@@ -267,16 +263,14 @@ class ShoupThresholdScheme(ThresholdSignatureScheme):
             raise InvalidShare("combined signature invalid; a share was bad")
         return encode(y)
 
-    def verify(
-        self, message: bytes, signature: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
-    ) -> bool:
+    def verify(self, message: bytes, signature: bytes) -> bool:
         try:
             y = decode(signature)
         except EncodingError:
             return False
         if not isinstance(y, int) or not 0 < y < self.public.modulus:
             return False
-        x = self._digest(message, fdh)
+        x = self._digest(message)
         return arith.mexp(y, self.public.e, self.public.modulus) == x
 
 
@@ -358,14 +352,12 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
             raise CryptoError("multi-signature signer needs an RSAKeyPair")
         return MultiSigner(self, index, secret)
 
-    def verify_share(
-        self, message: bytes, share: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
-    ) -> bool:
+    def verify_share(self, message: bytes, share: bytes) -> bool:
         member = self.share_member(share)
         if member is None:
             return False
         index, sig = member
-        return self.verify_member(index, message, sig, fdh)
+        return self.verify_member(index, message, sig)
 
     def combine(self, message: bytes, shares: Dict[int, bytes]) -> bytes:
         if len(shares) < self.k:
@@ -414,25 +406,17 @@ class MultiSignatureScheme(ThresholdSignatureScheme):
             return None
         return index, sig
 
-    def verify_member(
-        self,
-        index: int,
-        message: bytes,
-        sig: int,
-        fdh: hashing.Digest = hashing.fdh_to_zn,
-    ) -> bool:
+    def verify_member(self, index: int, message: bytes, sig: int) -> bool:
         """Verify one member signature (one RSA verification)."""
-        return self.public_keys[index - 1].verify(self.domain, message, sig, fdh)
+        return self.public_keys[index - 1].verify(self.domain, message, sig)
 
-    def verify(
-        self, message: bytes, signature: bytes, fdh: hashing.Digest = hashing.fdh_to_zn
-    ) -> bool:
+    def verify(self, message: bytes, signature: bytes) -> bool:
         """Check an assembled multi-signature (``k`` RSA verifications)."""
         entries = self.members(signature)
         if entries is None:
             return False
         return all(
-            self.verify_member(index, message, sig, fdh) for index, sig in entries
+            self.verify_member(index, message, sig) for index, sig in entries
         )
 
 
@@ -454,7 +438,7 @@ def combine_optimistically(
     valid signature or ``None``.
 
     ``verifier`` optionally routes the signature/share checks through a
-    party's :class:`repro.crypto.verifier.ShareVerifier` (its digest memo).
+    party's :class:`repro.crypto.verifier.ShareVerifier` (its verdict memo).
     """
     def _verify(sig: bytes) -> bool:
         if verifier is not None:

@@ -197,7 +197,7 @@ class EpochKeychain:
             coin_holder=m.coin.holder(share_index, m.coin_shares[index0]),
             enc=m.enc,
             enc_holder=m.enc.holder(share_index, m.enc_shares[index0]),
-            # Each bundle owns its digest memo, as at epoch 0; a copied
+            # Each bundle owns its verdict memo, as at epoch 0; a copied
             # bundle would otherwise share the previous epoch's.
             verifier=ShareVerifier(),
         )

@@ -53,7 +53,14 @@ class SimContext(Context):
     # -- messaging ------------------------------------------------------------
 
     def send(self, dst: int, pid: str, mtype: str, payload: Any) -> None:
-        body = pack_body(pid, mtype, payload)
+        self._emit(dst, pid, mtype, pack_body(pid, mtype, payload))
+
+    def broadcast(self, pid: str, mtype: str, payload: Any) -> None:
+        body = pack_body(pid, mtype, payload)  # one body, sealed per link
+        for dst in range(self.n):
+            self._emit(dst, pid, mtype, body)
+
+    def _emit(self, dst: int, pid: str, mtype: str, body: bytes) -> None:
         wire = self.runtime.seal(self.crypto, dst, body)
         self.runtime.record_protocol_message(pid, mtype, len(wire))
         self.node.emit(dst, wire)

@@ -272,6 +272,11 @@ class TcpContext(Context):
     def send(self, dst: int, pid: str, mtype: str, payload: Any) -> None:
         self._node.send_frame(dst, pack_body(pid, mtype, payload))
 
+    def broadcast(self, pid: str, mtype: str, payload: Any) -> None:
+        body = pack_body(pid, mtype, payload)  # one body for every link
+        for dst in range(self.n):
+            self._node.send_frame(dst, body)
+
     def effect(self, fn: Callable, *args: Any) -> None:
         asyncio.get_running_loop().call_soon(fn, *args)
 

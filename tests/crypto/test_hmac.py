@@ -1,5 +1,8 @@
 """HMAC link authentication."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.common.errors import InvalidSignature
@@ -39,3 +42,10 @@ def test_tag_deterministic():
     auth = LinkAuthenticator(b"k" * KEY_BYTES)
     assert auth.tag(b"x") == auth.tag(b"x")
     assert auth.tag(b"x") != auth.tag(b"y")
+
+
+@pytest.mark.parametrize("data", [b"", b"x", bytes(range(256)) * 40])
+def test_tag_is_hmac_sha256(data):
+    key = bytes(range(KEY_BYTES))
+    expected = hmac.new(key, data, hashlib.sha256).digest()
+    assert LinkAuthenticator(key).tag(data) == expected

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.common.encoding import decode, encode
 from repro.common.errors import CryptoError, InvalidShare
+from repro.crypto import opcount
 from repro.crypto.params import get_rsa_safe_primes
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.threshold_sig import (
@@ -111,6 +112,24 @@ def test_shoup_forged_share_detected():
     index, x_i, c, z = decode(share)
     forged = encode((index, (x_i * 2) % scheme.public.modulus, c, z))
     assert not scheme.verify_share(MSG, forged)
+
+
+def test_shoup_oversized_proof_is_refused_before_exponentiating():
+    scheme, signers = _shoup()
+    share = signers[0].sign_share(MSG)
+    index, x_i, c, z = decode(share)
+    with opcount.counting() as honest:
+        assert scheme.verify_share(MSG, share)
+    assert honest.ops > 0
+    oversized = [
+        encode((index, x_i, c, z + (z << 65_536))),  # 65 536 extra bits in z
+        encode((index, x_i, c + scheme._hash_bound, z)),
+        encode((index, x_i, c, -z)),
+    ]
+    for forged in oversized:
+        with opcount.counting() as bill:
+            assert not scheme.verify_share(MSG, forged)
+        assert bill.ops == 0
 
 
 def test_multi_signature_requires_distinct_signers():

@@ -97,6 +97,34 @@ def test_statistics_counted():
     assert rt.bytes_sent > 0
 
 
+def test_a_broadcast_packs_one_body_and_seals_todays_frames(monkeypatch):
+    import repro.net.runtime as runtime_mod
+    from repro.net import links
+    from repro.net.message import pack_body
+
+    packed = []
+
+    def counted(pid, mtype, payload):
+        packed.append((pid, mtype))
+        return pack_body(pid, mtype, payload)
+
+    monkeypatch.setattr(runtime_mod, "pack_body", counted)
+    rt = _runtime()
+    protos = [Echo(ctx) for ctx in rt.contexts]
+    frames = []
+    rt.wire_taps.append(lambda src, dst, wire, depart: frames.append((dst, wire)))
+    payload = (b"one body", 7, [b"for", b"everyone"])
+    rt.run_on_node(0, lambda: protos[0].send_all("note", payload))
+    assert packed == [("echo", "note")]
+    body = pack_body("echo", "note", payload)
+    crypto = rt.group.party(0)
+    # the same bytes a per-destination send seals
+    assert sorted(frames) == [(dst, links.seal(crypto, dst, body)) for dst in range(4)]
+    assert rt.protocol_messages == {("echo", "note"): 4}
+    rt.run()
+    assert all(m[1:] == (0, "note", payload) for p in protos for m in p.seen)
+
+
 def test_corrupted_wire_counted_not_crashing():
     rt = _runtime()
     [Echo(ctx) for ctx in rt.contexts]

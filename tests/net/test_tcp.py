@@ -95,6 +95,27 @@ def test_atomic_channel_total_order_over_tcp():
     assert sorted(sequences[0]) == [b"m0", b"m1", b"m2"]
 
 
+def test_a_broadcast_packs_one_body_for_every_link(monkeypatch):
+    import repro.net.tcp as tcp_mod
+    from repro.net.message import pack_body
+
+    packed = []
+
+    def counted(pid, mtype, payload):
+        packed.append((pid, mtype))
+        return pack_body(pid, mtype, payload)
+
+    monkeypatch.setattr(tcp_mod, "pack_body", counted)
+    node = TcpNode(cached_group(4, 1), 0, local_endpoints(4))
+    frames = []
+    node.send_frame = lambda dst, body: frames.append((dst, body))
+    payload = (b"one body", 7)
+    node.ctx.broadcast("echo", "note", payload)
+    assert packed == [("echo", "note")]
+    body = pack_body("echo", "note", payload)
+    assert frames == [(dst, body) for dst in range(4)]
+
+
 def test_auth_failures_counted():
     async def body(nodes):
         # a raw client writes garbage to node 0's listening socket
